@@ -6,7 +6,7 @@ Run: python demos/02_hashing_and_folding.py
 
 import numpy as np
 
-from sparseconv import cyclic_convolve, fold, is_isolated, naive_convolve, sample_prime
+from sparseconv import cyclic_convolve, fold, naive_convolve, sample_prime
 
 rng = np.random.default_rng(7)
 
@@ -31,5 +31,6 @@ print("\ncommutation check at p=5: max gap =", float(np.max(np.abs(lhs - rhs))))
 # residue. Collisions are what the recovery algorithms must survive.
 support = {3, 10, 24}
 for p in (7, 11, 13):
-    flags = {x: is_isolated(x, support, p) for x in sorted(support)}
+    residues = [y % p for y in support]
+    flags = {x: residues.count(x % p) == 1 for x in sorted(support)}
     print(f"isolation of support {sorted(support)} under p={p}: {flags}")

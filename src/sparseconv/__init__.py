@@ -1,8 +1,9 @@
 """Output-sensitive sparse non-negative convolution.
 
-Dense baselines (quadratic reference and radix-2 FFT), hashing modulo
-random primes, ratio-trick sketches, median-boosted approximate recovery,
-and iterative exact correction, plus a benchmark harness and CLI.
+Dense baselines (quadratic reference and numpy.fft real transforms),
+hashing modulo random primes, ratio-trick sketches, median-boosted
+approximate recovery, and iterative exact correction, plus a benchmark
+harness and CLI.
 """
 
 from .approx import ApproxParams, approx_plan, approx_sparse_convolve
@@ -26,7 +27,7 @@ from .harness import (
     run_engine,
     write_instance,
 )
-from .hashing import fold, is_isolated, primes_in_range, sample_prime
+from .hashing import fold, primes_in_range, sample_prime
 from .numerics import (
     SparseResult,
     dense_vector,
@@ -66,7 +67,6 @@ __all__ = [
     "fft_work",
     "fold",
     "generate_instance",
-    "is_isolated",
     "load_instance",
     "naive_convolve",
     "norm_ge",

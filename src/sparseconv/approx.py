@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hashing import sample_prime
-from .numerics import SparseResult, lower_median
+from .numerics import SparseResult, dense_vector, lower_median
 from .sketch import SketchCache, build_sketch, extract_candidates
 
 __all__ = ["ApproxParams", "approx_sparse_convolve", "approx_plan", "ceil_log2"]
@@ -94,7 +94,11 @@ def approx_sparse_convolve(
     Deterministic given (a, b, params): repetition l draws its prime
     from a generator seeded by (seed, l), so repetitions are independent
     and could run in parallel.
+
+    Raises ValueError unless a and b are equal-length, finite,
+    non-negative 1-D vectors.
     """
+    a, b = dense_vector(a), dense_vector(b)
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     n = len(a)

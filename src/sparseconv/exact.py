@@ -17,13 +17,13 @@ covered by the bootstrap's failure budget, not by correction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .approx import ApproxParams, approx_sparse_convolve, ceil_log2
 from .hashing import sample_prime
-from .numerics import SparseResult, round_to_int
+from .numerics import SparseResult, dense_vector, round_to_int
 from .sketch import SketchCache, build_residual_sketch, extract_candidates
 
 __all__ = [
@@ -74,28 +74,31 @@ class CorrectionTrace:
     levels: int = 0
 
 
+def _level_count(params: ExactParams) -> int:
+    # Grows like log log k; k <= 2 needs no contraction beyond the
+    # bootstrap, hence the floor of one level.
+    lg = ceil_log2(params.k)
+    if lg < 2:
+        return 1
+    return math.ceil(math.log(lg) / math.log(params.level_base))
+
+
 def exact_plan(params: ExactParams, n: int) -> tuple[int, int]:
     """Modulus base m and level count L.
 
     The larger modulus (extra log k factor over the approximate plan)
     keeps collisions rare enough for the residual to contract at every
-    level. Level count grows like log log k; k <= 2 needs no contraction
-    beyond the bootstrap, hence the floor of one level.
+    level.
     """
     lk = max(ceil_log2(params.k), 1)
     m = max(int(math.ceil(params.m_mult_exact * params.k * ceil_log2(n) * lk * lk)), 16)
-    lg = ceil_log2(params.k)
-    if lg >= 2:
-        levels = max(int(math.ceil(math.log(lg) / math.log(params.level_base))), 1)
-    else:
-        levels = 1
-    return m, levels
+    return m, _level_count(params)
 
 
 def repetition_schedule(params: ExactParams) -> list[int]:
     """Repetitions per level: R_l = ceil(R_mult * log2(2L/delta) / base^(l-1)),
     floored at one."""
-    _, levels = exact_plan(params, 2)
+    levels = _level_count(params)
     base_count = params.R_mult * math.log2(2 * levels / params.delta)
     return [
         max(int(math.ceil(base_count / params.level_base ** (l - 1))), 1)
@@ -164,20 +167,16 @@ def exact_sparse_convolve(
     Failure budget: delta/2 to the bootstrap, delta/2 spread over the
     correction levels. Pass a CorrectionTrace to collect per-level
     snapshots for convergence diagnostics.
+
+    Raises ValueError unless a and b are equal-length, finite,
+    non-negative 1-D vectors.
     """
+    a, b = dense_vector(a), dense_vector(b)
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     n = len(a)
-    bootstrap_params = ApproxParams(
-        k=params.k,
-        delta=params.delta / 2,
-        c1=params.c1,
-        tau=params.tau,
-        m_mult=params.m_mult,
-        L_mult=params.L_mult,
-        min_votes_frac=params.min_votes_frac,
-        seed=params.seed,
-    )
+    shared = {f.name: getattr(params, f.name) for f in fields(ApproxParams)}
+    bootstrap_params = ApproxParams(**{**shared, "delta": params.delta / 2})
     c0 = approx_sparse_convolve(a, b, bootstrap_params)
     current = dict(c0.entries)
     if params.integer_mode:

@@ -1,11 +1,11 @@
-"""Iterative radix-2 FFT and the convolutions built on it.
+"""The package's transform seam and the convolutions built on it.
 
-The transform is implemented here rather than delegated to numpy.fft so
-that the instrumented work counter reflects exactly the transforms this
-package executes, and so benchmark timings are self-contained.
+fft_forward and fft_inverse_real are the only transforms the package
+runs: numpy.fft real transforms (rfft / irfft) of power-of-two length.
 
-Work accounting: every executed transform of length N adds N * log2(N)
-to the module counter. Callers that want a per-phase reading should
+Work accounting is analytic: every transform of length N, forward or
+inverse, adds N * log2(N) to the module counter, whatever the backend
+does inside. Callers that want a per-phase reading should
 reset_fft_work() before the phase and read fft_work() after it.
 """
 
@@ -22,9 +22,6 @@ __all__ = [
     "fft_work",
     "reset_fft_work",
 ]
-
-_bitrev_cache: dict[int, np.ndarray] = {}
-_twiddle_cache: dict[int, np.ndarray] = {}
 
 _fft_work_total = 0
 
@@ -46,66 +43,26 @@ def pad_length(min_len: int) -> int:
     return 1 << (min_len - 1).bit_length()
 
 
-def _bitrev(n: int) -> np.ndarray:
-    perm = _bitrev_cache.get(n)
-    if perm is None:
-        perm = np.zeros(1, dtype=np.intp)
-        m = 1
-        while m < n:
-            doubled = np.empty(2 * m, dtype=np.intp)
-            doubled[0::2] = perm
-            doubled[1::2] = perm + m
-            perm = doubled
-            m *= 2
-        _bitrev_cache[n] = perm
-    return perm
-
-
-def _twiddle(half: int) -> np.ndarray:
-    w = _twiddle_cache.get(half)
-    if w is None:
-        w = np.exp(-1j * np.pi * np.arange(half) / half)
-        _twiddle_cache[half] = w
-    return w
-
-
-def _fft_inplace(x: np.ndarray) -> np.ndarray:
-    """Decimation-in-time FFT over a complex128 array of power-of-two
-    length; overwrites x."""
+def _charge(n: int) -> None:
     global _fft_work_total
-    n = len(x)
+    if n & (n - 1):
+        raise ValueError(f"transform length {n} is not a power of two")
     _fft_work_total += n * (n.bit_length() - 1)
-    if n == 1:
-        return x
-    x[:] = x[_bitrev(n)]
-    half = 1
-    while half < n:
-        blocks = x.reshape(-1, 2, half)
-        t = blocks[:, 1, :] * _twiddle(half)
-        blocks[:, 1, :] = blocks[:, 0, :] - t
-        blocks[:, 0, :] += t
-        half *= 2
-    return x
 
 
 def fft_forward(a: np.ndarray, n: int) -> np.ndarray:
-    """Forward transform of a real vector zero-padded to length n
-    (a power of two)."""
-    if n & (n - 1):
-        raise ValueError(f"transform length {n} is not a power of two")
+    """Half spectrum (n//2 + 1 bins) of a real vector zero-padded to
+    length n (a power of two)."""
     if len(a) > n:
         raise ValueError("input longer than transform length")
-    buf = np.zeros(n, dtype=np.complex128)
-    buf[: len(a)] = a
-    return _fft_inplace(buf)
+    _charge(n)
+    return np.fft.rfft(a, n)
 
 
-def fft_inverse_real(spectrum: np.ndarray) -> np.ndarray:
-    """Inverse transform, returning the real part."""
-    n = len(spectrum)
-    buf = np.conj(spectrum).astype(np.complex128)
-    _fft_inplace(buf)
-    return buf.real / n  # conj(fft(conj(X)))/n; output is real so conj dropped
+def fft_inverse_real(spectrum: np.ndarray, n: int) -> np.ndarray:
+    """Length-n real signal whose half spectrum is `spectrum`."""
+    _charge(n)
+    return np.fft.irfft(spectrum, n)
 
 
 def fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -123,7 +80,7 @@ def fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     size = pad_length(out_len)
     fa = fft_forward(a, size)
     fb = fft_forward(b, size)
-    return fft_inverse_real(fa * fb)[:out_len]
+    return fft_inverse_real(fa * fb, size)[:out_len]
 
 
 def fold_linear_to_cyclic(full: np.ndarray, m: int) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Random-prime hashing: sieve-backed prime sampling, the mod-p fold of
-a vector onto residue classes, and the isolation check used by tests.
+"""Random-prime hashing: sieve-backed prime sampling and the mod-p fold
+of a vector onto residue classes.
 
 The hash family is g(x) = x mod p with p drawn uniformly from the primes
 in [m, 2m]. Folding a vector sums its entries within each residue class,
@@ -15,7 +15,6 @@ __all__ = [
     "sample_prime",
     "fold",
     "fold_sparse",
-    "is_isolated",
 ]
 
 # Sieve results are cached per m: sampling is called once per hash
@@ -85,14 +84,3 @@ def fold_sparse(indices, values, p: int, universe: int) -> np.ndarray:
     out = np.zeros(p)
     np.add.at(out, idx % p, val)
     return out
-
-
-def is_isolated(x: int, support: set[int], p: int) -> bool:
-    """True iff no other index in `support` shares x's residue mod p.
-
-    Test utility, not on the recovery hot path.
-    """
-    if x not in support:
-        raise ValueError(f"index {x} not in the given support")
-    r = x % p
-    return all(y % p != r for y in support if y != x)

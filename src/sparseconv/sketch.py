@@ -137,8 +137,8 @@ def build_sketch(
     sb = fft_forward(fb_, size)
     sda = fft_forward(fda, size)
     sdb = fft_forward(fdb, size)
-    v_full = fft_inverse_real(sa * sb)[: 2 * p - 1]
-    w_full = fft_inverse_real(sda * sb + sa * sdb)[: 2 * p - 1]
+    v_full = fft_inverse_real(sa * sb, size)[: 2 * p - 1]
+    w_full = fft_inverse_real(sda * sb + sa * sdb, size)[: 2 * p - 1]
     return Sketch(p, fold_linear_to_cyclic(v_full, p), fold_linear_to_cyclic(w_full, p))
 
 

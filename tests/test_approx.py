@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from sparseconv.approx import ApproxParams, approx_plan, approx_sparse_convolve, ceil_log2
+from sparseconv.exact import ExactParams, exact_sparse_convolve
 from sparseconv.harness import InstanceSpec, generate_instance
-from sparseconv.hashing import is_isolated, primes_in_range
+from sparseconv.hashing import primes_in_range
 from sparseconv.numerics import naive_convolve, support_ge
+
+from isolation import is_isolated
 
 
 def impulse(n, at):
@@ -59,6 +62,31 @@ def test_impulse_pair():
 def test_length_mismatch():
     with pytest.raises(ValueError):
         approx_sparse_convolve(np.ones(4), np.ones(5), ApproxParams(k=1, delta=0.1))
+
+
+@pytest.mark.parametrize(
+    "engine, params",
+    [
+        (approx_sparse_convolve, ApproxParams(k=1, delta=0.1)),
+        (exact_sparse_convolve, ExactParams(k=1, delta=0.1)),
+    ],
+    ids=["approx", "exact"],
+)
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.array([0.0, -1.0, 0.0, 1.0]),  # a negative entry drops terms
+        np.full(4, np.nan),  # all-NaN sketches have no heavy bucket
+        np.ones((2, 4)),
+    ],
+    ids=["negative", "nan", "2d"],
+)
+def test_engines_reject_inputs_that_void_the_guarantee(engine, params, bad):
+    good = impulse(4, 1)
+    with pytest.raises(ValueError):
+        engine(bad, good, params)
+    with pytest.raises(ValueError):
+        engine(good, bad, params)
 
 
 def test_deterministic_given_seed():

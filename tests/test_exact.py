@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sparseconv.approx import ApproxParams
 from sparseconv.exact import (
     CorrectionTrace,
     ExactParams,
@@ -58,6 +59,25 @@ def test_schedule_bound():
             # geometric decay, floored at one repetition
             assert all(schedule[i] >= schedule[i + 1] for i in range(levels - 1))
             assert schedule[-1] >= 1
+
+
+def test_bootstrap_gets_every_approx_knob_with_half_delta(monkeypatch):
+    seen = []
+
+    def fake_bootstrap(a, b, params):
+        seen.append(params)
+        return SparseResult({})
+
+    monkeypatch.setattr("sparseconv.exact.approx_sparse_convolve", fake_bootstrap)
+    params = ExactParams(
+        k=2, delta=0.2, c1=0.75, tau=0.2, m_mult=6.0, L_mult=3.0, min_votes_frac=0.7, seed=4
+    )
+    exact_sparse_convolve(impulse(4, 2), impulse(4, 3), params)
+    assert seen == [
+        ApproxParams(
+            k=2, delta=0.1, c1=0.75, tau=0.2, m_mult=6.0, L_mult=3.0, min_votes_frac=0.7, seed=4
+        )
+    ]
 
 
 def test_single_impulse_unchanged_across_levels():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sparseconv.fft import cyclic_convolve
-from sparseconv.hashing import fold, fold_sparse, is_isolated, primes_in_range, sample_prime
+from sparseconv.hashing import fold, fold_sparse, primes_in_range, sample_prime
 from sparseconv.numerics import naive_convolve
 
 
@@ -95,21 +95,6 @@ class TestFoldSparse:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             fold_sparse([50], [1.0], 7, 50)
-
-
-class TestIsIsolated:
-    def test_singleton(self):
-        assert is_isolated(3, {3}, 5)
-
-    def test_collision(self):
-        assert not is_isolated(3, {3, 10}, 7)
-
-    def test_no_collision(self):
-        assert is_isolated(3, {3, 11}, 7)
-
-    def test_requires_membership(self):
-        with pytest.raises(ValueError):
-            is_isolated(4, {3}, 7)
 
 
 def test_fold_commutes_with_convolution():

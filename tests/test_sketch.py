@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sparseconv.harness import InstanceSpec, generate_instance
-from sparseconv.hashing import is_isolated
 from sparseconv.numerics import SparseResult, naive_convolve, support_ge
 from sparseconv.sketch import (
     Sketch,
@@ -11,6 +10,8 @@ from sparseconv.sketch import (
     build_sketch,
     extract_candidates,
 )
+
+from isolation import is_isolated
 
 
 def impulse(n, at):
