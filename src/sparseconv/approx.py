@@ -18,7 +18,7 @@ import numpy as np
 
 from .hashing import sample_prime
 from .numerics import SparseResult, dense_vector, lower_median
-from .sketch import SketchCache, build_sketch, extract_candidates
+from .sketch import SketchCache, build_sketch, dense_route, extract_candidates
 
 __all__ = ["ApproxParams", "approx_sparse_convolve", "approx_plan", "ceil_log2"]
 
@@ -104,7 +104,7 @@ def approx_sparse_convolve(
     n = len(a)
     out_len = 2 * n - 1
     m, L = approx_plan(params, n)
-    cache = SketchCache(a, b)
+    cache = SketchCache(a, b, dense_route(n, m, L))
 
     pool: dict[int, list[float]] = {}
     for l in range(1, L + 1):

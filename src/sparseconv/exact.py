@@ -24,7 +24,7 @@ import numpy as np
 from .approx import ApproxParams, approx_sparse_convolve, ceil_log2
 from .hashing import sample_prime
 from .numerics import SparseResult, dense_vector, round_to_int
-from .sketch import SketchCache, build_residual_sketch, extract_candidates
+from .sketch import SketchCache, build_residual_sketch, dense_route, extract_candidates
 
 __all__ = [
     "ExactParams",
@@ -134,7 +134,7 @@ def run_correction_level(
     the chosen prime.
     """
     if cache is None:
-        cache = SketchCache(a, b)
+        cache = SketchCache(a, b, dense_route(len(a), m, reps))
     out_len = 2 * len(cache.a) - 1
     best = None  # (score, r, sketch)
     for r in range(1, reps + 1):
@@ -192,7 +192,7 @@ def exact_sparse_convolve(
         trace.snapshots = [SparseResult(dict(current))]
         trace.chosen_primes = []
 
-    cache = SketchCache(a, b)
+    cache = SketchCache(a, b, dense_route(n, m, sum(schedule)))
     state = SparseResult(current)
     for l in range(1, levels + 1):
         state, chosen_p = run_correction_level(
@@ -227,7 +227,7 @@ def residual_norm(
     n = len(a)
     if m is None:
         m = max(2 * n - 1, 16)
-    cache = SketchCache(a, b)
+    cache = SketchCache(a, b, dense_route(n, m, trials))
     worst = 0
     for t in range(1, trials + 1):
         rng = np.random.default_rng([seed, t])

@@ -4,8 +4,9 @@ fft_forward and fft_inverse_real are the only transforms the package
 runs: numpy.fft real transforms (rfft / irfft) of power-of-two length.
 
 Work accounting is analytic: every transform of length N, forward or
-inverse, adds N * log2(N) to the module counter, whatever the backend
-does inside. Callers that want a per-phase reading should
+inverse, adds transform_work(N) = N * log2(N) to the module counter,
+whatever the backend does inside; sketch.dense_route prices sketch
+routes in the same unit. Callers that want a per-phase reading should
 reset_fft_work() before the phase and read fft_work() after it.
 """
 
@@ -19,6 +20,7 @@ __all__ = [
     "fft_forward",
     "fft_inverse_real",
     "pad_length",
+    "transform_work",
     "fft_work",
     "reset_fft_work",
 ]
@@ -43,11 +45,17 @@ def pad_length(min_len: int) -> int:
     return 1 << (min_len - 1).bit_length()
 
 
-def _charge(n: int) -> None:
-    global _fft_work_total
+def transform_work(n: int) -> int:
+    """Work charged for one transform of length n (a power of two):
+    n * log2(n)."""
     if n & (n - 1):
         raise ValueError(f"transform length {n} is not a power of two")
-    _fft_work_total += n * (n.bit_length() - 1)
+    return n * (n.bit_length() - 1)
+
+
+def _charge(n: int) -> None:
+    global _fft_work_total
+    _fft_work_total += transform_work(n)
 
 
 def fft_forward(a: np.ndarray, n: int) -> np.ndarray:
@@ -78,9 +86,9 @@ def fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = len(a)
     out_len = 2 * n - 1
     size = pad_length(out_len)
-    fa = fft_forward(a, size)
-    fb = fft_forward(b, size)
-    return fft_inverse_real(fa * fb, size)[:out_len]
+    spectrum = fft_forward(a, size)
+    spectrum *= fft_forward(b, size)
+    return fft_inverse_real(spectrum, size)[:out_len]
 
 
 def fold_linear_to_cyclic(full: np.ndarray, m: int) -> np.ndarray:

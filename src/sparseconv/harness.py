@@ -364,7 +364,6 @@ def run_engine(
     tau: float = 0.25,
     seed: int = 0,
     integer_mode: bool = True,
-    approx_overrides: dict | None = None,
 ) -> EngineRun:
     """Run one engine; returns its result with wall time and FFT work.
 
@@ -376,7 +375,6 @@ def run_engine(
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINE_NAMES}")
     a = dense_vector(a)
     b = dense_vector(b)
-    overrides = approx_overrides or {}
     reset_fft_work()
     start = time.perf_counter()
     if engine == "naive":
@@ -384,12 +382,10 @@ def run_engine(
     elif engine == "fft":
         result = fft_convolve(a, b)
     elif engine == "approx":
-        params = ApproxParams(k=k, delta=delta, c1=c1, tau=tau, seed=seed, **overrides)
+        params = ApproxParams(k=k, delta=delta, c1=c1, tau=tau, seed=seed)
         result = approx_sparse_convolve(a, b, params)
     else:
-        params = ExactParams(
-            k=k, delta=delta, c1=c1, tau=tau, seed=seed, integer_mode=integer_mode, **overrides
-        )
+        params = ExactParams(k=k, delta=delta, c1=c1, tau=tau, seed=seed, integer_mode=integer_mode)
         result = exact_sparse_convolve(a, b, params)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return EngineRun(result, wall_ms, fft_work())

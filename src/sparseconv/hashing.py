@@ -64,10 +64,9 @@ def fold(a: np.ndarray, p: int) -> np.ndarray:
     if n <= p:
         out[:n] = a
         return out
-    rows = -(-n // p)
-    padded = np.zeros(rows * p)
-    padded[:n] = a
-    np.sum(padded.reshape(rows, p), axis=0, out=out)
+    full = n // p
+    np.sum(a[: full * p].reshape(full, p), axis=0, out=out)
+    out[: n - full * p] += a[full * p :]
     return out
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "DenseVector",
     "SparseResult",
     "dense_vector",
     "derivative",
@@ -25,11 +24,6 @@ __all__ = [
     "round_to_int",
     "lower_median",
 ]
-
-# Dense vectors are plain float64 numpy arrays; dense_vector() is the
-# validating constructor used at public entry points.
-DenseVector = np.ndarray
-
 
 def dense_vector(values) -> np.ndarray:
     """Validate and normalize a non-negative 1-D vector to float64.

@@ -12,15 +12,18 @@ assembled from folds of the inputs alone.
 
 Two equivalent evaluation routes are used:
 
-* cyclic route: fold the inputs to length p and run cyclic convolutions
-  (FFT cost scales with p, independent of n) - the output-sensitive path;
-* dense route: fold the full product A*B, computed once per input pair
-  and shared across sketches - cheaper whenever the length-p transforms
-  would cost at least as much as the single dense transform, which
-  happens when p is comparable to or larger than the output length.
+* cyclic route: fold A, B, dA and dB to length p and run cyclic
+  convolutions, six transforms of length pad(2p-1) per sketch (FFT cost
+  scales with p, independent of n) - the output-sensitive path;
+* dense route: compute A*B and its index-weighted copy once, three
+  transforms of length pad(2n-1), and fold that pair for every sketch.
 
-Both routes produce the same V and W up to FFT round-off because folding
-commutes with convolution.
+Both give the same V and W up to FFT round-off, because folding commutes
+with convolution, so the route is a cost choice. dense_route() makes it
+once per engine call: the call's sketches all draw primes from [m, 2m],
+and their cyclic transforms, priced at the smallest prime, are weighed
+against the one dense product in fft_work() units. Folds cost about the
+same on both routes.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fft import fft_convolve, fft_forward, fft_inverse_real, fold_linear_to_cyclic, pad_length
+from .fft import fft_convolve, fft_forward, fft_inverse_real, fold_linear_to_cyclic, pad_length, transform_work
 from .hashing import fold, fold_sparse
 from .numerics import SparseResult, derivative, round_to_int
 
@@ -37,6 +40,7 @@ __all__ = [
     "Sketch",
     "Candidate",
     "SketchCache",
+    "dense_route",
     "build_sketch",
     "build_residual_sketch",
     "extract_candidates",
@@ -59,48 +63,41 @@ class Candidate:
     value: float
 
 
-class SketchCache:
-    """Arrays derived from one (A, B) pair, reused across sketches.
+def dense_route(n: int, m: int, count: int) -> bool:
+    """Whether the `count` sketches of one call on length-n inputs, with
+    primes in [m, 2m], should fold one shared dense product.
 
-    Input derivatives are needed by every cyclic-route sketch; the dense
-    product pair is computed lazily, only if some sketch takes the dense
-    route, and its FFT cost is charged to the work counter once.
+    Prices both routes in fft_work() units: six cyclic transforms per
+    sketch at the smallest prime against the three transforms of the
+    dense product, which is built once.
+    """
+    return count * 2 * transform_work(pad_length(2 * m - 1)) >= transform_work(pad_length(2 * n - 1))
+
+
+class SketchCache:
+    """Arrays derived from one (A, B) pair, shared by the sketches of one
+    engine call, which all take the route `dense` fixes (see dense_route).
+
+    The dense route builds the product pair up front and its FFT work is
+    charged once; the cyclic route builds the input derivatives instead.
     """
 
-    def __init__(self, a: np.ndarray, b: np.ndarray):
+    def __init__(self, a: np.ndarray, b: np.ndarray, dense: bool):
         if len(a) != len(b):
             raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
         self.a = np.asarray(a, dtype=np.float64)
         self.b = np.asarray(b, dtype=np.float64)
-        self._da = None
-        self._db = None
-        self._conv = None
-        self._dconv = None
-
-    @property
-    def da(self) -> np.ndarray:
-        if self._da is None:
-            self._da = derivative(self.a, 0)
-        return self._da
-
-    @property
-    def db(self) -> np.ndarray:
-        if self._db is None:
-            self._db = derivative(self.b, 0)
-        return self._db
+        self.dense = dense
+        if dense:
+            self.conv, self.dconv = self.dense_products()
+        else:
+            self.da = derivative(self.a, 0)
+            self.db = derivative(self.b, 0)
 
     def dense_products(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._conv is None:
-            self._conv = fft_convolve(self.a, self.b)
-            # index-weighting the product equals dA*B + A*dB exactly
-            self._dconv = np.arange(len(self._conv), dtype=np.float64) * self._conv
-        return self._conv, self._dconv
-
-
-def _dense_route(p: int, n: int) -> bool:
-    # Dense route wins when one sketch's transforms are at least as long
-    # as the single shared dense transform.
-    return pad_length(2 * p - 1) >= pad_length(2 * n - 1)
+        conv = fft_convolve(self.a, self.b)
+        # index-weighting the product equals dA*B + A*dB exactly
+        return conv, np.arange(len(conv), dtype=np.float64) * conv
 
 
 def build_sketch(
@@ -108,7 +105,6 @@ def build_sketch(
     b: np.ndarray,
     p: int,
     cache: SketchCache | None = None,
-    force_cyclic: bool = False,
 ) -> Sketch:
     """Build the (V, W) pair for prime p.
 
@@ -117,14 +113,13 @@ def build_sketch(
 
     The cyclic route shares the forward transforms of fold(A), fold(B)
     between V and W and merges W's two products in the spectrum domain:
-    4 forward + 2 inverse transforms per sketch.
+    4 forward + 2 inverse transforms per sketch. The route is the cache's;
+    without a cache, dense_route decides for this sketch alone.
     """
     if cache is None:
-        cache = SketchCache(a, b)
-    n = len(cache.a)
-    if not force_cyclic and _dense_route(p, n):
-        conv, dconv = cache.dense_products()
-        return Sketch(p, fold(conv, p), fold(dconv, p))
+        cache = SketchCache(a, b, dense_route(len(a), p, 1))
+    if cache.dense:
+        return Sketch(p, fold(cache.conv, p), fold(cache.dconv, p))
 
     fa_ = fold(cache.a, p)
     fb_ = fold(cache.b, p)
@@ -148,7 +143,6 @@ def build_residual_sketch(
     c_prev: SparseResult,
     p: int,
     cache: SketchCache | None = None,
-    force_cyclic: bool = False,
 ) -> Sketch:
     """Sketch of A*B minus a sparse partial reconstruction.
 
@@ -157,8 +151,8 @@ def build_residual_sketch(
     where C_prev overshoots.
     """
     if cache is None:
-        cache = SketchCache(a, b)
-    base = build_sketch(a, b, p, cache=cache, force_cyclic=force_cyclic)
+        cache = SketchCache(a, b, dense_route(len(a), p, 1))
+    base = build_sketch(a, b, p, cache=cache)
     universe = 2 * len(cache.a) - 1
     idx = list(c_prev.entries.keys())
     val = list(c_prev.entries.values())

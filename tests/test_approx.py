@@ -143,13 +143,13 @@ def test_every_kept_index_has_majority_votes():
     # the vote filter guarantees at least ceil(L/2) candidates behind
     # every reported index; cross-check by recomputing the pool
     from sparseconv.hashing import sample_prime
-    from sparseconv.sketch import SketchCache, build_sketch, extract_candidates
+    from sparseconv.sketch import SketchCache, build_sketch, dense_route, extract_candidates
 
     spec = InstanceSpec(n=2**10, s_a=3, s_b=3, seed=51)
     inst = generate_instance(spec)
     params = ApproxParams(k=9, delta=0.1, seed=13)
     m, L = approx_plan(params, spec.n)
-    cache = SketchCache(inst.a, inst.b)
+    cache = SketchCache(inst.a, inst.b, dense_route(spec.n, m, L))
     votes: dict[int, int] = {}
     for l in range(1, L + 1):
         rng = np.random.default_rng([params.seed, l])

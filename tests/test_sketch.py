@@ -8,6 +8,7 @@ from sparseconv.sketch import (
     SketchCache,
     build_residual_sketch,
     build_sketch,
+    dense_route,
     extract_candidates,
 )
 
@@ -41,15 +42,18 @@ class TestBuildSketch:
         np.testing.assert_allclose(sk.w, 0.0, atol=1e-12)
 
     def test_routes_agree(self):
+        from sparseconv.hashing import fold
+
         rng = np.random.default_rng(10)
         for _ in range(10):
             n = int(rng.integers(4, 40))
             a, b = rng.random(n) * 3, rng.random(n) * 3
+            c = naive_convolve(a, b)
             for p in (7, 31, 2 * n + 5):
-                cyclic = build_sketch(a, b, p, force_cyclic=True)
-                auto = build_sketch(a, b, p)
-                np.testing.assert_allclose(auto.v, cyclic.v, atol=1e-8)
-                np.testing.assert_allclose(auto.w, cyclic.w, atol=1e-8)
+                for dense in (False, True):
+                    sk = build_sketch(a, b, p, cache=SketchCache(a, b, dense))
+                    np.testing.assert_allclose(sk.v, fold(c, p), atol=1e-8)
+                    np.testing.assert_allclose(sk.w, fold(np.arange(len(c)) * c, p), atol=1e-8)
 
     def test_matches_folded_product(self):
         # V must equal the fold of the true product; W the fold of its
@@ -61,7 +65,7 @@ class TestBuildSketch:
             n = 24
             a, b = rng.random(n), rng.random(n)
             c = naive_convolve(a, b)
-            sk = build_sketch(a, b, p, force_cyclic=True)
+            sk = build_sketch(a, b, p, cache=SketchCache(a, b, dense=False))
             np.testing.assert_allclose(sk.v, fold(c, p), atol=1e-9)
             np.testing.assert_allclose(sk.w, fold(np.arange(len(c)) * c, p), atol=1e-9)
 
@@ -70,7 +74,7 @@ class TestBuildSketch:
         for _ in range(10):
             n = int(rng.integers(2, 64))
             a, b = rng.random(n) * 10, rng.random(n) * 10
-            sk = build_sketch(a, b, 13, force_cyclic=True)
+            sk = build_sketch(a, b, 13, cache=SketchCache(a, b, dense=False))
             assert sk.v.min() >= -1e-6
 
 
@@ -118,7 +122,7 @@ class TestExtractCandidates:
             b[rng.choice(n, 4, replace=False)] = rng.integers(1, 8, 4)
             c = naive_convolve(a, b)
             supp = support_ge(c, 0.5)
-            sk = build_sketch(a, b, p, force_cyclic=True)
+            sk = build_sketch(a, b, p, cache=SketchCache(a, b, dense=False))
             got = {cand.index: cand.value for cand in extract_candidates(sk, 0.5, 0.25, len(c))}
             for x in supp:
                 if is_isolated(x, supp, p):
@@ -174,10 +178,10 @@ def test_noise_stays_well_inside_tolerances():
     inst = generate_instance(spec)
     c = naive_convolve(inst.a, inst.b)
     supp = support_ge(c, inst.c1_effective)
-    cache = SketchCache(inst.a, inst.b)
+    cache = SketchCache(inst.a, inst.b, dense=False)
     checked = 0
     for p in (1031, 1033, 1039, 1049):
-        sk = build_sketch(inst.a, inst.b, p, cache=cache, force_cyclic=True)
+        sk = build_sketch(inst.a, inst.b, p, cache=cache)
         for x in supp:
             if not is_isolated(x, supp, p):
                 continue
@@ -186,3 +190,28 @@ def test_noise_stays_well_inside_tolerances():
             assert abs(sk.v[x % p] - c[x]) <= 0.01
             checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize(
+    "n, m, count, dense",
+    [
+        (2**17, 26112, 75, True),  # n17-k64 approx: one dense product serves 75 sketches
+        (2**20, 5120, 59, False),  # n20-k16 approx
+        (2**20, 5120, 67, False),  # n20-k16 exact bootstrap (delta/2)
+        (2**20, 40960, 32, True),  # n20-k16 exact levels
+    ],
+)
+def test_dense_route_at_benchmark_shapes(n, m, count, dense):
+    assert dense_route(n, m, count) is dense
+
+
+def test_approx_charges_one_dense_product_when_it_is_cheaper():
+    from sparseconv.approx import ApproxParams, approx_plan, approx_sparse_convolve
+    from sparseconv.fft import fft_work, reset_fft_work, transform_work
+
+    inst = generate_instance(InstanceSpec(n=2**14, s_a=2, s_b=2, seed=0))
+    params = ApproxParams(k=4, delta=0.1, seed=0)
+    assert approx_plan(params, 2**14) == (448, 43)
+    reset_fft_work()
+    approx_sparse_convolve(inst.a, inst.b, params)
+    assert fft_work() == 3 * transform_work(2**15) == 1_474_560
