@@ -4,13 +4,15 @@ fft_forward and fft_inverse_real are the only transforms the package
 runs: numpy.fft real transforms (rfft / irfft) of power-of-two length.
 
 Work accounting is analytic: every transform of length N, forward or
-inverse, adds transform_work(N) = N * log2(N) to the module counter,
-whatever the backend does inside; sketch.dense_route prices sketch
-routes in the same unit. Callers that want a per-phase reading should
-reset_fft_work() before the phase and read fft_work() after it.
+inverse, adds transform_work(N) = N * log2(N) to the calling thread's
+counter, whatever the backend does inside; sketch.dense_route prices
+sketch routes in the same unit. Callers that want a per-phase reading
+should reset_fft_work() before the phase and read fft_work() after it.
 """
 
 from __future__ import annotations
+
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -25,17 +27,16 @@ __all__ = [
     "reset_fft_work",
 ]
 
-_fft_work_total = 0
+_fft_work = ContextVar("fft_work", default=0)
 
 
 def fft_work() -> int:
-    """Cumulative sum of N * log2(N) over executed transforms."""
-    return _fft_work_total
+    """Cumulative sum of N * log2(N) over the transforms this thread ran."""
+    return _fft_work.get()
 
 
 def reset_fft_work() -> None:
-    global _fft_work_total
-    _fft_work_total = 0
+    _fft_work.set(0)
 
 
 def pad_length(min_len: int) -> int:
@@ -54,8 +55,7 @@ def transform_work(n: int) -> int:
 
 
 def _charge(n: int) -> None:
-    global _fft_work_total
-    _fft_work_total += transform_work(n)
+    _fft_work.set(_fft_work.get() + transform_work(n))
 
 
 def fft_forward(a: np.ndarray, n: int) -> np.ndarray:
@@ -108,6 +108,4 @@ def cyclic_convolve(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64)
     if len(a) != m or len(b) != m:
         raise ValueError(f"both inputs must have length m={m}")
-    if m == 1:
-        return np.array([a[0] * b[0]])
     return fold_linear_to_cyclic(fft_convolve(a, b), m)

@@ -22,7 +22,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -62,22 +62,6 @@ SCHEMA_VERSION = 1
 NAIVE_AUDIT_MAX_N = 1024
 ENGINE_NAMES = ("naive", "fft", "approx", "exact")
 _ENGINE_ALIASES = {"dense-fft": "fft"}
-
-CSV_COLUMNS = [
-    "schema_version",
-    "engine",
-    "n",
-    "k",
-    "delta",
-    "seed",
-    "wall_ms",
-    "support_precision",
-    "support_recall",
-    "max_abs_err_on_support",
-    "exact_match",
-    "oracle_crosscheck_max_abs_diff",
-]
-
 
 class GenerationInfeasibleError(Exception):
     """The requested instance cannot be generated (gap band violated
@@ -143,12 +127,16 @@ class GeneratedInstance(NamedTuple):
 
 @dataclass(frozen=True)
 class _Parts:
-    spec: InstanceSpec
+    """What an instance file stores: the significant entries and the
+    noise descriptor."""
+
+    n: int
     pos_a: np.ndarray
     val_a: np.ndarray
     pos_b: np.ndarray
     val_b: np.ndarray
     eta: float
+    density: float
     noise_seed: int
 
 
@@ -167,11 +155,8 @@ def _sample_noise(n: int, eta: float, density: float, noise_seed: int) -> tuple[
 
 
 def _assemble(parts: _Parts) -> tuple[np.ndarray, np.ndarray]:
-    spec = parts.spec
-    noise_a, noise_b = _sample_noise(spec.n, parts.eta, spec.noise_density, parts.noise_seed)
-    a = noise_a.copy()
+    a, b = _sample_noise(parts.n, parts.eta, parts.density, parts.noise_seed)
     a[parts.pos_a] += parts.val_a
-    b = noise_b.copy()
     b[parts.pos_b] += parts.val_b
     return a, b
 
@@ -186,9 +171,8 @@ def _significant_product(parts: _Parts) -> dict[int, float]:
     return out
 
 
-def _audit(parts: _Parts, a: np.ndarray, b: np.ndarray) -> tuple[bool, int, float]:
+def _audit(spec: InstanceSpec, parts: _Parts, a: np.ndarray, b: np.ndarray) -> tuple[bool, int, float]:
     """Check the gap band; return (ok, k_effective, c1_effective)."""
-    spec = parts.spec
     c1_eff = float(spec.value_range[0])
     c2 = spec.c2_effective
     out_len = 2 * spec.n - 1
@@ -224,9 +208,11 @@ def _generate_parts(spec: InstanceSpec, k_budget: int | None):
             val_a = rng.uniform(lo, hi, size=spec.s_a)
             val_b = rng.uniform(lo, hi, size=spec.s_b)
         noise_seed = int(rng.integers(0, 2**62))
-        parts = _Parts(spec, pos_a, val_a, pos_b, val_b, spec.noise_eta, noise_seed)
+        eta = spec.noise_eta
+        density = spec.noise_density if eta > 0 else 0.0
+        parts = _Parts(spec.n, pos_a, val_a, pos_b, val_b, eta, density, noise_seed)
         a, b = _assemble(parts)
-        ok, k_eff, c1_eff = _audit(parts, a, b)
+        ok, k_eff, c1_eff = _audit(spec, parts, a, b)
         if not ok:
             continue
         if k_budget is not None and k_eff > k_budget:
@@ -269,11 +255,6 @@ class LoadedInstance(NamedTuple):
     n: int
     a: np.ndarray
     b: np.ndarray
-    sig_a: dict[int, float]
-    sig_b: dict[int, float]
-    eta: float
-    density: float
-    noise_seed: int
 
 
 def write_instance(path, spec: InstanceSpec, k_budget: int | None = None) -> GeneratedInstance:
@@ -283,8 +264,7 @@ def write_instance(path, spec: InstanceSpec, k_budget: int | None = None) -> Gen
     for name, pos, val in (("A", parts.pos_a, parts.val_a), ("B", parts.pos_b, parts.val_b)):
         lines.append(f"{name} {len(pos)}")
         lines.extend(f"{int(i)} {float(v)!r}" for i, v in zip(pos, val))
-    density = spec.noise_density if parts.eta > 0 else 0.0
-    lines.append(f"noise eta={parts.eta!r} density={density!r} seed={parts.noise_seed}")
+    lines.append(f"noise eta={parts.eta!r} density={parts.density!r} seed={parts.noise_seed}")
     Path(path).write_text("\n".join(lines) + "\n")
     return inst
 
@@ -299,38 +279,32 @@ def load_instance(path) -> LoadedInstance:
             raise ValueError("missing n= line")
         n = int(lines[1][2:])
         cursor = 2
-        sections: dict[str, dict[int, float]] = {}
+        sections: list[np.ndarray] = []
         for name in ("A", "B"):
             tag, count = lines[cursor].split()
             if tag != name:
                 raise ValueError(f"expected section {name}, got {tag!r}")
             count = int(count)
-            entries: dict[int, float] = {}
+            pos, val = [], []
             for line in lines[cursor + 1 : cursor + 1 + count]:
-                idx, val = line.split()
+                idx, v = line.split()
                 idx = int(idx)
                 if not 0 <= idx < n:
                     raise ValueError(f"index {idx} out of range for n={n}")
-                entries[idx] = float(val)
-            sections[name] = entries
+                pos.append(idx)
+                val.append(float(v))
+            sections += [np.array(pos, dtype=np.int64), np.array(val, dtype=np.float64)]
             cursor += 1 + count
-        fields = lines[cursor].split()
-        if fields[0] != "noise":
+        noise = lines[cursor].split()
+        if noise[0] != "noise":
             raise ValueError("missing noise descriptor line")
-        meta = dict(f.split("=", 1) for f in fields[1:])
-        eta = float(meta["eta"])
-        density = float(meta["density"])
-        noise_seed = int(meta["seed"])
+        meta = dict(f.split("=", 1) for f in noise[1:])
+        parts = _Parts(n, *sections, float(meta["eta"]), float(meta["density"]), int(meta["seed"]))
     except (IndexError, KeyError) as exc:
         raise ValueError(f"malformed instance file {path}: {exc}") from exc
 
-    noise_a, noise_b = _sample_noise(n, eta, density, noise_seed)
-    a, b = noise_a.copy(), noise_b.copy()
-    for idx, val in sections["A"].items():
-        a[idx] += val
-    for idx, val in sections["B"].items():
-        b[idx] += val
-    return LoadedInstance(n, a, b, sections["A"], sections["B"], eta, density, noise_seed)
+    a, b = _assemble(parts)
+    return LoadedInstance(n, a, b)
 
 
 # --- engines and reports --------------------------------------------------
@@ -361,15 +335,11 @@ def run_engine(
     k: int = 1,
     delta: float = 0.1,
     c1: float = 0.5,
-    tau: float = 0.25,
     seed: int = 0,
     integer_mode: bool = True,
 ) -> EngineRun:
-    """Run one engine; returns its result with wall time and FFT work.
-
-    The FFT work counter is process-global, so the returned reading is
-    meaningful only when engine runs do not overlap in time.
-    """
+    """Run one engine; returns its result with wall time and the FFT work
+    it charged to the calling thread's counter."""
     engine = _ENGINE_ALIASES.get(engine, engine)
     if engine not in ENGINE_NAMES:
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINE_NAMES}")
@@ -382,10 +352,10 @@ def run_engine(
     elif engine == "fft":
         result = fft_convolve(a, b)
     elif engine == "approx":
-        params = ApproxParams(k=k, delta=delta, c1=c1, tau=tau, seed=seed)
+        params = ApproxParams(k=k, delta=delta, c1=c1, seed=seed)
         result = approx_sparse_convolve(a, b, params)
     else:
-        params = ExactParams(k=k, delta=delta, c1=c1, tau=tau, seed=seed, integer_mode=integer_mode)
+        params = ExactParams(k=k, delta=delta, c1=c1, seed=seed, integer_mode=integer_mode)
         result = exact_sparse_convolve(a, b, params)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return EngineRun(result, wall_ms, fft_work())
@@ -445,21 +415,20 @@ class RunReport:
     oracle_crosscheck_max_abs_diff: float | None
 
     def csv_row(self) -> list[str]:
-        cross = self.oracle_crosscheck_max_abs_diff
-        return [
-            str(SCHEMA_VERSION),
-            self.engine,
-            str(self.n),
-            str(self.k),
-            repr(self.delta),
-            str(self.seed),
-            f"{self.wall_ms:.3f}",
-            repr(self.support_precision),
-            repr(self.support_recall),
-            repr(self.max_abs_err_on_support),
-            str(self.exact_match),
-            "" if cross is None else repr(cross),
-        ]
+        return [str(SCHEMA_VERSION)] + [_csv_cell(f.name, getattr(self, f.name)) for f in fields(self)]
+
+
+def _csv_cell(name: str, value) -> str:
+    if value is None:
+        return ""
+    if name == "wall_ms":
+        return f"{value:.3f}"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+CSV_COLUMNS = ["schema_version", *(f.name for f in fields(RunReport))]
 
 
 def _derive_seed(*parts) -> int:
@@ -539,6 +508,8 @@ def run_benchmark(config, out_dir, jobs: int = 1) -> dict:
     wall_ms column, which is annotated as non-deterministic. Engine
     failures are recorded in their row, never fatal.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     config = _config_from(config)
     engines = [_ENGINE_ALIASES.get(e, e) for e in config["engines"]]
     for e in engines:
@@ -558,13 +529,8 @@ def run_benchmark(config, out_dir, jobs: int = 1) -> dict:
         instances.append(inst_cfg)
 
     cells = [(inst_cfg, seed) for inst_cfg in instances for seed in seeds]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            cell_rows = list(
-                pool.map(lambda c: _grid_cell(c[0], engines, c[1], delta, c1), cells)
-            )
-    else:
-        cell_rows = [_grid_cell(inst_cfg, engines, seed, delta, c1) for inst_cfg, seed in cells]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        cell_rows = list(pool.map(lambda c: _grid_cell(c[0], engines, c[1], delta, c1), cells))
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -125,8 +125,6 @@ def build_sketch(
     fb_ = fold(cache.b, p)
     fda = fold(cache.da, p)
     fdb = fold(cache.db, p)
-    if p == 1:
-        return Sketch(p, fa_ * fb_, fda * fb_ + fa_ * fdb)
     size = pad_length(2 * p - 1)
     sa = fft_forward(fa_, size)
     sb = fft_forward(fb_, size)

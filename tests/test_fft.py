@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from sparseconv.fft import (
     fft_work,
     pad_length,
     reset_fft_work,
+    transform_work,
 )
 from sparseconv.numerics import dense_vector, naive_convolve
 
@@ -103,3 +106,23 @@ def test_work_counter_counts_three_transforms_per_convolution():
     assert fft_work() == 3 * size * 8
     reset_fft_work()
     assert fft_work() == 0
+
+
+def test_work_meter_is_per_thread():
+    reset_fft_work()
+    fft_convolve(np.ones(8), np.ones(8))
+    before = fft_work()
+
+    seen = []
+
+    def other():
+        reset_fft_work()
+        fft_convolve(np.ones(64), np.ones(64))
+        seen.append(fft_work())
+
+    worker = threading.Thread(target=other)
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert seen == [3 * transform_work(128)]
+    assert fft_work() == before == 3 * transform_work(16)

@@ -68,9 +68,12 @@ class TestGenerateInstance:
 
 
 class TestInstanceFiles:
-    def test_roundtrip_bitwise(self, tmp_path):
+    @pytest.mark.parametrize("noise_density, integer_values", [(1.0, True), (0.5, True), (1.0, False)])
+    def test_roundtrip_bitwise(self, tmp_path, noise_density, integer_values):
         path = tmp_path / "inst.txt"
-        spec = InstanceSpec(n=1024, s_a=5, s_b=3, seed=7)
+        spec = InstanceSpec(
+            n=1024, s_a=5, s_b=3, seed=7, noise_density=noise_density, integer_values=integer_values
+        )
         direct = generate_instance(spec)
         write_instance(path, spec)
         loaded = load_instance(path)
@@ -150,6 +153,11 @@ class TestRunBenchmark:
         summary = run_benchmark(_tiny_config([0, 1, 2]), tmp_path)
         lines = (tmp_path / "runs.csv").read_text().splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
+        assert CSV_COLUMNS == [
+            "schema_version", "engine", "n", "k", "delta", "seed", "wall_ms",
+            "support_precision", "support_recall", "max_abs_err_on_support",
+            "exact_match", "oracle_crosscheck_max_abs_diff",
+        ]
         assert len(lines) == 1 + 2 * 3  # engines x seeds
         assert sum(c["runs"] for c in summary["cells"]) == 6
         for cell in summary["cells"]:
@@ -183,6 +191,10 @@ class TestRunBenchmark:
             run_benchmark({"engines": ["fft"]}, tmp_path)
         with pytest.raises(ValueError):
             run_benchmark({"engines": ["warp"], "seeds": [0], "instances": [{"n": 8, "s_a": 1, "s_b": 1}]}, tmp_path)
+        for jobs in (0, -1):
+            with pytest.raises(ValueError, match="jobs"):
+                run_benchmark(_tiny_config([0]), tmp_path / "jobs", jobs=jobs)
+            assert not (tmp_path / "jobs").exists()
 
 
 class TestCli:
