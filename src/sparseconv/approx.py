@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -35,21 +36,25 @@ class ApproxParams:
     """Knobs for the median-boosted recovery.
 
     k bounds the significant support of the product; delta is the
-    allowed failure probability. c1 separates significant entries from
-    the noise band and tau is how close a bucket ratio must be to an
-    integer to be believed. The multipliers scale the modulus range and
-    the repetition count; the defaults are far leaner than worst-case
-    analysis constants and are validated statistically by the test
-    suite.
+    allowed failure probability; c1 separates significant entries from
+    the noise band. L_mult scales the repetition count; it stays
+    settable because the acceptance suite's FFT-work criterion also runs
+    the engine at L_mult=1, the leanest legal parameters.
+
+    The constants are far leaner than worst-case analysis constants and
+    are validated statistically by the test suite: tau is how close a
+    bucket ratio must be to an integer to be believed, m_mult scales the
+    modulus, and an index needs min_votes_frac * L votes to be kept.
     """
+
+    tau: ClassVar[float] = 0.25
+    m_mult: ClassVar[int] = 4
+    min_votes_frac: ClassVar[float] = 0.5
 
     k: int
     delta: float
     c1: float = 0.5
-    tau: float = 0.25
-    m_mult: float = 4.0
     L_mult: float = 8.0
-    min_votes_frac: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
@@ -59,14 +64,8 @@ class ApproxParams:
             raise ValueError("delta must lie in (0, 1)")
         if not self.c1 > 0:
             raise ValueError("c1 must be positive")
-        if not 0 < self.tau < 0.5:
-            raise ValueError("tau must lie in (0, 0.5)")
-        if self.m_mult < 4:
-            raise ValueError("m_mult must be >= 4")
         if self.L_mult < 1:
             raise ValueError("L_mult must be >= 1")
-        if not 0 < self.min_votes_frac <= 1:
-            raise ValueError("min_votes_frac must lie in (0, 1]")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 

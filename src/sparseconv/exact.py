@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -39,27 +40,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExactParams(ApproxParams):
-    """Approximate-engine knobs plus the correction-level schedule.
+    """Approximate-engine knobs plus integer rounding.
 
     integer_mode rounds every recovered value to the nearest integer;
     the exact-recovery guarantee needs significant product entries to be
     integers. Run with integer_mode=False on non-integer instances to
     get a 0.01 value tolerance instead of exact equality.
+
+    The constants fix the correction levels: m_mult_exact scales their
+    modulus, R_mult and level_base their repetition schedule.
     """
 
-    m_mult_exact: float = 8.0
-    R_mult: float = 2.0
-    level_base: float = 1.5
-    integer_mode: bool = True
+    m_mult_exact: ClassVar[int] = 8
+    R_mult: ClassVar[int] = 2
+    level_base: ClassVar[float] = 1.5
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.m_mult_exact < 1:
-            raise ValueError("m_mult_exact must be >= 1")
-        if self.R_mult < 1:
-            raise ValueError("R_mult must be >= 1")
-        if not self.level_base > 1:
-            raise ValueError("level_base must exceed 1")
+    integer_mode: bool = True
 
 
 @dataclass
@@ -70,7 +66,6 @@ class CorrectionTrace:
     snapshots: list[SparseResult] = field(default_factory=list)
     schedule: list[int] = field(default_factory=list)
     chosen_primes: list[int] = field(default_factory=list)
-    m: int = 0
     levels: int = 0
 
 
@@ -186,7 +181,6 @@ def exact_sparse_convolve(
     schedule = repetition_schedule(params)
 
     if trace is not None:
-        trace.m = m
         trace.levels = levels
         trace.schedule = list(schedule)
         trace.snapshots = [SparseResult(dict(current))]

@@ -8,6 +8,8 @@ so folding commutes with convolution (linear conv folds to cyclic conv).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -18,11 +20,9 @@ __all__ = [
 ]
 
 # Sieve results are cached per m: sampling is called once per hash
-# repetition and re-sieving would dominate at small scale. Build-once,
-# read-many; safe for concurrent readers after construction.
-_prime_cache: dict[int, np.ndarray] = {}
-
-
+# repetition and re-sieving would dominate at small scale. Callers only
+# read the returned array.
+@functools.cache
 def primes_in_range(m: int) -> np.ndarray:
     """All primes p with m <= p <= 2m, by sieve of Eratosthenes.
 
@@ -30,18 +30,13 @@ def primes_in_range(m: int) -> np.ndarray:
     """
     if m < 2:
         raise ValueError("m must be >= 2")
-    cached = _prime_cache.get(m)
-    if cached is not None:
-        return cached
     limit = 2 * m
     is_prime = np.ones(limit + 1, dtype=bool)
     is_prime[:2] = False
     for q in range(2, int(limit**0.5) + 1):
         if is_prime[q]:
             is_prime[q * q :: q] = False
-    primes = np.flatnonzero(is_prime[m:]) + m
-    _prime_cache[m] = primes
-    return primes
+    return np.flatnonzero(is_prime[m:]) + m
 
 
 def sample_prime(m: int, rng: np.random.Generator) -> int:

@@ -29,13 +29,13 @@ class TestParams:
         with pytest.raises(ValueError):
             ApproxParams(k=1, delta=1.0)
         with pytest.raises(ValueError):
-            ApproxParams(k=1, delta=0.1, m_mult=3)
-        with pytest.raises(ValueError):
             ApproxParams(k=1, delta=0.1, L_mult=0.5)
-        with pytest.raises(ValueError):
-            ApproxParams(k=1, delta=0.1, tau=0.6)
-        with pytest.raises(ValueError):
-            ApproxParams(k=1, delta=0.1, min_votes_frac=0.0)
+        # the fixed constants keep their values but are not fields
+        params = ApproxParams(k=1, delta=0.1)
+        for name, value in (("tau", 0.25), ("m_mult", 4), ("min_votes_frac", 0.5)):
+            assert getattr(params, name) == value
+            with pytest.raises(TypeError):
+                ApproxParams(k=1, delta=0.1, **{name: value})
 
     def test_plan_formulas(self):
         m, L = approx_plan(ApproxParams(k=64, delta=0.1), 2**14)

@@ -1,4 +1,7 @@
 import math
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,12 +27,18 @@ def impulse(n, at):
 
 class TestParams:
     def test_extra_invariants(self):
-        with pytest.raises(ValueError):
-            ExactParams(k=1, delta=0.1, m_mult_exact=0.5)
-        with pytest.raises(ValueError):
-            ExactParams(k=1, delta=0.1, R_mult=0.0)
-        with pytest.raises(ValueError):
-            ExactParams(k=1, delta=0.1, level_base=1.0)
+        # the fixed schedule constants keep their values but are not fields
+        params = ExactParams(k=1, delta=0.1)
+        for name, value in (("m_mult_exact", 8), ("R_mult", 2), ("level_base", 1.5)):
+            assert getattr(params, name) == value
+            with pytest.raises(TypeError):
+                ExactParams(k=1, delta=0.1, **{name: value})
+
+    def test_readme_knob_table_lists_the_fields(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        table = readme.split("| knob |", 1)[1].split("\n\n", 1)[0]
+        names = re.findall(r"^\| `(\w+)`", table, flags=re.M)
+        assert names == [f.name for f in fields(ExactParams)]
 
     def test_plan(self):
         m, levels = exact_plan(ExactParams(k=64, delta=0.1), 2**14)
@@ -69,15 +78,9 @@ def test_bootstrap_gets_every_approx_knob_with_half_delta(monkeypatch):
         return SparseResult({})
 
     monkeypatch.setattr("sparseconv.exact.approx_sparse_convolve", fake_bootstrap)
-    params = ExactParams(
-        k=2, delta=0.2, c1=0.75, tau=0.2, m_mult=6.0, L_mult=3.0, min_votes_frac=0.7, seed=4
-    )
+    params = ExactParams(k=2, delta=0.2, c1=0.75, L_mult=3.0, seed=4)
     exact_sparse_convolve(impulse(4, 2), impulse(4, 3), params)
-    assert seen == [
-        ApproxParams(
-            k=2, delta=0.1, c1=0.75, tau=0.2, m_mult=6.0, L_mult=3.0, min_votes_frac=0.7, seed=4
-        )
-    ]
+    assert seen == [ApproxParams(k=2, delta=0.1, c1=0.75, L_mult=3.0, seed=4)]
 
 
 def test_single_impulse_unchanged_across_levels():

@@ -179,6 +179,16 @@ class TestRunBenchmark:
 
         assert rows_without_timing(tmp_path / "r1") == rows_without_timing(tmp_path / "r2")
 
+    def test_unrounded_rows_on_noisy_integer_instance_score_by_tolerance(self, tmp_path):
+        # The dense product carries the noise cross terms, so only a
+        # rounded result can equal the rounded oracle.
+        run_benchmark(_tiny_config([0, 1]), tmp_path)
+        _, *rows = (tmp_path / "runs.csv").read_text().splitlines()
+        engine, exact_match = CSV_COLUMNS.index("engine"), CSV_COLUMNS.index("exact_match")
+        cells = [row.split(",") for row in rows]
+        assert {c[engine] for c in cells} == {"fft", "approx"}
+        assert all(c[exact_match] == "1" for c in cells)
+
     def test_config_from_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(_tiny_config([0])))
@@ -191,6 +201,11 @@ class TestRunBenchmark:
             run_benchmark({"engines": ["fft"]}, tmp_path)
         with pytest.raises(ValueError):
             run_benchmark({"engines": ["warp"], "seeds": [0], "instances": [{"n": 8, "s_a": 1, "s_b": 1}]}, tmp_path)
+        seedless = _tiny_config([])
+        del seedless["seeds"]
+        for config in ({**seedless, "seed_count": 2}, _tiny_config([])):
+            with pytest.raises(ValueError, match="seeds"):
+                run_benchmark(config, tmp_path / "seeds")
         for jobs in (0, -1):
             with pytest.raises(ValueError, match="jobs"):
                 run_benchmark(_tiny_config([0]), tmp_path / "jobs", jobs=jobs)
