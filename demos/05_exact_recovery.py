@@ -32,6 +32,7 @@ trace = CorrectionTrace()
 c = exact_sparse_convolve(inst.a, inst.b, params, trace=trace)
 
 print(f"\nlevel schedule (repetitions per level): {trace.schedule}")
+print(f"levels run / planned: {trace.levels} / {len(trace.schedule)}")
 print("residual significant entries after each stage:")
 for stage, snap in enumerate(trace.snapshots):
     norm = residual_norm(inst.a, inst.b, snap, 0.5, trials=2, seed=99)

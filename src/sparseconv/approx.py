@@ -81,7 +81,7 @@ def approx_plan(params: ApproxParams, n: int) -> tuple[int, int]:
 
 
 def approx_sparse_convolve(
-    a: np.ndarray, b: np.ndarray, params: ApproxParams
+    a: np.ndarray, b: np.ndarray, params: ApproxParams, cache: SketchCache | None = None
 ) -> SparseResult:
     """Recover the significant entries of A*B with small point-wise error.
 
@@ -92,7 +92,8 @@ def approx_sparse_convolve(
 
     Deterministic given (a, b, params): repetition l draws its prime
     from a generator seeded by (seed, l), so repetitions are independent
-    and could run in parallel.
+    and could run in parallel. A SketchCache of (a, b) on the route
+    this call takes is used instead of building one.
 
     Raises ValueError unless a and b are equal-length, finite,
     non-negative 1-D vectors.
@@ -103,7 +104,8 @@ def approx_sparse_convolve(
     n = len(a)
     out_len = 2 * n - 1
     m, L = approx_plan(params, n)
-    cache = SketchCache(a, b, dense_route(n, m, L))
+    if cache is None or cache.dense != dense_route(n, m, L):
+        cache = SketchCache(a, b, dense_route(n, m, L))
 
     pool: dict[int, list[float]] = {}
     for l in range(1, L + 1):

@@ -9,6 +9,14 @@ into C. Residual support shrinks doubly exponentially, so level
 repetition counts decay geometrically and the first level dominates
 the work.
 
+A modulus m >= 2n-1 is lossless: every prime p >= m folds by identity,
+so on the dense route each residual sketch is the residual itself, bit
+for bit. A lossless level builds one sketch, since all repetitions tie,
+and is the same map at every level; the first level that leaves C
+unchanged saw no residual entry >= c1, which certifies C (the lossless
+case of Bringmann, Fischer and Nakos's certificate, SODA 2022), and the
+remaining levels are skipped.
+
 Only positive residual mass is recoverable by a level: buckets holding
 overshoot fall below the c1 threshold and are invisible. Overshoot is
 covered by the bootstrap's failure budget, not by correction.
@@ -61,7 +69,8 @@ class ExactParams(ApproxParams):
 @dataclass
 class CorrectionTrace:
     """Per-level diagnostics: C snapshots after the bootstrap and after
-    each correction level, plus the primes and schedule used."""
+    each of the `levels` levels run (fewer than len(schedule), the plan,
+    when a lossless level certified C), and each level's prime."""
 
     snapshots: list[SparseResult] = field(default_factory=list)
     schedule: list[int] = field(default_factory=list)
@@ -101,6 +110,12 @@ def repetition_schedule(params: ExactParams) -> list[int]:
     ]
 
 
+def _lossless(cache: SketchCache, m: int) -> bool:
+    # primes p >= m >= 2n-1 fold the dense product and the partial result
+    # by identity, so every residual sketch at modulus m is the same array
+    return cache.dense and m >= 2 * len(cache.a) - 1
+
+
 def _rounded(entries: dict[int, float], tau: float) -> dict[int, float]:
     out = {}
     for i, v in entries.items():
@@ -125,11 +140,14 @@ def run_correction_level(
     Builds `reps` residual sketches with primes drawn from streams
     seeded by (seed, level, r), keeps the one exposing the most
     significant buckets (ties to the smallest r), and folds its
-    candidates into a copy of `current`. Returns the updated result and
-    the chosen prime.
+    candidates into a copy of `current`. At a lossless modulus all
+    sketches are equal, so only r = 1 is built. Returns the updated
+    result and the chosen prime.
     """
     if cache is None:
         cache = SketchCache(a, b, dense_route(len(a), m, reps))
+    if _lossless(cache, m):
+        reps = 1
     out_len = 2 * len(cache.a) - 1
     best = None  # (score, r, sketch)
     for r in range(1, reps + 1):
@@ -159,9 +177,9 @@ def exact_sparse_convolve(
     """Recover the significant entries of A*B exactly (integer_mode) or
     within 0.01 (otherwise), with probability >= 1 - delta.
 
-    Failure budget: delta/2 to the bootstrap, delta/2 spread over the
-    correction levels. Pass a CorrectionTrace to collect per-level
-    snapshots for convergence diagnostics.
+    Failure budget: delta/2 to the bootstrap, delta/2 over the levels,
+    which stop once a lossless level certifies C. A CorrectionTrace
+    collects per-level snapshots for convergence diagnostics.
 
     Raises ValueError unless a and b are equal-length, finite,
     non-negative 1-D vectors.
@@ -170,31 +188,34 @@ def exact_sparse_convolve(
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     n = len(a)
+    m, levels = exact_plan(params, n)
+    schedule = repetition_schedule(params)
+    cache = SketchCache(a, b, dense_route(n, m, sum(schedule)))
+
     shared = {f.name: getattr(params, f.name) for f in fields(ApproxParams)}
     bootstrap_params = ApproxParams(**{**shared, "delta": params.delta / 2})
-    c0 = approx_sparse_convolve(a, b, bootstrap_params)
+    c0 = approx_sparse_convolve(a, b, bootstrap_params, cache=cache)
     current = dict(c0.entries)
     if params.integer_mode:
         current = _rounded(current, params.tau)
 
-    m, levels = exact_plan(params, n)
-    schedule = repetition_schedule(params)
-
     if trace is not None:
-        trace.levels = levels
         trace.schedule = list(schedule)
         trace.snapshots = [SparseResult(dict(current))]
         trace.chosen_primes = []
 
-    cache = SketchCache(a, b, dense_route(n, m, sum(schedule)))
     state = SparseResult(current)
     for l in range(1, levels + 1):
+        prev = state
         state, chosen_p = run_correction_level(
             a, b, state, l, schedule[l - 1], m, params, cache=cache
         )
         if trace is not None:
+            trace.levels = l
             trace.chosen_primes.append(chosen_p)
             trace.snapshots.append(SparseResult(dict(state.entries)))
+        if state == prev and _lossless(cache, m):
+            break
 
     return state
 
@@ -212,9 +233,9 @@ def residual_norm(
 
     Draws `trials` fresh primes, counts residual-sketch buckets with
     |V_i| >= c1, and reports the maximum. Collisions can only merge
-    residual entries, so each trial undercounts at worst; the default
-    modulus exceeds the output length, making every trial an exact
-    count. Diagnostic only, never on the recovery path.
+    residual entries, so each trial undercounts at worst; a modulus of at
+    least the output length (the default) makes every trial the same
+    exact count, so one is run. Diagnostic only, never on the recovery path.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -222,6 +243,8 @@ def residual_norm(
     if m is None:
         m = max(2 * n - 1, 16)
     cache = SketchCache(a, b, dense_route(n, m, trials))
+    if _lossless(cache, m):
+        trials = 1
     worst = 0
     for t in range(1, trials + 1):
         rng = np.random.default_rng([seed, t])

@@ -34,7 +34,7 @@ import numpy as np
 
 from .fft import fft_convolve, fft_forward, fft_inverse_real, fold_linear_to_cyclic, pad_length, transform_work
 from .hashing import fold, fold_sparse
-from .numerics import SparseResult, derivative, round_to_int
+from .numerics import SparseResult, derivative
 
 __all__ = [
     "Sketch",
@@ -173,12 +173,13 @@ def extract_candidates(s: Sketch, c1: float, tau: float, out_len: int) -> list[C
     if not 0 < tau < 0.5:
         raise ValueError("tau must lie in (0, 0.5)")
     buckets = np.flatnonzero(s.v >= c1)
-    out: list[Candidate] = []
-    for i in buckets:
-        ratio = s.w[i] / s.v[i]
-        if not np.isfinite(ratio):
-            continue
-        nearest = round_to_int(float(ratio))
-        if abs(ratio - nearest) <= tau and 0 <= nearest < out_len:
-            out.append(Candidate(nearest, float(s.v[i])))
-    return out
+    ratio = s.w[buckets] / s.v[buckets]
+    finite = np.isfinite(ratio)
+    buckets, ratio = buckets[finite], ratio[finite]
+    # half-away-from-zero, as round_to_int
+    nearest = np.copysign(np.floor(np.abs(ratio) + 0.5), ratio)
+    keep = (np.abs(ratio - nearest) <= tau) & (nearest >= 0) & (nearest < out_len)
+    return [
+        Candidate(i, v)
+        for i, v in zip(nearest[keep].astype(np.int64).tolist(), s.v[buckets[keep]].tolist())
+    ]

@@ -73,7 +73,7 @@ def test_schedule_bound():
 def test_bootstrap_gets_every_approx_knob_with_half_delta(monkeypatch):
     seen = []
 
-    def fake_bootstrap(a, b, params):
+    def fake_bootstrap(a, b, params, cache=None):
         seen.append(params)
         return SparseResult({})
 
@@ -149,6 +149,59 @@ def test_deterministic_given_seed():
     )
 
 
+def count_residual_sketches(monkeypatch):
+    import sparseconv.exact
+
+    built = []
+    original = sparseconv.exact.build_residual_sketch
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sparseconv.exact, "build_residual_sketch", counting)
+    return built
+
+
+class TestLosslessLevels:
+    # exact's modulus at n=2^10, k=16 is 20,480 >= 2n-1, so every level
+    # prime folds by identity
+    params = ExactParams(k=16, delta=0.1, seed=19)
+
+    def _instance(self):
+        inst = generate_instance(InstanceSpec(n=2**10, s_a=4, s_b=4, seed=121))
+        oracle = naive_convolve(inst.a, inst.b)
+        full = {j: float(round(oracle[j])) for j in support_ge(oracle, inst.c1_effective)}
+        return inst, full
+
+    def test_correct_bootstrap_is_certified_by_one_sketch(self, monkeypatch):
+        inst, full = self._instance()
+        built = count_residual_sketches(monkeypatch)
+        trace = CorrectionTrace()
+        out = exact_sparse_convolve(inst.a, inst.b, self.params, trace=trace)
+        assert out == SparseResult(full)
+        assert len(built) == 1
+        assert trace.levels == 1 and len(trace.schedule) == 4
+        assert len(trace.snapshots) == 2 and len(trace.chosen_primes) == 1
+
+    def test_one_level_repairs_and_the_next_certifies(self, monkeypatch):
+        inst, full = self._instance()
+        dropped = min(full)
+        short = max((j for j in full if j != dropped), key=full.get)
+
+        def fake_bootstrap(a, b, params, cache=None):
+            boot = {j: v for j, v in full.items() if j != dropped}
+            boot[short] -= 1
+            return SparseResult(boot)
+
+        monkeypatch.setattr("sparseconv.exact.approx_sparse_convolve", fake_bootstrap)
+        trace = CorrectionTrace()
+        out = exact_sparse_convolve(inst.a, inst.b, self.params, trace=trace)
+        assert out == SparseResult(full)
+        assert trace.levels == 2
+        assert trace.snapshots[1] == trace.snapshots[2] == out
+
+
 class TestResidualNorm:
     def _instance(self):
         spec = InstanceSpec(n=2**10, s_a=4, s_b=4, seed=101)
@@ -180,6 +233,17 @@ class TestResidualNorm:
         spurious = 5 if 5 not in full else 6
         full[spurious] = 3.0
         assert residual_norm(inst.a, inst.b, SparseResult(full), 0.5, 3, 13) >= 1
+
+    def test_lossless_modulus_runs_one_trial(self, monkeypatch):
+        # the default modulus 2n-1 is lossless: every trial would agree
+        inst, full = self._instance()
+        full.pop(sorted(full)[0])
+        built = count_residual_sketches(monkeypatch)
+        one = residual_norm(inst.a, inst.b, SparseResult(full), 0.5, 1, 7)
+        assert len(built) == 1
+        three = residual_norm(inst.a, inst.b, SparseResult(full), 0.5, 3, 7)
+        assert len(built) == 2
+        assert one == three == 1
 
 
 def test_three_case_bucket_analysis_small_instance():

@@ -1,16 +1,25 @@
-"""Property tests for the two identities the recovery engines rest on:
-folding commutes with convolution, and an isolated bucket's W/V ratio
-names its output index."""
+"""Property tests for the identities the recovery engines rest on:
+folding commutes with convolution, an isolated bucket's W/V ratio names
+its output index, and at a lossless modulus every residual sketch is the
+residual itself. Vectorised extraction is checked against the
+bucket-by-bucket loop it replaced."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sparseconv.fft import cyclic_convolve
-from sparseconv.hashing import fold
-from sparseconv.numerics import naive_convolve
-from sparseconv.sketch import SketchCache, build_sketch, extract_candidates
+from sparseconv.fft import cyclic_convolve, fft_convolve
+from sparseconv.hashing import fold, primes_in_range
+from sparseconv.numerics import SparseResult, naive_convolve, round_to_int
+from sparseconv.sketch import (
+    Candidate,
+    Sketch,
+    SketchCache,
+    build_residual_sketch,
+    build_sketch,
+    extract_candidates,
+)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
 
@@ -45,3 +54,49 @@ def test_single_significant_entry_is_read_back_exactly(data, dense, u, v):
     (cand,) = extract_candidates(sk, c1=0.5, tau=0.25, out_len=2 * n - 1)
     assert cand.index == i + j
     assert abs(cand.value - u * v) <= 1e-9 * u * v
+
+
+@PROPERTY
+@given(st.data())
+def test_residual_sketch_at_a_lossless_prime_is_the_residual(data):
+    n = data.draw(st.integers(1, 64), label="n")
+    out_len = 2 * n - 1
+    primes = np.union1d(primes_in_range(max(out_len, 2)), primes_in_range(4 * n)).tolist()
+    p, q = data.draw(st.sampled_from(primes), label="p"), data.draw(st.sampled_from(primes), label="q")
+    vectors = arrays(np.float64, n, elements=st.floats(0, 10))
+    a, b = data.draw(vectors, label="a"), data.draw(vectors, label="b")
+    partial = SparseResult(data.draw(
+        st.dictionaries(st.integers(0, out_len - 1), st.floats(0.5, 100), max_size=8), label="c"
+    ))
+    conv, index, c = fft_convolve(a, b), np.arange(out_len), partial.to_dense(out_len)
+    for prime in (p, q):
+        sk = build_residual_sketch(a, b, partial, prime)
+        assert np.array_equal(sk.v[:out_len], conv - c)
+        assert np.array_equal(sk.w[:out_len], index * conv - index * c)
+        assert not sk.v[out_len:].any() and not sk.w[out_len:].any()
+
+
+def extract_by_loop(s, c1, tau, out_len):
+    out = []
+    for i in np.flatnonzero(s.v >= c1):
+        ratio = s.w[i] / s.v[i]
+        if not np.isfinite(ratio):
+            continue
+        nearest = round_to_int(float(ratio))
+        if abs(ratio - nearest) <= tau and 0 <= nearest < out_len:
+            out.append(Candidate(nearest, float(s.v[i])))
+    return out
+
+
+@PROPERTY
+@given(st.data(), st.floats(0.1, 2), st.floats(0.01, 0.49), st.integers(1, 200))
+def test_extraction_matches_the_bucket_loop(data, c1, tau, out_len):
+    p = data.draw(st.integers(1, 64), label="p")
+    v = data.draw(arrays(np.float64, p, elements=st.floats(-10, 1e3)), label="v")
+    ratios = st.one_of(st.floats(-50, 250), st.integers(-5, 205).map(float))
+    w = v * data.draw(arrays(np.float64, p, elements=ratios), label="ratio")
+    w[data.draw(st.lists(st.integers(0, p - 1), max_size=3), label="bad")] = data.draw(
+        st.sampled_from([np.inf, -np.inf, np.nan]), label="bad value"
+    )
+    s = Sketch(p, v, w)
+    assert extract_candidates(s, c1, tau, out_len) == extract_by_loop(s, c1, tau, out_len)

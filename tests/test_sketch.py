@@ -215,3 +215,13 @@ def test_approx_charges_one_dense_product_when_it_is_cheaper():
     reset_fft_work()
     approx_sparse_convolve(inst.a, inst.b, params)
     assert fft_work() == 3 * transform_work(2**15) == 1_474_560
+
+
+def test_exact_bootstrap_shares_the_levels_dense_product():
+    from sparseconv.exact import ExactParams, exact_sparse_convolve
+    from sparseconv.fft import fft_work, reset_fft_work, transform_work
+
+    inst = generate_instance(InstanceSpec(n=2**14, s_a=2, s_b=2, seed=0))
+    reset_fft_work()
+    exact_sparse_convolve(inst.a, inst.b, ExactParams(k=4, delta=0.1, seed=0))
+    assert fft_work() == 3 * transform_work(2**15)
