@@ -16,6 +16,7 @@ import argparse
 import sys
 
 from .harness import (
+    ENGINE_ALIASES,
     ENGINE_NAMES,
     GenerationInfeasibleError,
     InstanceSpec,
@@ -24,7 +25,6 @@ from .harness import (
     run_engine,
     write_instance,
 )
-from .numerics import SparseResult, support_ge
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -51,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--jobs", type=int, default=1)
 
     conv = sub.add_parser("conv", help="convolve two instance files")
-    conv.add_argument("--engine", choices=ENGINE_NAMES + ("dense-fft",), required=True)
+    conv.add_argument("--engine", choices=ENGINE_NAMES + tuple(ENGINE_ALIASES), required=True)
     conv.add_argument("--a", required=True, help="instance file supplying the A vector")
     conv.add_argument("--b", required=True, help="instance file supplying the B vector")
     conv.add_argument("--k", type=int, default=None)
@@ -101,10 +101,7 @@ def _cmd_conv(args) -> int:
     )
     # Sparse view on stdout (index value per line); timings to stderr so
     # stdout stays deterministic for a fixed seed.
-    if isinstance(run.result, SparseResult):
-        items = run.result.sorted_items()
-    else:
-        items = [(j, float(run.result[j])) for j in sorted(support_ge(run.result, args.c1))]
+    items = run.result.sorted_items()
     for idx, val in items:
         print(f"{idx} {val!r}")
     print(

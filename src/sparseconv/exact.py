@@ -116,13 +116,14 @@ def _lossless(cache: SketchCache, m: int) -> bool:
     return cache.dense and m >= 2 * len(cache.a) - 1
 
 
-def _rounded(entries: dict[int, float], tau: float) -> dict[int, float]:
-    out = {}
-    for i, v in entries.items():
-        r = float(round_to_int(v))
-        if abs(r) > tau:
-            out[i] = r
-    return out
+def _merged(current: SparseResult, pairs, params: ExactParams) -> SparseResult:
+    """`current` plus the (index, value) pairs, each rounded in
+    integer_mode; FFT round-off can leave -0.0003-style ghosts, so
+    anything at or below tau is noise-band and dropped."""
+    out = dict(current.entries)
+    for i, v in pairs:
+        out[i] = out.get(i, 0.0) + (float(round_to_int(v)) if params.integer_mode else v)
+    return SparseResult({i: v for i, v in out.items() if abs(v) > params.tau})
 
 
 def run_correction_level(
@@ -159,13 +160,8 @@ def run_correction_level(
             best = (score, r, sk)
     chosen = best[2]
 
-    nxt = dict(current.entries)
-    for cand in extract_candidates(chosen, params.c1, params.tau, out_len):
-        inc = float(round_to_int(cand.value)) if params.integer_mode else cand.value
-        nxt[cand.index] = nxt.get(cand.index, 0.0) + inc
-    # FFT round-off can leave -0.0003-style ghosts; anything at or below
-    # tau is noise-band and dropped.
-    return SparseResult({i: v for i, v in nxt.items() if abs(v) > params.tau}), chosen.p
+    candidates = extract_candidates(chosen, params.c1, params.tau, out_len)
+    return _merged(current, ((c.index, c.value) for c in candidates), params), chosen.p
 
 
 def exact_sparse_convolve(
@@ -188,28 +184,24 @@ def exact_sparse_convolve(
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     n = len(a)
-    m, levels = exact_plan(params, n)
+    m, _ = exact_plan(params, n)
     schedule = repetition_schedule(params)
     cache = SketchCache(a, b, dense_route(n, m, sum(schedule)))
 
     shared = {f.name: getattr(params, f.name) for f in fields(ApproxParams)}
     bootstrap_params = ApproxParams(**{**shared, "delta": params.delta / 2})
-    c0 = approx_sparse_convolve(a, b, bootstrap_params, cache=cache)
-    current = dict(c0.entries)
+    state = approx_sparse_convolve(a, b, bootstrap_params, cache=cache)
     if params.integer_mode:
-        current = _rounded(current, params.tau)
+        state = _merged(SparseResult(), state.entries.items(), params)
 
     if trace is not None:
         trace.schedule = list(schedule)
-        trace.snapshots = [SparseResult(dict(current))]
+        trace.snapshots = [SparseResult(dict(state.entries))]
         trace.chosen_primes = []
 
-    state = SparseResult(current)
-    for l in range(1, levels + 1):
+    for l, reps in enumerate(schedule, 1):
         prev = state
-        state, chosen_p = run_correction_level(
-            a, b, state, l, schedule[l - 1], m, params, cache=cache
-        )
+        state, chosen_p = run_correction_level(a, b, state, l, reps, m, params, cache=cache)
         if trace is not None:
             trace.levels = l
             trace.chosen_primes.append(chosen_p)

@@ -38,7 +38,6 @@ from .numerics import (
     norm_ge,
     norm_le,
     round_to_int,
-    support_ge,
 )
 
 __all__ = [
@@ -54,6 +53,7 @@ __all__ = [
     "run_benchmark",
     "RunReport",
     "ENGINE_NAMES",
+    "ENGINE_ALIASES",
     "CSV_COLUMNS",
     "SCHEMA_VERSION",
 ]
@@ -61,7 +61,7 @@ __all__ = [
 SCHEMA_VERSION = 1
 NAIVE_AUDIT_MAX_N = 1024
 ENGINE_NAMES = ("naive", "fft", "approx", "exact")
-_ENGINE_ALIASES = {"dense-fft": "fft"}
+ENGINE_ALIASES = {"dense-fft": "fft"}
 
 class GenerationInfeasibleError(Exception):
     """The requested instance cannot be generated (gap band violated
@@ -293,6 +293,8 @@ def load_instance(path) -> LoadedInstance:
                     raise ValueError(f"index {idx} out of range for n={n}")
                 pos.append(idx)
                 val.append(float(v))
+            if len(set(pos)) < len(pos):
+                raise ValueError(f"section {name} lists an index more than once")
             sections += [np.array(pos, dtype=np.int64), np.array(val, dtype=np.float64)]
             cursor += 1 + count
         noise = lines[cursor].split()
@@ -310,19 +312,33 @@ def load_instance(path) -> LoadedInstance:
 # --- engines and reports --------------------------------------------------
 
 
-def oracle_convolution(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float | None]:
-    """Reference product for scoring: the FFT path, cross-checked against
-    the quadratic oracle when n is small enough to afford it. Returns
-    (product, crosscheck max abs diff or None)."""
+def _significant(product: np.ndarray, c1: float) -> SparseResult:
+    """A dense product's entries >= c1 with their values."""
+    return SparseResult({int(j): float(product[j]) for j in np.flatnonzero(product >= c1)})
+
+
+def oracle_convolution(a: np.ndarray, b: np.ndarray, c1: float) -> tuple[SparseResult, float | None]:
+    """Reference result for scoring: the FFT product's entries >= c1.
+
+    The full product is cross-checked against the quadratic oracle when
+    n is small enough to afford it. Returns (truth, crosscheck max abs
+    diff over the whole product, or None)."""
     product = fft_convolve(a, b)
     crosscheck = None
     if len(a) <= NAIVE_AUDIT_MAX_N:
         crosscheck = float(np.max(np.abs(product - naive_convolve(a, b))))
-    return product, crosscheck
+    return _significant(product, c1), crosscheck
+
+
+def _resolve_engine(name: str) -> str:
+    engine = ENGINE_ALIASES.get(name, name)
+    if engine not in ENGINE_NAMES:
+        raise ValueError(f"unknown engine {name!r}; choose from {ENGINE_NAMES}")
+    return engine
 
 
 class EngineRun(NamedTuple):
-    result: SparseResult | np.ndarray
+    result: SparseResult
     wall_ms: float
     fft_work_units: int
 
@@ -339,10 +355,12 @@ def run_engine(
     integer_mode: bool = True,
 ) -> EngineRun:
     """Run one engine; returns its result with wall time and the FFT work
-    it charged to the calling thread's counter."""
-    engine = _ENGINE_ALIASES.get(engine, engine)
-    if engine not in ENGINE_NAMES:
-        raise ValueError(f"unknown engine {engine!r}; choose from {ENGINE_NAMES}")
+    it charged to the calling thread's counter.
+
+    A dense engine's product (naive, fft) becomes its entries >= c1 with
+    their values after the clock stops and the work is read, so both
+    measure the engine alone."""
+    engine = _resolve_engine(engine)
     a = dense_vector(a)
     b = dense_vector(b)
     reset_fft_work()
@@ -358,16 +376,18 @@ def run_engine(
         params = ExactParams(k=k, delta=delta, c1=c1, seed=seed, integer_mode=integer_mode)
         result = exact_sparse_convolve(a, b, params)
     wall_ms = (time.perf_counter() - start) * 1000.0
-    return EngineRun(result, wall_ms, fft_work())
+    work = fft_work()
+    if engine in ("naive", "fft"):
+        result = _significant(result, c1)
+    return EngineRun(result, wall_ms, work)
 
 
 def evaluate_run(
-    result: SparseResult | np.ndarray,
-    oracle: np.ndarray,
-    c1: float,
+    result: SparseResult,
+    truth: SparseResult,
     rounded: bool = True,
 ) -> tuple[float, float, float, int]:
-    """Score a result against the oracle's significant support.
+    """Score a result against the oracle's significant entries.
 
     Returns (support_precision, support_recall, max abs error on the
     true support, exact_match flag). Missing indices count with their
@@ -375,27 +395,15 @@ def evaluate_run(
     for a result whose values were rounded to integers, equality with
     the rounded oracle; otherwise every error must be at most 0.01.
     """
-    true_supp = support_ge(oracle, c1)
-    if isinstance(result, SparseResult):
-        got_supp = result.support()
-
-        def value_of(j):
-            return result.get(j, 0.0)
-
-    else:
-        got_supp = support_ge(result, c1)
-
-        def value_of(j):
-            return float(result[j])
-
+    got_supp, true_supp = result.support(), truth.support()
     inter = len(got_supp & true_supp)
     precision = inter / len(got_supp) if got_supp else 1.0
     recall = inter / len(true_supp) if true_supp else 1.0
-    max_err = max((abs(value_of(j) - oracle[j]) for j in true_supp), default=0.0)
+    max_err = max((abs(result.get(j) - truth[j]) for j in true_supp), default=0.0)
     if got_supp != true_supp:
         exact = 0
     elif rounded:
-        exact = int(all(value_of(j) == float(round_to_int(oracle[j])) for j in true_supp))
+        exact = int(all(result[j] == float(round_to_int(truth[j])) for j in true_supp))
     else:
         exact = int(max_err <= 0.01)
     return precision, recall, float(max_err), exact
@@ -465,7 +473,7 @@ def _grid_cell(inst_cfg: dict, engines: list[str], seed: int, delta: float, c1: 
     )
     k = int(inst_cfg.get("k", inst_cfg["s_a"] * inst_cfg["s_b"]))
     inst = generate_instance(spec, k_budget=k)
-    oracle, crosscheck = oracle_convolution(inst.a, inst.b)
+    truth, crosscheck = oracle_convolution(inst.a, inst.b, c1)
 
     rows = []
     for engine in engines:
@@ -481,20 +489,11 @@ def _grid_cell(inst_cfg: dict, engines: list[str], seed: int, delta: float, c1: 
                 seed=engine_seed,
                 integer_mode=spec.integer_values,
             )
-            precision, recall, max_err, exact = evaluate_run(
-                run.result, oracle, c1, spec.integer_values and engine == "exact"
-            )
-            report = RunReport(
-                engine, spec.n, k, delta, seed, run.wall_ms,
-                precision, recall, max_err, exact, crosscheck,
-            )
-            failed = False
+            scores = evaluate_run(run.result, truth, spec.integer_values and engine == "exact")
+            wall_ms, failed = run.wall_ms, False
         except Exception:
-            report = RunReport(
-                engine, spec.n, k, delta, seed, -1.0,
-                float("nan"), float("nan"), float("nan"), 0, crosscheck,
-            )
-            failed = True
+            wall_ms, scores, failed = -1.0, (float("nan"), float("nan"), float("nan"), 0), True
+        report = RunReport(engine, spec.n, k, delta, seed, wall_ms, *scores, crosscheck)
         rows.append((inst_id, engine, report, failed))
     return rows
 
@@ -510,10 +509,7 @@ def run_benchmark(config, out_dir, jobs: int = 1) -> dict:
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     config = _config_from(config)
-    engines = [_ENGINE_ALIASES.get(e, e) for e in config["engines"]]
-    for e in engines:
-        if e not in ENGINE_NAMES:
-            raise ValueError(f"unknown engine {e!r} in config")
+    engines = [_resolve_engine(e) for e in config["engines"]]
     seeds = [int(s) for s in config["seeds"]]
     delta = float(config.get("delta", 0.1))
     c1 = float(config.get("c1", 0.5))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sparseconv.cli import main as cli_main
+from sparseconv.fft import fft_convolve
 from sparseconv.harness import (
     CSV_COLUMNS,
     GenerationInfeasibleError,
@@ -101,38 +102,58 @@ class TestInstanceFiles:
         with pytest.raises(ValueError):
             load_instance(path)
 
+    def test_repeated_index_is_rejected(self, tmp_path, capsys):
+        path = tmp_path / "dup.txt"
+        path.write_text(
+            "sparseconv-instance v1\nn=16\nA 2\n3 1.0\n3 2.0\nB 1\n0 1.0\n"
+            "noise eta=0.0 density=0.0 seed=0\n"
+        )
+        with pytest.raises(ValueError, match="more than once"):
+            load_instance(path)
+        assert cli_main(["conv", "--engine", "naive", "--a", str(path), "--b", str(path)]) == 1
+        capsys.readouterr()
+
 
 class TestEngines:
     def test_all_engines_agree_on_small_instance(self):
         spec = InstanceSpec(n=512, s_a=3, s_b=3, seed=9)
         inst = generate_instance(spec)
-        oracle, crosscheck = oracle_convolution(inst.a, inst.b)
+        truth, crosscheck = oracle_convolution(inst.a, inst.b, 0.5)
         assert crosscheck is not None and crosscheck <= 1e-8
         for engine in ("naive", "fft", "approx", "exact"):
             run = run_engine(engine, inst.a, inst.b, k=9, delta=0.1, seed=10)
-            precision, recall, max_err, exact = evaluate_run(
-                run.result, oracle, 0.5, True
-            )
+            precision, recall, max_err, exact = evaluate_run(run.result, truth, True)
             assert precision == 1.0 and recall == 1.0
             assert max_err <= 0.01
             if engine in ("naive", "fft", "exact"):
                 assert run.fft_work_units >= 0
 
+    @pytest.mark.parametrize("engine, convolve", [("naive", naive_convolve), ("fft", fft_convolve)])
+    def test_dense_engine_result_is_its_significant_entries(self, engine, convolve):
+        inst = generate_instance(InstanceSpec(n=256, s_a=3, s_b=3, seed=12))
+        product = convolve(inst.a, inst.b)
+        expected = {j: float(product[j]) for j in support_ge(product, 0.5)}
+        assert run_engine(engine, inst.a, inst.b, c1=0.5).result == SparseResult(expected)
+
     def test_dense_fft_alias(self):
         inst = generate_instance(InstanceSpec(n=64, s_a=1, s_b=1, seed=11))
         run = run_engine("dense-fft", inst.a, inst.b)
-        assert isinstance(run.result, np.ndarray)
+        assert run.result == run_engine("fft", inst.a, inst.b).result
 
     def test_unknown_engine(self):
         with pytest.raises(ValueError):
             run_engine("quantum", np.ones(4), np.ones(4))
 
     def test_evaluate_counts_missing_indices(self):
-        oracle = np.array([0.0, 2.0, 0.0, 3.0])
+        truth = SparseResult({1: 2.0, 3: 3.0})
         partial = SparseResult({1: 2.0})
-        precision, recall, max_err, exact = evaluate_run(partial, oracle, 0.5, True)
+        precision, recall, max_err, exact = evaluate_run(partial, truth, True)
         assert precision == 1.0 and recall == 0.5
         assert max_err == 3.0 and exact == 0
+        extra = SparseResult({0: 1.0, 1: 2.0, 2: 1.0, 3: 3.0})
+        precision, recall, max_err, exact = evaluate_run(extra, truth, True)
+        assert precision == 0.5 and recall == 1.0
+        assert max_err == 0.0 and exact == 0
 
 
 def _tiny_config(seeds):
