@@ -228,7 +228,15 @@ def residual_norm(
     residual entries, so each trial undercounts at worst; a modulus of at
     least the output length (the default) makes every trial the same
     exact count, so one is run. Diagnostic only, never on the recovery path.
+
+    Raises ValueError unless a and b are equal-length, finite,
+    non-negative 1-D vectors, c1 > 0 and trials >= 1.
     """
+    a, b = dense_vector(a), dense_vector(b)
+    if len(a) != len(b):
+        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
+    if not c1 > 0:
+        raise ValueError("c1 must be positive")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = len(a)

@@ -4,6 +4,8 @@ of a vector onto residue classes.
 The hash family is g(x) = x mod p with p drawn uniformly from the primes
 in [m, 2m]. Folding a vector sums its entries within each residue class,
 so folding commutes with convolution (linear conv folds to cyclic conv).
+A sketch folds each vector twice, plain and index-weighted; fold(a, p,
+moment=True) does both in one pass over a, as one numpy.matmul.
 """
 
 from __future__ import annotations
@@ -45,24 +47,35 @@ def sample_prime(m: int, rng: np.random.Generator) -> int:
     return int(primes[rng.integers(len(primes))])
 
 
-def fold(a: np.ndarray, p: int) -> np.ndarray:
+def fold(a: np.ndarray, p: int, moment: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Length-p vector whose entry i sums a_j over all j = i (mod p).
 
     Preserves total mass. For p >= len(a) this is the identity embedding
     padded with zeros.
+
+    With moment=True, returns (fold(a), fold of j*a_j) from one read of
+    a: writing j = i + p*q, the moment's entry i is
+    i*fold(a)_i + p*sum_q q*a_{i+pq}, so both are rows of one product of
+    a (2, rows) weight matrix with the (rows, p) view of a. In the
+    identity case the moment is arange(n)*a, bit for bit.
     """
     if p < 1:
         raise ValueError("modulus must be >= 1")
     a = np.asarray(a, dtype=np.float64)
     n = len(a)
-    out = np.zeros(p)
     if n <= p:
-        out[:n] = a
-        return out
-    full = n // p
-    np.sum(a[: full * p].reshape(full, p), axis=0, out=out)
-    out[: n - full * p] += a[full * p :]
-    return out
+        out = np.zeros((2, p))
+        out[0, :n] = a
+        out[1, :n] = np.arange(n) * a
+    else:
+        rows = n // p
+        weights = np.stack([np.ones(rows), p * np.arange(rows)])
+        out = np.matmul(weights, a[: rows * p].reshape(rows, p))
+        tail = a[rows * p :]
+        out[0, : len(tail)] += tail
+        out[1, : len(tail)] += (rows * p) * tail
+        out[1] += np.arange(p) * out[0]
+    return (out[0], out[1]) if moment else out[0]
 
 
 def fold_sparse(indices, values, p: int, universe: int) -> np.ndarray:

@@ -8,15 +8,16 @@ buckets.
 
 Per the product rule, the index-weighted convolution splits as
 dC = dA * B + A * dB (all at index base 0), which is what lets W be
-assembled from folds of the inputs alone.
+assembled from folds of the inputs alone; fold(x, p, moment=True) gives
+the folds of x and dx in one pass, so dA and dB are never built.
 
 Two equivalent evaluation routes are used:
 
-* cyclic route: fold A, B, dA and dB to length p and run cyclic
-  convolutions, six transforms of length pad(2p-1) per sketch (FFT cost
-  scales with p, independent of n) - the output-sensitive path;
-* dense route: compute A*B and its index-weighted copy once, three
-  transforms of length pad(2n-1), and fold that pair for every sketch.
+* cyclic route: fold A and B with their moments to length p and run
+  cyclic convolutions, six transforms of length pad(2p-1) per sketch (FFT
+  cost scales with p, independent of n) - the output-sensitive path;
+* dense route: compute A*B once, three transforms of length pad(2n-1),
+  and fold it with its moment for every sketch.
 
 Both give the same V and W up to FFT round-off, because folding commutes
 with convolution, so the route is a cost choice. dense_route() makes it
@@ -34,7 +35,7 @@ import numpy as np
 
 from .fft import fft_convolve, fft_forward, fft_inverse_real, fold_linear_to_cyclic, pad_length, transform_work
 from .hashing import fold, fold_sparse
-from .numerics import SparseResult, derivative
+from .numerics import SparseResult
 
 __all__ = [
     "Sketch",
@@ -78,8 +79,8 @@ class SketchCache:
     """Arrays derived from one (A, B) pair, shared by the sketches of one
     engine call, which all take the route `dense` fixes (see dense_route).
 
-    The dense route builds the product pair up front and its FFT work is
-    charged once; the cyclic route builds the input derivatives instead.
+    The dense route builds the product A*B up front and its FFT work is
+    charged once; the cyclic route folds the inputs themselves.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, dense: bool):
@@ -89,15 +90,11 @@ class SketchCache:
         self.b = np.asarray(b, dtype=np.float64)
         self.dense = dense
         if dense:
-            self.conv, self.dconv = self.dense_products()
-        else:
-            self.da = derivative(self.a, 0)
-            self.db = derivative(self.b, 0)
+            self.conv = self.dense_products()
 
-    def dense_products(self) -> tuple[np.ndarray, np.ndarray]:
-        conv = fft_convolve(self.a, self.b)
-        # index-weighting the product equals dA*B + A*dB exactly
-        return conv, np.arange(len(conv), dtype=np.float64) * conv
+    def dense_products(self) -> np.ndarray:
+        # folding it with its moment gives dA*B + A*dB's fold as well
+        return fft_convolve(self.a, self.b)
 
 
 def build_sketch(
@@ -111,20 +108,19 @@ def build_sketch(
     V = cyc_p(fold(A), fold(B)) and
     W = cyc_p(fold(dA), fold(B)) + cyc_p(fold(A), fold(dB)).
 
-    The cyclic route shares the forward transforms of fold(A), fold(B)
-    between V and W and merges W's two products in the spectrum domain:
-    4 forward + 2 inverse transforms per sketch. The route is the cache's;
-    without a cache, dense_route decides for this sketch alone.
+    Each input is read once, by fold(X, p, moment=True). The cyclic route
+    shares the forward transforms of fold(A), fold(B) between V and W and
+    merges W's two products in the spectrum domain: 4 forward + 2 inverse
+    transforms per sketch. The route is the cache's; without a cache,
+    dense_route decides for this sketch alone.
     """
     if cache is None:
         cache = SketchCache(a, b, dense_route(len(a), p, 1))
     if cache.dense:
-        return Sketch(p, fold(cache.conv, p), fold(cache.dconv, p))
+        return Sketch(p, *fold(cache.conv, p, moment=True))
 
-    fa_ = fold(cache.a, p)
-    fb_ = fold(cache.b, p)
-    fda = fold(cache.da, p)
-    fdb = fold(cache.db, p)
+    fa_, fda = fold(cache.a, p, moment=True)
+    fb_, fdb = fold(cache.b, p, moment=True)
     size = pad_length(2 * p - 1)
     sa = fft_forward(fa_, size)
     sb = fft_forward(fb_, size)

@@ -245,6 +245,22 @@ class TestResidualNorm:
         assert len(built) == 2
         assert one == three == 1
 
+    @pytest.mark.parametrize(
+        "a, b, c1",
+        [
+            ([np.nan, 1.0], [1.0, 1.0], 0.5),
+            ([1.0, -3.0, 2.0], [1.0, 1.0, 1.0], 0.5),
+            ([[1.0, 2.0]], [[1.0, 2.0]], 0.5),
+            ([1.0, 2.0], [1.0, 2.0, 3.0], 0.5),
+            ([1.0, 2.0, 0.0, 1.0], [1.0, 0.0, 2.0, 1.0], 0.0),
+            ([1.0, 2.0, 0.0, 1.0], [1.0, 0.0, 2.0, 1.0], -1.0),
+        ],
+        ids=["nan", "negative", "2-D", "length-mismatch", "c1-zero", "c1-negative"],
+    )
+    def test_rejects_input_that_voids_the_count(self, a, b, c1):
+        with pytest.raises(ValueError):
+            residual_norm(a, b, SparseResult(), c1, 1, 0)
+
 
 def test_three_case_bucket_analysis_small_instance():
     # for every bucket of a residual sketch over a small instance:

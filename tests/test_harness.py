@@ -185,8 +185,13 @@ class TestRunBenchmark:
             assert cell["success_rate"] == 1.0
 
     def test_reproducible_up_to_wall_ms(self, tmp_path):
-        run_benchmark(_tiny_config([0, 1]), tmp_path / "r1")
-        run_benchmark(_tiny_config([0, 1]), tmp_path / "r2", jobs=2)
+        # at n = 256 every prime exceeds n and folds are identity copies;
+        # at n = 2^14 with k = 1 primes lie in [56, 112], so those cells
+        # fold through matmul while two cells run at once
+        config = _tiny_config([0, 1])
+        config["instances"].append({"id": "folded", "n": 2**14, "s_a": 1, "s_b": 1, "k": 1})
+        run_benchmark(config, tmp_path / "r1")
+        run_benchmark(config, tmp_path / "r2", jobs=2)
 
         def rows_without_timing(path):
             lines = (path / "runs.csv").read_text().splitlines()
@@ -198,7 +203,9 @@ class TestRunBenchmark:
                 out.append(cells)
             return out
 
-        assert rows_without_timing(tmp_path / "r1") == rows_without_timing(tmp_path / "r2")
+        rows = rows_without_timing(tmp_path / "r1")
+        assert all(row[CSV_COLUMNS.index("exact_match")] == "1" for row in rows)
+        assert rows == rows_without_timing(tmp_path / "r2")
 
     def test_unrounded_rows_on_noisy_integer_instance_score_by_tolerance(self, tmp_path):
         # The dense product carries the noise cross terms, so only a

@@ -5,7 +5,7 @@ import pytest
 
 from sparseconv.fft import cyclic_convolve
 from sparseconv.hashing import fold, fold_sparse, primes_in_range, sample_prime
-from sparseconv.numerics import naive_convolve
+from sparseconv.numerics import derivative, naive_convolve
 
 
 def chi2_critical(df: int, z: float = 3.0902) -> float:
@@ -80,6 +80,38 @@ class TestFold:
             for j, v in enumerate(a):
                 direct[j % p] += v
             np.testing.assert_allclose(fold(a, p), direct, atol=1e-12)
+
+    def test_moment_identity_case_is_the_weighted_copy(self):
+        # p >= n embeds a and arange(n)*a bit for bit, as lossless levels need
+        a = np.random.default_rng(6).random(7)
+        for p in (7, 9):
+            v, w = fold(a, p, moment=True)
+            assert v.tolist() == a.tolist() + [0.0] * (p - 7)
+            assert w.tolist() == (np.arange(7) * a).tolist() + [0.0] * (p - 7)
+
+    def test_moment_p1_sums_everything(self):
+        a = np.array([3.0, 1, 2, 1, 2, 1, 1])
+        v, w = fold(a, 1, moment=True)
+        assert v.tolist() == [11.0]
+        assert w.tolist() == [float(np.dot(np.arange(7), a))]
+
+    def test_moment_tail_shorter_than_p(self):
+        # n = 2p + 2: residues 0 and 1 get three entries, residues 2..4 two
+        a = np.arange(1.0, 13.0)
+        v, w = fold(a, 5, moment=True)
+        j = np.arange(12)
+        assert v.tolist() == [float(a[j % 5 == i].sum()) for i in range(5)]
+        assert w.tolist() == [float((j * a)[j % 5 == i].sum()) for i in range(5)]
+
+    def test_moment_exact_on_integers(self):
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            n = int(rng.integers(1, 3000))
+            p = int(rng.integers(1, 2 * n + 2))
+            a = rng.integers(0, 1000, n).astype(float)
+            v, w = fold(a, p, moment=True)
+            assert np.array_equal(v, fold(a, p))
+            assert np.array_equal(w, fold(derivative(a, 0), p))
 
 
 class TestFoldSparse:

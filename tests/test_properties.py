@@ -1,5 +1,6 @@
 """Property tests for the identities the recovery engines rest on:
-folding commutes with convolution, an isolated bucket's W/V ratio names
+folding commutes with convolution, one pass folds a vector and its
+index-weighted copy alike, an isolated bucket's W/V ratio names
 its output index, and at a lossless modulus every residual sketch is the
 residual itself. Vectorised extraction is checked against the
 bucket-by-bucket loop it replaced."""
@@ -35,6 +36,17 @@ def test_fold_commutes_with_convolution_for_any_modulus(data):
     lhs = fold(naive_convolve(a, b), p)
     rhs = cyclic_convolve(fold(a, p), fold(b, p), p)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-9 * (1 + a.sum() * b.sum()))
+
+
+@PROPERTY
+@given(st.data())
+def test_moment_fold_matches_folding_the_weighted_copy(data):
+    n = data.draw(st.integers(1, 4096), label="n")
+    p = data.draw(st.integers(1, 4 * n), label="p")
+    a = data.draw(arrays(np.float64, n, elements=st.floats(0, 10)), label="a")
+    v, w = fold(a, p, moment=True)
+    np.testing.assert_array_equal(v, fold(a, p))
+    np.testing.assert_allclose(w, fold(np.arange(n) * a, p), rtol=1e-12, atol=0)
 
 
 @PROPERTY

@@ -55,6 +55,30 @@ class TestBuildSketch:
                     np.testing.assert_allclose(sk.v, fold(c, p), atol=1e-8)
                     np.testing.assert_allclose(sk.w, fold(np.arange(len(c)) * c, p), atol=1e-8)
 
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_each_vector_is_folded_once(self, monkeypatch, dense):
+        # a fold returns a vector's plain and index-weighted folds together,
+        # so the cyclic route reads a and b once each, the dense route A*B once
+        import sparseconv.sketch
+        from sparseconv.hashing import fold
+
+        calls = []
+
+        def counting_fold(a, p, *args, **kwargs):
+            calls.append(len(a))
+            return fold(a, p, *args, **kwargs)
+
+        monkeypatch.setattr(sparseconv.sketch, "fold", counting_fold)
+        rng = np.random.default_rng(13)
+        n, p = 200, 31
+        a, b = rng.random(n) * 3, rng.random(n) * 3
+        c = naive_convolve(a, b)
+        cache = SketchCache(a, b, dense)
+        sk = build_sketch(a, b, p, cache=cache)
+        assert calls == ([2 * n - 1] if dense else [n, n])
+        np.testing.assert_allclose(sk.v, fold(c, p), atol=1e-8)
+        np.testing.assert_allclose(sk.w, fold(np.arange(len(c)) * c, p), atol=1e-8)
+
     def test_matches_folded_product(self):
         # V must equal the fold of the true product; W the fold of its
         # index-weighted version
