@@ -92,8 +92,8 @@ def approx_sparse_convolve(
 
     Deterministic given (a, b, params): repetition l draws its prime
     from a generator seeded by (seed, l), so repetitions are independent
-    and could run in parallel. A SketchCache of (a, b) on the route
-    this call takes is used instead of building one.
+    and could run in parallel. A SketchCache of (a, b) is used as given,
+    route included; without one, dense_route prices this call's sketches.
 
     Raises ValueError unless a and b are equal-length, finite,
     non-negative 1-D vectors.
@@ -104,8 +104,8 @@ def approx_sparse_convolve(
     n = len(a)
     out_len = 2 * n - 1
     m, L = approx_plan(params, n)
-    if cache is None or cache.dense != dense_route(n, m, L):
-        cache = SketchCache(a, b, dense_route(n, m, L))
+    if cache is None:
+        cache = SketchCache(a, b, dense_route(n, (m, L)))
 
     pool: dict[int, list[float]] = {}
     for l in range(1, L + 1):

@@ -7,7 +7,8 @@ subtracted inside the sketch), picks the repetition whose sketch
 exposes the most significant buckets, and folds the recovered mass back
 into C. Residual support shrinks doubly exponentially, so level
 repetition counts decay geometrically and the first level dominates
-the work.
+the work. The bootstrap and the levels share one SketchCache, whose
+route dense_route prices once over all their planned sketches.
 
 A modulus m >= 2n-1 is lossless: every prime p >= m folds by identity,
 so on the dense route each residual sketch is the residual itself, bit
@@ -30,7 +31,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .approx import ApproxParams, approx_sparse_convolve, ceil_log2
+from .approx import ApproxParams, approx_plan, approx_sparse_convolve, ceil_log2
 from .hashing import sample_prime
 from .numerics import SparseResult, dense_vector, round_to_int
 from .sketch import SketchCache, build_residual_sketch, dense_route, extract_candidates
@@ -116,6 +117,16 @@ def _lossless(cache: SketchCache, m: int) -> bool:
     return cache.dense and m >= 2 * len(cache.a) - 1
 
 
+def _residual_sketches(a, b, current, m, reps, key, cache):
+    """Residual sketches of A*B - current, repetition r = 1..reps with its
+    prime drawn from (*key, r); one at a lossless modulus, where all tie."""
+    if _lossless(cache, m):
+        reps = 1
+    for r in range(1, reps + 1):
+        p = sample_prime(m, np.random.default_rng([*key, r]))
+        yield build_residual_sketch(a, b, current, p, cache=cache)
+
+
 def _merged(current: SparseResult, pairs, params: ExactParams) -> SparseResult:
     """`current` plus the (index, value) pairs, each rounded in
     integer_mode; FFT round-off can leave -0.0003-style ghosts, so
@@ -146,21 +157,12 @@ def run_correction_level(
     result and the chosen prime.
     """
     if cache is None:
-        cache = SketchCache(a, b, dense_route(len(a), m, reps))
-    if _lossless(cache, m):
-        reps = 1
-    out_len = 2 * len(cache.a) - 1
-    best = None  # (score, r, sketch)
-    for r in range(1, reps + 1):
-        rng = np.random.default_rng([params.seed, level, r])
-        p = sample_prime(m, rng)
-        sk = build_residual_sketch(a, b, current, p, cache=cache)
-        score = int(np.count_nonzero(sk.v >= params.c1))
-        if best is None or score > best[0]:
-            best = (score, r, sk)
-    chosen = best[2]
-
-    candidates = extract_candidates(chosen, params.c1, params.tau, out_len)
+        cache = SketchCache(a, b, dense_route(len(a), (m, reps)))
+    chosen = max(
+        _residual_sketches(a, b, current, m, reps, (params.seed, level), cache),
+        key=lambda sk: np.count_nonzero(sk.v >= params.c1),
+    )
+    candidates = extract_candidates(chosen, params.c1, params.tau, 2 * len(cache.a) - 1)
     return _merged(current, ((c.index, c.value) for c in candidates), params), chosen.p
 
 
@@ -186,10 +188,10 @@ def exact_sparse_convolve(
     n = len(a)
     m, _ = exact_plan(params, n)
     schedule = repetition_schedule(params)
-    cache = SketchCache(a, b, dense_route(n, m, sum(schedule)))
-
     shared = {f.name: getattr(params, f.name) for f in fields(ApproxParams)}
     bootstrap_params = ApproxParams(**{**shared, "delta": params.delta / 2})
+    cache = SketchCache(a, b, dense_route(n, approx_plan(bootstrap_params, n), (m, sum(schedule))))
+
     state = approx_sparse_convolve(a, b, bootstrap_params, cache=cache)
     if params.integer_mode:
         state = _merged(SparseResult(), state.entries.items(), params)
@@ -242,13 +244,8 @@ def residual_norm(
     n = len(a)
     if m is None:
         m = max(2 * n - 1, 16)
-    cache = SketchCache(a, b, dense_route(n, m, trials))
-    if _lossless(cache, m):
-        trials = 1
-    worst = 0
-    for t in range(1, trials + 1):
-        rng = np.random.default_rng([seed, t])
-        p = sample_prime(m, rng)
-        sk = build_residual_sketch(a, b, c, p, cache=cache)
-        worst = max(worst, int(np.count_nonzero(np.abs(sk.v) >= c1)))
-    return worst
+    cache = SketchCache(a, b, dense_route(n, (m, trials)))
+    return max(
+        np.count_nonzero(np.abs(sk.v) >= c1)
+        for sk in _residual_sketches(a, b, c, m, trials, (seed,), cache)
+    )

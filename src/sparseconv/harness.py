@@ -359,8 +359,10 @@ def run_engine(
 
     A dense engine's product (naive, fft) becomes its entries >= c1 with
     their values after the clock stops and the work is read, so both
-    measure the engine alone."""
+    measure the engine alone. Every engine raises ValueError unless c1 > 0."""
     engine = _resolve_engine(engine)
+    if not c1 > 0:
+        raise ValueError("c1 must be positive")
     a = dense_vector(a)
     b = dense_vector(b)
     reset_fft_work()
@@ -455,7 +457,15 @@ def _config_from(config) -> dict:
     for key in ("instances", "engines", "seeds"):
         if key not in config or not config[key]:
             raise ValueError(f"config missing non-empty {key!r}")
-    return config
+    delta = float(config.get("delta", 0.1))
+    c1 = float(config.get("c1", 0.5))
+    instances = []
+    for i, inst_cfg in enumerate(config["instances"]):
+        inst_cfg = {"id": f"inst{i}", **inst_cfg}
+        inst_cfg["k"] = int(inst_cfg.get("k", inst_cfg["s_a"] * inst_cfg["s_b"]))
+        ApproxParams(k=inst_cfg["k"], delta=delta, c1=c1)  # the engines' own checks
+        instances.append(inst_cfg)
+    return {**config, "delta": delta, "c1": c1, "instances": instances}
 
 
 def _grid_cell(inst_cfg: dict, engines: list[str], seed: int, delta: float, c1: float):
@@ -471,7 +481,7 @@ def _grid_cell(inst_cfg: dict, engines: list[str], seed: int, delta: float, c1: 
         seed=_derive_seed(seed, inst_id),
         integer_values=bool(inst_cfg.get("integer_values", True)),
     )
-    k = int(inst_cfg.get("k", inst_cfg["s_a"] * inst_cfg["s_b"]))
+    k = inst_cfg["k"]
     inst = generate_instance(spec, k_budget=k)
     truth, crosscheck = oracle_convolution(inst.a, inst.b, c1)
 
@@ -504,22 +514,16 @@ def run_benchmark(config, out_dir, jobs: int = 1) -> dict:
 
     Rows are bitwise reproducible given the config except for the
     wall_ms column, which is annotated as non-deterministic. Engine
-    failures are recorded in their row, never fatal.
+    failures are recorded in their row, never fatal; knobs the engines
+    reject raise ValueError before any cell runs.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     config = _config_from(config)
     engines = [_resolve_engine(e) for e in config["engines"]]
     seeds = [int(s) for s in config["seeds"]]
-    delta = float(config.get("delta", 0.1))
-    c1 = float(config.get("c1", 0.5))
-    instances = []
-    for i, inst_cfg in enumerate(config["instances"]):
-        inst_cfg = dict(inst_cfg)
-        inst_cfg.setdefault("id", f"inst{i}")
-        instances.append(inst_cfg)
-
-    cells = [(inst_cfg, seed) for inst_cfg in instances for seed in seeds]
+    delta, c1 = config["delta"], config["c1"]
+    cells = [(inst_cfg, seed) for inst_cfg in config["instances"] for seed in seeds]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         cell_rows = list(pool.map(lambda c: _grid_cell(c[0], engines, c[1], delta, c1), cells))
 

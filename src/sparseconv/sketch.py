@@ -21,10 +21,10 @@ Two equivalent evaluation routes are used:
 
 Both give the same V and W up to FFT round-off, because folding commutes
 with convolution, so the route is a cost choice. dense_route() makes it
-once per engine call: the call's sketches all draw primes from [m, 2m],
-and their cyclic transforms, priced at the smallest prime, are weighed
-against the one dense product in fft_work() units. Folds cost about the
-same on both routes.
+once per engine call, over all of the call's sketches: their cyclic
+transforms, each priced at the smallest prime of its family's [m, 2m],
+are weighed against the one dense product in fft_work() units. Folds
+cost about the same on both routes.
 """
 
 from __future__ import annotations
@@ -64,15 +64,16 @@ class Candidate:
     value: float
 
 
-def dense_route(n: int, m: int, count: int) -> bool:
-    """Whether the `count` sketches of one call on length-n inputs, with
-    primes in [m, 2m], should fold one shared dense product.
+def dense_route(n: int, *plans: tuple[int, int]) -> bool:
+    """Whether one call's sketches on length-n inputs, `count` with primes
+    in [m, 2m] for each plan (m, count), should fold one dense product.
 
     Prices both routes in fft_work() units: six cyclic transforms per
-    sketch at the smallest prime against the three transforms of the
-    dense product, which is built once.
+    sketch at its plan's smallest prime, summed, against the three
+    transforms of the dense product, which is built once.
     """
-    return count * 2 * transform_work(pad_length(2 * m - 1)) >= transform_work(pad_length(2 * n - 1))
+    cyclic = sum(count * 2 * transform_work(pad_length(2 * m - 1)) for m, count in plans)
+    return cyclic >= transform_work(pad_length(2 * n - 1))
 
 
 class SketchCache:
@@ -115,7 +116,7 @@ def build_sketch(
     dense_route decides for this sketch alone.
     """
     if cache is None:
-        cache = SketchCache(a, b, dense_route(len(a), p, 1))
+        cache = SketchCache(a, b, dense_route(len(a), (p, 1)))
     if cache.dense:
         return Sketch(p, *fold(cache.conv, p, moment=True))
 
@@ -144,10 +145,8 @@ def build_residual_sketch(
     result is folded sparsely in O(|C_prev|). V entries can go negative
     where C_prev overshoots.
     """
-    if cache is None:
-        cache = SketchCache(a, b, dense_route(len(a), p, 1))
     base = build_sketch(a, b, p, cache=cache)
-    universe = 2 * len(cache.a) - 1
+    universe = 2 * len(a) - 1
     idx = list(c_prev.entries.keys())
     val = list(c_prev.entries.values())
     v = base.v - fold_sparse(idx, val, p, universe)

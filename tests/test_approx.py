@@ -149,7 +149,7 @@ def test_every_kept_index_has_majority_votes():
     inst = generate_instance(spec)
     params = ApproxParams(k=9, delta=0.1, seed=13)
     m, L = approx_plan(params, spec.n)
-    cache = SketchCache(inst.a, inst.b, dense_route(spec.n, m, L))
+    cache = SketchCache(inst.a, inst.b, dense_route(spec.n, (m, L)))
     votes: dict[int, int] = {}
     for l in range(1, L + 1):
         rng = np.random.default_rng([params.seed, l])

@@ -14,9 +14,12 @@ from sparseconv.exact import (
     exact_sparse_convolve,
     repetition_schedule,
     residual_norm,
+    run_correction_level,
 )
 from sparseconv.harness import InstanceSpec, generate_instance
+from sparseconv.hashing import sample_prime
 from sparseconv.numerics import SparseResult, naive_convolve, support_ge
+from sparseconv.sketch import SketchCache, build_residual_sketch
 
 
 def impulse(n, at):
@@ -155,12 +158,32 @@ def count_residual_sketches(monkeypatch):
     built = []
     original = sparseconv.exact.build_residual_sketch
 
-    def counting(*args, **kwargs):
-        built.append(1)
-        return original(*args, **kwargs)
+    def counting(a, b, c_prev, p, cache=None):
+        built.append(p)
+        return original(a, b, c_prev, p, cache=cache)
 
     monkeypatch.setattr(sparseconv.exact, "build_residual_sketch", counting)
     return built
+
+
+def test_level_keeps_the_first_repetition_with_most_significant_buckets(monkeypatch):
+    # at the lossy modulus 64 < 2n-1, repetitions r = 3 and r = 6 tie for
+    # the most buckets >= c1 under different primes; r = 3 must win
+    inst = generate_instance(InstanceSpec(n=2**10, s_a=4, s_b=4, seed=101))
+    params = ExactParams(k=16, delta=0.1, seed=0)
+    level, reps, m = 2, 6, 64
+    cache = SketchCache(inst.a, inst.b, dense=False)
+    primes = [sample_prime(m, np.random.default_rng([params.seed, level, r])) for r in range(1, reps + 1)]
+    scores = [
+        np.count_nonzero(build_residual_sketch(inst.a, inst.b, SparseResult(), p, cache=cache).v >= params.c1)
+        for p in primes
+    ]
+    best = [p for p, s in zip(primes, scores) if s == max(scores)]
+    assert len(set(best)) > 1 and best[0] != primes[0]
+    built = count_residual_sketches(monkeypatch)
+    _, chosen = run_correction_level(inst.a, inst.b, SparseResult(), level, reps, m, params)
+    assert built == primes
+    assert chosen == best[0]
 
 
 class TestLosslessLevels:
@@ -227,6 +250,22 @@ class TestResidualNorm:
         k = len(full)
         count = residual_norm(inst.a, inst.b, SparseResult(), 0.5, 4, 11, m=16 * k)
         assert k / 2 <= count <= k
+
+    def test_is_the_largest_count_over_its_trials(self, monkeypatch):
+        # trial t draws its prime from the stream seeded by (seed, t); at
+        # the lossy modulus 16k the trials' counts differ
+        inst, full = self._instance()
+        m, c1, seed = 16 * len(full), 0.5, 11
+        cache = SketchCache(inst.a, inst.b, dense=False)
+        primes = [sample_prime(m, np.random.default_rng([seed, t])) for t in range(1, 5)]
+        counts = [
+            np.count_nonzero(np.abs(build_residual_sketch(inst.a, inst.b, SparseResult(), p, cache=cache).v) >= c1)
+            for p in primes
+        ]
+        assert len(set(counts)) > 1
+        built = count_residual_sketches(monkeypatch)
+        assert residual_norm(inst.a, inst.b, SparseResult(), c1, 4, seed, m=m) == max(counts)
+        assert built == primes
 
     def test_overshoot_is_counted(self):
         inst, full = self._instance()

@@ -238,6 +238,20 @@ class TestRunBenchmark:
             with pytest.raises(ValueError, match="jobs"):
                 run_benchmark(_tiny_config([0]), tmp_path / "jobs", jobs=jobs)
             assert not (tmp_path / "jobs").exists()
+        # knobs that would void every score fail before any cell runs
+        tiny = _tiny_config([0])
+        voiding = [
+            ("delta", {**tiny, "delta": 1.5}),
+            ("c1", {**tiny, "c1": -1}),
+            ("k", {**tiny, "instances": [{**tiny["instances"][0], "k": 0}]}),
+        ]
+        for knob, config in voiding:
+            with pytest.raises(ValueError, match=knob):
+                run_benchmark(config, tmp_path / knob)
+            assert not (tmp_path / knob).exists()
+            cfg = tmp_path / f"{knob}.json"
+            cfg.write_text(json.dumps(config))
+            assert cli_main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / knob)]) == 1
 
 
 class TestCli:
@@ -292,6 +306,18 @@ class TestCli:
         cli_main(["gen", "--n", "64", "--sa", "1", "--sb", "1", "--out", str(out)])
         assert cli_main(["conv", "--engine", "approx", "--a", str(out), "--b", str(out)]) == 1
         capsys.readouterr()
+
+    def test_dense_engines_reject_nonpositive_c1(self, tmp_path, capsys):
+        # otherwise they would report the whole product
+        for engine in ("naive", "fft"):
+            for c1 in (0.0, -1.0):
+                with pytest.raises(ValueError, match="c1"):
+                    run_engine(engine, np.ones(4), np.ones(4), c1=c1)
+        out = tmp_path / "inst.txt"
+        cli_main(["gen", "--n", "64", "--sa", "1", "--sb", "1", "--out", str(out)])
+        capsys.readouterr()
+        assert cli_main(["conv", "--engine", "fft", "--c1", "0", "--a", str(out), "--b", str(out)]) == 1
+        assert capsys.readouterr().out == ""
 
     def test_infeasible_gen_exit_code(self, tmp_path, capsys):
         # c2 far too large for the band to close

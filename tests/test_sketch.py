@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -216,17 +218,29 @@ def test_noise_stays_well_inside_tolerances():
     assert checked > 0
 
 
+def _plans_id(value):
+    # plans print as m-count pairs
+    if isinstance(value, tuple):
+        return "-".join(f"{m}-{count}" for m, count in value)
+    return None
+
+
 @pytest.mark.parametrize(
-    "n, m, count, dense",
+    "n, plans, dense",
     [
-        (2**17, 26112, 75, True),  # n17-k64 approx: one dense product serves 75 sketches
-        (2**20, 5120, 59, False),  # n20-k16 approx
-        (2**20, 5120, 67, False),  # n20-k16 exact bootstrap (delta/2)
-        (2**20, 40960, 32, True),  # n20-k16 exact levels
+        (2**17, ((26112, 75),), True),  # n17-k64 approx: one dense product serves 75 sketches
+        (2**20, ((5120, 59),), False),  # n20-k16 approx
+        (2**20, ((5120, 67),), False),  # n20-k16 exact bootstrap (delta/2)
+        (2**20, ((40960, 32),), True),  # n20-k16 exact levels
+        (2**20, ((5120, 67), (40960, 32)), True),  # n20-k16 exact: bootstrap and levels
+        (2**16, ((512, 51),), False),  # n=2^16, k=4 exact bootstrap
+        (2**16, ((2048, 19),), False),  # its levels
+        (2**16, ((512, 51), (2048, 19)), True),  # the whole call
     ],
+    ids=_plans_id,
 )
-def test_dense_route_at_benchmark_shapes(n, m, count, dense):
-    assert dense_route(n, m, count) is dense
+def test_dense_route_at_benchmark_shapes(n, plans, dense):
+    assert dense_route(n, *plans) is dense
 
 
 def test_approx_charges_one_dense_product_when_it_is_cheaper():
@@ -241,11 +255,45 @@ def test_approx_charges_one_dense_product_when_it_is_cheaper():
     assert fft_work() == 3 * transform_work(2**15) == 1_474_560
 
 
-def test_exact_bootstrap_shares_the_levels_dense_product():
+@pytest.mark.parametrize(
+    "n, k",
+    [
+        (2**14, 4),  # bootstrap and levels each take the dense route
+        (2**15, 4),  # levels dense, bootstrap cyclic on its own
+        (2**11, 1),  # bootstrap dense, levels cyclic on their own
+        (2**16, 4),  # each family cyclic on its own, the two together dense
+    ],
+)
+def test_exact_call_builds_one_dense_product(n, k):
+    # the route is priced once over the bootstrap's and the levels'
+    # sketches, and every sketch of the call folds the one product
     from sparseconv.exact import ExactParams, exact_sparse_convolve
-    from sparseconv.fft import fft_work, reset_fft_work, transform_work
+    from sparseconv.fft import fft_work, pad_length, reset_fft_work, transform_work
+
+    side = math.isqrt(k)  # k = s_a * s_b
+    inst = generate_instance(InstanceSpec(n=n, s_a=side, s_b=side, seed=0))
+    reset_fft_work()
+    exact_sparse_convolve(inst.a, inst.b, ExactParams(k=k, delta=0.1, seed=0))
+    assert fft_work() == 3 * transform_work(pad_length(2 * n - 1))
+
+
+def test_approx_uses_a_given_cache_as_it_is(monkeypatch):
+    # approx alone takes the dense route at this shape, but a cyclic cache
+    # handed to it is used, not rebuilt
+    from sparseconv.approx import ApproxParams, approx_sparse_convolve
 
     inst = generate_instance(InstanceSpec(n=2**14, s_a=2, s_b=2, seed=0))
-    reset_fft_work()
-    exact_sparse_convolve(inst.a, inst.b, ExactParams(k=4, delta=0.1, seed=0))
-    assert fft_work() == 3 * transform_work(2**15)
+    params = ApproxParams(k=4, delta=0.1, seed=0)
+    built = []
+    original = SketchCache.dense_products
+
+    def counting(self):
+        built.append(1)
+        return original(self)
+
+    monkeypatch.setattr(SketchCache, "dense_products", counting)
+    own = approx_sparse_convolve(inst.a, inst.b, params)
+    assert len(built) == 1
+    given = approx_sparse_convolve(inst.a, inst.b, params, cache=SketchCache(inst.a, inst.b, dense=False))
+    assert len(built) == 1
+    assert given.support() == own.support()
