@@ -1,10 +1,13 @@
 """The package's transform seam and the convolutions built on it.
 
 fft_forward and fft_inverse_real are the only transforms the package
-runs: numpy.fft real transforms (rfft / irfft) of power-of-two length.
+runs: numpy.fft real transforms (rfft / irfft) at pad_length's lengths,
+2^a * 3^b * 5^c, which pocketfft runs at about the per-point speed of
+powers of two; padding to them costs a few percent at sketch lengths,
+where padding to the next power of two can cost up to 2x.
 
 Work accounting is analytic: every transform of length N, forward or
-inverse, adds transform_work(N) = N * log2(N) to the calling thread's
+inverse, adds transform_work(N) = round(N * log2(N)) to the thread's
 counter, whatever the backend does inside; sketch.dense_route prices
 sketch routes in the same unit. Callers that want a per-phase reading
 should reset_fft_work() before the phase and read fft_work() after it.
@@ -12,7 +15,9 @@ should reset_fft_work() before the phase and read fft_work() after it.
 
 from __future__ import annotations
 
+import math
 from contextvars import ContextVar
+from functools import cache
 
 import numpy as np
 
@@ -39,19 +44,28 @@ def reset_fft_work() -> None:
     _fft_work.set(0)
 
 
+@cache
 def pad_length(min_len: int) -> int:
-    """Smallest power of two >= min_len."""
+    """Smallest 2^a * 3^b * 5^c >= min_len (memoised: every sketch asks)."""
     if min_len < 1:
         raise ValueError("min_len must be >= 1")
-    return 1 << (min_len - 1).bit_length()
+    best, p5 = 1 << (min_len - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power of two times p35 that reaches min_len
+            best = min(best, p35 << (-(-min_len // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def transform_work(n: int) -> int:
-    """Work charged for one transform of length n (a power of two):
-    n * log2(n)."""
-    if n & (n - 1):
-        raise ValueError(f"transform length {n} is not a power of two")
-    return n * (n.bit_length() - 1)
+    """Work charged for one transform of length n (2^a * 3^b * 5^c):
+    round(n * log2(n)), exact for powers of two."""
+    if n < 1 or pad_length(n) != n:
+        raise ValueError(f"transform length {n} is not of the form 2^a * 3^b * 5^c")
+    return round(n * math.log2(n))
 
 
 def _charge(n: int) -> None:
@@ -60,7 +74,7 @@ def _charge(n: int) -> None:
 
 def fft_forward(a: np.ndarray, n: int) -> np.ndarray:
     """Half spectrum (n//2 + 1 bins) of a real vector zero-padded to
-    length n (a power of two)."""
+    length n (2^a * 3^b * 5^c)."""
     if len(a) > n:
         raise ValueError("input longer than transform length")
     _charge(n)
@@ -101,8 +115,8 @@ def fold_linear_to_cyclic(full: np.ndarray, m: int) -> np.ndarray:
 def cyclic_convolve(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     """Cyclic convolution of two length-m vectors: indices wrap mod m.
 
-    m need not be a power of two (in practice it is a prime); the
-    computation zero-pads the linear convolution and folds the tail.
+    m may be any length (in practice it is a prime); the computation
+    zero-pads the linear convolution and folds the tail.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

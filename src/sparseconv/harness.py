@@ -17,6 +17,7 @@ entries dwarfs c2.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
@@ -55,10 +56,12 @@ __all__ = [
     "ENGINE_NAMES",
     "ENGINE_ALIASES",
     "CSV_COLUMNS",
+    "CSV_SCHEMA_VERSION",
     "SCHEMA_VERSION",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 1  # config and summary.json
+CSV_SCHEMA_VERSION = 2  # runs.csv; v2 added fft_work_units and error
 NAIVE_AUDIT_MAX_N = 1024
 ENGINE_NAMES = ("naive", "fft", "approx", "exact")
 ENGINE_ALIASES = {"dense-fft": "fft"}
@@ -424,9 +427,11 @@ class RunReport:
     max_abs_err_on_support: float
     exact_match: int
     oracle_crosscheck_max_abs_diff: float | None
+    fft_work_units: int | None  # None when the engine raised
+    error: str  # "ExcType: message" when the engine raised, else ""
 
     def csv_row(self) -> list[str]:
-        return [str(SCHEMA_VERSION)] + [_csv_cell(f.name, getattr(self, f.name)) for f in fields(self)]
+        return [str(CSV_SCHEMA_VERSION)] + [_csv_cell(f.name, getattr(self, f.name)) for f in fields(self)]
 
 
 def _csv_cell(name: str, value) -> str:
@@ -500,11 +505,12 @@ def _grid_cell(inst_cfg: dict, engines: list[str], seed: int, delta: float, c1: 
                 integer_mode=spec.integer_values,
             )
             scores = evaluate_run(run.result, truth, spec.integer_values and engine == "exact")
-            wall_ms, failed = run.wall_ms, False
-        except Exception:
-            wall_ms, scores, failed = -1.0, (float("nan"), float("nan"), float("nan"), 0), True
-        report = RunReport(engine, spec.n, k, delta, seed, wall_ms, *scores, crosscheck)
-        rows.append((inst_id, engine, report, failed))
+            wall_ms, work, error = run.wall_ms, run.fft_work_units, ""
+        except Exception as exc:
+            wall_ms, scores, work = -1.0, (float("nan"), float("nan"), float("nan"), 0), None
+            error = f"{type(exc).__name__}: {exc}"
+        report = RunReport(engine, spec.n, k, delta, seed, wall_ms, *scores, crosscheck, work, error)
+        rows.append((inst_id, report))
     return rows
 
 
@@ -513,9 +519,9 @@ def run_benchmark(config, out_dir, jobs: int = 1) -> dict:
     summary.json under out_dir and return the summary dict.
 
     Rows are bitwise reproducible given the config except for the
-    wall_ms column, which is annotated as non-deterministic. Engine
-    failures are recorded in their row, never fatal; knobs the engines
-    reject raise ValueError before any cell runs.
+    wall_ms column, which is annotated as non-deterministic. An engine
+    failure is recorded in its row's error column, never fatal; knobs
+    the engines reject raise ValueError before any cell runs.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -530,17 +536,17 @@ def run_benchmark(config, out_dir, jobs: int = 1) -> dict:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tally: dict[tuple[str, str], dict] = {}
-    lines = [",".join(CSV_COLUMNS)]
-    for rows in cell_rows:
-        for inst_id, engine, report, failed in rows:
-            lines.append(",".join(report.csv_row()))
+    with (out_dir / "runs.csv").open("w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")  # quotes an error's commas
+        writer.writerow(CSV_COLUMNS)
+        for inst_id, report in (row for rows in cell_rows for row in rows):
+            writer.writerow(report.csv_row())
             cell = tally.setdefault(
-                (inst_id, engine), {"runs": 0, "successes": 0, "failures": 0}
+                (inst_id, report.engine), {"runs": 0, "successes": 0, "failures": 0}
             )
             cell["runs"] += 1
-            cell["failures"] += int(failed)
-            cell["successes"] += int(not failed and report.exact_match == 1)
-    (out_dir / "runs.csv").write_text("\n".join(lines) + "\n")
+            cell["failures"] += int(bool(report.error))
+            cell["successes"] += int(not report.error and report.exact_match == 1)
 
     summary = {
         "schema_version": SCHEMA_VERSION,

@@ -14,10 +14,10 @@ the folds of x and dx in one pass, so dA and dB are never built.
 Two equivalent evaluation routes are used:
 
 * cyclic route: fold A and B with their moments to length p and run
-  cyclic convolutions, six transforms of length pad(2p-1) per sketch (FFT
-  cost scales with p, independent of n) - the output-sensitive path;
-* dense route: compute A*B once, three transforms of length pad(2n-1),
-  and fold it with its moment for every sketch.
+  cyclic convolutions, six transforms of pad_length(2p-1) points per
+  sketch (cost scales with p, independent of n) - the output-sensitive path;
+* dense route: compute A*B once, three transforms of pad_length(2n-1)
+  points, and fold it with its moment for every sketch.
 
 Both give the same V and W up to FFT round-off, because folding commutes
 with convolution, so the route is a cost choice. dense_route() makes it
@@ -68,9 +68,9 @@ def dense_route(n: int, *plans: tuple[int, int]) -> bool:
     """Whether one call's sketches on length-n inputs, `count` with primes
     in [m, 2m] for each plan (m, count), should fold one dense product.
 
-    Prices both routes in fft_work() units: six cyclic transforms per
-    sketch at its plan's smallest prime, summed, against the three
-    transforms of the dense product, which is built once.
+    Prices both routes in fft_work() units: six cyclic transforms of
+    pad_length(2m-1) points per sketch, m its plan's smallest prime,
+    summed, against the dense product's three, which it builds once.
     """
     cyclic = sum(count * 2 * transform_work(pad_length(2 * m - 1)) for m, count in plans)
     return cyclic >= transform_work(pad_length(2 * n - 1))

@@ -11,6 +11,7 @@ from sparseconv.fft import (
     reset_fft_work,
     transform_work,
 )
+from sparseconv.hashing import fold
 from sparseconv.numerics import dense_vector, naive_convolve
 
 
@@ -76,6 +77,14 @@ def test_cyclic_matches_double_loop():
         np.testing.assert_allclose(cyclic_convolve(a, b, m), brute_force_cyclic(a, b, m), atol=1e-9)
 
 
+def test_cyclic_at_an_odd_transform_length():
+    # m = 8: the length-15 product runs at 15 = 3 * 5 points, no padding
+    assert pad_length(2 * 8 - 1) == 15
+    rng = np.random.default_rng(14)
+    a, b = rng.random(8), rng.random(8)
+    np.testing.assert_allclose(cyclic_convolve(a, b, 8), fold(naive_convolve(a, b), 8), atol=1e-12)
+
+
 def test_cyclic_length_check():
     with pytest.raises(ValueError):
         cyclic_convolve(np.ones(4), np.ones(4), 5)
@@ -93,8 +102,8 @@ def test_cyclic_linearity():
 def test_pad_length():
     assert pad_length(1) == 1
     assert pad_length(2) == 2
-    assert pad_length(3) == 4
-    assert pad_length(61439) == 65536
+    assert pad_length(3) == 3
+    assert pad_length(61439) == 61440
     with pytest.raises(ValueError):
         pad_length(0)
 
@@ -102,8 +111,9 @@ def test_pad_length():
 def test_work_counter_counts_three_transforms_per_convolution():
     reset_fft_work()
     fft_convolve(np.ones(100), np.ones(100))
-    size = pad_length(199)  # 256
-    assert fft_work() == 3 * size * 8
+    size = pad_length(199)  # 200 = 2^3 * 5^2
+    assert size == 200
+    assert fft_work() == 3 * transform_work(200)
     reset_fft_work()
     assert fft_work() == 0
 
@@ -125,4 +135,4 @@ def test_work_meter_is_per_thread():
     worker.join(timeout=10)
     assert not worker.is_alive()
     assert seen == [3 * transform_work(128)]
-    assert fft_work() == before == 3 * transform_work(16)
+    assert fft_work() == before == 3 * transform_work(15)

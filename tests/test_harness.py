@@ -1,12 +1,15 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
+from sparseconv import harness
 from sparseconv.cli import main as cli_main
-from sparseconv.fft import fft_convolve
+from sparseconv.fft import fft_convolve, pad_length, transform_work
 from sparseconv.harness import (
     CSV_COLUMNS,
+    CSV_SCHEMA_VERSION,
     GenerationInfeasibleError,
     InstanceSpec,
     evaluate_run,
@@ -177,9 +180,10 @@ class TestRunBenchmark:
         assert CSV_COLUMNS == [
             "schema_version", "engine", "n", "k", "delta", "seed", "wall_ms",
             "support_precision", "support_recall", "max_abs_err_on_support",
-            "exact_match", "oracle_crosscheck_max_abs_diff",
+            "exact_match", "oracle_crosscheck_max_abs_diff", "fft_work_units", "error",
         ]
         assert len(lines) == 1 + 2 * 3  # engines x seeds
+        assert {line.split(",")[0] for line in lines[1:]} == {str(CSV_SCHEMA_VERSION)} == {"2"}
         assert sum(c["runs"] for c in summary["cells"]) == 6
         for cell in summary["cells"]:
             assert cell["success_rate"] == 1.0
@@ -216,6 +220,38 @@ class TestRunBenchmark:
         cells = [row.split(",") for row in rows]
         assert {c[engine] for c in cells} == {"fft", "approx"}
         assert all(c[exact_match] == "1" for c in cells)
+
+    def test_fft_work_units_do_not_depend_on_jobs(self, tmp_path):
+        # the meter is per thread, so cells that run at once each read
+        # their own engine's work
+        config = _tiny_config([0, 1])
+        config["instances"].append({"id": "folded", "n": 2**14, "s_a": 1, "s_b": 1, "k": 1})
+
+        def work(jobs):
+            run_benchmark(config, tmp_path / str(jobs), jobs=jobs)
+            with open(tmp_path / str(jobs) / "runs.csv", newline="") as f:
+                return [(r["engine"], int(r["n"]), int(r["fft_work_units"])) for r in csv.DictReader(f)]
+
+        rows = work(1)
+        assert rows == work(2)
+        for engine, n, units in rows:
+            if engine == "fft":
+                assert units == 3 * transform_work(pad_length(2 * n - 1))
+            else:
+                assert units > 0
+
+    def test_failed_row_carries_its_error(self, tmp_path, monkeypatch):
+        def broken(a, b, params):
+            raise RuntimeError("sketch failed, twice")
+
+        monkeypatch.setattr(harness, "approx_sparse_convolve", broken)
+        summary = run_benchmark(_tiny_config([0]), tmp_path)
+        with open(tmp_path / "runs.csv", newline="") as f:
+            rows = {r["engine"]: r for r in csv.DictReader(f)}
+        assert rows["approx"]["error"] == "RuntimeError: sketch failed, twice"
+        assert rows["approx"]["fft_work_units"] == "" and rows["approx"]["wall_ms"] == "-1.000"
+        assert rows["fft"]["error"] == "" and int(rows["fft"]["fft_work_units"]) > 0
+        assert {c["engine"]: c["failures"] for c in summary["cells"]} == {"fft": 0, "approx": 1}
 
     def test_config_from_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -3,14 +3,16 @@ folding commutes with convolution, one pass folds a vector and its
 index-weighted copy alike, an isolated bucket's W/V ratio names
 its output index, and at a lossless modulus every residual sketch is the
 residual itself. Vectorised extraction is checked against the
-bucket-by-bucket loop it replaced."""
+bucket-by-bucket loop it replaced. Transforms pad to the next
+2^a * 3^b * 5^c length and are charged N * log2(N)."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sparseconv.fft import cyclic_convolve, fft_convolve
+from sparseconv.fft import cyclic_convolve, fft_convolve, pad_length, transform_work
 from sparseconv.hashing import fold, primes_in_range
 from sparseconv.numerics import SparseResult, naive_convolve, round_to_int
 from sparseconv.sketch import (
@@ -112,3 +114,31 @@ def test_extraction_matches_the_bucket_loop(data, c1, tau, out_len):
     )
     s = Sketch(p, v, w)
     assert extract_candidates(s, c1, tau, out_len) == extract_by_loop(s, c1, tau, out_len)
+
+
+def _is_5_smooth(x):
+    for f in (2, 3, 5):
+        while x % f == 0:
+            x //= f
+    return x == 1
+
+
+@PROPERTY
+@given(st.integers(1, 2**20))
+def test_pad_length_is_the_next_5_smooth_length(x):
+    n = pad_length(x)
+    assert n >= x and _is_5_smooth(n)
+    assert not any(_is_5_smooth(y) for y in range(x, n))
+
+
+@PROPERTY
+@given(st.integers(0, 40))
+def test_powers_of_two_pad_to_themselves_and_cost_t_times_2_to_the_t(t):
+    assert pad_length(2**t) == 2**t
+    assert transform_work(2**t) == t * 2**t
+
+
+@pytest.mark.parametrize("n", [0, 7, 14])
+def test_transform_work_rejects_lengths_the_seam_never_runs(n):
+    with pytest.raises(ValueError):
+        transform_work(n)

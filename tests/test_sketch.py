@@ -229,6 +229,7 @@ def _plans_id(value):
     "n, plans, dense",
     [
         (2**17, ((26112, 75),), True),  # n17-k64 approx: one dense product serves 75 sketches
+        (2**19, ((4864, 59),), False),  # n = 2^19, k = 16 approx: dense at power-of-two padding
         (2**20, ((5120, 59),), False),  # n20-k16 approx
         (2**20, ((5120, 67),), False),  # n20-k16 exact bootstrap (delta/2)
         (2**20, ((40960, 32),), True),  # n20-k16 exact levels
@@ -241,6 +242,36 @@ def _plans_id(value):
 )
 def test_dense_route_at_benchmark_shapes(n, plans, dense):
     assert dense_route(n, *plans) is dense
+
+
+@pytest.mark.parametrize("p, size", [(8209, 16875), (5147, 10368)])
+def test_cyclic_route_at_a_smooth_length_matches_the_dense_route(p, size):
+    # 16,875 = 3^3 * 5^4 is odd; 10,368 = 2^7 * 3^4
+    from sparseconv.fft import pad_length
+
+    assert pad_length(2 * p - 1) == size
+    inst = generate_instance(InstanceSpec(n=2**14, s_a=4, s_b=4, seed=3))
+    cyclic = build_sketch(inst.a, inst.b, p, cache=SketchCache(inst.a, inst.b, dense=False))
+    dense = build_sketch(inst.a, inst.b, p, cache=SketchCache(inst.a, inst.b, dense=True))
+    for got, want in ((cyclic.v, dense.v), (cyclic.w, dense.w)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * np.max(np.abs(want)))
+
+
+def test_cyclic_approx_charges_six_smooth_transforms_per_sketch():
+    from sparseconv.approx import ApproxParams, approx_plan, approx_sparse_convolve
+    from sparseconv.fft import fft_work, pad_length, reset_fft_work, transform_work
+    from sparseconv.hashing import sample_prime
+
+    n = 2**16
+    inst = generate_instance(InstanceSpec(n=n, s_a=2, s_b=2, seed=0))
+    params = ApproxParams(k=4, delta=0.1, seed=5)
+    m, L = approx_plan(params, n)
+    primes = [sample_prime(m, np.random.default_rng([params.seed, l])) for l in range(1, L + 1)]
+    sizes = [pad_length(2 * p - 1) for p in primes]
+    assert any(size & (size - 1) for size in sizes)  # some length is not a power of two
+    reset_fft_work()
+    approx_sparse_convolve(inst.a, inst.b, params, cache=SketchCache(inst.a, inst.b, dense=False))
+    assert fft_work() == sum(6 * transform_work(size) for size in sizes)
 
 
 def test_approx_charges_one_dense_product_when_it_is_cheaper():
