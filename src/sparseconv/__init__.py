@@ -38,13 +38,12 @@ from .numerics import (
     round_to_int,
     support_ge,
 )
-from .sketch import Candidate, Sketch, SketchCache, build_residual_sketch, build_sketch, extract_candidates
+from .sketch import Sketch, SketchCache, build_residual_sketch, build_sketch, extract_candidates
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ApproxParams",
-    "Candidate",
     "CorrectionTrace",
     "ExactParams",
     "GeneratedInstance",

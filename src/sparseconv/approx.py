@@ -1,12 +1,13 @@
 """Approximate sparse convolution: L independent hash repetitions,
-candidate pooling, and per-index medians.
+one pooled sort of their votes, and per-index lower medians.
 
 Each repetition samples its own prime, sketches the product, and reads
-candidates off isolated buckets. A significant output index is isolated
-under most primes, so across repetitions it collects many near-identical
-value votes; the per-index median then shrugs off the few collided ones.
-Indices with fewer than min_votes_frac * L votes are dropped, which kills
-the occasional collision artifact that happens to land on an integer.
+(index, value) records off isolated buckets. A significant output index
+is isolated under most primes, so it collects many near-identical value
+votes. All repetitions' records are sorted once by (index, value), and
+each index keeps its lower-median vote, which shrugs off the few collided
+ones. Indices with fewer than min_votes_frac * L votes are dropped, which
+kills the occasional collision artifact that happens to land on an integer.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import ClassVar
 import numpy as np
 
 from .hashing import sample_prime
-from .numerics import SparseResult, dense_vector, lower_median
+from .numerics import SparseResult, dense_pair
 from .sketch import SketchCache, build_sketch, dense_route, extract_candidates
 
 __all__ = ["ApproxParams", "approx_sparse_convolve", "approx_plan", "ceil_log2"]
@@ -98,27 +99,24 @@ def approx_sparse_convolve(
     Raises ValueError unless a and b are equal-length, finite,
     non-negative 1-D vectors.
     """
-    a, b = dense_vector(a), dense_vector(b)
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
+    a, b = dense_pair(a, b)
     n = len(a)
     out_len = 2 * n - 1
     m, L = approx_plan(params, n)
     if cache is None:
         cache = SketchCache(a, b, dense_route(n, (m, L)))
 
-    pool: dict[int, list[float]] = {}
+    records = []
     for l in range(1, L + 1):
         rng = np.random.default_rng([params.seed, l])
         p = sample_prime(m, rng)
         sk = build_sketch(a, b, p, cache=cache)
-        for cand in extract_candidates(sk, params.c1, params.tau, out_len):
-            pool.setdefault(cand.index, []).append(cand.value)
+        records.append(extract_candidates(sk, params.c1, params.tau, out_len))
 
-    min_votes = math.ceil(params.min_votes_frac * L)
-    result = {
-        i: lower_median(votes)
-        for i, votes in pool.items()
-        if len(votes) >= min_votes
-    }
-    return SparseResult(result)
+    votes = np.concatenate(records)
+    votes = votes[np.lexsort((votes["value"], votes["index"]))]
+    starts = np.flatnonzero(np.diff(votes["index"], prepend=-1))  # indices are >= 0
+    counts = np.diff(starts, append=len(votes))
+    kept = counts >= math.ceil(params.min_votes_frac * L)
+    lower_medians = votes[starts[kept] + (counts[kept] - 1) // 2]
+    return SparseResult(dict(lower_medians.tolist()))

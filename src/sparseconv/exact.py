@@ -33,7 +33,7 @@ import numpy as np
 
 from .approx import ApproxParams, approx_plan, approx_sparse_convolve, ceil_log2
 from .hashing import sample_prime
-from .numerics import SparseResult, dense_vector, round_to_int
+from .numerics import SparseResult, dense_pair, round_to_int
 from .sketch import SketchCache, build_residual_sketch, dense_route, extract_candidates
 
 __all__ = [
@@ -163,7 +163,7 @@ def run_correction_level(
         key=lambda sk: np.count_nonzero(sk.v >= params.c1),
     )
     candidates = extract_candidates(chosen, params.c1, params.tau, 2 * len(cache.a) - 1)
-    return _merged(current, ((c.index, c.value) for c in candidates), params), chosen.p
+    return _merged(current, candidates.tolist(), params), chosen.p
 
 
 def exact_sparse_convolve(
@@ -182,9 +182,7 @@ def exact_sparse_convolve(
     Raises ValueError unless a and b are equal-length, finite,
     non-negative 1-D vectors.
     """
-    a, b = dense_vector(a), dense_vector(b)
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
+    a, b = dense_pair(a, b)
     n = len(a)
     m, _ = exact_plan(params, n)
     schedule = repetition_schedule(params)
@@ -234,9 +232,7 @@ def residual_norm(
     Raises ValueError unless a and b are equal-length, finite,
     non-negative 1-D vectors, c1 > 0 and trials >= 1.
     """
-    a, b = dense_vector(a), dense_vector(b)
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
+    a, b = dense_pair(a, b)
     if not c1 > 0:
         raise ValueError("c1 must be positive")
     if trials < 1:

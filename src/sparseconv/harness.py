@@ -34,7 +34,7 @@ from .exact import ExactParams, exact_sparse_convolve
 from .fft import fft_convolve, fft_work, reset_fft_work
 from .numerics import (
     SparseResult,
-    dense_vector,
+    dense_pair,
     naive_convolve,
     norm_ge,
     norm_le,
@@ -366,8 +366,7 @@ def run_engine(
     engine = _resolve_engine(engine)
     if not c1 > 0:
         raise ValueError("c1 must be positive")
-    a = dense_vector(a)
-    b = dense_vector(b)
+    a, b = dense_pair(a, b)
     reset_fft_work()
     start = time.perf_counter()
     if engine == "naive":
@@ -452,6 +451,17 @@ def _derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
+_CONFIG_KEYS = {"schema_version", "delta", "c1", "engines", "seeds", "instances"}
+_SPEC_KEYS = {f.name for f in fields(InstanceSpec)} - {"seed"}
+
+
+def _reject_unknown(config: dict, known: set[str], where: str) -> None:
+    # a misspelt key would otherwise run silently on its default
+    unknown = [key for key in config if key not in known]
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in {where}")
+
+
 def _config_from(config) -> dict:
     if isinstance(config, (str, Path)):
         config = json.loads(Path(config).read_text())
@@ -462,10 +472,12 @@ def _config_from(config) -> dict:
     for key in ("instances", "engines", "seeds"):
         if key not in config or not config[key]:
             raise ValueError(f"config missing non-empty {key!r}")
+    _reject_unknown(config, _CONFIG_KEYS, "config")
     delta = float(config.get("delta", 0.1))
     c1 = float(config.get("c1", 0.5))
     instances = []
     for i, inst_cfg in enumerate(config["instances"]):
+        _reject_unknown(inst_cfg, _SPEC_KEYS | {"id", "k"}, f"instance {i}")
         inst_cfg = {"id": f"inst{i}", **inst_cfg}
         inst_cfg["k"] = int(inst_cfg.get("k", inst_cfg["s_a"] * inst_cfg["s_b"]))
         ApproxParams(k=inst_cfg["k"], delta=delta, c1=c1)  # the engines' own checks
@@ -476,16 +488,10 @@ def _config_from(config) -> dict:
 def _grid_cell(inst_cfg: dict, engines: list[str], seed: int, delta: float, c1: float):
     """Generate one instance, score every engine on it; one row each."""
     inst_id = inst_cfg["id"]
-    spec = InstanceSpec(
-        n=int(inst_cfg["n"]),
-        s_a=int(inst_cfg["s_a"]),
-        s_b=int(inst_cfg["s_b"]),
-        value_range=tuple(inst_cfg.get("value_range", (1, 10))),
-        c2=inst_cfg.get("c2"),
-        noise_density=float(inst_cfg.get("noise_density", 1.0)),
-        seed=_derive_seed(seed, inst_id),
-        integer_values=bool(inst_cfg.get("integer_values", True)),
-    )
+    given = {key: inst_cfg[key] for key in _SPEC_KEYS & inst_cfg.keys()}
+    if "value_range" in given:
+        given["value_range"] = tuple(given["value_range"])
+    spec = InstanceSpec(**given, seed=_derive_seed(seed, inst_id))
     k = inst_cfg["k"]
     inst = generate_instance(spec, k_budget=k)
     truth, crosscheck = oracle_convolution(inst.a, inst.b, c1)

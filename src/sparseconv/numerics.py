@@ -16,13 +16,13 @@ import numpy as np
 __all__ = [
     "SparseResult",
     "dense_vector",
+    "dense_pair",
     "derivative",
     "naive_convolve",
     "norm_ge",
     "norm_le",
     "support_ge",
     "round_to_int",
-    "lower_median",
 ]
 
 def dense_vector(values) -> np.ndarray:
@@ -41,6 +41,14 @@ def dense_vector(values) -> np.ndarray:
     if np.any(arr < 0):
         raise ValueError("vector entries must be non-negative")
     return arr.copy()
+
+
+def dense_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """dense_vector on both inputs; ValueError unless their lengths are equal."""
+    a, b = dense_vector(a), dense_vector(b)
+    if len(a) != len(b):
+        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
+    return a, b
 
 
 @dataclass
@@ -134,11 +142,3 @@ def round_to_int(x: float) -> int:
         raise ValueError(f"cannot round non-finite value {x!r}")
     return int(math.copysign(math.floor(abs(x) + 0.5), x))
 
-
-def lower_median(values) -> float:
-    """Median taking the lower of the two middle elements when the
-    count is even; deterministic for repeatable recovery output."""
-    ordered = sorted(values)
-    if not ordered:
-        raise ValueError("median of empty collection")
-    return ordered[(len(ordered) - 1) // 2]

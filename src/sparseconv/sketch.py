@@ -3,8 +3,8 @@
 A sketch for prime p is the pair (V, W): V folds the convolution mass
 onto residues mod p, W folds the index-weighted mass. In a bucket whose
 mass comes from a single output index x, W/V equals x and V equals the
-output value, so (index, value) pairs can be read straight off isolated
-buckets.
+output value, so (index, value) records can be read straight off
+isolated buckets into one record array (extract_candidates).
 
 Per the product rule, the index-weighted convolution splits as
 dC = dA * B + A * dB (all at index base 0), which is what lets W be
@@ -39,7 +39,6 @@ from .numerics import SparseResult
 
 __all__ = [
     "Sketch",
-    "Candidate",
     "SketchCache",
     "dense_route",
     "build_sketch",
@@ -56,12 +55,6 @@ class Sketch:
     p: int
     v: np.ndarray
     w: np.ndarray
-
-
-@dataclass(frozen=True)
-class Candidate:
-    index: int
-    value: float
 
 
 def dense_route(n: int, *plans: tuple[int, int]) -> bool:
@@ -155,13 +148,14 @@ def build_residual_sketch(
     return Sketch(p, v, w)
 
 
-def extract_candidates(s: Sketch, c1: float, tau: float, out_len: int) -> list[Candidate]:
+def extract_candidates(s: Sketch, c1: float, tau: float, out_len: int) -> np.recarray:
     """Read (index, value) pairs off buckets with V_i >= c1.
 
     A bucket is accepted when its ratio W_i/V_i is within tau of an
     integer inside [0, out_len); everything else is silently rejected
     (collisions and corrupted residuals produce off-integer or
-    out-of-range ratios). Candidates come back in bucket order.
+    out-of-range ratios). Returns a record array of the accepted buckets'
+    index (int64) and value (float64) fields, in bucket order.
     """
     if not c1 > 0:
         raise ValueError("c1 must be positive")
@@ -174,7 +168,4 @@ def extract_candidates(s: Sketch, c1: float, tau: float, out_len: int) -> list[C
     # half-away-from-zero, as round_to_int
     nearest = np.copysign(np.floor(np.abs(ratio) + 0.5), ratio)
     keep = (np.abs(ratio - nearest) <= tau) & (nearest >= 0) & (nearest < out_len)
-    return [
-        Candidate(i, v)
-        for i, v in zip(nearest[keep].astype(np.int64).tolist(), s.v[buckets[keep]].tolist())
-    ]
+    return np.rec.fromarrays([nearest[keep], s.v[buckets[keep]]], dtype=[("index", np.int64), ("value", np.float64)])

@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparseconv.approx import ApproxParams, approx_plan, approx_sparse_convolve, ceil_log2
-from sparseconv.exact import ExactParams, exact_sparse_convolve
-from sparseconv.harness import InstanceSpec, generate_instance
+from sparseconv.exact import ExactParams, exact_sparse_convolve, residual_norm
+from sparseconv.harness import InstanceSpec, generate_instance, run_engine
 from sparseconv.hashing import primes_in_range
-from sparseconv.numerics import naive_convolve, support_ge
+from sparseconv.numerics import SparseResult, naive_convolve, support_ge
 
 from isolation import is_isolated
 
@@ -64,29 +68,34 @@ def test_length_mismatch():
         approx_sparse_convolve(np.ones(4), np.ones(5), ApproxParams(k=1, delta=0.1))
 
 
-@pytest.mark.parametrize(
-    "engine, params",
-    [
-        (approx_sparse_convolve, ApproxParams(k=1, delta=0.1)),
-        (exact_sparse_convolve, ExactParams(k=1, delta=0.1)),
-    ],
-    ids=["approx", "exact"],
-)
+ENGINE_ENTRY_POINTS = {
+    "approx": lambda a, b: approx_sparse_convolve(a, b, ApproxParams(k=1, delta=0.1)),
+    "exact": lambda a, b: exact_sparse_convolve(a, b, ExactParams(k=1, delta=0.1)),
+    "residual_norm": lambda a, b: residual_norm(a, b, SparseResult(), 0.5, 1, 0),
+    "run_engine": lambda a, b: run_engine("fft", a, b),
+}
+
+
+@pytest.mark.parametrize("engine", ENGINE_ENTRY_POINTS.values(), ids=list(ENGINE_ENTRY_POINTS))
 @pytest.mark.parametrize(
     "bad",
     [
         np.array([0.0, -1.0, 0.0, 1.0]),  # a negative entry drops terms
         np.full(4, np.nan),  # all-NaN sketches have no heavy bucket
         np.ones((2, 4)),
+        np.ones(5),
     ],
-    ids=["negative", "nan", "2d"],
+    ids=["negative", "nan", "2d", "length-mismatch"],
 )
-def test_engines_reject_inputs_that_void_the_guarantee(engine, params, bad):
+def test_engines_reject_inputs_that_void_the_guarantee(engine, bad):
     good = impulse(4, 1)
     with pytest.raises(ValueError):
-        engine(bad, good, params)
+        engine(bad, good)
     with pytest.raises(ValueError):
-        engine(good, bad, params)
+        engine(good, bad)
+    if bad.shape == (5,):
+        with pytest.raises(ValueError, match="length mismatch: 4 vs 5"):
+            engine(good, bad)
 
 
 def test_deterministic_given_seed():
@@ -161,3 +170,69 @@ def test_every_kept_index_has_majority_votes():
     need = -(-L // 2)
     for idx in out.support():
         assert votes[idx] >= need
+
+
+def _records(pairs):
+    return np.rec.array(np.array(pairs, dtype=[("index", np.int64), ("value", np.float64)]))
+
+
+def _pooled(per_rep):
+    """approx_sparse_convolve with repetition l's extraction scripted as
+    per_rep[l - 1], a list of (index, value) pairs."""
+    params = ApproxParams(k=1, delta=0.5, L_mult=len(per_rep))
+    assert approx_plan(params, 8)[1] == len(per_rep)
+    scripted = iter(per_rep)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("sparseconv.approx.extract_candidates", lambda s, c1, tau, out_len: _records(next(scripted)))
+        return approx_sparse_convolve(np.ones(8), np.ones(8), params)
+
+
+def _pooled_by_dict_of_lists(per_rep):
+    pool: dict[int, list[float]] = {}
+    for pairs in per_rep:
+        for i, v in pairs:
+            pool.setdefault(i, []).append(v)
+    floor = math.ceil(ApproxParams.min_votes_frac * len(per_rep))
+    return {i: sorted(v)[(len(v) - 1) // 2] for i, v in pool.items() if len(v) >= floor}
+
+
+@pytest.mark.parametrize(
+    "per_rep, expected",
+    [
+        ([[(5, 3.0)], [(5, 1.0)], [(5, 2.0)]], {5: 2.0}),
+        ([[(5, 4.0)], [(5, 1.0)], [(5, 3.0)], [(5, 2.0)]], {5: 2.0}),
+        # L = 5 needs ceil(2.5) = 3 votes
+        ([[(1, 7.0), (2, 7.0)], [(1, 7.5), (2, 6.0)], [(1, 6.5)], [], []], {1: 7.0}),
+        ([[(4, 2.0)], [(4, 2.0)], [(4, 2.0), (9, 2.0)]], {4: 2.0}),
+        # a second vote from the same repetition counts as any other
+        ([[(3, 1.0), (3, 5.0)], [], [], []], {3: 1.0}),
+        ([[], [], []], {}),
+    ],
+    ids=["odd-count-takes-the-middle", "even-count-takes-the-lower-middle", "vote-floor",
+         "equal-values", "repeat-within-a-repetition", "no-candidate"],
+)
+def test_vote_pool_matches_the_dict_of_lists_rule(per_rep, expected):
+    assert _pooled_by_dict_of_lists(per_rep) == expected
+    assert _pooled(per_rep).entries == expected
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.data())
+def test_vote_pool_matches_the_dict_of_lists_rule_on_random_votes(data):
+    L = data.draw(st.integers(3, 9), label="L")
+    pair = st.tuples(st.integers(0, 14), st.sampled_from([0.5, 1.0, 2.0, 2.5]) | st.floats(0.5, 100))
+    per_rep = data.draw(st.lists(st.lists(pair, max_size=6), min_size=L, max_size=L), label="votes")
+    assert _pooled(per_rep).entries == _pooled_by_dict_of_lists(per_rep)
+
+
+def test_vote_pool_is_robust_to_minority_corruption():
+    # corrupting up to (L-1)//2 of an index's L votes cannot push its
+    # kept value outside the span of the honest votes
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        votes = sorted(rng.normal(10.0, 0.001, int(rng.integers(3, 12))))
+        poisoned = list(votes)
+        for i in range((len(votes) - 1) // 2):
+            poisoned[i] = float(rng.choice([-1e9, 1e9]))
+        kept = _pooled([[(5, v)] for v in poisoned])
+        assert votes[0] <= kept[5] <= votes[-1]

@@ -260,6 +260,31 @@ class TestRunBenchmark:
         assert (tmp_path / "out" / "summary.json").exists()
         assert summary["cells"]
 
+    def test_instance_keys_reach_the_spec(self, tmp_path, monkeypatch):
+        specs = {}
+
+        def recording(spec, k_budget=None):
+            specs[spec.n] = spec
+            return generate_instance(spec, k_budget)
+
+        monkeypatch.setattr(harness, "generate_instance", recording)
+        config = {
+            "engines": ["fft"],
+            "seeds": [0],
+            "instances": [
+                {"n": 256, "s_a": 2, "s_b": 2, "value_range": [2, 5], "c2": 1e-6,
+                 "noise_density": 0.0, "integer_values": False},
+                {"n": 128, "s_a": 2, "s_b": 2},
+            ],
+        }
+        run_benchmark(config, tmp_path)
+        given, omitted = specs[256], specs[128]
+        assert (given.value_range, given.c2, given.noise_density, given.integer_values) == ((2, 5), 1e-6, 0.0, False)
+        defaults = InstanceSpec(n=128, s_a=2, s_b=2)
+        assert (omitted.value_range, omitted.c2, omitted.noise_density, omitted.integer_values) == (
+            defaults.value_range, defaults.c2, defaults.noise_density, defaults.integer_values
+        )
+
     def test_bad_config(self, tmp_path):
         with pytest.raises(ValueError):
             run_benchmark({"engines": ["fft"]}, tmp_path)
@@ -274,12 +299,16 @@ class TestRunBenchmark:
             with pytest.raises(ValueError, match="jobs"):
                 run_benchmark(_tiny_config([0]), tmp_path / "jobs", jobs=jobs)
             assert not (tmp_path / "jobs").exists()
-        # knobs that would void every score fail before any cell runs
+        # knobs that would void every score, and misspelt keys that would
+        # run on their defaults, fail before any cell runs
         tiny = _tiny_config([0])
         voiding = [
             ("delta", {**tiny, "delta": 1.5}),
             ("c1", {**tiny, "c1": -1}),
             ("k", {**tiny, "instances": [{**tiny["instances"][0], "k": 0}]}),
+            ("noise_densty", {**tiny, "instances": [{**tiny["instances"][0], "noise_densty": 0.0}]}),
+            ("vlaue_range", {**tiny, "instances": [{**tiny["instances"][0], "vlaue_range": [1, 3]}]}),
+            ("detla", {**tiny, "detla": 0.5}),
         ]
         for knob, config in voiding:
             with pytest.raises(ValueError, match=knob):

@@ -5,7 +5,6 @@ from sparseconv.numerics import (
     SparseResult,
     dense_vector,
     derivative,
-    lower_median,
     naive_convolve,
     norm_ge,
     norm_le,
@@ -161,28 +160,3 @@ class TestSparseResult:
 
     def test_equality_ignores_insertion_order(self):
         assert SparseResult({1: 2.0, 3: 4.0}) == SparseResult({3: 4.0, 1: 2.0})
-
-
-class TestLowerMedian:
-    def test_odd(self):
-        assert lower_median([3.0, 1.0, 2.0]) == 2.0
-
-    def test_even_takes_lower(self):
-        assert lower_median([4.0, 1.0, 3.0, 2.0]) == 2.0
-
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            lower_median([])
-
-    def test_robust_to_minority_corruption(self):
-        # corrupting up to (len-1)//2 votes cannot push the median
-        # outside the span of the honest votes
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            votes = sorted(rng.normal(10.0, 0.001, int(rng.integers(3, 12))))
-            corrupt = int((len(votes) - 1) // 2)
-            poisoned = list(votes)
-            for i in range(corrupt):
-                poisoned[i] = float(rng.choice([-1e9, 1e9]))
-            med = lower_median(poisoned)
-            assert votes[0] <= med <= votes[-1]

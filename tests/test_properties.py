@@ -16,7 +16,6 @@ from sparseconv.fft import cyclic_convolve, fft_convolve, pad_length, transform_
 from sparseconv.hashing import fold, primes_in_range
 from sparseconv.numerics import SparseResult, naive_convolve, round_to_int
 from sparseconv.sketch import (
-    Candidate,
     Sketch,
     SketchCache,
     build_residual_sketch,
@@ -98,7 +97,7 @@ def extract_by_loop(s, c1, tau, out_len):
             continue
         nearest = round_to_int(float(ratio))
         if abs(ratio - nearest) <= tau and 0 <= nearest < out_len:
-            out.append(Candidate(nearest, float(s.v[i])))
+            out.append((nearest, float(s.v[i])))
     return out
 
 
@@ -113,7 +112,7 @@ def test_extraction_matches_the_bucket_loop(data, c1, tau, out_len):
         st.sampled_from([np.inf, -np.inf, np.nan]), label="bad value"
     )
     s = Sketch(p, v, w)
-    assert extract_candidates(s, c1, tau, out_len) == extract_by_loop(s, c1, tau, out_len)
+    assert extract_candidates(s, c1, tau, out_len).tolist() == extract_by_loop(s, c1, tau, out_len)
 
 
 def _is_5_smooth(x):

@@ -117,17 +117,17 @@ class TestExtractCandidates:
         w = np.zeros(7)
         v[3] = 2.0
         w[3] = 13.0
-        assert extract_candidates(Sketch(7, v, w), 0.5, 0.25, 21) == []
+        assert len(extract_candidates(Sketch(7, v, w), 0.5, 0.25, 21)) == 0
 
     def test_all_zero_sketch(self):
-        assert extract_candidates(Sketch(5, np.zeros(5), np.zeros(5)), 0.5, 0.25, 9) == []
+        assert len(extract_candidates(Sketch(5, np.zeros(5), np.zeros(5)), 0.5, 0.25, 9)) == 0
 
     def test_out_of_range_index_rejected(self):
         v = np.zeros(7)
         w = np.zeros(7)
         v[2] = 1.0
         w[2] = 30.0  # ratio 30 beyond out_len
-        assert extract_candidates(Sketch(7, v, w), 0.5, 0.25, 21) == []
+        assert len(extract_candidates(Sketch(7, v, w), 0.5, 0.25, 21)) == 0
 
     def test_parameter_validation(self):
         sk = Sketch(3, np.zeros(3), np.zeros(3))
