@@ -93,24 +93,23 @@ def approx_sparse_convolve(
 
     Deterministic given (a, b, params): repetition l draws its prime
     from a generator seeded by (seed, l), so repetitions are independent
-    and could run in parallel. A SketchCache of (a, b) is used as given,
-    route included; without one, dense_route prices this call's sketches.
-
-    Raises ValueError unless a and b are equal-length, finite,
-    non-negative 1-D vectors.
+    and could run in parallel. A given SketchCache is used as it is,
+    route and inputs included, so a and b are not read; without one,
+    dense_route prices this call's sketches, and ValueError is raised
+    unless a and b are equal-length, finite, non-negative 1-D vectors.
     """
-    a, b = dense_pair(a, b)
-    n = len(a)
+    if cache is None:
+        a, b = dense_pair(a, b)
+        cache = SketchCache(a, b, dense_route(len(a), approx_plan(params, len(a))))
+    n = len(cache.a)
     out_len = 2 * n - 1
     m, L = approx_plan(params, n)
-    if cache is None:
-        cache = SketchCache(a, b, dense_route(n, (m, L)))
 
     records = []
     for l in range(1, L + 1):
         rng = np.random.default_rng([params.seed, l])
         p = sample_prime(m, rng)
-        sk = build_sketch(a, b, p, cache=cache)
+        sk = build_sketch(cache.a, cache.b, p, cache=cache)
         records.append(extract_candidates(sk, params.c1, params.tau, out_len))
 
     votes = np.concatenate(records)

@@ -7,8 +7,8 @@ subtracted inside the sketch), picks the repetition whose sketch
 exposes the most significant buckets, and folds the recovered mass back
 into C. Residual support shrinks doubly exponentially, so level
 repetition counts decay geometrically and the first level dominates
-the work. The bootstrap and the levels share one SketchCache, whose
-route dense_route prices once over all their planned sketches.
+the work. The bootstrap and the levels read A and B from one SketchCache,
+whose route dense_route prices once over all their planned sketches.
 
 A modulus m >= 2n-1 is lossless: every prime p >= m folds by identity,
 so on the dense route each residual sketch is the residual itself, bit
@@ -117,14 +117,14 @@ def _lossless(cache: SketchCache, m: int) -> bool:
     return cache.dense and m >= 2 * len(cache.a) - 1
 
 
-def _residual_sketches(a, b, current, m, reps, key, cache):
-    """Residual sketches of A*B - current, repetition r = 1..reps with its
-    prime drawn from (*key, r); one at a lossless modulus, where all tie."""
+def _residual_sketches(cache, current, m, reps, key):
+    """The cache's residual sketches of A*B - current, repetition r = 1..reps
+    with its prime drawn from (*key, r); one at a lossless modulus, where all tie."""
     if _lossless(cache, m):
         reps = 1
     for r in range(1, reps + 1):
         p = sample_prime(m, np.random.default_rng([*key, r]))
-        yield build_residual_sketch(a, b, current, p, cache=cache)
+        yield build_residual_sketch(cache.a, cache.b, current, p, cache=cache)
 
 
 def _merged(current: SparseResult, pairs, params: ExactParams) -> SparseResult:
@@ -154,12 +154,14 @@ def run_correction_level(
     significant buckets (ties to the smallest r), and folds its
     candidates into a copy of `current`. At a lossless modulus all
     sketches are equal, so only r = 1 is built. Returns the updated
-    result and the chosen prime.
+    result and the chosen prime. Inputs are the given cache's, or else
+    checked as in approx_sparse_convolve.
     """
     if cache is None:
+        a, b = dense_pair(a, b)
         cache = SketchCache(a, b, dense_route(len(a), (m, reps)))
     chosen = max(
-        _residual_sketches(a, b, current, m, reps, (params.seed, level), cache),
+        _residual_sketches(cache, current, m, reps, (params.seed, level)),
         key=lambda sk: np.count_nonzero(sk.v >= params.c1),
     )
     candidates = extract_candidates(chosen, params.c1, params.tau, 2 * len(cache.a) - 1)
@@ -237,11 +239,10 @@ def residual_norm(
         raise ValueError("c1 must be positive")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    n = len(a)
     if m is None:
-        m = max(2 * n - 1, 16)
-    cache = SketchCache(a, b, dense_route(n, (m, trials)))
+        m = max(2 * len(a) - 1, 16)
+    cache = SketchCache(a, b, dense_route(len(a), (m, trials)))
     return max(
         np.count_nonzero(np.abs(sk.v) >= c1)
-        for sk in _residual_sketches(a, b, c, m, trials, (seed,), cache)
+        for sk in _residual_sketches(cache, c, m, trials, (seed,))
     )

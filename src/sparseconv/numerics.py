@@ -2,8 +2,8 @@
 derivative, the brute-force convolution oracle, generalized norms and
 support, and half-away-from-zero rounding.
 
-Everything here is a pure function on immutable inputs; nothing mutates
-its arguments.
+Nothing here mutates its arguments; dense_pair, the engines' one input
+check, returns contiguous float64 input itself, not a copy.
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ __all__ = [
 ]
 
 def dense_vector(values) -> np.ndarray:
-    """Validate and normalize a non-negative 1-D vector to float64.
+    """Validate a non-negative 1-D vector as contiguous float64: `values`
+    itself when it already is one, else a converted copy.
 
-    Raises ValueError on empty input, non-finite entries, or any
-    negative entry.
+    Raises ValueError on non-1-D or empty input, non-finite entries, or
+    any negative entry.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
@@ -40,7 +41,7 @@ def dense_vector(values) -> np.ndarray:
         raise ValueError("vector entries must be finite")
     if np.any(arr < 0):
         raise ValueError("vector entries must be non-negative")
-    return arr.copy()
+    return np.ascontiguousarray(arr)  # after the ndim check: it makes 0-d input 1-D
 
 
 def dense_pair(a, b) -> tuple[np.ndarray, np.ndarray]:

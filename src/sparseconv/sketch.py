@@ -35,7 +35,7 @@ import numpy as np
 
 from .fft import fft_convolve, fft_forward, fft_inverse_real, fold_linear_to_cyclic, pad_length, transform_work
 from .hashing import fold, fold_sparse
-from .numerics import SparseResult
+from .numerics import SparseResult, dense_pair
 
 __all__ = [
     "Sketch",
@@ -73,8 +73,10 @@ class SketchCache:
     """Arrays derived from one (A, B) pair, shared by the sketches of one
     engine call, which all take the route `dense` fixes (see dense_route).
 
-    The dense route builds the product A*B up front and its FFT work is
-    charged once; the cyclic route folds the inputs themselves.
+    A and B are held by reference and were checked by whoever built the
+    cache; a call given one takes them as its inputs. The dense route
+    builds the product A*B up front and its FFT work is charged once; the
+    cyclic route folds the inputs themselves.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, dense: bool):
@@ -105,10 +107,11 @@ def build_sketch(
     Each input is read once, by fold(X, p, moment=True). The cyclic route
     shares the forward transforms of fold(A), fold(B) between V and W and
     merges W's two products in the spectrum domain: 4 forward + 2 inverse
-    transforms per sketch. The route is the cache's; without a cache,
-    dense_route decides for this sketch alone.
+    transforms per sketch. Route and inputs are the cache's; without one,
+    dense_pair checks a and b and dense_route decides for this sketch alone.
     """
     if cache is None:
+        a, b = dense_pair(a, b)
         cache = SketchCache(a, b, dense_route(len(a), (p, 1)))
     if cache.dense:
         return Sketch(p, *fold(cache.conv, p, moment=True))
@@ -136,7 +139,7 @@ def build_residual_sketch(
 
     Subtracts fold(C_prev) from V and fold(dC_prev) from W; the partial
     result is folded sparsely in O(|C_prev|). V entries can go negative
-    where C_prev overshoots.
+    where C_prev overshoots. Inputs are checked as in build_sketch.
     """
     base = build_sketch(a, b, p, cache=cache)
     universe = 2 * len(a) - 1

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparseconv.approx import ApproxParams, approx_plan, approx_sparse_convolve, ceil_log2
-from sparseconv.exact import ExactParams, exact_sparse_convolve, residual_norm
+from sparseconv.exact import ExactParams, exact_sparse_convolve, residual_norm, run_correction_level
 from sparseconv.harness import InstanceSpec, generate_instance, run_engine
 from sparseconv.hashing import primes_in_range
 from sparseconv.numerics import SparseResult, naive_convolve, support_ge
+from sparseconv.sketch import SketchCache, build_residual_sketch, build_sketch, dense_route
 
 from isolation import is_isolated
 
@@ -73,6 +74,11 @@ ENGINE_ENTRY_POINTS = {
     "exact": lambda a, b: exact_sparse_convolve(a, b, ExactParams(k=1, delta=0.1)),
     "residual_norm": lambda a, b: residual_norm(a, b, SparseResult(), 0.5, 1, 0),
     "run_engine": lambda a, b: run_engine("fft", a, b),
+    "build_sketch": lambda a, b: build_sketch(a, b, 5),
+    "build_residual_sketch": lambda a, b: build_residual_sketch(a, b, SparseResult(), 5),
+    "run_correction_level": lambda a, b: run_correction_level(
+        a, b, SparseResult(), 1, 1, 16, ExactParams(k=1, delta=0.1)
+    ),
 }
 
 
@@ -83,9 +89,11 @@ ENGINE_ENTRY_POINTS = {
         np.array([0.0, -1.0, 0.0, 1.0]),  # a negative entry drops terms
         np.full(4, np.nan),  # all-NaN sketches have no heavy bucket
         np.ones((2, 4)),
+        np.array(1.0),
+        np.zeros(0),
         np.ones(5),
     ],
-    ids=["negative", "nan", "2d", "length-mismatch"],
+    ids=["negative", "nan", "2d", "0d", "empty", "length-mismatch"],
 )
 def test_engines_reject_inputs_that_void_the_guarantee(engine, bad):
     good = impulse(4, 1)
@@ -96,6 +104,35 @@ def test_engines_reject_inputs_that_void_the_guarantee(engine, bad):
     if bad.shape == (5,):
         with pytest.raises(ValueError, match="length mismatch: 4 vs 5"):
             engine(good, bad)
+
+
+def test_inputs_are_only_read():
+    inst = generate_instance(InstanceSpec(n=2**10, s_a=4, s_b=4, seed=31))
+    frozen = [inst.a.copy(), inst.b.copy()]
+    for v in frozen:
+        v.setflags(write=False)
+    calls = [
+        lambda a, b: approx_sparse_convolve(a, b, ApproxParams(k=16, delta=0.1, seed=2)),
+        lambda a, b: exact_sparse_convolve(a, b, ExactParams(k=16, delta=0.1, seed=2)),
+        lambda a, b: residual_norm(a, b, SparseResult(), 0.5, 1, 0),
+        lambda a, b: run_engine("approx", a, b, k=16).result,
+        lambda a, b: build_sketch(a, b, 101).v.tolist(),
+    ]
+    for call in calls:
+        assert call(*frozen) == call(inst.a, inst.b)
+
+
+def test_a_given_cache_supplies_the_inputs():
+    # n = 2^16, k = 2 prices to the cyclic route, so the cached call below
+    # sketches the way the uncached one does
+    inst = generate_instance(InstanceSpec(n=2**16, s_a=1, s_b=2, seed=7))
+    params = ApproxParams(k=2, delta=0.1, seed=3)
+    n = len(inst.a)
+    assert not dense_route(n, approx_plan(params, n))
+    cached = approx_sparse_convolve(np.zeros(n), np.zeros(n), params, cache=SketchCache(inst.a, inst.b, False))
+    uncached = approx_sparse_convolve(inst.a, inst.b, params)
+    assert len(uncached) > 0
+    assert cached.sorted_items() == uncached.sorted_items()
 
 
 def test_deterministic_given_seed():

@@ -86,6 +86,25 @@ def test_bootstrap_gets_every_approx_knob_with_half_delta(monkeypatch):
     assert seen == [ApproxParams(k=2, delta=0.1, c1=0.75, L_mult=3.0, seed=4)]
 
 
+def test_an_exact_call_checks_its_inputs_once(monkeypatch):
+    import sparseconv.approx
+    import sparseconv.exact
+    import sparseconv.sketch
+
+    checks = []
+    original = sparseconv.exact.dense_pair
+
+    def counting(a, b):
+        checks.append(len(a))
+        return original(a, b)
+
+    for module in (sparseconv.exact, sparseconv.approx, sparseconv.sketch):
+        monkeypatch.setattr(module, "dense_pair", counting)
+    inst = generate_instance(InstanceSpec(n=2**10, s_a=4, s_b=4, seed=31))
+    exact_sparse_convolve(inst.a, inst.b, ExactParams(k=16, delta=0.1, seed=2))
+    assert checks == [2**10]
+
+
 def test_single_impulse_unchanged_across_levels():
     trace = CorrectionTrace()
     out = exact_sparse_convolve(

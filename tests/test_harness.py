@@ -372,6 +372,18 @@ class TestCli:
         assert cli_main(["conv", "--engine", "approx", "--a", str(out), "--b", str(out)]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("engine", ["naive", "approx", "exact"])
+    def test_conv_rejects_files_of_different_length(self, tmp_path, capsys, engine):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        cli_main(["gen", "--n", "64", "--sa", "1", "--sb", "1", "--out", str(a)])
+        cli_main(["gen", "--n", "32", "--sa", "1", "--sb", "1", "--out", str(b)])
+        capsys.readouterr()
+        rc = cli_main(["conv", "--engine", engine, "--k", "4", "--a", str(a), "--b", str(b)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "length mismatch: 64 vs 32" in captured.err
+        assert captured.out == ""
+
     def test_dense_engines_reject_nonpositive_c1(self, tmp_path, capsys):
         # otherwise they would report the whole product
         for engine in ("naive", "fft"):

@@ -40,11 +40,19 @@ class TestDenseVector:
         with pytest.raises(ValueError):
             dense_vector([1.0, float("inf")])
 
-    def test_copies_input(self):
+    def test_returns_contiguous_float64_input_itself(self):
         src = np.array([1.0, 2.0])
+        assert dense_vector(src) is src
+
+    @pytest.mark.parametrize("src", [np.arange(8.0)[::2], np.array([1, 2, 3])], ids=["strided", "int"])
+    def test_converts_other_input_to_contiguous_float64(self, src):
         v = dense_vector(src)
-        src[0] = 99.0
-        assert v[0] == 1.0
+        assert v.dtype == np.float64 and v.flags.c_contiguous
+        assert v.tolist() == src.tolist()
+
+    def test_rejects_0d(self):
+        with pytest.raises(ValueError, match="1-D"):
+            dense_vector(np.array(1.0))
 
 
 class TestDerivative:
