@@ -67,8 +67,8 @@ ENGINE_NAMES = ("naive", "fft", "approx", "exact")
 ENGINE_ALIASES = {"dense-fft": "fft"}
 
 class GenerationInfeasibleError(Exception):
-    """The requested instance cannot be generated (gap band violated
-    repeatedly, or realized support exceeds the caller's k budget)."""
+    """The requested instance cannot be generated (noise ceiling too large,
+    gap band audit failed, or realized support over the caller's k budget)."""
 
 
 @dataclass(frozen=True)
@@ -200,41 +200,33 @@ def _generate_parts(spec: InstanceSpec, k_budget: int | None):
         raise GenerationInfeasibleError(
             f"noise ceiling c2={c2:g} too large for value range {spec.value_range} at n={spec.n}"
         )
-    for attempt in range(10):
-        rng = np.random.default_rng([spec.seed, attempt, 0xA11CE])
-        pos_a = np.sort(rng.choice(spec.n, size=spec.s_a, replace=False))
-        pos_b = np.sort(rng.choice(spec.n, size=spec.s_b, replace=False))
-        if spec.integer_values:
-            val_a = rng.integers(lo, hi + 1, size=spec.s_a).astype(np.float64)
-            val_b = rng.integers(lo, hi + 1, size=spec.s_b).astype(np.float64)
-        else:
-            val_a = rng.uniform(lo, hi, size=spec.s_a)
-            val_b = rng.uniform(lo, hi, size=spec.s_b)
-        noise_seed = int(rng.integers(0, 2**62))
-        eta = spec.noise_eta
-        density = spec.noise_density if eta > 0 else 0.0
-        parts = _Parts(spec.n, pos_a, val_a, pos_b, val_b, eta, density, noise_seed)
-        a, b = _assemble(parts)
-        ok, k_eff, c1_eff = _audit(spec, parts, a, b)
-        if not ok:
-            continue
-        if k_budget is not None and k_eff > k_budget:
-            raise GenerationInfeasibleError(
-                f"instance realizes k_effective={k_eff} > budget {k_budget}"
-            )
-        return parts, GeneratedInstance(a, b, k_eff, c1_eff)
-    raise GenerationInfeasibleError(
-        f"gap band (c2={spec.c2_effective:g}, c1={float(spec.value_range[0])}) "
-        f"violated in 10 attempts for seed {spec.seed}"
-    )
+    rng = np.random.default_rng([spec.seed, 0, 0xA11CE])
+    pos_a = np.sort(rng.choice(spec.n, size=spec.s_a, replace=False))
+    pos_b = np.sort(rng.choice(spec.n, size=spec.s_b, replace=False))
+    if spec.integer_values:
+        val_a = rng.integers(lo, hi + 1, size=spec.s_a).astype(np.float64)
+        val_b = rng.integers(lo, hi + 1, size=spec.s_b).astype(np.float64)
+    else:
+        val_a = rng.uniform(lo, hi, size=spec.s_a)
+        val_b = rng.uniform(lo, hi, size=spec.s_b)
+    noise_seed = int(rng.integers(0, 2**62))
+    eta = spec.noise_eta
+    density = spec.noise_density if eta > 0 else 0.0
+    parts = _Parts(spec.n, pos_a, val_a, pos_b, val_b, eta, density, noise_seed)
+    a, b = _assemble(parts)
+    ok, k_eff, c1_eff = _audit(spec, parts, a, b)
+    if not ok:
+        raise GenerationInfeasibleError(f"gap band (c2={c2:g}, c1={c1_eff}) violated for seed {spec.seed}")
+    if k_budget is not None and k_eff > k_budget:
+        raise GenerationInfeasibleError(f"instance realizes k_effective={k_eff} > budget {k_budget}")
+    return parts, GeneratedInstance(a, b, k_eff, c1_eff)
 
 
 def generate_instance(spec: InstanceSpec, k_budget: int | None = None) -> GeneratedInstance:
     """Generate (A, B) plus the realized significant count and threshold.
 
-    Retries with derived seeds if the gap band audit fails; raises
-    GenerationInfeasibleError after 10 attempts or when the realized
-    support exceeds k_budget.
+    Raises GenerationInfeasibleError when the gap band audit fails or
+    the realized support exceeds k_budget.
     """
     _, inst = _generate_parts(spec, k_budget)
     return inst

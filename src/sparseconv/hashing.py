@@ -5,7 +5,8 @@ The hash family is g(x) = x mod p with p drawn uniformly from the primes
 in [m, 2m]. Folding a vector sums its entries within each residue class,
 so folding commutes with convolution (linear conv folds to cyclic conv).
 A sketch folds each vector twice, plain and index-weighted; fold(a, p,
-moment=True) does both in one pass over a, as one numpy.matmul.
+moment=True) does both in one pass over a, as one numpy.matmul, and
+fold_sparse returns the same pair for a vector given by its entries.
 """
 
 from __future__ import annotations
@@ -78,8 +79,9 @@ def fold(a: np.ndarray, p: int, moment: bool = False) -> np.ndarray | tuple[np.n
     return (out[0], out[1]) if moment else out[0]
 
 
-def fold_sparse(indices, values, p: int, universe: int) -> np.ndarray:
-    """Fold a sparse index -> value collection; cost O(len(indices)).
+def fold_sparse(indices, values, p: int, universe: int) -> tuple[np.ndarray, np.ndarray]:
+    """fold(x, p, moment=True) for x[indices] = values, from one pass
+    over the entries in O(len(indices)), summing in input order.
 
     Indices must lie in [0, universe); out-of-range entries are an error
     because they can only come from a corrupted partial result.
@@ -88,6 +90,5 @@ def fold_sparse(indices, values, p: int, universe: int) -> np.ndarray:
     val = np.asarray(list(values), dtype=np.float64)
     if idx.size and (idx.min() < 0 or idx.max() >= universe):
         raise ValueError("sparse index out of range")
-    out = np.zeros(p)
-    np.add.at(out, idx % p, val)
-    return out
+    buckets = idx % p  # astype: bincount over no entries returns int64 zeros
+    return tuple(np.bincount(buckets, weights=x, minlength=p).astype(np.float64, copy=False) for x in (val, idx * val))

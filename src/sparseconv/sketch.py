@@ -25,6 +25,9 @@ once per engine call, over all of the call's sketches: their cyclic
 transforms, each priced at the smallest prime of its family's [m, 2m],
 are weighed against the one dense product in fft_work() units. Folds
 cost about the same on both routes.
+
+A residual sketch subtracts fold_sparse's (fold, moment) pair for a
+sparse partial result C, in O(|C|): it is the sketch of A*B - C.
 """
 
 from __future__ import annotations
@@ -137,18 +140,18 @@ def build_residual_sketch(
 ) -> Sketch:
     """Sketch of A*B minus a sparse partial reconstruction.
 
-    Subtracts fold(C_prev) from V and fold(dC_prev) from W; the partial
-    result is folded sparsely in O(|C_prev|). V entries can go negative
-    where C_prev overshoots. Inputs are checked as in build_sketch.
+    Subtracts fold_sparse's pair for C_prev, its fold and its moment's,
+    from (V, W) in O(|C_prev|). V entries can go negative where C_prev
+    overshoots. Inputs and the output length are the given cache's, or
+    else a and b, checked as in build_sketch.
     """
-    base = build_sketch(a, b, p, cache=cache)
-    universe = 2 * len(a) - 1
-    idx = list(c_prev.entries.keys())
-    val = list(c_prev.entries.values())
-    v = base.v - fold_sparse(idx, val, p, universe)
-    dval = [i * x for i, x in zip(idx, val)]
-    w = base.w - fold_sparse(idx, dval, p, universe)
-    return Sketch(p, v, w)
+    sk = build_sketch(a, b, p, cache=cache)
+    n = len(a if cache is None else cache.a)
+    fc, fdc = fold_sparse(c_prev.entries.keys(), c_prev.entries.values(), p, 2 * n - 1)
+    # in place: a sketch's arrays are its own, and p can reach 4n
+    np.subtract(sk.v, fc, out=sk.v)
+    np.subtract(sk.w, fdc, out=sk.w)
+    return sk
 
 
 def extract_candidates(s: Sketch, c1: float, tau: float, out_len: int) -> np.recarray:

@@ -35,6 +35,8 @@ class TestParams:
             ApproxParams(k=1, delta=1.0)
         with pytest.raises(ValueError):
             ApproxParams(k=1, delta=0.1, L_mult=0.5)
+        with pytest.raises(ValueError, match="seed"):
+            ApproxParams(k=1, delta=0.1, seed=-1)
         # the fixed constants keep their values but are not fields
         params = ApproxParams(k=1, delta=0.1)
         for name, value in (("tau", 0.25), ("m_mult", 4), ("min_votes_frac", 0.5)):

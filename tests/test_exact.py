@@ -253,6 +253,11 @@ class TestResidualNorm:
         full = {j: float(round(oracle[j])) for j in supp}
         return inst, full
 
+    def test_rejects_no_trials(self):
+        inst, full = self._instance()
+        with pytest.raises(ValueError, match="trials"):
+            residual_norm(inst.a, inst.b, SparseResult(full), 0.5, 0, 7)
+
     def test_zero_for_exact_result(self):
         inst, full = self._instance()
         assert residual_norm(inst.a, inst.b, SparseResult(full), 0.5, 4, 7) == 0

@@ -6,6 +6,7 @@ import pytest
 from sparseconv.fft import (
     cyclic_convolve,
     fft_convolve,
+    fft_forward,
     fft_work,
     pad_length,
     reset_fft_work,
@@ -55,6 +56,11 @@ def test_random_pairs_match_naive():
 def test_length_mismatch():
     with pytest.raises(ValueError):
         fft_convolve(np.ones(3), np.ones(5))
+
+
+def test_forward_rejects_input_longer_than_the_transform():
+    with pytest.raises(ValueError, match="longer"):
+        fft_forward(np.ones(9), 8)
 
 
 def test_cyclic_all_ones():

@@ -69,6 +69,23 @@ class TestGenerateInstance:
             InstanceSpec(n=8, s_a=0, s_b=1)
         with pytest.raises(ValueError):
             InstanceSpec(n=8, s_a=1, s_b=1, value_range=(0, 5))
+        for field, value in (("c2", 0.0), ("c2", 1.0), ("noise_density", 1.5), ("noise_density", -0.1), ("seed", -1)):
+            with pytest.raises(ValueError, match=field):
+                InstanceSpec(n=8, s_a=1, s_b=1, **{field: value})
+
+    def test_failed_audit_raises_at_once(self, monkeypatch):
+        # a feasible spec always passes the audit; if it did not, the
+        # instance would be infeasible, not redrawn
+        audits = []
+
+        def failing(*args):
+            audits.append(1)
+            return False, 1, 1.0
+
+        monkeypatch.setattr(harness, "_audit", failing)
+        with pytest.raises(GenerationInfeasibleError, match="gap band"):
+            generate_instance(InstanceSpec(n=64, s_a=1, s_b=1, seed=1))
+        assert len(audits) == 1
 
 
 class TestInstanceFiles:
@@ -97,6 +114,23 @@ class TestInstanceFiles:
         path = tmp_path / "bad.txt"
         path.write_text("not-an-instance\n")
         with pytest.raises(ValueError):
+            load_instance(path)
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("sparseconv-instance v1\nm=16\nA 1\n3 1.0\nB 1\n0 1.0\nnoise eta=0.0 density=0.0 seed=0\n", "n="),
+            ("sparseconv-instance v1\nn=16\nB 1\n3 1.0\nA 1\n0 1.0\nnoise eta=0.0 density=0.0 seed=0\n", "section A"),
+            ("sparseconv-instance v1\nn=16\nA 1\n16 1.0\nB 1\n0 1.0\nnoise eta=0.0 density=0.0 seed=0\n", "out of range"),
+            ("sparseconv-instance v1\nn=16\nA 1\n3 1.0\nB 1\n0 1.0\nnoisy eta=0.0 density=0.0 seed=0\n", "noise"),
+            ("sparseconv-instance v1\nn=16\nA 1\n3 1.0\nB 1\n0 1.0\n", "malformed"),
+        ],
+        ids=["no-n-line", "wrong-section-tag", "index-at-n", "no-noise-line", "truncated-before-noise"],
+    )
+    def test_malformed_body(self, tmp_path, text, match):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
             load_instance(path)
 
     def test_truncated_file(self, tmp_path):
@@ -288,6 +322,10 @@ class TestRunBenchmark:
     def test_bad_config(self, tmp_path):
         with pytest.raises(ValueError):
             run_benchmark({"engines": ["fft"]}, tmp_path)
+        with pytest.raises(ValueError, match="dict"):
+            run_benchmark([_tiny_config([0])], tmp_path)
+        with pytest.raises(ValueError, match="schema_version"):
+            run_benchmark({**_tiny_config([0]), "schema_version": 2}, tmp_path)
         with pytest.raises(ValueError):
             run_benchmark({"engines": ["warp"], "seeds": [0], "instances": [{"n": 8, "s_a": 1, "s_b": 1}]}, tmp_path)
         seedless = _tiny_config([])
@@ -395,6 +433,19 @@ class TestCli:
         capsys.readouterr()
         assert cli_main(["conv", "--engine", "fft", "--c1", "0", "--a", str(out), "--b", str(out)]) == 1
         assert capsys.readouterr().out == ""
+
+    def test_engine_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "inst.txt"
+        cli_main(["gen", "--n", "64", "--sa", "1", "--sb", "1", "--out", str(out)])
+        capsys.readouterr()
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("sparseconv.cli.run_engine", failing)
+        assert cli_main(["conv", "--engine", "fft", "--a", str(out), "--b", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "engine failure: boom" in captured.err and captured.out == ""
 
     def test_infeasible_gen_exit_code(self, tmp_path, capsys):
         # c2 far too large for the band to close

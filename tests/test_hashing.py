@@ -49,6 +49,10 @@ class TestSamplePrime:
 
 
 class TestFold:
+    def test_modulus_must_be_positive(self):
+        with pytest.raises(ValueError, match="modulus"):
+            fold(np.ones(4), 0)
+
     def test_identity_when_p_large(self):
         a = np.array([3.0, 1, 2, 1, 2, 1, 1])
         out = fold(a, 9)
@@ -120,9 +124,14 @@ class TestFoldSparse:
         entries = {3: 2.0, 17: 5.0, 44: 1.5}
         for i, v in entries.items():
             dense[i] = v
-        np.testing.assert_allclose(
-            fold_sparse(entries.keys(), entries.values(), 7, 50), fold(dense, 7), atol=1e-12
-        )
+        v, w = fold_sparse(entries.keys(), entries.values(), 7, 50)
+        dense_v, dense_w = fold(dense, 7, moment=True)
+        np.testing.assert_allclose(v, dense_v, atol=1e-12)
+        np.testing.assert_allclose(w, dense_w, atol=1e-12)
+
+    def test_no_entries_fold_to_float_zeros(self):
+        for out in fold_sparse([], [], 7, 50):
+            assert out.dtype == np.float64 and out.tolist() == [0.0] * 7
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):

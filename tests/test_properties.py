@@ -1,7 +1,7 @@
 """Property tests for the identities the recovery engines rest on:
 folding commutes with convolution, one pass folds a vector and its
-index-weighted copy alike, an isolated bucket's W/V ratio names
-its output index, and at a lossless modulus every residual sketch is the
+index-weighted copy alike, from its dense or its sparse form, an
+isolated bucket's W/V ratio names its output index, and at a lossless modulus every residual sketch is the
 residual itself. Vectorised extraction is checked against the
 bucket-by-bucket loop it replaced. Transforms pad to the next
 2^a * 3^b * 5^c length and are charged N * log2(N)."""
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sparseconv.fft import cyclic_convolve, fft_convolve, pad_length, transform_work
-from sparseconv.hashing import fold, primes_in_range
+from sparseconv.hashing import fold, fold_sparse, primes_in_range
 from sparseconv.numerics import SparseResult, naive_convolve, round_to_int
 from sparseconv.sketch import (
     Sketch,
@@ -48,6 +48,11 @@ def test_moment_fold_matches_folding_the_weighted_copy(data):
     v, w = fold(a, p, moment=True)
     np.testing.assert_array_equal(v, fold(a, p))
     np.testing.assert_allclose(w, fold(np.arange(n) * a, p), rtol=1e-12, atol=0)
+    # the sparse form of a gives the same pair, below and above p = n
+    support = np.flatnonzero(a)
+    sparse_v, sparse_w = fold_sparse(support, a[support], p, n)
+    np.testing.assert_allclose(sparse_v, v, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(sparse_w, w, rtol=1e-12, atol=0)
 
 
 @PROPERTY

@@ -328,3 +328,36 @@ def test_approx_uses_a_given_cache_as_it_is(monkeypatch):
     given = approx_sparse_convolve(inst.a, inst.b, params, cache=SketchCache(inst.a, inst.b, dense=False))
     assert len(built) == 1
     assert given.support() == own.support()
+
+
+def _cached_calls():
+    from sparseconv.approx import ApproxParams, approx_sparse_convolve
+    from sparseconv.exact import ExactParams, run_correction_level
+
+    def arrays(sk):
+        return sk.p, sk.v.tolist(), sk.w.tolist()
+
+    partial = SparseResult({1500: 1.0})  # a valid output index of the cache's inputs only
+    return {
+        "approx_sparse_convolve": lambda a, b, cache: approx_sparse_convolve(
+            a, b, ApproxParams(k=4, delta=0.1, seed=0), cache=cache
+        ).sorted_items(),
+        "build_sketch": lambda a, b, cache: arrays(build_sketch(a, b, 1511, cache=cache)),
+        "build_residual_sketch": lambda a, b, cache: arrays(build_residual_sketch(a, b, partial, 1511, cache=cache)),
+        "run_correction_level": lambda a, b, cache: run_correction_level(
+            a, b, partial, 1, 2, 1024, ExactParams(k=4, delta=0.1, seed=0), cache=cache
+        ),
+    }
+
+
+@pytest.mark.parametrize("call", _cached_calls().values(), ids=list(_cached_calls()))
+def test_a_given_cache_supplies_every_input(monkeypatch, call):
+    # a given cache fixes the route and the inputs, and with them the
+    # output length: stand-in a, b of another length are not read
+    inst = generate_instance(InstanceSpec(n=2**14, s_a=2, s_b=2, seed=0))
+    cache = SketchCache(inst.a, inst.b, dense=False)
+    built = []
+    monkeypatch.setattr(SketchCache, "dense_products", lambda self: built.append(1))
+    own = call(inst.a, inst.b, cache)
+    assert call(np.ones(4), np.ones(4), cache) == own
+    assert not built
