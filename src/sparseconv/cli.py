@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .exact import ExactParams
 from .harness import (
     ENGINE_ALIASES,
     ENGINE_NAMES,
@@ -88,12 +89,11 @@ def _cmd_run(args) -> int:
 def _cmd_conv(args) -> int:
     inst_a = load_instance(args.a)
     inst_b = load_instance(args.b)
-    k = args.k
-    if k is None:
-        if args.engine in ("approx", "exact"):
-            raise ValueError(f"--k is required for engine {args.engine!r}")
-        k = 1
-    run = run_engine(args.engine, inst_a.a, inst_b.b, k=k, delta=args.delta, c1=args.c1, seed=args.seed)
+    if args.k is None and args.engine in ("approx", "exact"):
+        raise ValueError(f"--k is required for engine {args.engine!r}")
+    k = 1 if args.k is None else args.k  # the dense engines read only c1
+    params = ExactParams(k=k, delta=args.delta, c1=args.c1, seed=args.seed)
+    run = run_engine(args.engine, inst_a.a, inst_b.b, params)
     # Sparse view on stdout (index value per line); timings to stderr so
     # stdout stays deterministic for a fixed seed.
     items = run.result.sorted_items()

@@ -23,13 +23,13 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .approx import ApproxParams, approx_sparse_convolve
+from .approx import approx_sparse_convolve
 from .exact import ExactParams, exact_sparse_convolve
 from .fft import fft_convolve, fft_work, reset_fft_work
 from .numerics import (
@@ -97,6 +97,8 @@ class InstanceSpec:
         lo, hi = self.value_range
         if not 1 <= lo <= hi:
             raise ValueError("value_range must satisfy 1 <= lo <= hi")
+        if self.integer_values and not (float(lo).is_integer() and float(hi).is_integer()):
+            raise ValueError("value_range bounds must be integers when integer_values is set")
         if self.c2 is not None and not 0 < self.c2 < 1:
             raise ValueError("c2 must lie in (0, 1)")
         if not 0 <= self.noise_density <= 1:
@@ -338,43 +340,28 @@ class EngineRun(NamedTuple):
     fft_work_units: int
 
 
-def run_engine(
-    engine: str,
-    a: np.ndarray,
-    b: np.ndarray,
-    *,
-    k: int = 1,
-    delta: float = 0.1,
-    c1: float = 0.5,
-    seed: int = 0,
-    integer_mode: bool = True,
-) -> EngineRun:
-    """Run one engine; returns its result with wall time and the FFT work
-    it charged to the calling thread's counter.
+def run_engine(engine: str, a: np.ndarray, b: np.ndarray, params: ExactParams) -> EngineRun:
+    """Run one engine with `params`; returns its result with wall time and
+    the FFT work it charged to the calling thread's counter.
 
-    A dense engine's product (naive, fft) becomes its entries >= c1 with
-    their values after the clock stops and the work is read, so both
-    measure the engine alone. Every engine raises ValueError unless c1 > 0."""
+    approx reads `params` as the ApproxParams it extends, exact in full,
+    and the dense engines (naive, fft) read only `params.c1`: their
+    product becomes its entries >= c1 with their values after the clock
+    stops and the work is read, so both measure the engine alone. Inputs
+    are checked once: by dense_pair here for a dense engine, by the
+    engine's own entry point for approx and exact."""
     engine = _resolve_engine(engine)
-    if not c1 > 0:
-        raise ValueError("c1 must be positive")
-    a, b = dense_pair(a, b)
+    dense = {"naive": naive_convolve, "fft": fft_convolve}.get(engine)
+    if dense:
+        a, b = dense_pair(a, b)
+    sparse = {"approx": approx_sparse_convolve, "exact": exact_sparse_convolve}.get(engine)
     reset_fft_work()
     start = time.perf_counter()
-    if engine == "naive":
-        result = naive_convolve(a, b)
-    elif engine == "fft":
-        result = fft_convolve(a, b)
-    elif engine == "approx":
-        params = ApproxParams(k=k, delta=delta, c1=c1, seed=seed)
-        result = approx_sparse_convolve(a, b, params)
-    else:
-        params = ExactParams(k=k, delta=delta, c1=c1, seed=seed, integer_mode=integer_mode)
-        result = exact_sparse_convolve(a, b, params)
+    result = dense(a, b) if dense else sparse(a, b, params)
     wall_ms = (time.perf_counter() - start) * 1000.0
     work = fft_work()
-    if engine in ("naive", "fft"):
-        result = _significant(result, c1)
+    if dense:
+        result = _significant(result, params.c1)
     return EngineRun(result, wall_ms, work)
 
 
@@ -454,7 +441,14 @@ def _reject_unknown(config: dict, known: set[str], where: str) -> None:
         raise ValueError(f"unknown key {unknown[0]!r} in {where}")
 
 
+class _GridInstance(NamedTuple):
+    id: str
+    spec: InstanceSpec  # each cell sets its seed
+    params: ExactParams  # each engine run sets its seed
+
+
 def _config_from(config) -> dict:
+    """The grid's instances, engines and seeds, each checked before any cell runs."""
     if isinstance(config, (str, Path)):
         config = json.loads(Path(config).read_text())
     if not isinstance(config, dict):
@@ -468,47 +462,49 @@ def _config_from(config) -> dict:
     delta = float(config.get("delta", 0.1))
     c1 = float(config.get("c1", 0.5))
     instances = []
-    for i, inst_cfg in enumerate(config["instances"]):
-        _reject_unknown(inst_cfg, _SPEC_KEYS | {"id", "k"}, f"instance {i}")
-        inst_cfg = {"id": f"inst{i}", **inst_cfg}
-        inst_cfg["k"] = int(inst_cfg.get("k", inst_cfg["s_a"] * inst_cfg["s_b"]))
-        ApproxParams(k=inst_cfg["k"], delta=delta, c1=c1)  # the engines' own checks
-        instances.append(inst_cfg)
-    return {**config, "delta": delta, "c1": c1, "instances": instances}
+    for i, given in enumerate(config["instances"]):
+        _reject_unknown(given, _SPEC_KEYS | {"id", "k"}, f"instance {i}")
+        spec_args = {key: given[key] for key in _SPEC_KEYS & given.keys()}
+        if "value_range" in spec_args:
+            spec_args["value_range"] = tuple(spec_args["value_range"])
+        try:
+            spec = InstanceSpec(**spec_args)
+        except TypeError as exc:  # a missing n, s_a or s_b
+            raise ValueError(f"instance {i}: {exc}") from exc
+        k = int(given.get("k", spec.s_a * spec.s_b))
+        params = ExactParams(k=k, delta=delta, c1=c1, integer_mode=spec.integer_values)
+        instances.append(_GridInstance(given.get("id", f"inst{i}"), spec, params))
+    engines = [_resolve_engine(e) for e in config["engines"]]
+    seeds = [int(s) for s in config["seeds"]]
+    ids = [instance.id for instance in instances]
+    for what, values in (("instance id", ids), ("engine", engines), ("seed", seeds)):
+        repeated = [v for j, v in enumerate(values) if v in values[:j]]
+        if repeated:  # their rows would merge into one summary cell
+            raise ValueError(f"repeated {what} {repeated[0]!r}")
+    return {"delta": delta, "c1": c1, "engines": engines, "seeds": seeds, "instances": instances}
 
 
-def _grid_cell(inst_cfg: dict, engines: list[str], seed: int, delta: float, c1: float):
+def _grid_cell(instance: _GridInstance, engines: list[str], seed: int):
     """Generate one instance, score every engine on it; one row each."""
-    inst_id = inst_cfg["id"]
-    given = {key: inst_cfg[key] for key in _SPEC_KEYS & inst_cfg.keys()}
-    if "value_range" in given:
-        given["value_range"] = tuple(given["value_range"])
-    spec = InstanceSpec(**given, seed=_derive_seed(seed, inst_id))
-    k = inst_cfg["k"]
-    inst = generate_instance(spec, k_budget=k)
-    truth, crosscheck = oracle_convolution(inst.a, inst.b, c1)
+    spec = replace(instance.spec, seed=_derive_seed(seed, instance.id))
+    params = instance.params
+    inst = generate_instance(spec, k_budget=params.k)
+    truth, crosscheck = oracle_convolution(inst.a, inst.b, params.c1)
 
     rows = []
     for engine in engines:
-        engine_seed = _derive_seed(seed, inst_id, engine)
+        engine_params = replace(params, seed=_derive_seed(seed, instance.id, engine))
         try:
-            run = run_engine(
-                engine,
-                inst.a,
-                inst.b,
-                k=k,
-                delta=delta,
-                c1=c1,
-                seed=engine_seed,
-                integer_mode=spec.integer_values,
-            )
+            run = run_engine(engine, inst.a, inst.b, engine_params)
             scores = evaluate_run(run.result, truth, spec.integer_values and engine == "exact")
             wall_ms, work, error = run.wall_ms, run.fft_work_units, ""
         except Exception as exc:
             wall_ms, scores, work = -1.0, (float("nan"), float("nan"), float("nan"), 0), None
             error = f"{type(exc).__name__}: {exc}"
-        report = RunReport(engine, spec.n, k, delta, seed, wall_ms, *scores, crosscheck, work, error)
-        rows.append((inst_id, report))
+        report = RunReport(
+            engine, spec.n, params.k, params.delta, seed, wall_ms, *scores, crosscheck, work, error
+        )
+        rows.append((instance.id, report))
     return rows
 
 
@@ -518,18 +514,17 @@ def run_benchmark(config, out_dir, jobs: int = 1) -> dict:
 
     Rows are bitwise reproducible given the config except for the
     wall_ms column, which is annotated as non-deterministic. An engine
-    failure is recorded in its row's error column, never fatal; knobs
-    the engines reject raise ValueError before any cell runs.
+    failure is recorded in its row's error column, never fatal; a bad
+    knob or spec value, or a repeated instance id, engine or seed,
+    raises ValueError before any cell runs.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     config = _config_from(config)
-    engines = [_resolve_engine(e) for e in config["engines"]]
-    seeds = [int(s) for s in config["seeds"]]
-    delta, c1 = config["delta"], config["c1"]
-    cells = [(inst_cfg, seed) for inst_cfg in config["instances"] for seed in seeds]
+    engines, seeds = config["engines"], config["seeds"]
+    cells = [(instance, seed) for instance in config["instances"] for seed in seeds]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        cell_rows = list(pool.map(lambda c: _grid_cell(c[0], engines, c[1], delta, c1), cells))
+        cell_rows = list(pool.map(lambda c: _grid_cell(c[0], engines, c[1]), cells))
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -550,8 +545,8 @@ def run_benchmark(config, out_dir, jobs: int = 1) -> dict:
         "schema_version": SCHEMA_VERSION,
         "engines": engines,
         "seeds": seeds,
-        "delta": delta,
-        "c1": c1,
+        "delta": config["delta"],
+        "c1": config["c1"],
         "non_deterministic_fields": ["wall_ms"],
         "cells": [
             {

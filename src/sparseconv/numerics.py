@@ -29,9 +29,11 @@ def dense_vector(values) -> np.ndarray:
     """Validate a non-negative 1-D vector as contiguous float64: `values`
     itself when it already is one, else a converted copy.
 
-    Raises ValueError on non-1-D or empty input, non-finite entries, or
-    any negative entry.
+    Raises ValueError on complex, non-1-D or empty input, non-finite
+    entries, or any negative entry.
     """
+    if np.iscomplexobj(values):  # the float64 cast would drop the imaginary parts
+        raise ValueError("vector entries must be real")
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {arr.shape}")

@@ -75,7 +75,7 @@ ENGINE_ENTRY_POINTS = {
     "approx": lambda a, b: approx_sparse_convolve(a, b, ApproxParams(k=1, delta=0.1)),
     "exact": lambda a, b: exact_sparse_convolve(a, b, ExactParams(k=1, delta=0.1)),
     "residual_norm": lambda a, b: residual_norm(a, b, SparseResult(), 0.5, 1, 0),
-    "run_engine": lambda a, b: run_engine("fft", a, b),
+    "run_engine": lambda a, b: run_engine("fft", a, b, ExactParams(k=1, delta=0.1)),
     "build_sketch": lambda a, b: build_sketch(a, b, 5),
     "build_residual_sketch": lambda a, b: build_residual_sketch(a, b, SparseResult(), 5),
     "run_correction_level": lambda a, b: run_correction_level(
@@ -94,8 +94,10 @@ ENGINE_ENTRY_POINTS = {
         np.array(1.0),
         np.zeros(0),
         np.ones(5),
+        np.array([0, 2 + 5j, 0, 0]),  # the float64 cast would drop the imaginary part
+        [0, 2 + 5j, 0, 0],
     ],
-    ids=["negative", "nan", "2d", "0d", "empty", "length-mismatch"],
+    ids=["negative", "nan", "2d", "0d", "empty", "length-mismatch", "complex-array", "complex-list"],
 )
 def test_engines_reject_inputs_that_void_the_guarantee(engine, bad):
     good = impulse(4, 1)
@@ -103,7 +105,7 @@ def test_engines_reject_inputs_that_void_the_guarantee(engine, bad):
         engine(bad, good)
     with pytest.raises(ValueError):
         engine(good, bad)
-    if bad.shape == (5,):
+    if np.shape(bad) == (5,):
         with pytest.raises(ValueError, match="length mismatch: 4 vs 5"):
             engine(good, bad)
 
@@ -117,7 +119,7 @@ def test_inputs_are_only_read():
         lambda a, b: approx_sparse_convolve(a, b, ApproxParams(k=16, delta=0.1, seed=2)),
         lambda a, b: exact_sparse_convolve(a, b, ExactParams(k=16, delta=0.1, seed=2)),
         lambda a, b: residual_norm(a, b, SparseResult(), 0.5, 1, 0),
-        lambda a, b: run_engine("approx", a, b, k=16).result,
+        lambda a, b: run_engine("approx", a, b, ExactParams(k=16, delta=0.1)).result,
         lambda a, b: build_sketch(a, b, 101).v.tolist(),
     ]
     for call in calls:

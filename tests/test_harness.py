@@ -1,11 +1,13 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sparseconv import harness
 from sparseconv.cli import main as cli_main
+from sparseconv.exact import ExactParams
 from sparseconv.fft import fft_convolve, pad_length, transform_work
 from sparseconv.harness import (
     CSV_COLUMNS,
@@ -21,6 +23,8 @@ from sparseconv.harness import (
     write_instance,
 )
 from sparseconv.numerics import SparseResult, naive_convolve, norm_ge, norm_le, support_ge
+
+DENSE_PARAMS = ExactParams(k=1, delta=0.1)  # the dense engines read only c1
 
 
 class TestGenerateInstance:
@@ -69,6 +73,10 @@ class TestGenerateInstance:
             InstanceSpec(n=8, s_a=0, s_b=1)
         with pytest.raises(ValueError):
             InstanceSpec(n=8, s_a=1, s_b=1, value_range=(0, 5))
+        # an integer draw would truncate the float bound to 1, below lo
+        with pytest.raises(ValueError, match="value_range"):
+            InstanceSpec(n=64, s_a=2, s_b=2, seed=1, value_range=(1.5, 3.0))
+        InstanceSpec(n=64, s_a=2, s_b=2, seed=1, value_range=(1.5, 3.0), integer_values=False)
         for field, value in (("c2", 0.0), ("c2", 1.0), ("noise_density", 1.5), ("noise_density", -0.1), ("seed", -1)):
             with pytest.raises(ValueError, match=field):
                 InstanceSpec(n=8, s_a=1, s_b=1, **{field: value})
@@ -158,7 +166,7 @@ class TestEngines:
         truth, crosscheck = oracle_convolution(inst.a, inst.b, 0.5)
         assert crosscheck is not None and crosscheck <= 1e-8
         for engine in ("naive", "fft", "approx", "exact"):
-            run = run_engine(engine, inst.a, inst.b, k=9, delta=0.1, seed=10)
+            run = run_engine(engine, inst.a, inst.b, ExactParams(k=9, delta=0.1, seed=10))
             precision, recall, max_err, exact = evaluate_run(run.result, truth, True)
             assert precision == 1.0 and recall == 1.0
             assert max_err <= 0.01
@@ -170,16 +178,16 @@ class TestEngines:
         inst = generate_instance(InstanceSpec(n=256, s_a=3, s_b=3, seed=12))
         product = convolve(inst.a, inst.b)
         expected = {j: float(product[j]) for j in support_ge(product, 0.5)}
-        assert run_engine(engine, inst.a, inst.b, c1=0.5).result == SparseResult(expected)
+        assert run_engine(engine, inst.a, inst.b, DENSE_PARAMS).result == SparseResult(expected)
 
     def test_dense_fft_alias(self):
         inst = generate_instance(InstanceSpec(n=64, s_a=1, s_b=1, seed=11))
-        run = run_engine("dense-fft", inst.a, inst.b)
-        assert run.result == run_engine("fft", inst.a, inst.b).result
+        run = run_engine("dense-fft", inst.a, inst.b, DENSE_PARAMS)
+        assert run.result == run_engine("fft", inst.a, inst.b, DENSE_PARAMS).result
 
     def test_unknown_engine(self):
         with pytest.raises(ValueError):
-            run_engine("quantum", np.ones(4), np.ones(4))
+            run_engine("quantum", np.ones(4), np.ones(4), DENSE_PARAMS)
 
     def test_evaluate_counts_missing_indices(self):
         truth = SparseResult({1: 2.0, 3: 3.0})
@@ -347,6 +355,14 @@ class TestRunBenchmark:
             ("noise_densty", {**tiny, "instances": [{**tiny["instances"][0], "noise_densty": 0.0}]}),
             ("vlaue_range", {**tiny, "instances": [{**tiny["instances"][0], "vlaue_range": [1, 3]}]}),
             ("detla", {**tiny, "detla": 0.5}),
+            ("s_b", {**tiny, "instances": [{"n": 64, "s_a": 1, "k": 1}]}),
+            # repeats would merge into one summary cell
+            ("repeated instance id 'twin'", {**tiny, "instances": [
+                {"id": "twin", "n": 64, "s_a": 1, "s_b": 1}, {"id": "twin", "n": 128, "s_a": 1, "s_b": 1}]}),
+            ("repeated instance id 'inst0'", {**tiny, "instances": [
+                {"n": 64, "s_a": 1, "s_b": 1}, {"id": "inst0", "n": 128, "s_a": 1, "s_b": 1}]}),
+            ("repeated engine 'fft'", {**tiny, "engines": ["fft", "dense-fft"]}),
+            ("repeated seed 0", {**tiny, "seeds": [0, 0]}),
         ]
         for knob, config in voiding:
             with pytest.raises(ValueError, match=knob):
@@ -355,6 +371,51 @@ class TestRunBenchmark:
             cfg = tmp_path / f"{knob}.json"
             cfg.write_text(json.dumps(config))
             assert cli_main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / knob)]) == 1
+
+    def test_config_errors_come_before_any_cell(self, tmp_path, monkeypatch):
+        generated = []
+
+        def recording(spec, k_budget=None):
+            generated.append(spec)
+            return generate_instance(spec, k_budget)
+
+        monkeypatch.setattr(harness, "generate_instance", recording)
+        first = {"id": "first", "n": 2**10, "s_a": 2, "s_b": 2}
+        for match, second in (
+            ("s_a and s_b", {"id": "second", "n": 8, "s_a": 9, "s_b": 1}),
+            ("repeated instance id 'first'", {**first, "n": 2**11}),
+        ):
+            config = {"engines": ["fft", "approx", "exact"], "seeds": [0, 1, 2], "instances": [first, second]}
+            with pytest.raises(ValueError, match=match):
+                run_benchmark(config, tmp_path / "out")
+            assert generated == [] and not (tmp_path / "out").exists()
+
+    def test_readme_config_is_a_valid_grid(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        grid = harness._config_from(json.loads(block))  # checks it all; runs no cell
+        assert [instance.id for instance in grid["instances"]] == ["small", "big"]
+        assert grid["engines"] == ["naive", "fft", "approx", "exact"]
+
+
+@pytest.mark.parametrize("engine", ["naive", "fft", "dense-fft", "approx", "exact"])
+def test_run_engine_checks_its_inputs_once(monkeypatch, engine):
+    import sparseconv.approx
+    import sparseconv.exact
+    import sparseconv.sketch
+
+    checks = []
+    original = harness.dense_pair
+
+    def counting(a, b):
+        checks.append(len(a))
+        return original(a, b)
+
+    for module in (harness, sparseconv.approx, sparseconv.exact, sparseconv.sketch):
+        monkeypatch.setattr(module, "dense_pair", counting)
+    inst = generate_instance(InstanceSpec(n=2**10, s_a=4, s_b=4, seed=31))
+    run = run_engine(engine, inst.a, inst.b, ExactParams(k=16, delta=0.1, seed=2))
+    assert len(run.result) > 0 and checks == [2**10]
 
 
 class TestCli:
@@ -423,16 +484,21 @@ class TestCli:
         assert captured.out == ""
 
     def test_dense_engines_reject_nonpositive_c1(self, tmp_path, capsys):
-        # otherwise they would report the whole product
+        # otherwise they would report the whole product; the params object
+        # a dense engine reads c1 from cannot hold one
         for engine in ("naive", "fft"):
             for c1 in (0.0, -1.0):
                 with pytest.raises(ValueError, match="c1"):
-                    run_engine(engine, np.ones(4), np.ones(4), c1=c1)
+                    run_engine(engine, np.ones(4), np.ones(4), ExactParams(k=1, delta=0.1, c1=c1))
         out = tmp_path / "inst.txt"
         cli_main(["gen", "--n", "64", "--sa", "1", "--sb", "1", "--out", str(out)])
         capsys.readouterr()
-        assert cli_main(["conv", "--engine", "fft", "--c1", "0", "--a", str(out), "--b", str(out)]) == 1
-        assert capsys.readouterr().out == ""
+        # conv builds the same ExactParams for every engine, so a dense
+        # engine rejects what approx and exact reject
+        for knob, value in (("--c1", "0"), ("--delta", "2"), ("--seed", "-1")):
+            assert cli_main(["conv", "--engine", "fft", knob, value, "--a", str(out), "--b", str(out)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and knob[2:] in captured.err
 
     def test_engine_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "inst.txt"
