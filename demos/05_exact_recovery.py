@@ -1,6 +1,7 @@
 """Iterative correction to exact values: bootstrap with the approximate
-engine, then shrink the residual level by level. Includes a planted
-defect repaired by a single correction level.
+engine, then peel the residual off the bootstrap's stored heavy buckets
+level by level. Includes a planted defect repaired by a single
+fresh-prime correction level.
 
 Run: python demos/05_exact_recovery.py
 """
@@ -31,8 +32,8 @@ params = ExactParams(k=inst.k_effective, delta=0.1, seed=5)
 trace = CorrectionTrace()
 c = exact_sparse_convolve(inst.a, inst.b, params, trace=trace)
 
-print(f"\nlevel schedule (repetitions per level): {trace.schedule}")
-print(f"levels run / planned: {trace.levels} / {len(trace.schedule)}")
+print(f"\nfresh-prime level schedule (repetitions per level): {trace.schedule}")
+print(f"peel levels run / cap: {trace.levels} / {len(trace.schedule)}, stored primes chosen: {trace.chosen_primes}")
 print("residual significant entries after each stage:")
 for stage, snap in enumerate(trace.snapshots):
     norm = residual_norm(inst.a, inst.b, snap, 0.5, trials=2, seed=99)
@@ -42,8 +43,8 @@ for stage, snap in enumerate(trace.snapshots):
 exact = all(c[j] == float(round_to_int(oracle[j])) for j in true_supp)
 print("\nvalue-exact on the significant support:", exact and c.support() == true_supp)
 
-# Plant a defect: drop one recovered entry, then let one correction
-# level find and restore it from the residual sketch alone.
+# Plant a defect: drop one recovered entry, then let one fresh-prime
+# correction level find and restore it from the residual sketch alone.
 full = dict(c.entries)
 victim = sorted(full)[3]
 value = full.pop(victim)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .hashing import sample_prime
 from .numerics import SparseResult, dense_pair
-from .sketch import SketchCache, build_sketch, dense_route, extract_candidates
+from .sketch import Sketch, SketchCache, build_sketch, dense_route, extract_candidates
 
 __all__ = ["ApproxParams", "approx_sparse_convolve", "approx_plan", "ceil_log2"]
 
@@ -82,7 +82,7 @@ def approx_plan(params: ApproxParams, n: int) -> tuple[int, int]:
 
 
 def approx_sparse_convolve(
-    a: np.ndarray, b: np.ndarray, params: ApproxParams, cache: SketchCache | None = None
+    a: np.ndarray, b: np.ndarray, params: ApproxParams, cache: SketchCache | None = None, heavy: list | None = None
 ) -> SparseResult:
     """Recover the significant entries of A*B with small point-wise error.
 
@@ -97,6 +97,8 @@ def approx_sparse_convolve(
     route and inputs included, so a and b are not read; without one,
     dense_route prices this call's sketches, and ValueError is raised
     unless a and b are equal-length, finite, non-negative 1-D vectors.
+    A list passed as `heavy` gets each repetition's heavy buckets,
+    (buckets, Sketch(p, V[buckets], W[buckets])) for V >= c1.
     """
     if cache is None:
         a, b = dense_pair(a, b)
@@ -110,6 +112,10 @@ def approx_sparse_convolve(
         rng = np.random.default_rng([params.seed, l])
         p = sample_prime(m, rng)
         sk = build_sketch(cache.a, cache.b, p, cache=cache)
+        if heavy is not None:  # extraction then reads the kept buckets alone
+            buckets = np.flatnonzero(sk.v >= params.c1)
+            sk = Sketch(p, sk.v[buckets], sk.w[buckets])
+            heavy.append((buckets, sk))
         records.append(extract_candidates(sk, params.c1, params.tau, out_len))
 
     votes = np.concatenate(records)

@@ -1,22 +1,20 @@
 """Exact sparse convolution by iterative error correction.
 
 A bootstrap pass of the approximate engine produces a first sparse
-reconstruction. Each subsequent level sketches the residual
-A*B - C^{l-1} directly (folding is linear, so the partial result is
-subtracted inside the sketch), picks the repetition whose sketch
-exposes the most significant buckets, and folds the recovered mass back
-into C. Residual support shrinks doubly exponentially, so level
-repetition counts decay geometrically and the first level dominates
-the work. The bootstrap and the levels read A and B from one SketchCache,
-whose route dense_route prices once over all their planned sketches.
+reconstruction C and keeps each repetition's heavy buckets (V >= c1).
+Each correction level peels C off them: folding is linear, so a stored
+sketch minus fold_sparse(C, p) is the residual A*B - C's sketch, and as
+C >= 0 every residual bucket >= c1 is a stored one. A level keeps the
+stored sketch exposing the most (ties to the earliest repetition) and
+folds its candidates into C, with no transform and no read of A or B,
+so the call's SketchCache and route are the bootstrap's alone. The peel
+is deterministic: the first level that leaves C unchanged is a fixed
+point and ends the run, after at most len(schedule) levels.
 
-A modulus m >= 2n-1 is lossless: every prime p >= m folds by identity,
-so on the dense route each residual sketch is the residual itself, bit
-for bit. A lossless level builds one sketch, since all repetitions tie,
-and is the same map at every level; the first level that leaves C
-unchanged saw no residual entry >= c1, which certifies C (the lossless
-case of Bringmann, Fischer and Nakos's certificate, SODA 2022), and the
-remaining levels are skipped.
+A fixed point certifies C only when the stored primes fold losslessly
+(p >= 2n-1 on the dense route); otherwise certification waits for a
+fresh-prime residual check (ROADMAP, certified exact); residual_norm
+and run_correction_level, at exact_plan's modulus, are its reference.
 
 Only positive residual mass is recoverable by a level: buckets holding
 overshoot fall below the c1 threshold and are invisible. Overshoot is
@@ -34,7 +32,7 @@ import numpy as np
 from .approx import ApproxParams, approx_plan, approx_sparse_convolve, ceil_log2
 from .hashing import sample_prime
 from .numerics import SparseResult, dense_pair, round_to_int
-from .sketch import SketchCache, build_residual_sketch, dense_route, extract_candidates
+from .sketch import SketchCache, _peeled, build_residual_sketch, dense_route, extract_candidates
 
 __all__ = [
     "ExactParams",
@@ -56,8 +54,8 @@ class ExactParams(ApproxParams):
     integers. Run with integer_mode=False on non-integer instances to
     get a 0.01 value tolerance instead of exact equality.
 
-    The constants fix the correction levels: m_mult_exact scales their
-    modulus, R_mult and level_base their repetition schedule.
+    The constants fix the fresh-prime correction levels: m_mult_exact
+    scales their modulus, R_mult and level_base their repetition schedule.
     """
 
     m_mult_exact: ClassVar[int] = 8
@@ -70,8 +68,10 @@ class ExactParams(ApproxParams):
 @dataclass
 class CorrectionTrace:
     """Per-level diagnostics: C snapshots after the bootstrap and after
-    each of the `levels` levels run (fewer than len(schedule), the plan,
-    when a lossless level certified C), and each level's prime."""
+    each of the `levels` levels run (at most len(schedule), ending at
+    the first that leaves C unchanged: a fixed point, which certifies C
+    only when the stored primes fold losslessly), and the stored
+    bootstrap prime each level chose."""
 
     snapshots: list[SparseResult] = field(default_factory=list)
     schedule: list[int] = field(default_factory=list)
@@ -177,22 +177,22 @@ def exact_sparse_convolve(
     """Recover the significant entries of A*B exactly (integer_mode) or
     within 0.01 (otherwise), with probability >= 1 - delta.
 
-    Failure budget: delta/2 to the bootstrap, delta/2 over the levels,
-    which stop once a lossless level certifies C. A CorrectionTrace
-    collects per-level snapshots for convergence diagnostics.
+    Failure budget: delta/2 to the bootstrap, delta/2 to the levels,
+    which peel its stored heavy buckets until C stops changing. A
+    CorrectionTrace collects per-level snapshots for diagnostics.
 
     Raises ValueError unless a and b are equal-length, finite,
     non-negative 1-D vectors.
     """
     a, b = dense_pair(a, b)
     n = len(a)
-    m, _ = exact_plan(params, n)
     schedule = repetition_schedule(params)
     shared = {f.name: getattr(params, f.name) for f in fields(ApproxParams)}
     bootstrap_params = ApproxParams(**{**shared, "delta": params.delta / 2})
-    cache = SketchCache(a, b, dense_route(n, approx_plan(bootstrap_params, n), (m, sum(schedule))))
+    cache = SketchCache(a, b, dense_route(n, approx_plan(bootstrap_params, n)))
 
-    state = approx_sparse_convolve(a, b, bootstrap_params, cache=cache)
+    stored = []
+    state = approx_sparse_convolve(a, b, bootstrap_params, cache=cache, heavy=stored)
     if params.integer_mode:
         state = _merged(SparseResult(), state.entries.items(), params)
 
@@ -201,14 +201,16 @@ def exact_sparse_convolve(
         trace.snapshots = [SparseResult(dict(state.entries))]
         trace.chosen_primes = []
 
-    for l, reps in enumerate(schedule, 1):
+    for l in range(1, len(schedule) + 1):
         prev = state
-        state, chosen_p = run_correction_level(a, b, state, l, reps, m, params, cache=cache)
+        peeled = (_peeled(heavy, state, 2 * n - 1) for heavy in stored)
+        chosen = max(peeled, key=lambda sk: np.count_nonzero(sk.v >= params.c1))
+        state = _merged(state, extract_candidates(chosen, params.c1, params.tau, 2 * n - 1).tolist(), params)
         if trace is not None:
             trace.levels = l
-            trace.chosen_primes.append(chosen_p)
+            trace.chosen_primes.append(chosen.p)
             trace.snapshots.append(SparseResult(dict(state.entries)))
-        if state == prev and _lossless(cache, m):
+        if state == prev:
             break
 
     return state

@@ -464,6 +464,8 @@ def _config_from(config) -> dict:
     instances = []
     for i, given in enumerate(config["instances"]):
         _reject_unknown(given, _SPEC_KEYS | {"id", "k"}, f"instance {i}")
+        if not isinstance(given.get("id", ""), str):  # ids sort the summary's cells
+            raise ValueError(f"instance {i}: id {given['id']!r} is not a string")
         spec_args = {key: given[key] for key in _SPEC_KEYS & given.keys()}
         if "value_range" in spec_args:
             spec_args["value_range"] = tuple(spec_args["value_range"])

@@ -21,13 +21,14 @@ Two equivalent evaluation routes are used:
 
 Both give the same V and W up to FFT round-off, because folding commutes
 with convolution, so the route is a cost choice. dense_route() makes it
-once per engine call, over all of the call's sketches: their cyclic
-transforms, each priced at the smallest prime of its family's [m, 2m],
-are weighed against the one dense product in fft_work() units. Folds
-cost about the same on both routes.
+once per engine call, from the call's one plan: its cyclic transforms,
+each priced at the smallest prime of the plan's [m, 2m], are weighed
+against the one dense product in fft_work() units. Folds cost about the
+same on both routes.
 
 A residual sketch subtracts fold_sparse's (fold, moment) pair for a
-sparse partial result C, in O(|C|): it is the sketch of A*B - C.
+sparse partial result C, in O(|C|): it is the sketch of A*B - C. As
+C >= 0, its buckets >= c1 are among A*B's, which _peeled reads alone.
 """
 
 from __future__ import annotations
@@ -60,16 +61,16 @@ class Sketch:
     w: np.ndarray
 
 
-def dense_route(n: int, *plans: tuple[int, int]) -> bool:
-    """Whether one call's sketches on length-n inputs, `count` with primes
-    in [m, 2m] for each plan (m, count), should fold one dense product.
+def dense_route(n: int, plan: tuple[int, int]) -> bool:
+    """Whether one call's sketches on length-n inputs, `count` of them with
+    primes in [m, 2m] for its plan (m, count), should fold one dense product.
 
     Prices both routes in fft_work() units: six cyclic transforms of
-    pad_length(2m-1) points per sketch, m its plan's smallest prime,
-    summed, against the dense product's three, which it builds once.
+    pad_length(2m-1) points per sketch, m the plan's smallest prime,
+    against the dense product's three, which it builds once.
     """
-    cyclic = sum(count * 2 * transform_work(pad_length(2 * m - 1)) for m, count in plans)
-    return cyclic >= transform_work(pad_length(2 * n - 1))
+    m, count = plan
+    return count * 2 * transform_work(pad_length(2 * m - 1)) >= transform_work(pad_length(2 * n - 1))
 
 
 class SketchCache:
@@ -152,6 +153,15 @@ def build_residual_sketch(
     np.subtract(sk.v, fc, out=sk.v)
     np.subtract(sk.w, fdc, out=sk.w)
     return sk
+
+
+def _peeled(heavy: tuple[np.ndarray, Sketch], c_prev: SparseResult, out_len: int) -> Sketch:
+    """build_residual_sketch at a sketch's heavy buckets, from the
+    (buckets, Sketch(p, V[buckets], W[buckets])) approx_sparse_convolve
+    stores; extract_candidates reads it like a full sketch."""
+    buckets, top = heavy
+    fc, fdc = fold_sparse(c_prev.entries.keys(), c_prev.entries.values(), top.p, out_len)
+    return Sketch(top.p, top.v - fc[buckets], top.w - fdc[buckets])
 
 
 def extract_candidates(s: Sketch, c1: float, tau: float, out_len: int) -> np.recarray:

@@ -74,11 +74,14 @@ def test_schedule_bound():
 
 
 def test_bootstrap_gets_every_approx_knob_with_half_delta(monkeypatch):
-    seen = []
+    import sparseconv.exact
 
-    def fake_bootstrap(a, b, params, cache=None):
+    seen = []
+    original = sparseconv.exact.approx_sparse_convolve
+
+    def fake_bootstrap(a, b, params, cache=None, heavy=None):
         seen.append(params)
-        return SparseResult({})
+        return original(a, b, params, cache=cache, heavy=heavy)
 
     monkeypatch.setattr("sparseconv.exact.approx_sparse_convolve", fake_bootstrap)
     params = ExactParams(k=2, delta=0.2, c1=0.75, L_mult=3.0, seed=4)
@@ -205,43 +208,64 @@ def test_level_keeps_the_first_repetition_with_most_significant_buckets(monkeypa
     assert chosen == best[0]
 
 
-class TestLosslessLevels:
-    # exact's modulus at n=2^10, k=16 is 20,480 >= 2n-1, so every level
-    # prime folds by identity
+class TestPeel:
+    # the bootstrap's primes at n=2^13, k=16 lie in [3328, 6656], below
+    # 2n-1, so every stored sketch folds lossily
     params = ExactParams(k=16, delta=0.1, seed=19)
 
     def _instance(self):
-        inst = generate_instance(InstanceSpec(n=2**10, s_a=4, s_b=4, seed=121))
+        inst = generate_instance(InstanceSpec(n=2**13, s_a=4, s_b=4, seed=121))
         oracle = naive_convolve(inst.a, inst.b)
         full = {j: float(round(oracle[j])) for j in support_ge(oracle, inst.c1_effective)}
         return inst, full
 
-    def test_correct_bootstrap_is_certified_by_one_sketch(self, monkeypatch):
-        inst, full = self._instance()
-        built = count_residual_sketches(monkeypatch)
-        trace = CorrectionTrace()
-        out = exact_sparse_convolve(inst.a, inst.b, self.params, trace=trace)
-        assert out == SparseResult(full)
-        assert len(built) == 1
-        assert trace.levels == 1 and len(trace.schedule) == 4
-        assert len(trace.snapshots) == 2 and len(trace.chosen_primes) == 1
+    def test_levels_repair_a_bootstrap_with_a_dropped_and_a_short_entry(self, monkeypatch):
+        import sparseconv.exact
 
-    def test_one_level_repairs_and_the_next_certifies(self, monkeypatch):
         inst, full = self._instance()
         dropped = min(full)
         short = max((j for j in full if j != dropped), key=full.get)
+        original = sparseconv.exact.approx_sparse_convolve
+        primes = []
 
-        def fake_bootstrap(a, b, params, cache=None):
+        def damaged_bootstrap(a, b, params, cache=None, heavy=None):
+            # the real bootstrap fills `heavy`; only its result is damaged
+            assert original(a, b, params, cache=cache, heavy=heavy).support() == set(full)
+            primes.extend(top.p for _, top in heavy)
             boot = {j: v for j, v in full.items() if j != dropped}
             boot[short] -= 1
             return SparseResult(boot)
 
-        monkeypatch.setattr("sparseconv.exact.approx_sparse_convolve", fake_bootstrap)
+        monkeypatch.setattr(sparseconv.exact, "approx_sparse_convolve", damaged_bootstrap)
+        trace = CorrectionTrace()
+        out = exact_sparse_convolve(inst.a, inst.b, self.params, trace=trace)
+        assert max(primes) < 2 * len(inst.a) - 1
+        assert out == SparseResult(full)
+        # one level repairs both entries, the next is the fixed point
+        assert trace.levels == 2 and trace.snapshots[1] == trace.snapshots[2] == out
+        assert set(trace.chosen_primes) <= set(primes)
+
+    def test_peel_builds_no_residual_sketch_and_adds_no_fft_work(self, monkeypatch):
+        from sparseconv.approx import approx_sparse_convolve
+        from sparseconv.fft import fft_work, reset_fft_work
+
+        inst, _ = self._instance()
+        built = count_residual_sketches(monkeypatch)
+        reset_fft_work()
+        exact_sparse_convolve(inst.a, inst.b, self.params)
+        exact_work = fft_work()
+        reset_fft_work()
+        approx_sparse_convolve(inst.a, inst.b, ApproxParams(k=16, delta=0.05, seed=19))
+        assert built == []
+        assert exact_work == fft_work() > 0
+
+    def test_correct_bootstrap_ends_after_one_level(self):
+        inst, full = self._instance()
         trace = CorrectionTrace()
         out = exact_sparse_convolve(inst.a, inst.b, self.params, trace=trace)
         assert out == SparseResult(full)
-        assert trace.levels == 2
-        assert trace.snapshots[1] == trace.snapshots[2] == out
+        assert trace.levels == 1 and len(trace.schedule) == 4
+        assert len(trace.snapshots) == 2 and len(trace.chosen_primes) == 1
 
 
 class TestResidualNorm:

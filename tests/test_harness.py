@@ -361,6 +361,9 @@ class TestRunBenchmark:
                 {"id": "twin", "n": 64, "s_a": 1, "s_b": 1}, {"id": "twin", "n": 128, "s_a": 1, "s_b": 1}]}),
             ("repeated instance id 'inst0'", {**tiny, "instances": [
                 {"n": 64, "s_a": 1, "s_b": 1}, {"id": "inst0", "n": 128, "s_a": 1, "s_b": 1}]}),
+            # an int id among string ids would fail the summary's sort
+            ("id 3 is not a string", {**tiny, "instances": [
+                {"id": 3, "n": 64, "s_a": 1, "s_b": 1}, {"id": "twin", "n": 128, "s_a": 1, "s_b": 1}]}),
             ("repeated engine 'fft'", {**tiny, "engines": ["fft", "dense-fft"]}),
             ("repeated seed 0", {**tiny, "seeds": [0, 0]}),
         ]

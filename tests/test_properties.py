@@ -2,7 +2,9 @@
 folding commutes with convolution, one pass folds a vector and its
 index-weighted copy alike, from its dense or its sparse form, an
 isolated bucket's W/V ratio names its output index, and at a lossless modulus every residual sketch is the
-residual itself. Vectorised extraction is checked against the
+residual itself. Peeling a non-negative partial result off a sketch's
+heavy buckets gives the residual sketch there and loses none of its
+heavy buckets. Vectorised extraction is checked against the
 bucket-by-bucket loop it replaced. Transforms pad to the next
 2^a * 3^b * 5^c length and are charged N * log2(N)."""
 
@@ -18,6 +20,7 @@ from sparseconv.numerics import SparseResult, naive_convolve, round_to_int
 from sparseconv.sketch import (
     Sketch,
     SketchCache,
+    _peeled,
     build_residual_sketch,
     build_sketch,
     extract_candidates,
@@ -92,6 +95,30 @@ def test_residual_sketch_at_a_lossless_prime_is_the_residual(data):
         assert np.array_equal(sk.v[:out_len], conv - c)
         assert np.array_equal(sk.w[:out_len], index * conv - index * c)
         assert not sk.v[out_len:].any() and not sk.w[out_len:].any()
+
+
+@PROPERTY
+@given(st.data(), st.floats(0.1, 10))
+def test_peeled_heavy_buckets_are_the_residual_sketchs_heavy_buckets(data, c1):
+    n = data.draw(st.integers(1, 64), label="n")
+    out_len = 2 * n - 1
+    # lossy primes in [n/2, n] and lossless ones in [2n, 4n]
+    primes = np.union1d(primes_in_range(max(n // 2, 2)), primes_in_range(2 * n)).tolist()
+    p = data.draw(st.sampled_from(primes), label="p")
+    vectors = arrays(np.float64, n, elements=st.floats(0, 10))
+    a, b = data.draw(vectors, label="a"), data.draw(vectors, label="b")
+    partial = SparseResult(data.draw(
+        st.dictionaries(st.integers(0, out_len - 1), st.floats(0, 100), max_size=8), label="c"
+    ))
+    sk = build_sketch(a, b, p)
+    buckets = np.flatnonzero(sk.v >= c1)  # what approx_sparse_convolve stores
+    peeled = _peeled((buckets, Sketch(p, sk.v[buckets], sk.w[buckets])), partial, out_len)
+    residual = build_residual_sketch(a, b, partial, p)
+    scale = 1 + out_len * (a.sum() * b.sum() + sum(partial.entries.values()))
+    np.testing.assert_allclose(peeled.v, residual.v[buckets], rtol=0, atol=1e-9 * scale)
+    np.testing.assert_allclose(peeled.w, residual.w[buckets], rtol=0, atol=1e-9 * scale)
+    # C >= 0 only lowers buckets, so none rises to c1 outside the stored ones
+    assert set(np.flatnonzero(residual.v >= c1)) <= set(buckets)
 
 
 def extract_by_loop(s, c1, tau, out_len):

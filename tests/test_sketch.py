@@ -218,30 +218,29 @@ def test_noise_stays_well_inside_tolerances():
     assert checked > 0
 
 
-def _plans_id(value):
-    # plans print as m-count pairs
+def _plan_id(value):
+    # a plan prints as its m-count pair
     if isinstance(value, tuple):
-        return "-".join(f"{m}-{count}" for m, count in value)
+        m, count = value
+        return f"{m}-{count}"
     return None
 
 
 @pytest.mark.parametrize(
-    "n, plans, dense",
+    "n, plan, dense",
     [
-        (2**17, ((26112, 75),), True),  # n17-k64 approx: one dense product serves 75 sketches
-        (2**19, ((4864, 59),), False),  # n = 2^19, k = 16 approx: dense at power-of-two padding
-        (2**20, ((5120, 59),), False),  # n20-k16 approx
-        (2**20, ((5120, 67),), False),  # n20-k16 exact bootstrap (delta/2)
-        (2**20, ((40960, 32),), True),  # n20-k16 exact levels
-        (2**20, ((5120, 67), (40960, 32)), True),  # n20-k16 exact: bootstrap and levels
-        (2**16, ((512, 51),), False),  # n=2^16, k=4 exact bootstrap
-        (2**16, ((2048, 19),), False),  # its levels
-        (2**16, ((512, 51), (2048, 19)), True),  # the whole call
+        (2**17, (26112, 75), True),  # n17-k64 approx: one dense product serves 75 sketches
+        (2**19, (4864, 59), False),  # n = 2^19, k = 16 approx: dense at power-of-two padding
+        (2**20, (5120, 59), False),  # n20-k16 approx
+        (2**20, (5120, 67), False),  # n20-k16 exact, whose bootstrap (delta/2) fixes the route
+        (2**20, (40960, 32), True),  # n20-k16 fresh-prime levels (run_correction_level)
+        (2**16, (512, 51), False),  # n=2^16, k=4 exact bootstrap
+        (2**16, (2048, 19), False),  # its fresh-prime levels
     ],
-    ids=_plans_id,
+    ids=_plan_id,
 )
-def test_dense_route_at_benchmark_shapes(n, plans, dense):
-    assert dense_route(n, *plans) is dense
+def test_dense_route_at_benchmark_shapes(n, plan, dense):
+    assert dense_route(n, plan) is dense
 
 
 @pytest.mark.parametrize("p, size", [(8209, 16875), (5147, 10368)])
@@ -289,23 +288,28 @@ def test_approx_charges_one_dense_product_when_it_is_cheaper():
 @pytest.mark.parametrize(
     "n, k",
     [
-        (2**14, 4),  # bootstrap and levels each take the dense route
-        (2**15, 4),  # levels dense, bootstrap cyclic on its own
-        (2**11, 1),  # bootstrap dense, levels cyclic on their own
-        (2**16, 4),  # each family cyclic on its own, the two together dense
+        (2**14, 4),  # bootstrap dense
+        (2**15, 4),  # bootstrap cyclic
+        (2**11, 1),  # bootstrap cyclic
+        (2**16, 4),  # bootstrap cyclic
     ],
 )
-def test_exact_call_builds_one_dense_product(n, k):
-    # the route is priced once over the bootstrap's and the levels'
-    # sketches, and every sketch of the call folds the one product
+def test_exact_call_does_the_fft_work_of_its_bootstrap_alone(n, k):
+    # the bootstrap, approx at delta/2, prices and builds the call's one
+    # sketch cache; the correction levels peel its stored buckets and
+    # run no transform
+    from sparseconv.approx import ApproxParams, approx_sparse_convolve
     from sparseconv.exact import ExactParams, exact_sparse_convolve
-    from sparseconv.fft import fft_work, pad_length, reset_fft_work, transform_work
+    from sparseconv.fft import fft_work, reset_fft_work
 
     side = math.isqrt(k)  # k = s_a * s_b
     inst = generate_instance(InstanceSpec(n=n, s_a=side, s_b=side, seed=0))
     reset_fft_work()
     exact_sparse_convolve(inst.a, inst.b, ExactParams(k=k, delta=0.1, seed=0))
-    assert fft_work() == 3 * transform_work(pad_length(2 * n - 1))
+    exact_work = fft_work()
+    reset_fft_work()
+    approx_sparse_convolve(inst.a, inst.b, ApproxParams(k=k, delta=0.05, seed=0))
+    assert exact_work == fft_work() > 0
 
 
 def test_approx_uses_a_given_cache_as_it_is(monkeypatch):
