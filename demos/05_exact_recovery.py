@@ -32,7 +32,8 @@ params = ExactParams(k=inst.k_effective, delta=0.1, seed=5)
 trace = CorrectionTrace()
 c = exact_sparse_convolve(inst.a, inst.b, params, trace=trace)
 
-print(f"\nfresh-prime level schedule (repetitions per level): {trace.schedule}")
+print(f"\nbootstrap repetitions per vote: {trace.bootstrap_reps}")
+print(f"fresh-prime level schedule (repetitions per level): {trace.schedule}")
 print(f"peel levels run / cap: {trace.levels} / {len(trace.schedule)}, stored primes chosen: {trace.chosen_primes}")
 print("residual significant entries after each stage:")
 for stage, snap in enumerate(trace.snapshots):

@@ -12,6 +12,7 @@ from .exact import (
     ExactParams,
     exact_plan,
     exact_sparse_convolve,
+    isolation_reps,
     repetition_schedule,
     residual_norm,
     run_correction_level,
@@ -66,6 +67,7 @@ __all__ = [
     "fft_work",
     "fold",
     "generate_instance",
+    "isolation_reps",
     "load_instance",
     "naive_convolve",
     "norm_ge",

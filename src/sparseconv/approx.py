@@ -82,7 +82,8 @@ def approx_plan(params: ApproxParams, n: int) -> tuple[int, int]:
 
 
 def approx_sparse_convolve(
-    a: np.ndarray, b: np.ndarray, params: ApproxParams, cache: SketchCache | None = None, heavy: list | None = None
+    a: np.ndarray, b: np.ndarray, params: ApproxParams,
+    cache: SketchCache | None = None, heavy: list | None = None, reps: int | None = None,
 ) -> SparseResult:
     """Recover the significant entries of A*B with small point-wise error.
 
@@ -98,7 +99,9 @@ def approx_sparse_convolve(
     dense_route prices this call's sketches, and ValueError is raised
     unless a and b are equal-length, finite, non-negative 1-D vectors.
     A list passed as `heavy` gets each repetition's heavy buckets,
-    (buckets, Sketch(p, V[buckets], W[buckets])) for V >= c1.
+    (buckets, Sketch(p, V[buckets], W[buckets])) for V >= c1; the
+    repetitions it already holds are reused, not rebuilt, and `reps`
+    replaces the plan's count L, so a caller can grow one call's vote.
     """
     if cache is None:
         a, b = dense_pair(a, b)
@@ -106,9 +109,10 @@ def approx_sparse_convolve(
     n = len(cache.a)
     out_len = 2 * n - 1
     m, L = approx_plan(params, n)
+    L = reps or L
 
-    records = []
-    for l in range(1, L + 1):
+    records = [extract_candidates(sk, params.c1, params.tau, out_len) for _, sk in (heavy or [])[:L]]
+    for l in range(len(records) + 1, L + 1):
         rng = np.random.default_rng([params.seed, l])
         p = sample_prime(m, rng)
         sk = build_sketch(cache.a, cache.b, p, cache=cache)

@@ -1,15 +1,22 @@
 """Exact sparse convolution by iterative error correction.
 
-A bootstrap pass of the approximate engine produces a first sparse
-reconstruction C and keeps each repetition's heavy buckets (V >= c1).
-Each correction level peels C off them: folding is linear, so a stored
-sketch minus fold_sparse(C, p) is the residual A*B - C's sketch, and as
-C >= 0 every residual bucket >= c1 is a stored one. A level keeps the
-stored sketch exposing the most (ties to the earliest repetition) and
-folds its candidates into C, with no transform and no read of A or B,
-so the call's SketchCache and route are the bootstrap's alone. The peel
-is deterministic: the first level that leaves C unchanged is a fixed
-point and ends the run, after at most len(schedule) levels.
+A bootstrap pass of the approximate engine, at delta/2, produces a first
+sparse reconstruction C and keeps each repetition's heavy buckets
+(V >= c1). Each correction level peels C off them: folding is linear, so
+a stored sketch minus fold_sparse(C, p) is the residual A*B - C's
+sketch, and as C >= 0 every residual bucket >= c1 is a stored one. A
+level keeps the stored sketch exposing the most (ties to the earliest
+repetition) and folds its candidates into C, with no transform and no
+read of A or B, so the call's SketchCache and route are the bootstrap's
+alone. The peel is deterministic: the first level that leaves C
+unchanged is a fixed point and ends the run, after at most
+len(schedule) levels.
+
+The bootstrap is sized to isolate, not to vote: the levels repair what
+its vote drops, so it needs only each significant index isolated in one
+stored sketch, which isolation_reps bounds (3 sketches at the benchmark
+shapes, against approx's 67-83). A sound check after the peel grows it
+while needed, up to approx's count at delta/2 (exact_sparse_convolve).
 
 A fixed point certifies C only when the stored primes fold losslessly
 (p >= 2n-1 on the dense route); otherwise certification waits for a
@@ -17,20 +24,21 @@ fresh-prime residual check (ROADMAP, certified exact); residual_norm
 and run_correction_level, at exact_plan's modulus, are its reference.
 
 Only positive residual mass is recoverable by a level: buckets holding
-overshoot fall below the c1 threshold and are invisible. Overshoot is
-covered by the bootstrap's failure budget, not by correction.
+overshoot fall below the c1 threshold and are invisible to it, though
+the growth check sees them (|V| >= c1).
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
 import numpy as np
 
 from .approx import ApproxParams, approx_plan, approx_sparse_convolve, ceil_log2
-from .hashing import sample_prime
+from .hashing import primes_in_range, sample_prime
 from .numerics import SparseResult, dense_pair, round_to_int
 from .sketch import SketchCache, _peeled, build_residual_sketch, dense_route, extract_candidates
 
@@ -38,6 +46,7 @@ __all__ = [
     "ExactParams",
     "exact_sparse_convolve",
     "exact_plan",
+    "isolation_reps",
     "repetition_schedule",
     "run_correction_level",
     "residual_norm",
@@ -67,16 +76,18 @@ class ExactParams(ApproxParams):
 
 @dataclass
 class CorrectionTrace:
-    """Per-level diagnostics: C snapshots after the bootstrap and after
-    each of the `levels` levels run (at most len(schedule), ending at
-    the first that leaves C unchanged: a fixed point, which certifies C
-    only when the stored primes fold losslessly), and the stored
-    bootstrap prime each level chose."""
+    """Per-level diagnostics: the bootstrap's repetition counts, one per
+    vote (e.g. [3], or [3, 6, 12] after two doublings), and for the last
+    vote C snapshots after it and after each of the `levels` levels run
+    (at most len(schedule), ending at the first that leaves C unchanged:
+    a fixed point, which certifies C only when the stored primes fold
+    losslessly), and the stored bootstrap prime each level chose."""
 
     snapshots: list[SparseResult] = field(default_factory=list)
     schedule: list[int] = field(default_factory=list)
     chosen_primes: list[int] = field(default_factory=list)
     levels: int = 0
+    bootstrap_reps: list[int] = field(default_factory=list)
 
 
 def _level_count(params: ExactParams) -> int:
@@ -109,6 +120,33 @@ def repetition_schedule(params: ExactParams) -> list[int]:
         max(int(math.ceil(base_count / params.level_base ** (l - 1))), 1)
         for l in range(1, levels + 1)
     ]
+
+
+def _bootstrap_params(params: ExactParams) -> ApproxParams:
+    shared = {f.name: getattr(params, f.name) for f in fields(ApproxParams)}
+    return ApproxParams(**{**shared, "delta": params.delta / 2})
+
+
+def isolation_reps(params: ExactParams, n: int) -> int:
+    """Repetitions exact's bootstrap starts with: the least L >= 3 with
+    k * q^L <= delta/4, half the bootstrap's budget, capped at approx's
+    count at delta/2.
+
+    With m the bootstrap's modulus and pi(m) the number of primes in
+    [m, 2m], outputs x != y collide under p when p divides x - y, a
+    nonzero integer below 2n in magnitude, which has at most
+    r = ceil(log(2n) / log m) prime factors >= m. So a pair collides
+    with probability <= r / pi(m), a significant index with one of the
+    other k - 1 with <= q = (k - 1) r / pi(m), in all L independent
+    repetitions with <= q^L, and some significant index with <= k q^L.
+    The floor of 3 is approx_plan's, keeping >= 2 agreeing votes.
+    """
+    m, cap = approx_plan(_bootstrap_params(params), n)
+    q = (params.k - 1) * math.ceil(math.log(2 * n) / math.log(m)) / len(primes_in_range(m))
+    L = 3
+    while L < cap and params.k * q**L > params.delta / 4:
+        L += 1
+    return L
 
 
 def _lossless(cache: SketchCache, m: int) -> bool:
@@ -168,6 +206,30 @@ def run_correction_level(
     return _merged(current, candidates.tolist(), params), chosen.p
 
 
+def _peel(stored, state: SparseResult, params: ExactParams, levels: int, out_len: int, trace: CorrectionTrace | None):
+    """Run up to `levels` peel levels from `state` on the stored heavy
+    buckets; returns C and whether every stored sketch peels it clean:
+    C's indices all in its heavy buckets and |V| < c1 at each of them,
+    as holds for a correct C, whose residual is noise."""
+    for l in range(1, levels + 1):
+        prev = state
+        peeled = [_peeled(heavy, state, out_len) for heavy in stored]
+        chosen = max(peeled, key=lambda sk: np.count_nonzero(sk.v >= params.c1))
+        state = _merged(state, extract_candidates(chosen, params.c1, params.tau, out_len).tolist(), params)
+        if trace is not None:
+            trace.levels = l
+            trace.chosen_primes.append(chosen.p)
+            trace.snapshots.append(SparseResult(dict(state.entries)))
+        if state == prev:
+            break
+    else:  # no fixed point: peel the final C for the check
+        peeled = [_peeled(heavy, state, out_len) for heavy in stored]
+    return state, all(
+        {i % top.p for i in state.entries} <= set(buckets.tolist()) and np.all(np.abs(sk.v) < params.c1)
+        for (buckets, top), sk in zip(stored, peeled)
+    )
+
+
 def exact_sparse_convolve(
     a: np.ndarray,
     b: np.ndarray,
@@ -178,8 +240,17 @@ def exact_sparse_convolve(
     within 0.01 (otherwise), with probability >= 1 - delta.
 
     Failure budget: delta/2 to the bootstrap, delta/2 to the levels,
-    which peel its stored heavy buckets until C stops changing. A
-    CorrectionTrace collects per-level snapshots for diagnostics.
+    which peel its stored heavy buckets until C stops changing. The
+    bootstrap votes over isolation_reps(params, n) repetitions, enough to
+    isolate every significant index in one of them with probability
+    >= 1 - delta/4; the call's route is priced for that count. While the
+    stored sketches do not peel C clean (an index of C outside a stored
+    sketch's heavy buckets, or a peeled bucket with |V| >= c1, neither
+    possible for a correct C), the count doubles, up to approx's count
+    at delta/2, and the vote and peel re-run over every stored sketch. A
+    call not clean at that cap raises one RuntimeWarning: k is probably
+    under-stated. A CorrectionTrace collects the counts and per-level
+    snapshots for diagnostics.
 
     Raises ValueError unless a and b are equal-length, finite,
     non-negative 1-D vectors.
@@ -187,32 +258,35 @@ def exact_sparse_convolve(
     a, b = dense_pair(a, b)
     n = len(a)
     schedule = repetition_schedule(params)
-    shared = {f.name: getattr(params, f.name) for f in fields(ApproxParams)}
-    bootstrap_params = ApproxParams(**{**shared, "delta": params.delta / 2})
-    cache = SketchCache(a, b, dense_route(n, approx_plan(bootstrap_params, n)))
-
-    stored = []
-    state = approx_sparse_convolve(a, b, bootstrap_params, cache=cache, heavy=stored)
-    if params.integer_mode:
-        state = _merged(SparseResult(), state.entries.items(), params)
-
+    bootstrap_params = _bootstrap_params(params)
+    m, cap = approx_plan(bootstrap_params, n)
+    reps = isolation_reps(params, n)
+    cache = SketchCache(a, b, dense_route(n, (m, reps)))
     if trace is not None:
         trace.schedule = list(schedule)
-        trace.snapshots = [SparseResult(dict(state.entries))]
-        trace.chosen_primes = []
+        trace.bootstrap_reps = []
 
-    for l in range(1, len(schedule) + 1):
-        prev = state
-        peeled = (_peeled(heavy, state, 2 * n - 1) for heavy in stored)
-        chosen = max(peeled, key=lambda sk: np.count_nonzero(sk.v >= params.c1))
-        state = _merged(state, extract_candidates(chosen, params.c1, params.tau, 2 * n - 1).tolist(), params)
+    stored = []
+    while True:
+        state = approx_sparse_convolve(a, b, bootstrap_params, cache=cache, heavy=stored, reps=reps)
+        if params.integer_mode:
+            state = _merged(SparseResult(), state.entries.items(), params)
         if trace is not None:
-            trace.levels = l
-            trace.chosen_primes.append(chosen.p)
-            trace.snapshots.append(SparseResult(dict(state.entries)))
-        if state == prev:
+            trace.bootstrap_reps.append(reps)
+            trace.snapshots = [SparseResult(dict(state.entries))]
+            trace.chosen_primes = []
+        state, clean = _peel(stored, state, params, len(schedule), 2 * n - 1, trace)
+        if clean or reps == cap:
             break
+        reps = min(2 * reps, cap)
 
+    if not clean:
+        warnings.warn(
+            f"exact_sparse_convolve: {cap} stored sketches still do not peel clean; "
+            f"k={params.k} is probably under-stated",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return state
 
 

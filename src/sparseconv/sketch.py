@@ -22,7 +22,7 @@ Two equivalent evaluation routes are used:
 Both give the same V and W up to FFT round-off, because folding commutes
 with convolution, so the route is a cost choice. dense_route() makes it
 once per engine call, from the call's one plan: its cyclic transforms,
-each priced at the smallest prime of the plan's [m, 2m], are weighed
+each priced at the middle prime 3m/2 of the plan's [m, 2m], are weighed
 against the one dense product in fft_work() units. Folds cost about the
 same on both routes.
 
@@ -66,11 +66,12 @@ def dense_route(n: int, plan: tuple[int, int]) -> bool:
     primes in [m, 2m] for its plan (m, count), should fold one dense product.
 
     Prices both routes in fft_work() units: six cyclic transforms of
-    pad_length(2m-1) points per sketch, m the plan's smallest prime,
+    pad_length(3m-1) points per sketch, at the family's middle prime
+    (within 3% of the mean over [m, 2m]'s primes, m = 448-40,960),
     against the dense product's three, which it builds once.
     """
     m, count = plan
-    return count * 2 * transform_work(pad_length(2 * m - 1)) >= transform_work(pad_length(2 * n - 1))
+    return count * 2 * transform_work(pad_length(3 * m - 1)) >= transform_work(pad_length(2 * n - 1))
 
 
 class SketchCache:

@@ -6,12 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparseconv.approx import ApproxParams
+from sparseconv.approx import ApproxParams, approx_plan
 from sparseconv.exact import (
     CorrectionTrace,
     ExactParams,
     exact_plan,
     exact_sparse_convolve,
+    isolation_reps,
     repetition_schedule,
     residual_norm,
     run_correction_level,
@@ -79,14 +80,17 @@ def test_bootstrap_gets_every_approx_knob_with_half_delta(monkeypatch):
     seen = []
     original = sparseconv.exact.approx_sparse_convolve
 
-    def fake_bootstrap(a, b, params, cache=None, heavy=None):
-        seen.append(params)
-        return original(a, b, params, cache=cache, heavy=heavy)
+    def fake_bootstrap(a, b, params, cache=None, heavy=None, reps=None):
+        seen.append((params, reps))
+        return original(a, b, params, cache=cache, heavy=heavy, reps=reps)
 
     monkeypatch.setattr("sparseconv.exact.approx_sparse_convolve", fake_bootstrap)
     params = ExactParams(k=2, delta=0.2, c1=0.75, L_mult=3.0, seed=4)
-    exact_sparse_convolve(impulse(4, 2), impulse(4, 3), params)
-    assert seen == [ApproxParams(k=2, delta=0.1, c1=0.75, L_mult=3.0, seed=4)]
+    trace = CorrectionTrace()
+    exact_sparse_convolve(impulse(4, 2), impulse(4, 3), params, trace=trace)
+    assert isolation_reps(params, 4) == 3 < approx_plan(ApproxParams(k=2, delta=0.1, L_mult=3.0), 4)[1]
+    assert seen == [(ApproxParams(k=2, delta=0.1, c1=0.75, L_mult=3.0, seed=4), 3)]
+    assert trace.bootstrap_reps == [3]
 
 
 def test_an_exact_call_checks_its_inputs_once(monkeypatch):
@@ -228,9 +232,9 @@ class TestPeel:
         original = sparseconv.exact.approx_sparse_convolve
         primes = []
 
-        def damaged_bootstrap(a, b, params, cache=None, heavy=None):
+        def damaged_bootstrap(a, b, params, cache=None, heavy=None, reps=None):
             # the real bootstrap fills `heavy`; only its result is damaged
-            assert original(a, b, params, cache=cache, heavy=heavy).support() == set(full)
+            assert original(a, b, params, cache=cache, heavy=heavy, reps=reps).support() == set(full)
             primes.extend(top.p for _, top in heavy)
             boot = {j: v for j, v in full.items() if j != dropped}
             boot[short] -= 1
@@ -241,23 +245,23 @@ class TestPeel:
         out = exact_sparse_convolve(inst.a, inst.b, self.params, trace=trace)
         assert max(primes) < 2 * len(inst.a) - 1
         assert out == SparseResult(full)
-        # one level repairs both entries, the next is the fixed point
+        # one level repairs both entries, the next is the fixed point,
+        # which peels clean, so the 3-sketch bootstrap is not grown
         assert trace.levels == 2 and trace.snapshots[1] == trace.snapshots[2] == out
+        assert trace.bootstrap_reps == [3] and len(primes) == 3
         assert set(trace.chosen_primes) <= set(primes)
 
     def test_peel_builds_no_residual_sketch_and_adds_no_fft_work(self, monkeypatch):
-        from sparseconv.approx import approx_sparse_convolve
-        from sparseconv.fft import fft_work, reset_fft_work
+        from sparseconv.fft import fft_work, pad_length, reset_fft_work, transform_work
 
         inst, _ = self._instance()
         built = count_residual_sketches(monkeypatch)
         reset_fft_work()
         exact_sparse_convolve(inst.a, inst.b, self.params)
-        exact_work = fft_work()
-        reset_fft_work()
-        approx_sparse_convolve(inst.a, inst.b, ApproxParams(k=16, delta=0.05, seed=19))
         assert built == []
-        assert exact_work == fft_work() > 0
+        # the 3-sketch bootstrap takes the dense route here: its one
+        # product is the call's only FFT work
+        assert fft_work() == 3 * transform_work(pad_length(2 * len(inst.a) - 1))
 
     def test_correct_bootstrap_ends_after_one_level(self):
         inst, full = self._instance()

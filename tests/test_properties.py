@@ -6,7 +6,11 @@ residual itself. Peeling a non-negative partial result off a sketch's
 heavy buckets gives the residual sketch there and loses none of its
 heavy buckets. Vectorised extraction is checked against the
 bucket-by-bucket loop it replaced. Transforms pad to the next
-2^a * 3^b * 5^c length and are charged N * log2(N)."""
+2^a * 3^b * 5^c length and are charged N * log2(N). Exact's bootstrap
+count is the least one, from 3 up to its cap, meeting its isolation
+bound, and never grows with delta."""
+
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from sparseconv.approx import ApproxParams, approx_plan
+from sparseconv.exact import ExactParams, isolation_reps
 from sparseconv.fft import cyclic_convolve, fft_convolve, pad_length, transform_work
 from sparseconv.hashing import fold, fold_sparse, primes_in_range
 from sparseconv.numerics import SparseResult, naive_convolve, round_to_int
@@ -173,3 +179,28 @@ def test_powers_of_two_pad_to_themselves_and_cost_t_times_2_to_the_t(t):
 def test_transform_work_rejects_lengths_the_seam_never_runs(n):
     with pytest.raises(ValueError):
         transform_work(n)
+
+
+sizes = st.integers(0, 22).flatmap(lambda t: st.integers(2**t, 2**(t + 1) - 1))
+deltas = st.floats(1e-4, 0.99)
+
+
+@PROPERTY
+@given(sizes, st.integers(1, 1024), deltas)
+def test_bootstrap_count_is_the_least_meeting_the_isolation_bound(n, k, delta):
+    # q bounds one significant index's chance of sharing its bucket under
+    # one prime of [m, 2m]; the count is the least L >= 3 with
+    # k * q^L <= delta/4, unless the cap (approx's count at delta/2) binds
+    m, cap = approx_plan(ApproxParams(k=k, delta=delta / 2), n)
+    q = (k - 1) * math.ceil(math.log(2 * n) / math.log(m)) / len(primes_in_range(m))
+    L = isolation_reps(ExactParams(k=k, delta=delta), n)
+    assert 3 <= L <= cap
+    assert k * q**L <= delta / 4 or L == cap
+    assert L == 3 or k * q ** (L - 1) > delta / 4
+
+
+@PROPERTY
+@given(sizes, st.integers(1, 1024), deltas, deltas)
+def test_bootstrap_count_does_not_grow_with_delta(n, k, d1, d2):
+    lo, hi = sorted((d1, d2))
+    assert isolation_reps(ExactParams(k=k, delta=hi), n) <= isolation_reps(ExactParams(k=k, delta=lo), n)

@@ -230,12 +230,14 @@ def _plan_id(value):
     "n, plan, dense",
     [
         (2**17, (26112, 75), True),  # n17-k64 approx: one dense product serves 75 sketches
-        (2**19, (4864, 59), False),  # n = 2^19, k = 16 approx: dense at power-of-two padding
+        (2**17, (26112, 3), True),  # n17-k64 exact's sized bootstrap: a near tie priced at the smallest prime
+        (2**19, (4864, 59), True),  # n = 2^19, k = 16 approx: a near tie in pinned runs
         (2**20, (5120, 59), False),  # n20-k16 approx
-        (2**20, (5120, 67), False),  # n20-k16 exact, whose bootstrap (delta/2) fixes the route
+        (2**20, (5120, 3), False),  # n20-k16 exact's sized bootstrap
+        (2**20, (5120, 67), False),  # n20-k16 exact's bootstrap at its cap (approx at delta/2)
         (2**20, (40960, 32), True),  # n20-k16 fresh-prime levels (run_correction_level)
-        (2**16, (512, 51), False),  # n=2^16, k=4 exact bootstrap
-        (2**16, (2048, 19), False),  # its fresh-prime levels
+        (2**16, (512, 51), False),  # n=2^16, k=4 exact's bootstrap at its cap
+        (2**16, (2048, 19), True),  # its fresh-prime levels
     ],
     ids=_plan_id,
 )
@@ -286,30 +288,40 @@ def test_approx_charges_one_dense_product_when_it_is_cheaper():
 
 
 @pytest.mark.parametrize(
-    "n, k",
+    "n, k, dense",
     [
-        (2**14, 4),  # bootstrap dense
-        (2**15, 4),  # bootstrap cyclic
-        (2**11, 1),  # bootstrap cyclic
-        (2**16, 4),  # bootstrap cyclic
+        pytest.param(2**13, 16, True, id="8192-16"),
+        pytest.param(2**14, 4, False, id="16384-4"),
+        pytest.param(2**15, 4, False, id="32768-4"),
+        pytest.param(2**11, 1, False, id="2048-1"),
+        pytest.param(2**16, 4, False, id="65536-4"),
     ],
 )
-def test_exact_call_does_the_fft_work_of_its_bootstrap_alone(n, k):
-    # the bootstrap, approx at delta/2, prices and builds the call's one
-    # sketch cache; the correction levels peel its stored buckets and
-    # run no transform
-    from sparseconv.approx import ApproxParams, approx_sparse_convolve
-    from sparseconv.exact import ExactParams, exact_sparse_convolve
-    from sparseconv.fft import fft_work, reset_fft_work
+def test_exact_call_does_the_fft_work_of_its_bootstrap_alone(n, k, dense):
+    # the bootstrap's isolation_reps sketches, on the route priced for
+    # that count, are the call's only transforms; the correction levels
+    # peel its stored buckets
+    from sparseconv.approx import ApproxParams, approx_plan
+    from sparseconv.exact import CorrectionTrace, ExactParams, exact_sparse_convolve, isolation_reps
+    from sparseconv.fft import fft_work, pad_length, reset_fft_work, transform_work
+    from sparseconv.hashing import sample_prime
 
     side = math.isqrt(k)  # k = s_a * s_b
     inst = generate_instance(InstanceSpec(n=n, s_a=side, s_b=side, seed=0))
+    params = ExactParams(k=k, delta=0.1, seed=0)
+    m, _ = approx_plan(ApproxParams(k=k, delta=0.05), n)
+    reps = isolation_reps(params, n)
+    assert dense_route(n, (m, reps)) is dense
+    if dense:
+        expected = 3 * transform_work(pad_length(2 * n - 1))
+    else:
+        primes = [sample_prime(m, np.random.default_rng([0, l])) for l in range(1, reps + 1)]
+        expected = sum(6 * transform_work(pad_length(2 * p - 1)) for p in primes)
+    trace = CorrectionTrace()
     reset_fft_work()
-    exact_sparse_convolve(inst.a, inst.b, ExactParams(k=k, delta=0.1, seed=0))
-    exact_work = fft_work()
-    reset_fft_work()
-    approx_sparse_convolve(inst.a, inst.b, ApproxParams(k=k, delta=0.05, seed=0))
-    assert exact_work == fft_work() > 0
+    exact_sparse_convolve(inst.a, inst.b, params, trace=trace)
+    assert trace.bootstrap_reps == [reps]
+    assert fft_work() == expected > 0
 
 
 def test_approx_uses_a_given_cache_as_it_is(monkeypatch):
