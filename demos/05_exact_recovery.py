@@ -1,5 +1,5 @@
 """Iterative correction to exact values: bootstrap with the approximate
-engine, then peel the residual off the bootstrap's stored heavy buckets
+engine, then peel the residual off the bootstrap's stored heavy sketches
 level by level. Includes a planted defect repaired by a single
 fresh-prime correction level.
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .hashing import sample_prime
 from .numerics import SparseResult, dense_pair
-from .sketch import Sketch, SketchCache, build_sketch, dense_route, extract_candidates
+from .sketch import SketchCache, build_sketch, dense_route, extract_candidates
 
 __all__ = ["ApproxParams", "approx_sparse_convolve", "approx_plan", "ceil_log2"]
 
@@ -59,6 +59,9 @@ class ApproxParams:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.k, (int, np.integer)):
+            raise ValueError(f"k must be an integer, not {self.k!r}")
+        object.__setattr__(self, "k", int(self.k))  # numpy integers have no bit_length
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if not 0 < self.delta < 1:
@@ -98,31 +101,25 @@ def approx_sparse_convolve(
     route and inputs included, so a and b are not read; without one,
     dense_route prices this call's sketches, and ValueError is raised
     unless a and b are equal-length, finite, non-negative 1-D vectors.
-    A list passed as `heavy` gets each repetition's heavy buckets,
-    (buckets, Sketch(p, V[buckets], W[buckets])) for V >= c1; the
+    Each repetition keeps its sketch at the heavy buckets extraction
+    reads (Sketch.heavy), in `heavy` when a list is given; the
     repetitions it already holds are reused, not rebuilt, and `reps`
-    replaces the plan's count L, so a caller can grow one call's vote.
+    (>= 1) replaces the plan's count L, so a caller can grow one call's vote.
     """
+    if reps is not None and reps < 1:
+        raise ValueError("reps must be >= 1")
     if cache is None:
         a, b = dense_pair(a, b)
         cache = SketchCache(a, b, dense_route(len(a), approx_plan(params, len(a))))
     n = len(cache.a)
-    out_len = 2 * n - 1
     m, L = approx_plan(params, n)
-    L = reps or L
+    L = L if reps is None else reps
+    stored = [] if heavy is None else heavy
+    for l in range(len(stored) + 1, L + 1):
+        p = sample_prime(m, np.random.default_rng([params.seed, l]))
+        stored.append(build_sketch(cache.a, cache.b, p, cache=cache).heavy(params.c1))
 
-    records = [extract_candidates(sk, params.c1, params.tau, out_len) for _, sk in (heavy or [])[:L]]
-    for l in range(len(records) + 1, L + 1):
-        rng = np.random.default_rng([params.seed, l])
-        p = sample_prime(m, rng)
-        sk = build_sketch(cache.a, cache.b, p, cache=cache)
-        if heavy is not None:  # extraction then reads the kept buckets alone
-            buckets = np.flatnonzero(sk.v >= params.c1)
-            sk = Sketch(p, sk.v[buckets], sk.w[buckets])
-            heavy.append((buckets, sk))
-        records.append(extract_candidates(sk, params.c1, params.tau, out_len))
-
-    votes = np.concatenate(records)
+    votes = np.concatenate([extract_candidates(sk, params.c1, params.tau, 2 * n - 1) for sk in stored[:L]])
     votes = votes[np.lexsort((votes["value"], votes["index"]))]
     starts = np.flatnonzero(np.diff(votes["index"], prepend=-1))  # indices are >= 0
     counts = np.diff(starts, append=len(votes))

@@ -1,11 +1,11 @@
 """Exact sparse convolution by iterative error correction.
 
 A bootstrap pass of the approximate engine, at delta/2, produces a first
-sparse reconstruction C and keeps each repetition's heavy buckets
-(V >= c1). Each correction level peels C off them: folding is linear, so
-a stored sketch minus fold_sparse(C, p) is the residual A*B - C's
-sketch, and as C >= 0 every residual bucket >= c1 is a stored one. A
-level keeps the stored sketch exposing the most (ties to the earliest
+sparse reconstruction C and keeps each repetition's sketch at its heavy
+buckets (V >= c1). Each correction level peels C off them: folding is
+linear, so a stored sketch's residual is A*B - C's sketch at its
+buckets, and as C >= 0 every residual bucket >= c1 is a stored one. A
+level step keeps the residual exposing the most (ties to the earliest
 repetition) and folds its candidates into C, with no transform and no
 read of A or B, so the call's SketchCache and route are the bootstrap's
 alone. The peel is deterministic: the first level that leaves C
@@ -40,7 +40,7 @@ import numpy as np
 from .approx import ApproxParams, approx_plan, approx_sparse_convolve, ceil_log2
 from .hashing import primes_in_range, sample_prime
 from .numerics import SparseResult, dense_pair, round_to_int
-from .sketch import SketchCache, _peeled, build_residual_sketch, dense_route, extract_candidates
+from .sketch import SketchCache, build_residual_sketch, dense_route, extract_candidates, residual
 
 __all__ = [
     "ExactParams",
@@ -175,6 +175,15 @@ def _merged(current: SparseResult, pairs, params: ExactParams) -> SparseResult:
     return SparseResult({i: v for i, v in out.items() if abs(v) > params.tau})
 
 
+def _level(sketches, current: SparseResult, params: ExactParams, out_len: int) -> tuple[SparseResult, int]:
+    """One level step: keep the residual sketch exposing the most buckets
+    >= c1 (ties to the earliest) and merge its candidates into `current`;
+    returns the new result and the chosen sketch's prime."""
+    chosen = max(sketches, key=lambda sk: np.count_nonzero(sk.v >= params.c1))
+    candidates = extract_candidates(chosen, params.c1, params.tau, out_len)
+    return _merged(current, candidates.tolist(), params), chosen.p
+
+
 def run_correction_level(
     a: np.ndarray,
     b: np.ndarray,
@@ -187,46 +196,38 @@ def run_correction_level(
 ) -> tuple[SparseResult, int]:
     """One correction level against the partial result `current`.
 
-    Builds `reps` residual sketches with primes drawn from streams
-    seeded by (seed, level, r), keeps the one exposing the most
-    significant buckets (ties to the smallest r), and folds its
-    candidates into a copy of `current`. At a lossless modulus all
-    sketches are equal, so only r = 1 is built. Returns the updated
-    result and the chosen prime. Inputs are the given cache's, or else
-    checked as in approx_sparse_convolve.
+    _level over `reps` residual sketches with primes drawn from streams
+    seeded by (seed, level, r), so ties go to the smallest r. At a
+    lossless modulus all sketches are equal, so only r = 1 is built.
+    Returns the updated result and the chosen prime. Inputs are the given
+    cache's, or else checked as in approx_sparse_convolve.
     """
     if cache is None:
         a, b = dense_pair(a, b)
         cache = SketchCache(a, b, dense_route(len(a), (m, reps)))
-    chosen = max(
-        _residual_sketches(cache, current, m, reps, (params.seed, level)),
-        key=lambda sk: np.count_nonzero(sk.v >= params.c1),
-    )
-    candidates = extract_candidates(chosen, params.c1, params.tau, 2 * len(cache.a) - 1)
-    return _merged(current, candidates.tolist(), params), chosen.p
+    return _level(_residual_sketches(cache, current, m, reps, (params.seed, level)), current, params, 2 * len(cache.a) - 1)
 
 
 def _peel(stored, state: SparseResult, params: ExactParams, levels: int, out_len: int, trace: CorrectionTrace | None):
-    """Run up to `levels` peel levels from `state` on the stored heavy
-    buckets; returns C and whether every stored sketch peels it clean:
-    C's indices all in its heavy buckets and |V| < c1 at each of them,
+    """Run up to `levels` level steps from `state` on the residuals of the
+    stored heavy sketches; returns C and whether every stored sketch peels
+    it clean: C's indices all in its buckets and |V| < c1 at each of them,
     as holds for a correct C, whose residual is noise."""
     for l in range(1, levels + 1):
         prev = state
-        peeled = [_peeled(heavy, state, out_len) for heavy in stored]
-        chosen = max(peeled, key=lambda sk: np.count_nonzero(sk.v >= params.c1))
-        state = _merged(state, extract_candidates(chosen, params.c1, params.tau, out_len).tolist(), params)
+        peeled = [residual(s, state, out_len) for s in stored]
+        state, p = _level(peeled, state, params, out_len)
         if trace is not None:
             trace.levels = l
-            trace.chosen_primes.append(chosen.p)
+            trace.chosen_primes.append(p)
             trace.snapshots.append(SparseResult(dict(state.entries)))
         if state == prev:
             break
     else:  # no fixed point: peel the final C for the check
-        peeled = [_peeled(heavy, state, out_len) for heavy in stored]
+        peeled = [residual(s, state, out_len) for s in stored]
     return state, all(
-        {i % top.p for i in state.entries} <= set(buckets.tolist()) and np.all(np.abs(sk.v) < params.c1)
-        for (buckets, top), sk in zip(stored, peeled)
+        {i % sk.p for i in state.entries} <= set(sk.buckets.tolist()) and np.all(np.abs(sk.v) < params.c1)
+        for sk in peeled
     )
 
 
@@ -240,7 +241,7 @@ def exact_sparse_convolve(
     within 0.01 (otherwise), with probability >= 1 - delta.
 
     Failure budget: delta/2 to the bootstrap, delta/2 to the levels,
-    which peel its stored heavy buckets until C stops changing. The
+    which peel its stored heavy sketches until C stops changing. The
     bootstrap votes over isolation_reps(params, n) repetitions, enough to
     isolate every significant index in one of them with probability
     >= 1 - delta/4; the call's route is priced for that count. While the

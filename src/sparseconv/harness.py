@@ -473,7 +473,7 @@ def _config_from(config) -> dict:
             spec = InstanceSpec(**spec_args)
         except TypeError as exc:  # a missing n, s_a or s_b
             raise ValueError(f"instance {i}: {exc}") from exc
-        k = int(given.get("k", spec.s_a * spec.s_b))
+        k = given.get("k", spec.s_a * spec.s_b)  # ExactParams rejects a non-integral k
         params = ExactParams(k=k, delta=delta, c1=c1, integer_mode=spec.integer_values)
         instances.append(_GridInstance(given.get("id", f"inst{i}"), spec, params))
     engines = [_resolve_engine(e) for e in config["engines"]]

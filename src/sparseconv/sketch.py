@@ -26,9 +26,10 @@ each priced at the middle prime 3m/2 of the plan's [m, 2m], are weighed
 against the one dense product in fft_work() units. Folds cost about the
 same on both routes.
 
-A residual sketch subtracts fold_sparse's (fold, moment) pair for a
-sparse partial result C, in O(|C|): it is the sketch of A*B - C. As
-C >= 0, its buckets >= c1 are among A*B's, which _peeled reads alone.
+A sketch may hold some of its buckets only (Sketch.buckets): heavy(c1)
+keeps those with V >= c1, all extraction reads. residual subtracts a
+sparse C's fold_sparse (fold, moment) pair at a sketch's buckets in
+O(|C|), giving A*B - C's sketch there; as C >= 0, its buckets >= c1 are A*B's.
 """
 
 from __future__ import annotations
@@ -47,18 +48,25 @@ __all__ = [
     "dense_route",
     "build_sketch",
     "build_residual_sketch",
+    "residual",
     "extract_candidates",
 ]
 
 
 @dataclass(frozen=True, eq=False)
 class Sketch:
-    """Folded convolution mass (v) and folded index-weighted mass (w)
-    for one prime modulus."""
+    """Folded convolution mass (v) and folded index-weighted mass (w) for
+    one prime modulus, at the increasing bucket numbers `buckets` (None: all)."""
 
     p: int
     v: np.ndarray
     w: np.ndarray
+    buckets: np.ndarray | None = None
+
+    def heavy(self, c1: float) -> Sketch:
+        """This sketch at its buckets with V >= c1 alone."""
+        keep = np.flatnonzero(self.v >= c1)
+        return Sketch(self.p, self.v[keep], self.w[keep], keep if self.buckets is None else self.buckets[keep])
 
 
 def dense_route(n: int, plan: tuple[int, int]) -> bool:
@@ -140,29 +148,20 @@ def build_residual_sketch(
     p: int,
     cache: SketchCache | None = None,
 ) -> Sketch:
-    """Sketch of A*B minus a sparse partial reconstruction.
-
-    Subtracts fold_sparse's pair for C_prev, its fold and its moment's,
-    from (V, W) in O(|C_prev|). V entries can go negative where C_prev
-    overshoots. Inputs and the output length are the given cache's, or
-    else a and b, checked as in build_sketch.
-    """
-    sk = build_sketch(a, b, p, cache=cache)
-    n = len(a if cache is None else cache.a)
-    fc, fdc = fold_sparse(c_prev.entries.keys(), c_prev.entries.values(), p, 2 * n - 1)
-    # in place: a sketch's arrays are its own, and p can reach 4n
-    np.subtract(sk.v, fc, out=sk.v)
-    np.subtract(sk.w, fdc, out=sk.w)
-    return sk
+    """Sketch of A*B minus a sparse partial reconstruction, the residual
+    of build_sketch's; V entries can go negative where C_prev overshoots.
+    Inputs and the output length are the given cache's, or else a and b,
+    checked as in build_sketch."""
+    return residual(build_sketch(a, b, p, cache=cache), c_prev, 2 * len(a if cache is None else cache.a) - 1)
 
 
-def _peeled(heavy: tuple[np.ndarray, Sketch], c_prev: SparseResult, out_len: int) -> Sketch:
-    """build_residual_sketch at a sketch's heavy buckets, from the
-    (buckets, Sketch(p, V[buckets], W[buckets])) approx_sparse_convolve
-    stores; extract_candidates reads it like a full sketch."""
-    buckets, top = heavy
-    fc, fdc = fold_sparse(c_prev.entries.keys(), c_prev.entries.values(), top.p, out_len)
-    return Sketch(top.p, top.v - fc[buckets], top.w - fdc[buckets])
+def residual(s: Sketch, c: SparseResult, out_len: int) -> Sketch:
+    """s minus fold_sparse's pair for C, its fold and its moment's, at
+    s's buckets, in O(|C|); C's indices lie in [0, out_len)."""
+    fc, fdc = fold_sparse(c.entries.keys(), c.entries.values(), s.p, out_len)
+    if s.buckets is not None:
+        fc, fdc = fc[s.buckets], fdc[s.buckets]
+    return Sketch(s.p, s.v - fc, s.w - fdc, s.buckets)
 
 
 def extract_candidates(s: Sketch, c1: float, tau: float, out_len: int) -> np.recarray:

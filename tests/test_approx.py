@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sparseconv.approx import ApproxParams, approx_plan, approx_sparse_convolve, ceil_log2
 from sparseconv.exact import ExactParams, exact_sparse_convolve, residual_norm, run_correction_level
 from sparseconv.harness import InstanceSpec, generate_instance, run_engine
-from sparseconv.hashing import primes_in_range
+from sparseconv.hashing import primes_in_range, sample_prime
 from sparseconv.numerics import SparseResult, naive_convolve, support_ge
 from sparseconv.sketch import SketchCache, build_residual_sketch, build_sketch, dense_route
 
@@ -43,6 +43,17 @@ class TestParams:
             assert getattr(params, name) == value
             with pytest.raises(TypeError):
                 ApproxParams(k=1, delta=0.1, **{name: value})
+
+    def test_k_must_be_an_integer(self):
+        inst = generate_instance(InstanceSpec(n=2**10, s_a=4, s_b=4, seed=31))
+        for cls, engine in ((ApproxParams, approx_sparse_convolve), (ExactParams, exact_sparse_convolve)):
+            params = cls(k=np.int64(16), delta=0.1, seed=2)
+            assert params == cls(k=16, delta=0.1, seed=2) and type(params.k) is int
+            expected = engine(inst.a, inst.b, cls(k=16, delta=0.1, seed=2))
+            assert engine(inst.a, inst.b, params).sorted_items() == expected.sorted_items()
+            for k in (16.5, 16.0, "16"):
+                with pytest.raises(ValueError, match="k must be an integer"):
+                    cls(k=k, delta=0.1)
 
     def test_plan_formulas(self):
         m, L = approx_plan(ApproxParams(k=64, delta=0.1), 2**14)
@@ -137,6 +148,31 @@ def test_a_given_cache_supplies_the_inputs():
     uncached = approx_sparse_convolve(inst.a, inst.b, params)
     assert len(uncached) > 0
     assert cached.sorted_items() == uncached.sorted_items()
+
+
+@pytest.mark.parametrize("reps", [0, -1])
+@pytest.mark.parametrize("heavy", [None, []], ids=["no-list", "list"])
+def test_reps_below_one_is_rejected(reps, heavy):
+    inst = generate_instance(InstanceSpec(n=2**10, s_a=4, s_b=4, seed=31))
+    with pytest.raises(ValueError, match="reps"):
+        approx_sparse_convolve(inst.a, inst.b, ApproxParams(k=16, delta=0.1), heavy=heavy, reps=reps)
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "cyclic"])
+def test_each_stored_sketch_is_its_repetitions_sketch_at_its_heavy_buckets(dense):
+    inst = generate_instance(InstanceSpec(n=2**12, s_a=4, s_b=4, seed=5))
+    params = ApproxParams(k=16, delta=0.1, seed=4)
+    cache = SketchCache(inst.a, inst.b, dense)
+    stored = []
+    with_list = approx_sparse_convolve(inst.a, inst.b, params, cache=cache, heavy=stored)
+    assert with_list.sorted_items() == approx_sparse_convolve(inst.a, inst.b, params, cache=cache).sorted_items()
+    m, L = approx_plan(params, len(inst.a))
+    assert len(stored) == L
+    for l, sk in enumerate(stored, 1):
+        full = build_sketch(inst.a, inst.b, sample_prime(m, np.random.default_rng([params.seed, l])), cache=cache)
+        assert sk.p == full.p
+        assert np.array_equal(sk.buckets, np.flatnonzero(full.v >= params.c1))
+        assert np.array_equal(sk.v, full.v[sk.buckets]) and np.array_equal(sk.w, full.w[sk.buckets])
 
 
 def test_deterministic_given_seed():

@@ -235,7 +235,7 @@ class TestPeel:
         def damaged_bootstrap(a, b, params, cache=None, heavy=None, reps=None):
             # the real bootstrap fills `heavy`; only its result is damaged
             assert original(a, b, params, cache=cache, heavy=heavy, reps=reps).support() == set(full)
-            primes.extend(top.p for _, top in heavy)
+            primes.extend(sk.p for sk in heavy)
             boot = {j: v for j, v in full.items() if j != dropped}
             boot[short] -= 1
             return SparseResult(boot)

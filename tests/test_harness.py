@@ -352,6 +352,7 @@ class TestRunBenchmark:
             ("delta", {**tiny, "delta": 1.5}),
             ("c1", {**tiny, "c1": -1}),
             ("k", {**tiny, "instances": [{**tiny["instances"][0], "k": 0}]}),
+            ("k must be an integer", {**tiny, "instances": [{**tiny["instances"][0], "k": 2.7}]}),
             ("noise_densty", {**tiny, "instances": [{**tiny["instances"][0], "noise_densty": 0.0}]}),
             ("vlaue_range", {**tiny, "instances": [{**tiny["instances"][0], "vlaue_range": [1, 3]}]}),
             ("detla", {**tiny, "detla": 0.5}),

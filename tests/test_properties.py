@@ -1,11 +1,12 @@
 """Property tests for the identities the recovery engines rest on:
 folding commutes with convolution, one pass folds a vector and its
 index-weighted copy alike, from its dense or its sparse form, an
-isolated bucket's W/V ratio names its output index, and at a lossless modulus every residual sketch is the
-residual itself. Peeling a non-negative partial result off a sketch's
-heavy buckets gives the residual sketch there and loses none of its
-heavy buckets. Vectorised extraction is checked against the
-bucket-by-bucket loop it replaced. Transforms pad to the next
+isolated bucket's W/V ratio names its output index, and at a lossless
+modulus every residual sketch is the residual itself. A heavy sketch's
+residual for a non-negative partial result is the full sketch's
+residual at its buckets, bit for bit, and loses none of its heavy
+buckets. Vectorised extraction is checked against the bucket-by-bucket
+loop it replaced. Transforms pad to the next
 2^a * 3^b * 5^c length and are charged N * log2(N). Exact's bootstrap
 count is the least one, from 3 up to its cap, meeting its isolation
 bound, and never grows with delta."""
@@ -23,14 +24,7 @@ from sparseconv.exact import ExactParams, isolation_reps
 from sparseconv.fft import cyclic_convolve, fft_convolve, pad_length, transform_work
 from sparseconv.hashing import fold, fold_sparse, primes_in_range
 from sparseconv.numerics import SparseResult, naive_convolve, round_to_int
-from sparseconv.sketch import (
-    Sketch,
-    SketchCache,
-    _peeled,
-    build_residual_sketch,
-    build_sketch,
-    extract_candidates,
-)
+from sparseconv.sketch import Sketch, SketchCache, build_residual_sketch, build_sketch, extract_candidates, residual
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
 
@@ -117,14 +111,14 @@ def test_peeled_heavy_buckets_are_the_residual_sketchs_heavy_buckets(data, c1):
         st.dictionaries(st.integers(0, out_len - 1), st.floats(0, 100), max_size=8), label="c"
     ))
     sk = build_sketch(a, b, p)
-    buckets = np.flatnonzero(sk.v >= c1)  # what approx_sparse_convolve stores
-    peeled = _peeled((buckets, Sketch(p, sk.v[buckets], sk.w[buckets])), partial, out_len)
-    residual = build_residual_sketch(a, b, partial, p)
-    scale = 1 + out_len * (a.sum() * b.sum() + sum(partial.entries.values()))
-    np.testing.assert_allclose(peeled.v, residual.v[buckets], rtol=0, atol=1e-9 * scale)
-    np.testing.assert_allclose(peeled.w, residual.w[buckets], rtol=0, atol=1e-9 * scale)
+    top = sk.heavy(c1)  # what approx_sparse_convolve stores
+    assert np.array_equal(top.buckets, np.flatnonzero(sk.v >= c1))
+    peeled, full = residual(top, partial, out_len), residual(sk, partial, out_len)
+    assert np.array_equal(peeled.buckets, top.buckets)
+    assert np.array_equal(peeled.v, full.v[top.buckets])
+    assert np.array_equal(peeled.w, full.w[top.buckets])
     # C >= 0 only lowers buckets, so none rises to c1 outside the stored ones
-    assert set(np.flatnonzero(residual.v >= c1)) <= set(buckets)
+    assert set(np.flatnonzero(full.v >= c1)) <= set(top.buckets)
 
 
 def extract_by_loop(s, c1, tau, out_len):

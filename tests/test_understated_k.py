@@ -8,7 +8,6 @@ approx's count at delta/2 (the cap) and the warning there.
 
 import warnings
 
-import numpy as np
 import pytest
 
 import sparseconv.exact
@@ -17,6 +16,7 @@ from sparseconv.exact import (
     CorrectionTrace,
     ExactParams,
     _bootstrap_params,
+    _level,
     _merged,
     exact_sparse_convolve,
     repetition_schedule,
@@ -24,7 +24,7 @@ from sparseconv.exact import (
 from sparseconv.fft import fft_convolve
 from sparseconv.harness import InstanceSpec, generate_instance
 from sparseconv.numerics import SparseResult, round_to_int, support_ge
-from sparseconv.sketch import _peeled, extract_candidates
+from sparseconv.sketch import residual
 
 N = 2**14
 SIDES = (8, 12, 16)  # true k = side^2: 64, 144, 256
@@ -35,15 +35,14 @@ ENGINE_SEEDS = (1, 2)
 
 def unsized_pipeline(a, b, params: ExactParams) -> SparseResult:
     """Exact before its bootstrap was sized: approx's full vote at
-    delta/2, then peel levels on its stored buckets to a fixed point."""
+    delta/2, then level steps on its stored sketches to a fixed point."""
     out_len = 2 * len(a) - 1
     boot = ApproxParams(k=params.k, delta=params.delta / 2, c1=params.c1, L_mult=params.L_mult, seed=params.seed)
     stored = []
     state = _merged(SparseResult(), approx_sparse_convolve(a, b, boot, heavy=stored).entries.items(), params)
     for _ in repetition_schedule(params):
-        peeled = [_peeled(heavy, state, out_len) for heavy in stored]
-        chosen = max(peeled, key=lambda sk: np.count_nonzero(sk.v >= params.c1))
-        prev, state = state, _merged(state, extract_candidates(chosen, params.c1, params.tau, out_len).tolist(), params)
+        prev = state
+        state, _ = _level([residual(s, state, out_len) for s in stored], state, params, out_len)
         if state == prev:
             break
     return state
