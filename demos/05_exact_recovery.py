@@ -33,8 +33,9 @@ trace = CorrectionTrace()
 c = exact_sparse_convolve(inst.a, inst.b, params, trace=trace)
 
 print(f"\nbootstrap repetitions per vote: {trace.bootstrap_reps}")
-print(f"fresh-prime level schedule (repetitions per level): {trace.schedule}")
-print(f"peel levels run / cap: {trace.levels} / {len(trace.schedule)}, stored primes chosen: {trace.chosen_primes}")
+schedule = repetition_schedule(params)
+print(f"fresh-prime level schedule (repetitions per level): {schedule}")
+print(f"peel levels run / cap: {len(trace.chosen_primes)} / {len(schedule)}, stored primes chosen: {trace.chosen_primes}")
 print("residual significant entries after each stage:")
 for stage, snap in enumerate(trace.snapshots):
     norm = residual_norm(inst.a, inst.b, snap, 0.5, trials=2, seed=99)
@@ -51,7 +52,7 @@ victim = sorted(full)[3]
 value = full.pop(victim)
 print(f"\nplanting a defect: dropping index {victim} (value {value})")
 m, _ = exact_plan(params, spec.n)
-reps = repetition_schedule(params)[0]
+reps = schedule[0]
 repaired, prime = run_correction_level(
     inst.a, inst.b, SparseResult(full), 1, reps, m, params
 )

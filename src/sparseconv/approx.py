@@ -19,7 +19,7 @@ from typing import ClassVar
 import numpy as np
 
 from .hashing import sample_prime
-from .numerics import SparseResult, dense_pair
+from .numerics import SparseResult, as_int, dense_pair
 from .sketch import SketchCache, build_sketch, dense_route, extract_candidates
 
 __all__ = ["ApproxParams", "approx_sparse_convolve", "approx_plan", "ceil_log2"]
@@ -59,19 +59,14 @@ class ApproxParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.k, (int, np.integer)):
-            raise ValueError(f"k must be an integer, not {self.k!r}")
-        object.__setattr__(self, "k", int(self.k))  # numpy integers have no bit_length
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        object.__setattr__(self, "k", as_int(self.k, "k", 1))
+        object.__setattr__(self, "seed", as_int(self.seed, "seed", 0))
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
         if not self.c1 > 0:
             raise ValueError("c1 must be positive")
-        if self.L_mult < 1:
-            raise ValueError("L_mult must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        if not 1 <= self.L_mult < math.inf:
+            raise ValueError(f"L_mult must lie in [1, inf), not {self.L_mult!r}")
 
 
 def approx_plan(params: ApproxParams, n: int) -> tuple[int, int]:
@@ -104,10 +99,10 @@ def approx_sparse_convolve(
     Each repetition keeps its sketch at the heavy buckets extraction
     reads (Sketch.heavy), in `heavy` when a list is given; the
     repetitions it already holds are reused, not rebuilt, and `reps`
-    (>= 1) replaces the plan's count L, so a caller can grow one call's vote.
+    (an integer >= 1) replaces the plan's L, so a caller can grow its vote.
     """
-    if reps is not None and reps < 1:
-        raise ValueError("reps must be >= 1")
+    if reps is not None:
+        reps = as_int(reps, "reps", 1)
     if cache is None:
         a, b = dense_pair(a, b)
         cache = SketchCache(a, b, dense_route(len(a), approx_plan(params, len(a))))

@@ -10,7 +10,7 @@ repetition) and folds its candidates into C, with no transform and no
 read of A or B, so the call's SketchCache and route are the bootstrap's
 alone. The peel is deterministic: the first level that leaves C
 unchanged is a fixed point and ends the run, after at most
-len(schedule) levels.
+_level_count(params) levels.
 
 The bootstrap is sized to isolate, not to vote: the levels repair what
 its vote drops, so it needs only each significant index isolated in one
@@ -32,14 +32,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
 
 from .approx import ApproxParams, approx_plan, approx_sparse_convolve, ceil_log2
 from .hashing import primes_in_range, sample_prime
-from .numerics import SparseResult, dense_pair, round_to_int
+from .numerics import SparseResult, as_int, dense_pair, round_to_int
 from .sketch import SketchCache, build_residual_sketch, dense_route, extract_candidates, residual
 
 __all__ = [
@@ -76,17 +76,14 @@ class ExactParams(ApproxParams):
 
 @dataclass
 class CorrectionTrace:
-    """Per-level diagnostics: the bootstrap's repetition counts, one per
+    """What one exact call ran: the bootstrap's repetition counts, one per
     vote (e.g. [3], or [3, 6, 12] after two doublings), and for the last
-    vote C snapshots after it and after each of the `levels` levels run
-    (at most len(schedule), ending at the first that leaves C unchanged:
-    a fixed point, which certifies C only when the stored primes fold
-    losslessly), and the stored bootstrap prime each level chose."""
+    vote C's snapshots after it and after each level (up to the first
+    that leaves C unchanged; the last is the result) and the stored prime
+    each level chose, one fewer."""
 
     snapshots: list[SparseResult] = field(default_factory=list)
-    schedule: list[int] = field(default_factory=list)
     chosen_primes: list[int] = field(default_factory=list)
-    levels: int = 0
     bootstrap_reps: list[int] = field(default_factory=list)
 
 
@@ -122,9 +119,9 @@ def repetition_schedule(params: ExactParams) -> list[int]:
     ]
 
 
-def _bootstrap_params(params: ExactParams) -> ApproxParams:
-    shared = {f.name: getattr(params, f.name) for f in fields(ApproxParams)}
-    return ApproxParams(**{**shared, "delta": params.delta / 2})
+def _bootstrap_params(params: ExactParams) -> ExactParams:
+    # an ExactParams is an ApproxParams; approx ignores integer_mode
+    return replace(params, delta=params.delta / 2)
 
 
 def isolation_reps(params: ExactParams, n: int) -> int:
@@ -200,27 +197,28 @@ def run_correction_level(
     seeded by (seed, level, r), so ties go to the smallest r. At a
     lossless modulus all sketches are equal, so only r = 1 is built.
     Returns the updated result and the chosen prime. Inputs are the given
-    cache's, or else checked as in approx_sparse_convolve.
+    cache's, or else checked as in approx_sparse_convolve; ValueError
+    unless reps >= 1 and m >= 2 are integers.
     """
+    reps, m = as_int(reps, "reps", 1), as_int(m, "m", 2)
     if cache is None:
         a, b = dense_pair(a, b)
         cache = SketchCache(a, b, dense_route(len(a), (m, reps)))
     return _level(_residual_sketches(cache, current, m, reps, (params.seed, level)), current, params, 2 * len(cache.a) - 1)
 
 
-def _peel(stored, state: SparseResult, params: ExactParams, levels: int, out_len: int, trace: CorrectionTrace | None):
-    """Run up to `levels` level steps from `state` on the residuals of the
-    stored heavy sketches; returns C and whether every stored sketch peels
-    it clean: C's indices all in its buckets and |V| < c1 at each of them,
-    as holds for a correct C, whose residual is noise."""
-    for l in range(1, levels + 1):
+def _peel(stored, state: SparseResult, params: ExactParams, out_len: int, trace: CorrectionTrace):
+    """Run up to _level_count(params) level steps from `state` on the
+    residuals of the stored heavy sketches, recording each in `trace`;
+    returns C and whether every stored sketch peels it clean: C's indices
+    all in its buckets and |V| < c1 at each of them, as holds for a
+    correct C, whose residual is noise."""
+    for _ in range(_level_count(params)):
         prev = state
         peeled = [residual(s, state, out_len) for s in stored]
         state, p = _level(peeled, state, params, out_len)
-        if trace is not None:
-            trace.levels = l
-            trace.chosen_primes.append(p)
-            trace.snapshots.append(SparseResult(dict(state.entries)))
+        trace.chosen_primes.append(p)
+        trace.snapshots.append(SparseResult(dict(state.entries)))
         if state == prev:
             break
     else:  # no fixed point: peel the final C for the check
@@ -250,33 +248,30 @@ def exact_sparse_convolve(
     possible for a correct C), the count doubles, up to approx's count
     at delta/2, and the vote and peel re-run over every stored sketch. A
     call not clean at that cap raises one RuntimeWarning: k is probably
-    under-stated. A CorrectionTrace collects the counts and per-level
-    snapshots for diagnostics.
+    under-stated. A given CorrectionTrace is filled with what the call
+    ran, for diagnostics.
 
     Raises ValueError unless a and b are equal-length, finite,
     non-negative 1-D vectors.
     """
     a, b = dense_pair(a, b)
     n = len(a)
-    schedule = repetition_schedule(params)
     bootstrap_params = _bootstrap_params(params)
     m, cap = approx_plan(bootstrap_params, n)
     reps = isolation_reps(params, n)
     cache = SketchCache(a, b, dense_route(n, (m, reps)))
-    if trace is not None:
-        trace.schedule = list(schedule)
-        trace.bootstrap_reps = []
+    trace = CorrectionTrace() if trace is None else trace
+    trace.bootstrap_reps = []
 
     stored = []
     while True:
         state = approx_sparse_convolve(a, b, bootstrap_params, cache=cache, heavy=stored, reps=reps)
         if params.integer_mode:
             state = _merged(SparseResult(), state.entries.items(), params)
-        if trace is not None:
-            trace.bootstrap_reps.append(reps)
-            trace.snapshots = [SparseResult(dict(state.entries))]
-            trace.chosen_primes = []
-        state, clean = _peel(stored, state, params, len(schedule), 2 * n - 1, trace)
+        trace.bootstrap_reps.append(reps)
+        trace.snapshots = [SparseResult(dict(state.entries))]
+        trace.chosen_primes = []
+        state, clean = _peel(stored, state, params, 2 * n - 1, trace)
         if clean or reps == cap:
             break
         reps = min(2 * reps, cap)
@@ -309,15 +304,14 @@ def residual_norm(
     exact count, so one is run. Diagnostic only, never on the recovery path.
 
     Raises ValueError unless a and b are equal-length, finite,
-    non-negative 1-D vectors, c1 > 0 and trials >= 1.
+    non-negative 1-D vectors, c1 > 0, and trials >= 1 and any given
+    m >= 2 are integers.
     """
     a, b = dense_pair(a, b)
     if not c1 > 0:
         raise ValueError("c1 must be positive")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if m is None:
-        m = max(2 * len(a) - 1, 16)
+    trials = as_int(trials, "trials", 1)
+    m = max(2 * len(a) - 1, 16) if m is None else as_int(m, "m", 2)
     cache = SketchCache(a, b, dense_route(len(a), (m, trials)))
     return max(
         np.count_nonzero(np.abs(sk.v) >= c1)

@@ -34,6 +34,7 @@ from .exact import ExactParams, exact_sparse_convolve
 from .fft import fft_convolve, fft_work, reset_fft_work
 from .numerics import (
     SparseResult,
+    as_int,
     dense_pair,
     naive_convolve,
     norm_ge,
@@ -477,7 +478,7 @@ def _config_from(config) -> dict:
         params = ExactParams(k=k, delta=delta, c1=c1, integer_mode=spec.integer_values)
         instances.append(_GridInstance(given.get("id", f"inst{i}"), spec, params))
     engines = [_resolve_engine(e) for e in config["engines"]]
-    seeds = [int(s) for s in config["seeds"]]
+    seeds = [as_int(s, "seed") for s in config["seeds"]]  # int() would truncate 1.5
     ids = [instance.id for instance in instances]
     for what, values in (("instance id", ids), ("engine", engines), ("seed", seeds)):
         repeated = [v for j, v in enumerate(values) if v in values[:j]]

@@ -17,6 +17,7 @@ __all__ = [
     "SparseResult",
     "dense_vector",
     "dense_pair",
+    "as_int",
     "derivative",
     "naive_convolve",
     "norm_ge",
@@ -52,6 +53,16 @@ def dense_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     return a, b
+
+
+def as_int(value, name: str, least: int | None = None) -> int:
+    """A count or seed given as an int or numpy integer, as an int;
+    ValueError naming it otherwise, or when it is below `least`."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return int(value)  # numpy integers have no bit_length
 
 
 @dataclass

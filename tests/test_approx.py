@@ -37,6 +37,15 @@ class TestParams:
             ApproxParams(k=1, delta=0.1, L_mult=0.5)
         with pytest.raises(ValueError, match="seed"):
             ApproxParams(k=1, delta=0.1, seed=-1)
+        # values that construct but that no engine call could run
+        for L_mult in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="L_mult"):
+                ApproxParams(k=1, delta=0.1, L_mult=L_mult)
+        for seed in (1.5, 1.0, "1"):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                ApproxParams(k=1, delta=0.1, seed=seed)
+        params = ApproxParams(k=1, delta=0.1, seed=np.int64(3))
+        assert params == ApproxParams(k=1, delta=0.1, seed=3) and type(params.seed) is int
         # the fixed constants keep their values but are not fields
         params = ApproxParams(k=1, delta=0.1)
         for name, value in (("tau", 0.25), ("m_mult", 4), ("min_votes_frac", 0.5)):
@@ -150,12 +159,15 @@ def test_a_given_cache_supplies_the_inputs():
     assert cached.sorted_items() == uncached.sorted_items()
 
 
-@pytest.mark.parametrize("reps", [0, -1])
+@pytest.mark.parametrize("reps", [0, -1, 2.5])
 @pytest.mark.parametrize("heavy", [None, []], ids=["no-list", "list"])
 def test_reps_below_one_is_rejected(reps, heavy):
+    # and a non-integral count, which range() would reject deep inside
     inst = generate_instance(InstanceSpec(n=2**10, s_a=4, s_b=4, seed=31))
     with pytest.raises(ValueError, match="reps"):
         approx_sparse_convolve(inst.a, inst.b, ApproxParams(k=16, delta=0.1), heavy=heavy, reps=reps)
+    with pytest.raises(ValueError, match="reps"):
+        run_correction_level(inst.a, inst.b, SparseResult(), 1, reps, 64, ExactParams(k=16, delta=0.1))
 
 
 @pytest.mark.parametrize("dense", [True, False], ids=["dense", "cyclic"])

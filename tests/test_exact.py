@@ -1,6 +1,7 @@
+import ast
 import math
 import re
-from dataclasses import fields
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,10 +40,12 @@ class TestParams:
                 ExactParams(k=1, delta=0.1, **{name: value})
 
     def test_readme_knob_table_lists_the_fields(self):
+        # each field once, in order, with its default ("required" if none)
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         table = readme.split("| knob |", 1)[1].split("\n\n", 1)[0]
-        names = re.findall(r"^\| `(\w+)`", table, flags=re.M)
-        assert names == [f.name for f in fields(ExactParams)]
+        rows = re.findall(r"^\| `(\w+)` \| ([^|]*?) \|", table, flags=re.M)
+        listed = [(name, default if default == "required" else ast.literal_eval(default)) for name, default in rows]
+        assert listed == [(f.name, "required" if f.default is MISSING else f.default) for f in fields(ExactParams)]
 
     def test_plan(self):
         m, levels = exact_plan(ExactParams(k=64, delta=0.1), 2**14)
@@ -89,7 +92,7 @@ def test_bootstrap_gets_every_approx_knob_with_half_delta(monkeypatch):
     trace = CorrectionTrace()
     exact_sparse_convolve(impulse(4, 2), impulse(4, 3), params, trace=trace)
     assert isolation_reps(params, 4) == 3 < approx_plan(ApproxParams(k=2, delta=0.1, L_mult=3.0), 4)[1]
-    assert seen == [(ApproxParams(k=2, delta=0.1, c1=0.75, L_mult=3.0, seed=4), 3)]
+    assert seen == [(replace(params, delta=params.delta / 2), 3)]
     assert trace.bootstrap_reps == [3]
 
 
@@ -212,6 +215,14 @@ def test_level_keeps_the_first_repetition_with_most_significant_buckets(monkeypa
     assert chosen == best[0]
 
 
+def assert_one_trace_of_the_call(inst, params, out, trace):
+    # a snapshot after the bootstrap and after each level, the last one
+    # the result, which the call returns without a trace too
+    assert len(trace.snapshots) == len(trace.chosen_primes) + 1
+    assert trace.snapshots[-1] == out
+    assert exact_sparse_convolve(inst.a, inst.b, params).sorted_items() == out.sorted_items()
+
+
 class TestPeel:
     # the bootstrap's primes at n=2^13, k=16 lie in [3328, 6656], below
     # 2n-1, so every stored sketch folds lossily
@@ -247,9 +258,10 @@ class TestPeel:
         assert out == SparseResult(full)
         # one level repairs both entries, the next is the fixed point,
         # which peels clean, so the 3-sketch bootstrap is not grown
-        assert trace.levels == 2 and trace.snapshots[1] == trace.snapshots[2] == out
+        assert len(trace.chosen_primes) == 2 and trace.snapshots[1] == trace.snapshots[2] == out
         assert trace.bootstrap_reps == [3] and len(primes) == 3
         assert set(trace.chosen_primes) <= set(primes)
+        assert_one_trace_of_the_call(inst, self.params, out, trace)
 
     def test_peel_builds_no_residual_sketch_and_adds_no_fft_work(self, monkeypatch):
         from sparseconv.fft import fft_work, pad_length, reset_fft_work, transform_work
@@ -268,8 +280,8 @@ class TestPeel:
         trace = CorrectionTrace()
         out = exact_sparse_convolve(inst.a, inst.b, self.params, trace=trace)
         assert out == SparseResult(full)
-        assert trace.levels == 1 and len(trace.schedule) == 4
-        assert len(trace.snapshots) == 2 and len(trace.chosen_primes) == 1
+        assert len(trace.chosen_primes) == 1 < exact_plan(self.params, len(inst.a))[1] == 4
+        assert_one_trace_of_the_call(inst, self.params, out, trace)
 
 
 class TestResidualNorm:
@@ -282,9 +294,15 @@ class TestResidualNorm:
         return inst, full
 
     def test_rejects_no_trials(self):
+        # and a non-integral count or modulus, here and at a correction level
         inst, full = self._instance()
-        with pytest.raises(ValueError, match="trials"):
-            residual_norm(inst.a, inst.b, SparseResult(full), 0.5, 0, 7)
+        for trials in (0, 2.5):
+            with pytest.raises(ValueError, match="trials"):
+                residual_norm(inst.a, inst.b, SparseResult(full), 0.5, trials, 7)
+        with pytest.raises(ValueError, match="m must be an integer"):
+            residual_norm(inst.a, inst.b, SparseResult(full), 0.5, 2, 7, m=16.5)
+        with pytest.raises(ValueError, match="m must be an integer"):
+            run_correction_level(inst.a, inst.b, SparseResult(full), 1, 2, 16.5, ExactParams(k=16, delta=0.1))
 
     def test_zero_for_exact_result(self):
         inst, full = self._instance()
@@ -404,4 +422,4 @@ def test_trace_reports_monotone_residuals():
     assert all(norms[i] >= norms[i + 1] for i in range(len(norms) - 1))
     assert norms[-1] == 0
     assert trace.snapshots[-1] == out
-    assert len(trace.chosen_primes) == trace.levels
+    assert len(trace.snapshots) == len(trace.chosen_primes) + 1

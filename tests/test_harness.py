@@ -367,6 +367,8 @@ class TestRunBenchmark:
                 {"id": 3, "n": 64, "s_a": 1, "s_b": 1}, {"id": "twin", "n": 128, "s_a": 1, "s_b": 1}]}),
             ("repeated engine 'fft'", {**tiny, "engines": ["fft", "dense-fft"]}),
             ("repeated seed 0", {**tiny, "seeds": [0, 0]}),
+            # int() would run it as seed 1
+            ("seed must be an integer", {**tiny, "seeds": [1.5]}),
         ]
         for knob, config in voiding:
             with pytest.raises(ValueError, match=knob):

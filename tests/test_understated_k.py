@@ -49,18 +49,30 @@ def unsized_pipeline(a, b, params: ExactParams) -> SparseResult:
 
 
 def _run(a, b, params):
+    """One traced call: (output, trace, warning count, the output of the
+    same call without a trace when the bootstrap grew, else None)."""
     trace = CorrectionTrace()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         out = exact_sparse_convolve(a, b, params, trace=trace)
+        warned = len(caught)
+        untraced = exact_sparse_convolve(a, b, params) if len(trace.bootstrap_reps) > 1 else None
     assert all(w.category is RuntimeWarning for w in caught)
-    return out, trace, len(caught)
+    return out, trace, warned, untraced
+
+
+def assert_one_trace_of_the_call(out, trace, untraced):
+    # a snapshot after the last vote and after each level, the last one
+    # the result, which the call returns without a trace too
+    assert len(trace.snapshots) == len(trace.chosen_primes) + 1
+    assert trace.snapshots[-1] == out
+    assert untraced.sorted_items() == out.sorted_items()
 
 
 @pytest.fixture(scope="module")
 def runs():
     """Per call: (truth, sized run, run with the count patched to the
-    cap, unsized pipeline), each run an (output, trace, warnings) triple."""
+    cap, unsized pipeline), each run as _run returns it."""
     out = []
     for side in SIDES:
         for seed in INSTANCE_SEEDS:
@@ -79,11 +91,13 @@ def runs():
 
 
 def test_the_family_grows_the_bootstrap_and_reaches_the_cap(runs):
-    grown = [sized[1].bootstrap_reps for _, sized, _, _ in runs if len(sized[1].bootstrap_reps) > 1]
+    grown = [sized for _, sized, _, _ in runs if len(sized[1].bootstrap_reps) > 1]
     assert len(grown) >= len(runs) // 10
     assert any(sized[2] for _, sized, _, _ in runs)  # some calls warn at the cap
-    for reps in grown:
+    for out, trace, _, untraced in grown:
+        reps = trace.bootstrap_reps
         assert reps[0] == 3 and all(later == min(2 * earlier, reps[-1]) for earlier, later in zip(reps, reps[1:]))
+        assert_one_trace_of_the_call(out, trace, untraced)
 
 
 def test_growth_loses_no_repair_power(runs):
@@ -93,7 +107,7 @@ def test_growth_loses_no_repair_power(runs):
 
 
 def test_the_count_patched_to_the_cap_is_the_unsized_pipeline(runs):
-    for _, _, (out, trace, _), reference in runs:
+    for _, _, (out, trace, _, _), reference in runs:
         assert out.sorted_items() == reference.sorted_items()
         assert len(trace.bootstrap_reps) == 1
 
@@ -101,7 +115,7 @@ def test_the_count_patched_to_the_cap_is_the_unsized_pipeline(runs):
 def test_a_right_call_never_warns(runs):
     # a correct C peels clean in every stored sketch, so the check is sound
     for truth, sized, capped, _ in runs:
-        for out, _, warned in (sized, capped):
+        for out, _, warned, _ in (sized, capped):
             assert not (out == truth and warned)
 
 
@@ -110,10 +124,13 @@ def test_warns_once_when_the_capped_bootstrap_does_not_peel_clean():
     params = ExactParams(k=2, delta=0.1, seed=1)
     trace = CorrectionTrace()
     with pytest.warns(RuntimeWarning, match="under-stated") as caught:
-        exact_sparse_convolve(inst.a, inst.b, params, trace=trace)
+        out = exact_sparse_convolve(inst.a, inst.b, params, trace=trace)
     assert len(caught) == 1
     cap = approx_plan(ApproxParams(k=2, delta=0.05), 2**17)[1]
     assert trace.bootstrap_reps == [3, 6, 12, 24, cap]
+    with pytest.warns(RuntimeWarning, match="under-stated"):
+        untraced = exact_sparse_convolve(inst.a, inst.b, params)
+    assert_one_trace_of_the_call(out, trace, untraced)
 
 
 def test_no_call_on_the_acceptance_grid_grows_or_warns():
