@@ -63,8 +63,8 @@ class ApproxParams:
         object.__setattr__(self, "seed", as_int(self.seed, "seed", 0))
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
-        if not self.c1 > 0:
-            raise ValueError("c1 must be positive")
+        if not 0 < self.c1 < math.inf:
+            raise ValueError(f"c1 must lie in (0, inf), not {self.c1!r}")
         if not 1 <= self.L_mult < math.inf:
             raise ValueError(f"L_mult must lie in [1, inf), not {self.L_mult!r}")
 

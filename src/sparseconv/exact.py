@@ -304,12 +304,12 @@ def residual_norm(
     exact count, so one is run. Diagnostic only, never on the recovery path.
 
     Raises ValueError unless a and b are equal-length, finite,
-    non-negative 1-D vectors, c1 > 0, and trials >= 1 and any given
+    non-negative 1-D vectors, 0 < c1 < inf, and trials >= 1 and any given
     m >= 2 are integers.
     """
     a, b = dense_pair(a, b)
-    if not c1 > 0:
-        raise ValueError("c1 must be positive")
+    if not 0 < c1 < math.inf:
+        raise ValueError(f"c1 must lie in (0, inf), not {c1!r}")
     trials = as_int(trials, "trials", 1)
     m = max(2 * len(a) - 1, 16) if m is None else as_int(m, "m", 2)
     cache = SketchCache(a, b, dense_route(len(a), (m, trials)))

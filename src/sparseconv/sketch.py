@@ -34,13 +34,14 @@ O(|C|), giving A*B - C's sketch there; as C >= 0, its buckets >= c1 are A*B's.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fft import fft_convolve, fft_forward, fft_inverse_real, fold_linear_to_cyclic, pad_length, transform_work
 from .hashing import fold, fold_sparse
-from .numerics import SparseResult, dense_pair
+from .numerics import SparseResult, as_int, dense_pair
 
 __all__ = [
     "Sketch",
@@ -123,6 +124,7 @@ def build_sketch(
     transforms per sketch. Route and inputs are the cache's; without one,
     dense_pair checks a and b and dense_route decides for this sketch alone.
     """
+    p = as_int(p, "p", 1)
     if cache is None:
         a, b = dense_pair(a, b)
         cache = SketchCache(a, b, dense_route(len(a), (p, 1)))
@@ -173,8 +175,8 @@ def extract_candidates(s: Sketch, c1: float, tau: float, out_len: int) -> np.rec
     out-of-range ratios). Returns a record array of the accepted buckets'
     index (int64) and value (float64) fields, in bucket order.
     """
-    if not c1 > 0:
-        raise ValueError("c1 must be positive")
+    if not 0 < c1 < math.inf:
+        raise ValueError(f"c1 must lie in (0, inf), not {c1!r}")
     if not 0 < tau < 0.5:
         raise ValueError("tau must lie in (0, 0.5)")
     buckets = np.flatnonzero(s.v >= c1)

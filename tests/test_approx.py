@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +43,10 @@ class TestParams:
         for L_mult in (math.inf, math.nan):
             with pytest.raises(ValueError, match="L_mult"):
                 ApproxParams(k=1, delta=0.1, L_mult=L_mult)
+        # no bucket reaches an infinite c1, so every call would return {}
+        for c1 in (math.inf, math.nan, 0.0):
+            with pytest.raises(ValueError, match="c1"):
+                ApproxParams(k=1, delta=0.1, c1=c1)
         for seed in (1.5, 1.0, "1"):
             with pytest.raises(ValueError, match="seed must be an integer"):
                 ApproxParams(k=1, delta=0.1, seed=seed)
@@ -92,8 +98,8 @@ def test_length_mismatch():
 
 
 ENGINE_ENTRY_POINTS = {
-    "approx": lambda a, b: approx_sparse_convolve(a, b, ApproxParams(k=1, delta=0.1)),
-    "exact": lambda a, b: exact_sparse_convolve(a, b, ExactParams(k=1, delta=0.1)),
+    "approx_sparse_convolve": lambda a, b: approx_sparse_convolve(a, b, ApproxParams(k=1, delta=0.1)),
+    "exact_sparse_convolve": lambda a, b: exact_sparse_convolve(a, b, ExactParams(k=1, delta=0.1)),
     "residual_norm": lambda a, b: residual_norm(a, b, SparseResult(), 0.5, 1, 0),
     "run_engine": lambda a, b: run_engine("fft", a, b, ExactParams(k=1, delta=0.1)),
     "build_sketch": lambda a, b: build_sketch(a, b, 5),
@@ -104,7 +110,10 @@ ENGINE_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("engine", ENGINE_ENTRY_POINTS.values(), ids=list(ENGINE_ENTRY_POINTS))
+# test ids name the two engines by their short names, approx and exact
+@pytest.mark.parametrize(
+    "engine", ENGINE_ENTRY_POINTS.values(), ids=[name.removesuffix("_sparse_convolve") for name in ENGINE_ENTRY_POINTS]
+)
 @pytest.mark.parametrize(
     "bad",
     [
@@ -128,6 +137,13 @@ def test_engines_reject_inputs_that_void_the_guarantee(engine, bad):
     if np.shape(bad) == (5,):
         with pytest.raises(ValueError, match="length mismatch: 4 vs 5"):
             engine(good, bad)
+
+
+def test_readme_lists_the_entry_points_that_check_their_inputs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    paragraph = readme[readme.index("The guarantees hold only for non-negative inputs") :].split("\n\n")[0]
+    listed = re.search(r"\((`\w+`(?:,\s+`\w+`)*)\)\s+raises\s+`ValueError`", paragraph)
+    assert listed and re.findall(r"`(\w+)`", listed.group(1)) == list(ENGINE_ENTRY_POINTS)
 
 
 def test_inputs_are_only_read():

@@ -363,8 +363,10 @@ class TestResidualNorm:
             ([1.0, 2.0], [1.0, 2.0, 3.0], 0.5),
             ([1.0, 2.0, 0.0, 1.0], [1.0, 0.0, 2.0, 1.0], 0.0),
             ([1.0, 2.0, 0.0, 1.0], [1.0, 0.0, 2.0, 1.0], -1.0),
+            # no bucket reaches it: a false "no residual"
+            ([1.0, 2.0, 0.0, 1.0], [1.0, 0.0, 2.0, 1.0], math.inf),
         ],
-        ids=["nan", "negative", "2-D", "length-mismatch", "c1-zero", "c1-negative"],
+        ids=["nan", "negative", "2-D", "length-mismatch", "c1-zero", "c1-negative", "c1-inf"],
     )
     def test_rejects_input_that_voids_the_count(self, a, b, c1):
         with pytest.raises(ValueError):

@@ -80,6 +80,30 @@ class TestGenerateInstance:
         for field, value in (("c2", 0.0), ("c2", 1.0), ("noise_density", 1.5), ("noise_density", -0.1), ("seed", -1)):
             with pytest.raises(ValueError, match=field):
                 InstanceSpec(n=8, s_a=1, s_b=1, **{field: value})
+        # numpy would take them, then fail without naming the field
+        for field, value in (("n", 64.5), ("n", 64.0), ("s_a", 2.5), ("s_b", "2"), ("seed", 1.5)):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                InstanceSpec(**{"n": 64, "s_a": 2, "s_b": 2, field: value})
+        spec = InstanceSpec(n=np.int64(64), s_a=np.int32(2), s_b=2, seed=np.uint8(1))
+        assert spec == InstanceSpec(n=64, s_a=2, s_b=2, seed=1)
+        assert {type(v) for v in (spec.n, spec.s_a, spec.s_b, spec.seed)} == {int}
+
+    def test_analytic_audit_counts_as_the_naive_scan(self, monkeypatch):
+        # in crowded specs (s_a * s_b near or above the 2n - 1 output
+        # indices) many planted products share an index
+        specs = [
+            InstanceSpec(n=n, s_a=s_a, s_b=s_b, seed=seed, noise_density=density, integer_values=integer)
+            for n, s_a, s_b in ((16, 16, 16), (16, 8, 8), (64, 8, 8), (64, 16, 16), (256, 3, 9), (1024, 16, 16))
+            for seed, density, integer in ((1, 1.0, True), (2, 0.0, True), (3, 0.5, False), (4, 1.0, False))
+        ]
+        naive = [generate_instance(spec) for spec in specs]
+        monkeypatch.setattr(harness, "NAIVE_AUDIT_MAX_N", 0)
+        for spec, scanned in zip(specs, naive):
+            analytic = generate_instance(spec)
+            assert (analytic.k_effective, analytic.c1_effective) == (scanned.k_effective, scanned.c1_effective)
+            np.testing.assert_array_equal(analytic.a, scanned.a)
+            np.testing.assert_array_equal(analytic.b, scanned.b)
+        assert any(i.k_effective < spec.s_a * spec.s_b for spec, i in zip(specs, naive))
 
     def test_failed_audit_raises_at_once(self, monkeypatch):
         # a feasible spec always passes the audit; if it did not, the
@@ -229,6 +253,11 @@ class TestRunBenchmark:
         assert sum(c["runs"] for c in summary["cells"]) == 6
         for cell in summary["cells"]:
             assert cell["success_rate"] == 1.0
+        # a numpy float is a float whose repr names its type
+        report = harness.RunReport(
+            "fft", 8, 1, np.float64(0.1), 0, np.float64(1.25), 1.0, np.float64(0.5), 0.0, 1, np.float64(2e-16), 6, ""
+        )
+        assert report.csv_row() == ["2", "fft", "8", "1", "0.1", "0", "1.250", "1.0", "0.5", "0.0", "1", "2e-16", "6", ""]
 
     def test_reproducible_up_to_wall_ms(self, tmp_path):
         # at n = 256 every prime exceeds n and folds are identity copies;
@@ -369,6 +398,8 @@ class TestRunBenchmark:
             ("repeated seed 0", {**tiny, "seeds": [0, 0]}),
             # int() would run it as seed 1
             ("seed must be an integer", {**tiny, "seeds": [1.5]}),
+            # numpy would raise in the second instance's cells, after the first's ran
+            ("n must be an integer", {**tiny, "instances": [tiny["instances"][0], {"n": 64.5, "s_a": 1, "s_b": 1}]}),
         ]
         for knob, config in voiding:
             with pytest.raises(ValueError, match=knob):

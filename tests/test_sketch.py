@@ -43,6 +43,20 @@ class TestBuildSketch:
         np.testing.assert_allclose(sk.v, 0.0, atol=1e-12)
         np.testing.assert_allclose(sk.w, 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "build",
+        [build_sketch, lambda a, b, p: build_residual_sketch(a, b, SparseResult(), p)],
+        ids=["build_sketch", "build_residual_sketch"],
+    )
+    @pytest.mark.parametrize("p", [5.5, 0, "7"], ids=["float", "zero", "str"])
+    def test_modulus_must_be_a_positive_integer(self, build, p):
+        with pytest.raises(ValueError, match="p must be"):
+            build(np.ones(8), np.ones(8), p)
+
+    def test_cache_rejects_inputs_of_different_length(self):
+        with pytest.raises(ValueError, match="length mismatch: 4 vs 5"):
+            SketchCache(np.ones(4), np.ones(5), dense=False)
+
     def test_routes_agree(self):
         from sparseconv.hashing import fold
 
@@ -133,6 +147,8 @@ class TestExtractCandidates:
         sk = Sketch(3, np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError):
             extract_candidates(sk, 0.0, 0.25, 5)
+        with pytest.raises(ValueError, match="c1"):
+            extract_candidates(sk, math.inf, 0.25, 5)
         with pytest.raises(ValueError):
             extract_candidates(sk, 0.5, 0.5, 5)
 
