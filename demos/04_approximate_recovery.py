@@ -1,19 +1,25 @@
-"""Median-boosted approximate recovery on a generated gap instance:
-support comes back exactly, values within a hair, at FFT work that
-scales with the output sparsity rather than the vector length.
+"""Approximate recovery on a generated gap instance: a few hashed
+sketches, a median vote over them and a peel of their heavy buckets
+bring the support back exactly and the values within a hair, at FFT
+work that scales with the output sparsity rather than the vector
+length. The paper's repetition count L only caps the sketches, which
+double while the peel is not clean.
 
 Run: python demos/04_approximate_recovery.py
 """
 
 import time
+from dataclasses import replace
 
 from sparseconv import (
     ApproxParams,
     InstanceSpec,
+    approx_plan,
     approx_sparse_convolve,
     fft_convolve,
     fft_work,
     generate_instance,
+    isolation_reps,
     reset_fft_work,
     support_ge,
 )
@@ -27,6 +33,8 @@ oracle = fft_convolve(inst.a, inst.b)
 true_supp = support_ge(oracle, 0.5)
 
 params = ApproxParams(k=inst.k_effective, delta=0.1, seed=1)
+cap = approx_plan(replace(params, delta=params.delta / 2), spec.n)[1]
+print(f"sketches: {isolation_reps(params, spec.n)} to start, at most the paper's L = {cap} (at delta/2)")
 reset_fft_work()
 t0 = time.perf_counter()
 d = approx_sparse_convolve(inst.a, inst.b, params)

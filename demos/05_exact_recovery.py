@@ -1,6 +1,6 @@
-"""Iterative correction to exact values: bootstrap with the approximate
-engine, then peel the residual off the bootstrap's stored heavy sketches
-level by level. Includes a planted defect repaired by a single
+"""Iterative correction to exact values: the approximate engine's path
+with rounding, a vote over a few stored heavy sketches and then a peel
+of the residual off them, level by level. Includes a planted defect repaired by a single
 fresh-prime correction level.
 
 Run: python demos/05_exact_recovery.py
@@ -32,14 +32,14 @@ params = ExactParams(k=inst.k_effective, delta=0.1, seed=5)
 trace = CorrectionTrace()
 c = exact_sparse_convolve(inst.a, inst.b, params, trace=trace)
 
-print(f"\nbootstrap repetitions per vote: {trace.bootstrap_reps}")
+print(f"\nrepetitions per vote: {trace.bootstrap_reps}")
 schedule = repetition_schedule(params)
 print(f"fresh-prime level schedule (repetitions per level): {schedule}")
 print(f"peel levels run / cap: {len(trace.chosen_primes)} / {len(schedule)}, stored primes chosen: {trace.chosen_primes}")
 print("residual significant entries after each stage:")
 for stage, snap in enumerate(trace.snapshots):
     norm = residual_norm(inst.a, inst.b, snap, 0.5, trials=2, seed=99)
-    label = "bootstrap" if stage == 0 else f"level {stage}"
+    label = "vote" if stage == 0 else f"level {stage}"
     print(f"  {label:9s}: |residual| >= c1 count = {norm}")
 
 exact = all(c[j] == float(round_to_int(oracle[j])) for j in true_supp)

@@ -1,8 +1,8 @@
 """Output-sensitive sparse non-negative convolution.
 
 Dense baselines (quadratic reference and numpy.fft real transforms),
-hashing modulo random primes, ratio-trick sketches, median-boosted
-approximate recovery, and iterative exact correction, plus a benchmark
+hashing modulo random primes, ratio-trick sketches, approximate
+recovery by vote and peel, and its exact form with rounding, plus a benchmark
 harness and CLI.
 """
 

@@ -40,10 +40,8 @@ def dense_vector(values) -> np.ndarray:
         raise ValueError(f"expected a 1-D vector, got shape {arr.shape}")
     if arr.size < 1:
         raise ValueError("vector must have length >= 1")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("vector entries must be finite")
-    if np.any(arr < 0):
-        raise ValueError("vector entries must be non-negative")
+    if not (arr.min() >= 0 and arr.max() < math.inf):  # two reductions decide; NaN fails both
+        raise ValueError(f"vector entries must be {'non-negative' if np.all(np.isfinite(arr)) else 'finite'}")
     return np.ascontiguousarray(arr)  # after the ndim check: it makes 0-d input 1-D
 
 

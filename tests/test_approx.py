@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparseconv.approx import ApproxParams, approx_plan, approx_sparse_convolve, ceil_log2
+import sparseconv.approx
+from sparseconv.approx import ApproxParams, _vote, approx_plan, approx_sparse_convolve, ceil_log2, isolation_reps
 from sparseconv.exact import ExactParams, exact_sparse_convolve, residual_norm, run_correction_level
 from sparseconv.harness import InstanceSpec, generate_instance, run_engine
 from sparseconv.hashing import primes_in_range, sample_prime
@@ -168,7 +169,7 @@ def test_a_given_cache_supplies_the_inputs():
     inst = generate_instance(InstanceSpec(n=2**16, s_a=1, s_b=2, seed=7))
     params = ApproxParams(k=2, delta=0.1, seed=3)
     n = len(inst.a)
-    assert not dense_route(n, approx_plan(params, n))
+    assert not dense_route(n, (approx_plan(params, n)[0], isolation_reps(params, n)))
     cached = approx_sparse_convolve(np.zeros(n), np.zeros(n), params, cache=SketchCache(inst.a, inst.b, False))
     uncached = approx_sparse_convolve(inst.a, inst.b, params)
     assert len(uncached) > 0
@@ -178,29 +179,56 @@ def test_a_given_cache_supplies_the_inputs():
 @pytest.mark.parametrize("reps", [0, -1, 2.5])
 @pytest.mark.parametrize("heavy", [None, []], ids=["no-list", "list"])
 def test_reps_below_one_is_rejected(reps, heavy):
-    # and a non-integral count, which range() would reject deep inside
+    # by the vote step, with no sketch stored or the one sketch of a count
+    # of 1, and by a correction level; range() would reject a non-integral
+    # count deep inside
     inst = generate_instance(InstanceSpec(n=2**10, s_a=4, s_b=4, seed=31))
+    params = ApproxParams(k=16, delta=0.1)
+    cache = SketchCache(inst.a, inst.b, True)
+    stored = []
+    if heavy is not None:
+        _vote(cache, params, stored, 1)
     with pytest.raises(ValueError, match="reps"):
-        approx_sparse_convolve(inst.a, inst.b, ApproxParams(k=16, delta=0.1), heavy=heavy, reps=reps)
+        _vote(cache, params, stored, reps)
     with pytest.raises(ValueError, match="reps"):
         run_correction_level(inst.a, inst.b, SparseResult(), 1, reps, 64, ExactParams(k=16, delta=0.1))
 
 
 @pytest.mark.parametrize("dense", [True, False], ids=["dense", "cyclic"])
 def test_each_stored_sketch_is_its_repetitions_sketch_at_its_heavy_buckets(dense):
+    # the vote step grows the stored list to the count it is given,
+    # keeping the sketches it already holds
     inst = generate_instance(InstanceSpec(n=2**12, s_a=4, s_b=4, seed=5))
     params = ApproxParams(k=16, delta=0.1, seed=4)
     cache = SketchCache(inst.a, inst.b, dense)
-    stored = []
-    with_list = approx_sparse_convolve(inst.a, inst.b, params, cache=cache, heavy=stored)
-    assert with_list.sorted_items() == approx_sparse_convolve(inst.a, inst.b, params, cache=cache).sorted_items()
     m, L = approx_plan(params, len(inst.a))
-    assert len(stored) == L
+    stored = []
+    _vote(cache, params, stored, 3)
+    first = list(stored)
+    _vote(cache, params, stored, L)
+    assert len(stored) == L and stored[:3] == first
     for l, sk in enumerate(stored, 1):
         full = build_sketch(inst.a, inst.b, sample_prime(m, np.random.default_rng([params.seed, l])), cache=cache)
         assert sk.p == full.p
         assert np.array_equal(sk.buckets, np.flatnonzero(full.v >= params.c1))
         assert np.array_equal(sk.v, full.v[sk.buckets]) and np.array_equal(sk.w, full.w[sk.buckets])
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "cyclic"])
+def test_approx_is_exact_without_rounding(monkeypatch, dense):
+    # one recovery path: on either route, forced for both engines and
+    # through a given cache, approx returns exact's integer_mode=False
+    # result bit for bit
+    inst = generate_instance(InstanceSpec(n=2**12, s_a=4, s_b=6, seed=9, integer_values=False))
+    monkeypatch.setattr(sparseconv.approx, "dense_route", lambda n, plan: dense)
+    for seed in range(3):
+        params = dict(k=24, delta=0.1, seed=seed)
+        out = approx_sparse_convolve(inst.a, inst.b, ApproxParams(**params))
+        assert len(out) > 0
+        exact = exact_sparse_convolve(inst.a, inst.b, ExactParams(**params, integer_mode=False))
+        assert out.entries == exact.entries
+        cache = SketchCache(inst.a, inst.b, dense)
+        assert approx_sparse_convolve(inst.a, inst.b, ApproxParams(**params), cache=cache).entries == out.entries
 
 
 def test_deterministic_given_seed():
@@ -255,7 +283,7 @@ def test_statistical_recovery_small_grid():
 
 def test_every_kept_index_has_majority_votes():
     # the vote filter guarantees at least ceil(L/2) candidates behind
-    # every reported index; cross-check by recomputing the pool
+    # every index the vote step reports; cross-check by recomputing the pool
     from sparseconv.hashing import sample_prime
     from sparseconv.sketch import SketchCache, build_sketch, dense_route, extract_candidates
 
@@ -271,7 +299,8 @@ def test_every_kept_index_has_majority_votes():
         sk = build_sketch(inst.a, inst.b, p, cache=cache)
         for cand in extract_candidates(sk, params.c1, params.tau, 2 * spec.n - 1):
             votes[cand.index] = votes.get(cand.index, 0) + 1
-    out = approx_sparse_convolve(inst.a, inst.b, params)
+    out = _vote(cache, params, [], L)
+    assert len(out) > 0
     need = -(-L // 2)
     for idx in out.support():
         assert votes[idx] >= need
@@ -282,14 +311,12 @@ def _records(pairs):
 
 
 def _pooled(per_rep):
-    """approx_sparse_convolve with repetition l's extraction scripted as
-    per_rep[l - 1], a list of (index, value) pairs."""
-    params = ApproxParams(k=1, delta=0.5, L_mult=len(per_rep))
-    assert approx_plan(params, 8)[1] == len(per_rep)
+    """The vote over len(per_rep) repetitions with repetition l's
+    extraction scripted as per_rep[l - 1], a list of (index, value) pairs."""
     scripted = iter(per_rep)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("sparseconv.approx.extract_candidates", lambda s, c1, tau, out_len: _records(next(scripted)))
-        return approx_sparse_convolve(np.ones(8), np.ones(8), params)
+        return _vote(SketchCache(np.ones(8), np.ones(8), True), ApproxParams(k=1, delta=0.5), [], len(per_rep))
 
 
 def _pooled_by_dict_of_lists(per_rep):

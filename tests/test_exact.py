@@ -78,21 +78,22 @@ def test_schedule_bound():
 
 
 def test_bootstrap_gets_every_approx_knob_with_half_delta(monkeypatch):
-    import sparseconv.exact
+    # the vote step gets the call's params whole; half delta sizes the cap
+    import sparseconv.approx
 
     seen = []
-    original = sparseconv.exact.approx_sparse_convolve
+    original = sparseconv.approx._vote
 
-    def fake_bootstrap(a, b, params, cache=None, heavy=None, reps=None):
+    def fake_vote(cache, params, stored, reps):
         seen.append((params, reps))
-        return original(a, b, params, cache=cache, heavy=heavy, reps=reps)
+        return original(cache, params, stored, reps)
 
-    monkeypatch.setattr("sparseconv.exact.approx_sparse_convolve", fake_bootstrap)
+    monkeypatch.setattr(sparseconv.approx, "_vote", fake_vote)
     params = ExactParams(k=2, delta=0.2, c1=0.75, L_mult=3.0, seed=4)
     trace = CorrectionTrace()
     exact_sparse_convolve(impulse(4, 2), impulse(4, 3), params, trace=trace)
     assert isolation_reps(params, 4) == 3 < approx_plan(ApproxParams(k=2, delta=0.1, L_mult=3.0), 4)[1]
-    assert seen == [(replace(params, delta=params.delta / 2), 3)]
+    assert seen == [(params, 3)]
     assert trace.bootstrap_reps == [3]
 
 
@@ -235,23 +236,23 @@ class TestPeel:
         return inst, full
 
     def test_levels_repair_a_bootstrap_with_a_dropped_and_a_short_entry(self, monkeypatch):
-        import sparseconv.exact
+        import sparseconv.approx
 
         inst, full = self._instance()
         dropped = min(full)
         short = max((j for j in full if j != dropped), key=full.get)
-        original = sparseconv.exact.approx_sparse_convolve
+        original = sparseconv.approx._vote
         primes = []
 
-        def damaged_bootstrap(a, b, params, cache=None, heavy=None, reps=None):
-            # the real bootstrap fills `heavy`; only its result is damaged
-            assert original(a, b, params, cache=cache, heavy=heavy, reps=reps).support() == set(full)
-            primes.extend(sk.p for sk in heavy)
+        def damaged_vote(cache, params, stored, reps):
+            # the real vote step fills `stored`; only its result is damaged
+            assert original(cache, params, stored, reps).support() == set(full)
+            primes.extend(sk.p for sk in stored)
             boot = {j: v for j, v in full.items() if j != dropped}
             boot[short] -= 1
             return SparseResult(boot)
 
-        monkeypatch.setattr(sparseconv.exact, "approx_sparse_convolve", damaged_bootstrap)
+        monkeypatch.setattr(sparseconv.approx, "_vote", damaged_vote)
         trace = CorrectionTrace()
         out = exact_sparse_convolve(inst.a, inst.b, self.params, trace=trace)
         assert max(primes) < 2 * len(inst.a) - 1

@@ -7,11 +7,13 @@ residual for a non-negative partial result is the full sketch's
 residual at its buckets, bit for bit, and loses none of its heavy
 buckets. Vectorised extraction is checked against the bucket-by-bucket
 loop it replaced. Transforms pad to the next
-2^a * 3^b * 5^c length and are charged N * log2(N). Exact's bootstrap
-count is the least one, from 3 up to its cap, meeting its isolation
-bound, and never grows with delta."""
+2^a * 3^b * 5^c length and are charged N * log2(N). The engines'
+starting count is the least one, from 3 up to its cap, meeting its
+isolation bound, and never grows with delta, and approx is exact
+without rounding, bit for bit."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,8 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sparseconv.approx import ApproxParams, approx_plan
-from sparseconv.exact import ExactParams, isolation_reps
+from sparseconv.approx import ApproxParams, approx_plan, approx_sparse_convolve
+from sparseconv.exact import ExactParams, exact_sparse_convolve, isolation_reps
 from sparseconv.fft import cyclic_convolve, fft_convolve, pad_length, transform_work
 from sparseconv.hashing import fold, fold_sparse, primes_in_range
 from sparseconv.numerics import SparseResult, naive_convolve, round_to_int
@@ -198,3 +200,31 @@ def test_bootstrap_count_is_the_least_meeting_the_isolation_bound(n, k, delta):
 def test_bootstrap_count_does_not_grow_with_delta(n, k, d1, d2):
     lo, hi = sorted((d1, d2))
     assert isolation_reps(ExactParams(k=k, delta=hi), n) <= isolation_reps(ExactParams(k=k, delta=lo), n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.data())
+def test_approx_is_exact_without_rounding(data):
+    # one path: same output, same warning, for any k, delta, L_mult and
+    # seed, k under-stated included
+    n = data.draw(st.integers(4, 512), label="n")
+    support = st.dictionaries(st.integers(0, n - 1), st.floats(0.5, 20), max_size=6)
+    a, b = np.zeros(n), np.zeros(n)
+    for v, label in ((a, "a"), (b, "b")):
+        entries = data.draw(support, label=label)
+        v[list(entries)] = list(entries.values())
+    params = dict(
+        k=data.draw(st.integers(1, 40), label="k"),
+        delta=data.draw(deltas, label="delta"),
+        L_mult=data.draw(st.floats(1, 8), label="L_mult"),
+        seed=data.draw(st.integers(0, 2**16), label="seed"),
+    )
+    runs = []
+    for engine, p in (
+        (approx_sparse_convolve, ApproxParams(**params)),
+        (exact_sparse_convolve, ExactParams(**params, integer_mode=False)),
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            runs.append((engine(a, b, p).entries, [str(w.message) for w in caught]))
+    assert runs[0] == runs[1]

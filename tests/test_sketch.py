@@ -275,15 +275,16 @@ def test_cyclic_route_at_a_smooth_length_matches_the_dense_route(p, size):
 
 
 def test_cyclic_approx_charges_six_smooth_transforms_per_sketch():
-    from sparseconv.approx import ApproxParams, approx_plan, approx_sparse_convolve
+    # the call is clean at its starting count, so it sketches no more
+    from sparseconv.approx import ApproxParams, approx_plan, approx_sparse_convolve, isolation_reps
     from sparseconv.fft import fft_work, pad_length, reset_fft_work, transform_work
     from sparseconv.hashing import sample_prime
 
     n = 2**16
     inst = generate_instance(InstanceSpec(n=n, s_a=2, s_b=2, seed=0))
     params = ApproxParams(k=4, delta=0.1, seed=5)
-    m, L = approx_plan(params, n)
-    primes = [sample_prime(m, np.random.default_rng([params.seed, l])) for l in range(1, L + 1)]
+    m, _ = approx_plan(params, n)
+    primes = [sample_prime(m, np.random.default_rng([params.seed, l])) for l in range(1, isolation_reps(params, n) + 1)]
     sizes = [pad_length(2 * p - 1) for p in primes]
     assert any(size & (size - 1) for size in sizes)  # some length is not a power of two
     reset_fft_work()
@@ -295,9 +296,9 @@ def test_approx_charges_one_dense_product_when_it_is_cheaper():
     from sparseconv.approx import ApproxParams, approx_plan, approx_sparse_convolve
     from sparseconv.fft import fft_work, reset_fft_work, transform_work
 
-    inst = generate_instance(InstanceSpec(n=2**14, s_a=2, s_b=2, seed=0))
-    params = ApproxParams(k=4, delta=0.1, seed=0)
-    assert approx_plan(params, 2**14) == (448, 43)
+    inst = generate_instance(InstanceSpec(n=2**14, s_a=8, s_b=8, seed=0))
+    params = ApproxParams(k=64, delta=0.1, seed=0)
+    assert approx_plan(params, 2**14) == (21504, 75)
     reset_fft_work()
     approx_sparse_convolve(inst.a, inst.b, params)
     assert fft_work() == 3 * transform_work(2**15) == 1_474_560
@@ -345,8 +346,8 @@ def test_approx_uses_a_given_cache_as_it_is(monkeypatch):
     # handed to it is used, not rebuilt
     from sparseconv.approx import ApproxParams, approx_sparse_convolve
 
-    inst = generate_instance(InstanceSpec(n=2**14, s_a=2, s_b=2, seed=0))
-    params = ApproxParams(k=4, delta=0.1, seed=0)
+    inst = generate_instance(InstanceSpec(n=2**14, s_a=8, s_b=8, seed=0))
+    params = ApproxParams(k=64, delta=0.1, seed=0)
     built = []
     original = SketchCache.dense_products
 
