@@ -160,14 +160,14 @@ def _vote(cache: SketchCache, params: ApproxParams, stored: list, reps: int) -> 
     return SparseResult(dict(lower_medians.tolist()))
 
 
-def _merged(current: SparseResult, pairs, tau: float, integer_mode: bool) -> SparseResult:
+def _merged(current: SparseResult, pairs, params: ApproxParams, integer_mode: bool) -> SparseResult:
     """`current` plus the (index, value) pairs, each rounded in
-    integer_mode; FFT round-off can leave -0.0003-style ghosts, so
-    anything at or below tau is noise-band and dropped."""
+    integer_mode; FFT round-off can leave -0.0003-style ghosts, so a
+    value at or below tau is noise-band and dropped unless it is >= c1."""
     out = dict(current.entries)
     for i, v in pairs:
         out[i] = out.get(i, 0.0) + (float(round_to_int(v)) if integer_mode else v)
-    return SparseResult({i: v for i, v in out.items() if abs(v) > tau})
+    return SparseResult({i: v for i, v in out.items() if abs(v) > params.tau or abs(v) >= params.c1})
 
 
 def _level(sketches, current: SparseResult, params: ApproxParams, integer_mode: bool, out_len: int):
@@ -176,7 +176,7 @@ def _level(sketches, current: SparseResult, params: ApproxParams, integer_mode: 
     returns the new result and the chosen sketch's prime."""
     chosen = max(sketches, key=lambda sk: np.count_nonzero(sk.v >= params.c1))
     candidates = extract_candidates(chosen, params.c1, params.tau, out_len)
-    return _merged(current, candidates.tolist(), params.tau, integer_mode), chosen.p
+    return _merged(current, candidates.tolist(), params, integer_mode), chosen.p
 
 
 def _peel(stored, state: SparseResult, params: ApproxParams, integer_mode: bool, out_len: int, trace: CorrectionTrace):
@@ -201,14 +201,35 @@ def _peel(stored, state: SparseResult, params: ApproxParams, integer_mode: bool,
     )
 
 
-def _recover(a, b, params: ApproxParams, integer_mode: bool, cache=None, trace=None) -> SparseResult:
-    """The module's path, rounding each merge in integer_mode, on the
-    route priced for its starting count; fills `trace` when given.
+def approx_sparse_convolve(
+    a: np.ndarray, b: np.ndarray, params: ApproxParams, cache: SketchCache | None = None,
+    *, integer_mode: bool = False, trace: CorrectionTrace | None = None,
+) -> SparseResult:
+    """Recover the significant entries of A*B with small point-wise error.
 
-    One failure budget delta: the start count isolates every significant
-    index in some stored sketch with probability >= 1 - delta/4, and the
-    cap is the paper's count at delta/2, so a capped call is the paper's
-    vote, failing with probability <= delta/2, plus a peel.
+    With probability >= 1 - delta over the seed (on instances whose
+    product splits into k entries >= c1 and noise <= c2 = o(n^-2)), the
+    returned map has exactly the significant support and each value is
+    within o(1) of the true one.
+
+    One failure budget delta: the starting count isolates every
+    significant index in some stored sketch with probability
+    >= 1 - delta/4, and the cap is the paper's count at delta/2, so a
+    capped call is the paper's vote, failing with probability
+    <= delta/2, plus a peel. A call not clean at the cap raises one
+    RuntimeWarning: k is probably under-stated.
+
+    integer_mode rounds each merge to an integer: exact_sparse_convolve
+    is this call with ExactParams.integer_mode, so without it this is
+    exact's result with integer_mode=False, bit for bit. Only the
+    ApproxParams fields of params are read. A given CorrectionTrace is
+    filled with what the call ran.
+
+    Deterministic given (a, b, params). A given SketchCache is used as
+    it is, route and inputs included, so a and b are not read; without
+    one, dense_route prices the call's starting sketches, and ValueError
+    is raised unless a and b are equal-length, finite, non-negative 1-D
+    vectors.
     """
     if cache is None:
         a, b = dense_pair(a, b)
@@ -222,7 +243,7 @@ def _recover(a, b, params: ApproxParams, integer_mode: bool, cache=None, trace=N
 
     stored = []
     while True:
-        state = _merged(SparseResult(), _vote(cache, params, stored, reps).entries.items(), params.tau, integer_mode)
+        state = _merged(SparseResult(), _vote(cache, params, stored, reps).entries.items(), params, integer_mode)
         trace.bootstrap_reps.append(reps)
         trace.snapshots = [SparseResult(dict(state.entries))]
         trace.chosen_primes = []
@@ -235,26 +256,6 @@ def _recover(a, b, params: ApproxParams, integer_mode: bool, cache=None, trace=N
         warnings.warn(
             f"{cap} stored sketches still do not peel clean; k={params.k} is probably under-stated",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
     return state
-
-
-def approx_sparse_convolve(
-    a: np.ndarray, b: np.ndarray, params: ApproxParams, cache: SketchCache | None = None
-) -> SparseResult:
-    """Recover the significant entries of A*B with small point-wise error.
-
-    With probability >= 1 - delta over the seed (on instances whose
-    product splits into k entries >= c1 and noise <= c2 = o(n^-2)), the
-    returned map has exactly the significant support and each value is
-    within o(1) of the true one. It is exact_sparse_convolve's result
-    with integer_mode=False, bit for bit, and warns as that does.
-
-    Deterministic given (a, b, params). A given SketchCache is used as
-    it is, route and inputs included, so a and b are not read; without
-    one, dense_route prices the call's starting sketches, and ValueError
-    is raised unless a and b are equal-length, finite, non-negative 1-D
-    vectors.
-    """
-    return _recover(a, b, params, False, cache)

@@ -19,11 +19,13 @@ from typing import ClassVar
 
 import numpy as np
 
-# approx_sparse_convolve and extract_candidates stay: perfbench's layer trace patches them here
-from .approx import ApproxParams, CorrectionTrace, _level, _level_count, _recover, ceil_log2, isolation_reps
-from .approx import approx_sparse_convolve  # noqa: F401
+from .approx import (
+    ApproxParams, CorrectionTrace, _level, _level_count, approx_sparse_convolve, ceil_log2, isolation_reps,
+)
 from .hashing import sample_prime
 from .numerics import SparseResult, as_int, dense_pair
+# extract_candidates runs only in sparseconv.approx; perfbench's layer trace also
+# looks it up here, and reads every extraction metric as absent without it
 from .sketch import SketchCache, build_residual_sketch, dense_route, extract_candidates  # noqa: F401
 
 __all__ = [
@@ -133,16 +135,16 @@ def exact_sparse_convolve(
     """Recover the significant entries of A*B exactly (integer_mode) or
     within 0.01 (otherwise), with probability >= 1 - delta.
 
-    approx_sparse_convolve's path (sparseconv.approx), rounding at each
-    merge in integer_mode. A call whose stored sketches do not peel C
-    clean at the paper's count raises one RuntimeWarning: k is probably
-    under-stated. A given CorrectionTrace is filled with what the call
-    ran, for diagnostics.
+    approx_sparse_convolve with params.integer_mode: the one path
+    (sparseconv.approx), rounding at each merge in integer_mode. A call
+    whose stored sketches do not peel C clean at the paper's count
+    raises one RuntimeWarning: k is probably under-stated. A given
+    CorrectionTrace is filled with what the call ran, for diagnostics.
 
     Raises ValueError unless a and b are equal-length, finite,
     non-negative 1-D vectors.
     """
-    return _recover(a, b, params, params.integer_mode, trace=trace)
+    return approx_sparse_convolve(a, b, params, integer_mode=params.integer_mode, trace=trace)
 
 
 def residual_norm(

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import sparseconv.approx
 from sparseconv.approx import ApproxParams, _vote, approx_plan, approx_sparse_convolve, ceil_log2, isolation_reps
-from sparseconv.exact import ExactParams, exact_sparse_convolve, residual_norm, run_correction_level
+from sparseconv.exact import CorrectionTrace, ExactParams, exact_sparse_convolve, residual_norm, run_correction_level
 from sparseconv.harness import InstanceSpec, generate_instance, run_engine
 from sparseconv.hashing import primes_in_range, sample_prime
 from sparseconv.numerics import SparseResult, naive_convolve, support_ge
@@ -229,6 +230,28 @@ def test_approx_is_exact_without_rounding(monkeypatch, dense):
         assert out.entries == exact.entries
         cache = SketchCache(inst.a, inst.b, dense)
         assert approx_sparse_convolve(inst.a, inst.b, ApproxParams(**params), cache=cache).entries == out.entries
+
+
+@pytest.mark.parametrize("engine", ["approx", "exact"])
+def test_a_c1_below_tau_keeps_the_entries_between_them(engine):
+    # c1 = 0.1 is legal, so entries near 0.2 are significant though at or
+    # below tau: both engines return them at the starting count, unwarned
+    inst = generate_instance(InstanceSpec(n=2**10, s_a=4, s_b=4, value_range=(1, 1.1), integer_values=False, seed=3))
+    a = 0.2 * inst.a
+    c = naive_convolve(a, inst.b)
+    truth = support_ge(c, 0.1)
+    assert len(truth) == 16 and max(c[j] for j in truth) < ApproxParams.tau
+    params = dict(k=16, delta=0.1, c1=0.1, seed=1)
+    trace = CorrectionTrace()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if engine == "approx":
+            out = approx_sparse_convolve(a, inst.b, ApproxParams(**params), trace=trace)
+        else:
+            out = exact_sparse_convolve(a, inst.b, ExactParams(**params, integer_mode=False), trace=trace)
+    assert out.support() == truth
+    assert all(abs(v - c[j]) < 0.01 for j, v in out.entries.items())
+    assert trace.bootstrap_reps == [isolation_reps(ApproxParams(**params), 2**10)]
 
 
 def test_deterministic_given_seed():

@@ -78,7 +78,8 @@ def test_schedule_bound():
 
 
 def test_bootstrap_gets_every_approx_knob_with_half_delta(monkeypatch):
-    # the vote step gets the call's params whole; half delta sizes the cap
+    # the vote step gets the call's params whole; the cap is the paper's
+    # count at half delta
     import sparseconv.approx
 
     seen = []
@@ -95,6 +96,15 @@ def test_bootstrap_gets_every_approx_knob_with_half_delta(monkeypatch):
     assert isolation_reps(params, 4) == 3 < approx_plan(ApproxParams(k=2, delta=0.1, L_mult=3.0), 4)[1]
     assert seen == [(params, 3)]
     assert trace.bootstrap_reps == [3]
+
+    # a peel that is never clean grows the count to that cap, and warns
+    monkeypatch.setattr(sparseconv.approx, "_peel", lambda stored, state, *rest: (state, False))
+    seen.clear()
+    with pytest.warns(RuntimeWarning, match="under-stated"):
+        exact_sparse_convolve(impulse(4, 2), impulse(4, 3), params, trace=trace)
+    cap = approx_plan(replace(params, delta=params.delta / 2), 4)[1]
+    assert cap == 13 > approx_plan(params, 4)[1]
+    assert trace.bootstrap_reps == [3, 6, 12, cap] == [reps for _, reps in seen]
 
 
 def test_an_exact_call_checks_its_inputs_once(monkeypatch):

@@ -42,7 +42,7 @@ def unsized_pipeline(a, b, params: ApproxParams, integer_mode: bool) -> SparseRe
     m, L = approx_plan(ApproxParams(k=params.k, delta=params.delta / 2, L_mult=params.L_mult), len(a))
     stored = []
     vote = _vote(SketchCache(a, b, dense_route(len(a), (m, L))), params, stored, L)
-    state = _merged(SparseResult(), vote.entries.items(), params.tau, integer_mode)
+    state = _merged(SparseResult(), vote.entries.items(), params, integer_mode)
     for _ in range(_level_count(params)):
         prev = state
         state, _ = _level([residual(s, state, out_len) for s in stored], state, params, integer_mode, out_len)
