@@ -6,13 +6,11 @@ recovery by vote and peel, and its exact form with rounding, plus a benchmark
 harness and CLI.
 """
 
-from .approx import ApproxParams, approx_plan, approx_sparse_convolve
+from .approx import ApproxParams, CorrectionTrace, approx_plan, approx_sparse_convolve, isolation_reps
 from .exact import (
-    CorrectionTrace,
     ExactParams,
     exact_plan,
     exact_sparse_convolve,
-    isolation_reps,
     repetition_schedule,
     residual_norm,
     run_correction_level,

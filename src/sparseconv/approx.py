@@ -202,7 +202,7 @@ def _peel(stored, state: SparseResult, params: ApproxParams, integer_mode: bool,
 
 
 def approx_sparse_convolve(
-    a: np.ndarray, b: np.ndarray, params: ApproxParams, cache: SketchCache | None = None,
+    a: np.ndarray, b: np.ndarray, params: ApproxParams,
     *, integer_mode: bool = False, trace: CorrectionTrace | None = None,
 ) -> SparseResult:
     """Recover the significant entries of A*B with small point-wise error.
@@ -225,19 +225,15 @@ def approx_sparse_convolve(
     ApproxParams fields of params are read. A given CorrectionTrace is
     filled with what the call ran.
 
-    Deterministic given (a, b, params). A given SketchCache is used as
-    it is, route and inputs included, so a and b are not read; without
-    one, dense_route prices the call's starting sketches, and ValueError
-    is raised unless a and b are equal-length, finite, non-negative 1-D
-    vectors.
+    Deterministic given (a, b, params). dense_route prices the call's
+    starting sketches for its one SketchCache. Raises ValueError unless
+    a and b are equal-length, finite, non-negative 1-D vectors.
     """
-    if cache is None:
-        a, b = dense_pair(a, b)
-    n = len(a if cache is None else cache.a)
+    a, b = dense_pair(a, b)
+    n = len(a)
     m, cap = _capped_plan(params, n)
     reps = isolation_reps(params, n)
-    if cache is None:
-        cache = SketchCache(a, b, dense_route(n, (m, reps)))
+    cache = SketchCache(a, b, dense_route(n, (m, reps)))
     trace = CorrectionTrace() if trace is None else trace
     trace.bootstrap_reps = []
 

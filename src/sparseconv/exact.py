@@ -19,9 +19,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .approx import (
-    ApproxParams, CorrectionTrace, _level, _level_count, approx_sparse_convolve, ceil_log2, isolation_reps,
-)
+from .approx import ApproxParams, CorrectionTrace, _level, _level_count, approx_sparse_convolve, ceil_log2
 from .hashing import sample_prime
 from .numerics import SparseResult, as_int, dense_pair
 # extract_candidates runs only in sparseconv.approx; perfbench's layer trace also
@@ -32,11 +30,9 @@ __all__ = [
     "ExactParams",
     "exact_sparse_convolve",
     "exact_plan",
-    "isolation_reps",
     "repetition_schedule",
     "run_correction_level",
     "residual_norm",
-    "CorrectionTrace",
 ]
 
 
@@ -107,23 +103,21 @@ def run_correction_level(
     reps: int,
     m: int,
     params: ExactParams,
-    cache: SketchCache | None = None,
 ) -> tuple[SparseResult, int]:
     """One correction level against the partial result `current`.
 
     _level over `reps` residual sketches with primes drawn from streams
     seeded by (seed, level, r), so ties go to the smallest r. At a
     lossless modulus all sketches are equal, so only r = 1 is built.
-    Returns the updated result and the chosen prime. Inputs are the given
-    cache's, or else checked as in approx_sparse_convolve; ValueError
-    unless reps >= 1 and m >= 2 are integers.
+    Returns the updated result and the chosen prime. Raises ValueError
+    as approx_sparse_convolve does on a and b, and unless reps >= 1 and
+    m >= 2 are integers.
     """
     reps, m = as_int(reps, "reps", 1), as_int(m, "m", 2)
-    if cache is None:
-        a, b = dense_pair(a, b)
-        cache = SketchCache(a, b, dense_route(len(a), (m, reps)))
+    a, b = dense_pair(a, b)
+    cache = SketchCache(a, b, dense_route(len(a), (m, reps)))
     sketches = _residual_sketches(cache, current, m, reps, (params.seed, level))
-    return _level(sketches, current, params, params.integer_mode, 2 * len(cache.a) - 1)
+    return _level(sketches, current, params, params.integer_mode, 2 * len(a) - 1)
 
 
 def exact_sparse_convolve(

@@ -87,10 +87,10 @@ class SketchCache:
     """Arrays derived from one (A, B) pair, shared by the sketches of one
     engine call, which all take the route `dense` fixes (see dense_route).
 
-    A and B are held by reference and were checked by whoever built the
-    cache; a call given one takes them as its inputs. The dense route
-    builds the product A*B up front and its FFT work is charged once; the
-    cyclic route folds the inputs themselves.
+    A and B are held by reference, checked by the call that built the
+    cache; build_sketch and build_residual_sketch given one take them as
+    their inputs. The dense route builds A*B up front and its FFT work is
+    charged once; the cyclic route folds the inputs themselves.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, dense: bool):

@@ -14,9 +14,8 @@ import time
 import numpy as np
 import pytest
 
-from sparseconv.approx import ApproxParams, approx_sparse_convolve
+from sparseconv.approx import ApproxParams, CorrectionTrace, approx_sparse_convolve
 from sparseconv.exact import (
-    CorrectionTrace,
     ExactParams,
     exact_plan,
     exact_sparse_convolve,

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparseconv.approx
-from sparseconv.approx import ApproxParams, _vote, approx_plan, approx_sparse_convolve, ceil_log2, isolation_reps
-from sparseconv.exact import CorrectionTrace, ExactParams, exact_sparse_convolve, residual_norm, run_correction_level
+from sparseconv.approx import (
+    ApproxParams, CorrectionTrace, _vote, approx_plan, approx_sparse_convolve, ceil_log2, isolation_reps,
+)
+from sparseconv.exact import ExactParams, exact_sparse_convolve, residual_norm, run_correction_level
 from sparseconv.harness import InstanceSpec, generate_instance, run_engine
 from sparseconv.hashing import primes_in_range, sample_prime
 from sparseconv.numerics import SparseResult, naive_convolve, support_ge
@@ -164,19 +166,6 @@ def test_inputs_are_only_read():
         assert call(*frozen) == call(inst.a, inst.b)
 
 
-def test_a_given_cache_supplies_the_inputs():
-    # n = 2^16, k = 2 prices to the cyclic route, so the cached call below
-    # sketches the way the uncached one does
-    inst = generate_instance(InstanceSpec(n=2**16, s_a=1, s_b=2, seed=7))
-    params = ApproxParams(k=2, delta=0.1, seed=3)
-    n = len(inst.a)
-    assert not dense_route(n, (approx_plan(params, n)[0], isolation_reps(params, n)))
-    cached = approx_sparse_convolve(np.zeros(n), np.zeros(n), params, cache=SketchCache(inst.a, inst.b, False))
-    uncached = approx_sparse_convolve(inst.a, inst.b, params)
-    assert len(uncached) > 0
-    assert cached.sorted_items() == uncached.sorted_items()
-
-
 @pytest.mark.parametrize("reps", [0, -1, 2.5])
 @pytest.mark.parametrize("heavy", [None, []], ids=["no-list", "list"])
 def test_reps_below_one_is_rejected(reps, heavy):
@@ -217,9 +206,8 @@ def test_each_stored_sketch_is_its_repetitions_sketch_at_its_heavy_buckets(dense
 
 @pytest.mark.parametrize("dense", [True, False], ids=["dense", "cyclic"])
 def test_approx_is_exact_without_rounding(monkeypatch, dense):
-    # one recovery path: on either route, forced for both engines and
-    # through a given cache, approx returns exact's integer_mode=False
-    # result bit for bit
+    # one recovery path: on either route, forced for both engines,
+    # approx returns exact's integer_mode=False result bit for bit
     inst = generate_instance(InstanceSpec(n=2**12, s_a=4, s_b=6, seed=9, integer_values=False))
     monkeypatch.setattr(sparseconv.approx, "dense_route", lambda n, plan: dense)
     for seed in range(3):
@@ -228,8 +216,6 @@ def test_approx_is_exact_without_rounding(monkeypatch, dense):
         assert len(out) > 0
         exact = exact_sparse_convolve(inst.a, inst.b, ExactParams(**params, integer_mode=False))
         assert out.entries == exact.entries
-        cache = SketchCache(inst.a, inst.b, dense)
-        assert approx_sparse_convolve(inst.a, inst.b, ApproxParams(**params), cache=cache).entries == out.entries
 
 
 @pytest.mark.parametrize("engine", ["approx", "exact"])

@@ -7,13 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparseconv.approx import ApproxParams, approx_plan
+from sparseconv.approx import ApproxParams, CorrectionTrace, approx_plan, isolation_reps
 from sparseconv.exact import (
-    CorrectionTrace,
     ExactParams,
     exact_plan,
     exact_sparse_convolve,
-    isolation_reps,
     repetition_schedule,
     residual_norm,
     run_correction_level,
@@ -77,7 +75,7 @@ def test_schedule_bound():
             assert schedule[-1] >= 1
 
 
-def test_bootstrap_gets_every_approx_knob_with_half_delta(monkeypatch):
+def test_vote_gets_the_params_whole_and_growth_caps_at_the_count_at_half_delta(monkeypatch):
     # the vote step gets the call's params whole; the cap is the paper's
     # count at half delta
     import sparseconv.approx

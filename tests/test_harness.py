@@ -105,6 +105,16 @@ class TestGenerateInstance:
             np.testing.assert_array_equal(analytic.b, scanned.b)
         assert any(i.k_effective < spec.s_a * spec.s_b for spec, i in zip(specs, naive))
 
+    def test_a_large_c2_generates_when_its_noise_keeps_the_band(self):
+        # the derived noise eta keeps every noise term at or below c2/2,
+        # so a c2 near the band's top still draws a gap instance
+        spec = InstanceSpec(n=64, s_a=4, s_b=4, c2=0.4, seed=0)
+        inst = generate_instance(spec)
+        c = np.convolve(inst.a, inst.b)
+        significant = c >= inst.c1_effective
+        assert inst.k_effective == np.count_nonzero(significant) > 0
+        assert np.all(c[~significant] <= spec.c2_effective)
+
     def test_failed_audit_raises_at_once(self, monkeypatch):
         # a feasible spec always passes the audit; if it did not, the
         # instance would be infeasible, not redrawn
@@ -550,11 +560,9 @@ class TestCli:
         captured = capsys.readouterr()
         assert "engine failure: boom" in captured.err and captured.out == ""
 
-    def test_infeasible_gen_exit_code(self, tmp_path, capsys):
-        # c2 far too large for the band to close
-        rc = cli_main(
-            ["gen", "--n", "64", "--sa", "4", "--sb", "4", "--c2", "0.4",
-             "--out", str(tmp_path / "x.txt")]
-        )
+    def test_infeasible_gen_exit_code(self, tmp_path, capsys, monkeypatch):
+        # the audit alone decides feasibility; a failed one exits 3
+        monkeypatch.setattr(harness, "_audit", lambda *args: (False, 1, 1.0))
+        rc = cli_main(["gen", "--n", "64", "--sa", "4", "--sb", "4", "--out", str(tmp_path / "x.txt")])
         assert rc == 3
-        capsys.readouterr()
+        assert "gap band" in capsys.readouterr().err

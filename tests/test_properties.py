@@ -21,8 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sparseconv.approx import ApproxParams, approx_plan, approx_sparse_convolve
-from sparseconv.exact import ExactParams, exact_sparse_convolve, isolation_reps
+from sparseconv.approx import ApproxParams, approx_plan, approx_sparse_convolve, isolation_reps
+from sparseconv.exact import ExactParams, exact_sparse_convolve
 from sparseconv.fft import cyclic_convolve, fft_convolve, pad_length, transform_work
 from sparseconv.hashing import fold, fold_sparse, primes_in_range
 from sparseconv.numerics import SparseResult, naive_convolve, round_to_int

@@ -274,8 +274,9 @@ def test_cyclic_route_at_a_smooth_length_matches_the_dense_route(p, size):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * np.max(np.abs(want)))
 
 
-def test_cyclic_approx_charges_six_smooth_transforms_per_sketch():
+def test_cyclic_approx_charges_six_smooth_transforms_per_sketch(monkeypatch):
     # the call is clean at its starting count, so it sketches no more
+    import sparseconv.approx
     from sparseconv.approx import ApproxParams, approx_plan, approx_sparse_convolve, isolation_reps
     from sparseconv.fft import fft_work, pad_length, reset_fft_work, transform_work
     from sparseconv.hashing import sample_prime
@@ -287,8 +288,9 @@ def test_cyclic_approx_charges_six_smooth_transforms_per_sketch():
     primes = [sample_prime(m, np.random.default_rng([params.seed, l])) for l in range(1, isolation_reps(params, n) + 1)]
     sizes = [pad_length(2 * p - 1) for p in primes]
     assert any(size & (size - 1) for size in sizes)  # some length is not a power of two
+    monkeypatch.setattr(sparseconv.approx, "dense_route", lambda n, plan: False)
     reset_fft_work()
-    approx_sparse_convolve(inst.a, inst.b, params, cache=SketchCache(inst.a, inst.b, dense=False))
+    approx_sparse_convolve(inst.a, inst.b, params)
     assert fft_work() == sum(6 * transform_work(size) for size in sizes)
 
 
@@ -318,8 +320,8 @@ def test_exact_call_does_the_fft_work_of_its_bootstrap_alone(n, k, dense):
     # the bootstrap's isolation_reps sketches, on the route priced for
     # that count, are the call's only transforms; the correction levels
     # peel its stored buckets
-    from sparseconv.approx import ApproxParams, approx_plan
-    from sparseconv.exact import CorrectionTrace, ExactParams, exact_sparse_convolve, isolation_reps
+    from sparseconv.approx import ApproxParams, CorrectionTrace, approx_plan, isolation_reps
+    from sparseconv.exact import ExactParams, exact_sparse_convolve
     from sparseconv.fft import fft_work, pad_length, reset_fft_work, transform_work
     from sparseconv.hashing import sample_prime
 
@@ -341,45 +343,14 @@ def test_exact_call_does_the_fft_work_of_its_bootstrap_alone(n, k, dense):
     assert fft_work() == expected > 0
 
 
-def test_approx_uses_a_given_cache_as_it_is(monkeypatch):
-    # approx alone takes the dense route at this shape, but a cyclic cache
-    # handed to it is used, not rebuilt
-    from sparseconv.approx import ApproxParams, approx_sparse_convolve
-
-    inst = generate_instance(InstanceSpec(n=2**14, s_a=8, s_b=8, seed=0))
-    params = ApproxParams(k=64, delta=0.1, seed=0)
-    built = []
-    original = SketchCache.dense_products
-
-    def counting(self):
-        built.append(1)
-        return original(self)
-
-    monkeypatch.setattr(SketchCache, "dense_products", counting)
-    own = approx_sparse_convolve(inst.a, inst.b, params)
-    assert len(built) == 1
-    given = approx_sparse_convolve(inst.a, inst.b, params, cache=SketchCache(inst.a, inst.b, dense=False))
-    assert len(built) == 1
-    assert given.support() == own.support()
-
-
 def _cached_calls():
-    from sparseconv.approx import ApproxParams, approx_sparse_convolve
-    from sparseconv.exact import ExactParams, run_correction_level
-
     def arrays(sk):
         return sk.p, sk.v.tolist(), sk.w.tolist()
 
     partial = SparseResult({1500: 1.0})  # a valid output index of the cache's inputs only
     return {
-        "approx_sparse_convolve": lambda a, b, cache: approx_sparse_convolve(
-            a, b, ApproxParams(k=4, delta=0.1, seed=0), cache=cache
-        ).sorted_items(),
         "build_sketch": lambda a, b, cache: arrays(build_sketch(a, b, 1511, cache=cache)),
         "build_residual_sketch": lambda a, b, cache: arrays(build_residual_sketch(a, b, partial, 1511, cache=cache)),
-        "run_correction_level": lambda a, b, cache: run_correction_level(
-            a, b, partial, 1, 2, 1024, ExactParams(k=4, delta=0.1, seed=0), cache=cache
-        ),
     }
 
 

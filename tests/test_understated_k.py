@@ -13,6 +13,7 @@ import pytest
 import sparseconv.approx
 from sparseconv.approx import (
     ApproxParams,
+    CorrectionTrace,
     _capped_plan,
     _level,
     _level_count,
@@ -21,7 +22,7 @@ from sparseconv.approx import (
     approx_plan,
     approx_sparse_convolve,
 )
-from sparseconv.exact import CorrectionTrace, ExactParams, exact_sparse_convolve
+from sparseconv.exact import ExactParams, exact_sparse_convolve
 from sparseconv.fft import fft_convolve
 from sparseconv.harness import InstanceSpec, generate_instance
 from sparseconv.numerics import SparseResult, round_to_int, support_ge
