@@ -2,14 +2,15 @@
 sketches, a median vote over them and a peel of their heavy buckets
 bring the support back exactly and the values within a hair, at FFT
 work that scales with the output sparsity rather than the vector
-length. The paper's repetition count L only caps the sketches, which
-double while the peel is not clean.
+length. Each call's plan prices a few moduli m, each with the fewest
+sketches that isolate every significant index, and takes the cheapest
+(m, sketches, route); the paper's repetition count L only caps the
+sketches, which double while the peel is not clean.
 
 Run: python demos/04_approximate_recovery.py
 """
 
 import time
-from dataclasses import replace
 
 from sparseconv import (
     ApproxParams,
@@ -19,7 +20,6 @@ from sparseconv import (
     fft_convolve,
     fft_work,
     generate_instance,
-    isolation_reps,
     reset_fft_work,
     support_ge,
 )
@@ -33,8 +33,9 @@ oracle = fft_convolve(inst.a, inst.b)
 true_supp = support_ge(oracle, 0.5)
 
 params = ApproxParams(k=inst.k_effective, delta=0.1, seed=1)
-cap = approx_plan(replace(params, delta=params.delta / 2), spec.n)[1]
-print(f"sketches: {isolation_reps(params, spec.n)} to start, at most the paper's L = {cap} (at delta/2)")
+plan = approx_plan(params, spec.n)
+print(f"plan: primes in [{plan.m}, {2 * plan.m}], {plan.reps} sketches to start, at most the paper's "
+      f"L = {plan.cap} (at delta/2), {'dense' if plan.dense else 'cyclic'} route")
 reset_fft_work()
 t0 = time.perf_counter()
 d = approx_sparse_convolve(inst.a, inst.b, params)

@@ -6,7 +6,7 @@ recovery by vote and peel, and its exact form with rounding, plus a benchmark
 harness and CLI.
 """
 
-from .approx import ApproxParams, CorrectionTrace, approx_plan, approx_sparse_convolve, isolation_reps
+from .approx import ApproxParams, CorrectionTrace, approx_plan, approx_sparse_convolve
 from .exact import (
     ExactParams,
     exact_plan,
@@ -65,7 +65,6 @@ __all__ = [
     "fft_work",
     "fold",
     "generate_instance",
-    "isolation_reps",
     "load_instance",
     "naive_convolve",
     "norm_ge",

@@ -12,27 +12,50 @@ C >= 0 every residual bucket >= c1 is a stored one. Each level step
 merges the candidates of the residual exposing the most.
 
 The peel needs each significant index isolated in one stored sketch,
-not a majority, so a call starts with isolation_reps sketches (3 at the
-benchmark shapes) and doubles them while they do not peel C clean, up
-to the paper's count L at delta/2; not clean at that cap, the paper's
-vote plus a peel, it warns. Overshoot falls below c1, where levels
-cannot see it; the clean check does (|V| >= c1).
+not a majority, so a call starts with the fewest sketches whose
+collision bound isolates every index, and doubles them while they do
+not peel C clean, up to the paper's count L at delta/2; not clean at
+that cap, the paper's vote plus a peel, it warns. Overshoot falls below
+c1, where levels cannot see it; the clean check does (|V| >= c1).
+
+The paper fixes the modulus only up to a constant, m = Theta(k log n
+log k), and a smaller m makes each sketch cheaper but needs more of
+them, so approx_plan prices each call's modulus, count and route.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
-from dataclasses import dataclass, field, replace
-from typing import ClassVar
+from dataclasses import dataclass, field
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
+from .fft import pad_length, transform_work
 from .hashing import primes_in_range, sample_prime
 from .numerics import SparseResult, as_int, dense_pair, round_to_int
 from .sketch import SketchCache, build_sketch, dense_route, extract_candidates, residual
 
-__all__ = ["ApproxParams", "approx_sparse_convolve", "approx_plan", "ceil_log2", "isolation_reps", "CorrectionTrace"]
+__all__ = ["ApproxParams", "Plan", "approx_sparse_convolve", "approx_plan", "ceil_log2", "CorrectionTrace"]
+
+# Besides fft_work(), the plan prices each transform at TRANSFORM_WORK
+# more (call overhead, spectrum products), and each sketch at FOLD_WORK
+# per input entry folded with its moment plus SKETCH_WORK for the rest
+# (extraction, vote, peel), all in fft_work() units. Measured on a 2-core
+# x86 VM (numpy 2.4), medians of 7 calls per forced plan, each route at
+# every grid modulus with a count <= 40, n = 2^12-2^20, k = 16 and 64,
+# three instances: least-squares fits of wall time gave 1.2-1.3 ns per
+# unit, 24k-29k units per transform, 0.42-0.78 per folded entry (the low
+# end from fits at n up to 2^20, where folds weigh) and 144k-280k per
+# sketch. On those 37 shape-instance pairs these values pick plans 1.02x
+# slower than the fastest measured (geometric mean, worst 1.25x); without
+# TRANSFORM_WORK, short cyclic sketches win near-ties they lose (n = 2^14,
+# k = 16: 5 at m = 896 over one dense product, 1.1-1.3x slower).
+TRANSFORM_WORK = 25_000
+FOLD_WORK = 0.5
+SKETCH_WORK = 150_000
 
 
 def ceil_log2(x: int) -> int:
@@ -55,13 +78,13 @@ class ApproxParams:
 
     The constants are far leaner than worst-case analysis constants and
     are validated statistically by the test suite: tau is how close a
-    bucket ratio must be to an integer to be believed, m_mult scales the
-    modulus, an index needs min_votes_frac of the votes to be kept, and
-    level_base sets how slowly the peel's level count grows with k.
+    bucket ratio must be to an integer to be believed, an index needs
+    min_votes_frac of the votes to be kept, and level_base sets how
+    slowly the peel's level count grows with k. The modulus has no
+    constant: approx_plan prices it per call.
     """
 
     tau: ClassVar[float] = 0.25
-    m_mult: ClassVar[int] = 4
     min_votes_frac: ClassVar[float] = 0.5
     level_base: ClassVar[float] = 1.5
 
@@ -95,40 +118,80 @@ class CorrectionTrace:
     bootstrap_reps: list[int] = field(default_factory=list)
 
 
-def approx_plan(params: ApproxParams, n: int) -> tuple[int, int]:
-    """Modulus base m and the paper's repetition count L for input length n."""
-    m = max(
-        int(math.ceil(params.m_mult * params.k * ceil_log2(n) * max(ceil_log2(params.k), 1))),
-        16,
-    )
-    L = max(int(math.ceil(params.L_mult * math.log2(params.k / params.delta))), 3)
-    return m, L
+class Plan(NamedTuple):
+    """One call's plan: primes in [m, 2m], `reps` starting sketches, at
+    most `cap` of them, folding one dense product when `dense`."""
+
+    m: int
+    reps: int
+    cap: int
+    dense: bool
 
 
-def _capped_plan(params: ApproxParams, n: int) -> tuple[int, int]:
-    """m and the cap: the paper's count at delta/2, the vote's half of the budget."""
-    return approx_plan(replace(params, delta=params.delta / 2), n)
+def approx_plan(params: ApproxParams, n: int) -> Plan:
+    """The cheapest plan for length-n inputs that isolates every
+    significant index in some starting sketch.
 
-
-def isolation_reps(params: ApproxParams, n: int) -> int:
-    """Repetitions a call starts with: the least L >= 3 with
-    k * q^L <= delta/4, capped at the paper's count at delta/2.
-
-    With m the modulus base and pi(m) the number of primes in [m, 2m],
-    outputs x != y collide under p when p divides x - y, a nonzero
-    integer below 2n in magnitude, which has at most
-    r = ceil(log(2n) / log m) prime factors >= m. So a pair collides
-    with probability <= r / pi(m), a significant index with one of the
-    other k - 1 with <= q = (k - 1) r / pi(m), in all L independent
-    repetitions with <= q^L, and some significant index with <= k q^L.
-    The floor of 3 is approx_plan's, keeping >= 2 agreeing votes.
+    The cap is the paper's count L = L_mult * log2(k/delta) at delta/2
+    (at least 3). Each modulus base m of _grid gets its starting count
+    by _isolation_reps; an m whose count exceeds the cap is dropped, and
+    the rest are priced by _price, the least price winning and ties
+    going to the larger m. With every m dropped, the plan is the largest
+    m at the cap. The route is dense_route's for (m, reps). Memoised on
+    (k, delta, L_mult, n): the seed changes no plan.
     """
-    m, cap = _capped_plan(params, n)
-    q = (params.k - 1) * math.ceil(math.log(2 * n) / math.log(m)) / len(primes_in_range(m))
-    L = 3
-    while L < cap and params.k * q**L > params.delta / 4:
-        L += 1
-    return L
+    return _plan(params.k, params.delta, params.L_mult, n)
+
+
+@functools.cache
+def _plan(k: int, delta: float, L_mult: float, n: int) -> Plan:
+    cap = max(math.ceil(L_mult * math.log2(2 * k / delta)), 3)
+    grid = _grid(k, n)
+    priced = [(_price(n, m, reps), m, reps) for m in grid if (reps := _isolation_reps(k, delta, n, m, cap))]
+    # min keeps the first of equal prices, and the grid runs downward
+    _, m, reps = min(priced, key=lambda c: c[0], default=(None, grid[0], cap))
+    return Plan(m, reps, cap, dense_route(n, (m, reps)))
+
+
+def _grid(k: int, n: int) -> list[int]:
+    """Modulus bases 4k*ceil(log2 n)*ceil(log2 k) / 2^j, largest first,
+    down to the floor of 16."""
+    grid = [max(4 * k * ceil_log2(n) * max(ceil_log2(k), 1), 16)]
+    while grid[-1] > 16:
+        grid.append(max(grid[-1] // 2, 16))
+    return grid
+
+
+def _isolation_reps(k: int, delta: float, n: int, m: int, cap: int) -> int | None:
+    """The least L in [3, cap] with k * q^L <= delta/4 at modulus base m,
+    or None.
+
+    With pi(m) the number of primes in [m, 2m], outputs x != y collide
+    under p when p divides x - y, a nonzero integer below 2n in
+    magnitude, which has at most r = ceil(log(2n) / log m) prime factors
+    >= m. So a pair collides with probability <= r / pi(m), a
+    significant index with one of the other k - 1 with
+    <= q = (k - 1) r / pi(m), in all L independent repetitions with
+    <= q^L, and some significant index with <= k q^L. The floor of 3
+    keeps >= 2 agreeing votes.
+    """
+    q = (k - 1) * math.ceil(math.log(2 * n) / math.log(m)) / len(primes_in_range(m))
+    if q >= 1:  # no count meets it, and q**L may overflow
+        return None
+    return next((L for L in range(3, cap + 1) if k * q**L <= delta / 4), None)
+
+
+def _price(n: int, m: int, reps: int) -> float:
+    """fft_work() units for `reps` sketches at modulus base m on length-n
+    inputs: the transforms of dense_route's route, each TRANSFORM_WORK
+    over its work, plus per sketch FOLD_WORK for each of the 2n entries
+    folded with its moment (the two inputs, or the dense product) and
+    SKETCH_WORK for the rest."""
+    if dense_route(n, (m, reps)):
+        transforms = 3 * (transform_work(pad_length(2 * n - 1)) + TRANSFORM_WORK)
+    else:
+        transforms = reps * 6 * (transform_work(pad_length(3 * m - 1)) + TRANSFORM_WORK)
+    return reps * (FOLD_WORK * 2 * n + SKETCH_WORK) + transforms
 
 
 def _level_count(params: ApproxParams) -> int:
@@ -146,7 +209,7 @@ def _vote(cache: SketchCache, params: ApproxParams, stored: list, reps: int) -> 
     index's lower-median record, kept with >= min_votes_frac * reps records."""
     reps = as_int(reps, "reps", 1)
     n = len(cache.a)
-    m, _ = approx_plan(params, n)
+    m = approx_plan(params, n).m
     for l in range(len(stored) + 1, reps + 1):
         p = sample_prime(m, np.random.default_rng([params.seed, l]))
         stored.append(build_sketch(cache.a, cache.b, p, cache=cache).heavy(params.c1))
@@ -215,9 +278,13 @@ def approx_sparse_convolve(
     One failure budget delta: the starting count isolates every
     significant index in some stored sketch with probability
     >= 1 - delta/4, and the cap is the paper's count at delta/2, so a
-    capped call is the paper's vote, failing with probability
-    <= delta/2, plus a peel. A call not clean at the cap raises one
-    RuntimeWarning: k is probably under-stated.
+    capped call is the paper's vote plus a peel, at the plan's modulus.
+    That vote keeps an index isolated in a majority of its sketches;
+    the paper's analysis bounds its failure by delta/2 at the paper's
+    m, and a cheaper m shrinks the margin (q in _isolation_reps: 0.33
+    at n = 2^17, k = 64, against 0.05 at the grid's top). A call not
+    clean at the cap raises one RuntimeWarning: k is probably
+    under-stated.
 
     integer_mode rounds each merge to an integer: exact_sparse_convolve
     is this call with ExactParams.integer_mode, so without it this is
@@ -225,15 +292,15 @@ def approx_sparse_convolve(
     ApproxParams fields of params are read. A given CorrectionTrace is
     filled with what the call ran.
 
-    Deterministic given (a, b, params). dense_route prices the call's
-    starting sketches for its one SketchCache. Raises ValueError unless
+    Deterministic given (a, b, params). approx_plan fixes the call's
+    modulus, starting count, cap and route (its one SketchCache's).
+    Raises ValueError unless
     a and b are equal-length, finite, non-negative 1-D vectors.
     """
     a, b = dense_pair(a, b)
     n = len(a)
-    m, cap = _capped_plan(params, n)
-    reps = isolation_reps(params, n)
-    cache = SketchCache(a, b, dense_route(n, (m, reps)))
+    _, reps, cap, dense = approx_plan(params, n)
+    cache = SketchCache(a, b, dense)
     trace = CorrectionTrace() if trace is None else trace
     trace.bootstrap_reps = []
 

@@ -76,8 +76,9 @@ def dense_route(n: int, plan: tuple[int, int]) -> bool:
 
     Prices both routes in fft_work() units: six cyclic transforms of
     pad_length(3m-1) points per sketch, at the family's middle prime
-    (within 3% of the mean over [m, 2m]'s primes, m = 448-40,960),
-    against the dense product's three, which it builds once.
+    (within 12% of the mean over [m, 2m]'s primes for m = 16-447 and 6%
+    for m >= 448, at approx_plan's moduli), against the dense product's
+    three, which it builds once.
     """
     m, count = plan
     return count * 2 * transform_work(pad_length(3 * m - 1)) >= transform_work(pad_length(2 * n - 1))

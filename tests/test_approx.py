@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 
 import sparseconv.approx
 from sparseconv.approx import (
-    ApproxParams, CorrectionTrace, _vote, approx_plan, approx_sparse_convolve, ceil_log2, isolation_reps,
+    ApproxParams, CorrectionTrace, Plan, _vote, approx_plan, approx_sparse_convolve, ceil_log2,
 )
 from sparseconv.exact import ExactParams, exact_sparse_convolve, residual_norm, run_correction_level
 from sparseconv.harness import InstanceSpec, generate_instance, run_engine
 from sparseconv.hashing import primes_in_range, sample_prime
 from sparseconv.numerics import SparseResult, naive_convolve, support_ge
-from sparseconv.sketch import SketchCache, build_residual_sketch, build_sketch, dense_route
+from sparseconv.sketch import SketchCache, build_residual_sketch, build_sketch
 
 from isolation import is_isolated
 
@@ -56,12 +56,14 @@ class TestParams:
                 ApproxParams(k=1, delta=0.1, seed=seed)
         params = ApproxParams(k=1, delta=0.1, seed=np.int64(3))
         assert params == ApproxParams(k=1, delta=0.1, seed=3) and type(params.seed) is int
-        # the fixed constants keep their values but are not fields
+        # the fixed constants keep their values but are not fields; the
+        # modulus has no constant, as each call's plan prices it
         params = ApproxParams(k=1, delta=0.1)
-        for name, value in (("tau", 0.25), ("m_mult", 4), ("min_votes_frac", 0.5)):
+        for name, value in (("tau", 0.25), ("min_votes_frac", 0.5)):
             assert getattr(params, name) == value
             with pytest.raises(TypeError):
                 ApproxParams(k=1, delta=0.1, **{name: value})
+        assert not hasattr(params, "m_mult")
 
     def test_k_must_be_an_integer(self):
         inst = generate_instance(InstanceSpec(n=2**10, s_a=4, s_b=4, seed=31))
@@ -75,12 +77,15 @@ class TestParams:
                     cls(k=k, delta=0.1)
 
     def test_plan_formulas(self):
-        m, L = approx_plan(ApproxParams(k=64, delta=0.1), 2**14)
-        assert m == 4 * 64 * 14 * 6
-        assert L == 75  # ceil(8 * log2(640))
-        # floors engage for tiny k and lax delta
-        m, L = approx_plan(ApproxParams(k=1, delta=0.9), 4)
-        assert m == 16 and L == 3
+        # the cap is the paper's count at delta/2, ceil(8 * log2(1280));
+        # one dense product serves any count, so the fewest sketches win,
+        # at the grid's top modulus 4 k ceil(log2 n) ceil(log2 k)
+        assert approx_plan(ApproxParams(k=64, delta=0.1), 2**14) == Plan(4 * 64 * 14 * 6, 3, 83, True)
+        # the benchmark shapes: cyclic sketches at a smaller modulus
+        assert approx_plan(ApproxParams(k=64, delta=0.1), 2**17) == Plan(3264, 8, 83, False)
+        assert approx_plan(ApproxParams(k=16, delta=0.1), 2**20) == Plan(2560, 3, 67, False)
+        # floors engage for tiny k and lax delta: m >= 16 and counts >= 3
+        assert approx_plan(ApproxParams(k=1, delta=0.99, L_mult=1), 4) == Plan(16, 3, 3, True)
 
 
 def test_zero_vectors_give_empty_result():
@@ -191,7 +196,7 @@ def test_each_stored_sketch_is_its_repetitions_sketch_at_its_heavy_buckets(dense
     inst = generate_instance(InstanceSpec(n=2**12, s_a=4, s_b=4, seed=5))
     params = ApproxParams(k=16, delta=0.1, seed=4)
     cache = SketchCache(inst.a, inst.b, dense)
-    m, L = approx_plan(params, len(inst.a))
+    m, _, L, _ = approx_plan(params, len(inst.a))
     stored = []
     _vote(cache, params, stored, 3)
     first = list(stored)
@@ -209,7 +214,8 @@ def test_approx_is_exact_without_rounding(monkeypatch, dense):
     # one recovery path: on either route, forced for both engines,
     # approx returns exact's integer_mode=False result bit for bit
     inst = generate_instance(InstanceSpec(n=2**12, s_a=4, s_b=6, seed=9, integer_values=False))
-    monkeypatch.setattr(sparseconv.approx, "dense_route", lambda n, plan: dense)
+    plan = sparseconv.approx.approx_plan
+    monkeypatch.setattr(sparseconv.approx, "approx_plan", lambda params, n: plan(params, n)._replace(dense=dense))
     for seed in range(3):
         params = dict(k=24, delta=0.1, seed=seed)
         out = approx_sparse_convolve(inst.a, inst.b, ApproxParams(**params))
@@ -237,7 +243,7 @@ def test_a_c1_below_tau_keeps_the_entries_between_them(engine):
             out = exact_sparse_convolve(a, inst.b, ExactParams(**params, integer_mode=False), trace=trace)
     assert out.support() == truth
     assert all(abs(v - c[j]) < 0.01 for j, v in out.entries.items())
-    assert trace.bootstrap_reps == [isolation_reps(ApproxParams(**params), 2**10)]
+    assert trace.bootstrap_reps == [approx_plan(ApproxParams(**params), 2**10).reps]
 
 
 def test_deterministic_given_seed():
@@ -256,13 +262,15 @@ def test_deterministic_given_seed():
 
 
 def test_isolation_frequency():
-    # with m = 4 k log2(n) log2(k), a fixed significant index collides
-    # in at most a quarter of sampled primes (plus slack)
+    # at the plan's modulus, here the grid's top 4 k log2(n) log2(k), a
+    # fixed significant index collides in at most a quarter of sampled
+    # primes (plus slack)
     spec = InstanceSpec(n=2**12, s_a=8, s_b=8, seed=41)
     inst = generate_instance(spec)
     c = naive_convolve(inst.a, inst.b)
     supp = support_ge(c, inst.c1_effective)
-    m, _ = approx_plan(ApproxParams(k=64, delta=0.1), spec.n)
+    m = approx_plan(ApproxParams(k=64, delta=0.1), spec.n).m
+    assert m == 4 * 64 * 12 * 6
     primes = primes_in_range(m)
     rng = np.random.default_rng(5)
     x = sorted(supp)[0]
@@ -294,13 +302,13 @@ def test_every_kept_index_has_majority_votes():
     # the vote filter guarantees at least ceil(L/2) candidates behind
     # every index the vote step reports; cross-check by recomputing the pool
     from sparseconv.hashing import sample_prime
-    from sparseconv.sketch import SketchCache, build_sketch, dense_route, extract_candidates
+    from sparseconv.sketch import SketchCache, build_sketch, extract_candidates
 
     spec = InstanceSpec(n=2**10, s_a=3, s_b=3, seed=51)
     inst = generate_instance(spec)
     params = ApproxParams(k=9, delta=0.1, seed=13)
-    m, L = approx_plan(params, spec.n)
-    cache = SketchCache(inst.a, inst.b, dense_route(spec.n, (m, L)))
+    m, _, L, dense = approx_plan(params, spec.n)
+    cache = SketchCache(inst.a, inst.b, dense)
     votes: dict[int, int] = {}
     for l in range(1, L + 1):
         rng = np.random.default_rng([params.seed, l])

@@ -1,13 +1,13 @@
 import ast
 import math
 import re
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sparseconv.approx import ApproxParams, CorrectionTrace, approx_plan, isolation_reps
+from sparseconv.approx import CorrectionTrace, approx_plan
 from sparseconv.exact import (
     ExactParams,
     exact_plan,
@@ -91,7 +91,8 @@ def test_vote_gets_the_params_whole_and_growth_caps_at_the_count_at_half_delta(m
     params = ExactParams(k=2, delta=0.2, c1=0.75, L_mult=3.0, seed=4)
     trace = CorrectionTrace()
     exact_sparse_convolve(impulse(4, 2), impulse(4, 3), params, trace=trace)
-    assert isolation_reps(params, 4) == 3 < approx_plan(ApproxParams(k=2, delta=0.1, L_mult=3.0), 4)[1]
+    plan = approx_plan(params, 4)
+    assert plan.reps == 3 < plan.cap
     assert seen == [(params, 3)]
     assert trace.bootstrap_reps == [3]
 
@@ -100,9 +101,9 @@ def test_vote_gets_the_params_whole_and_growth_caps_at_the_count_at_half_delta(m
     seen.clear()
     with pytest.warns(RuntimeWarning, match="under-stated"):
         exact_sparse_convolve(impulse(4, 2), impulse(4, 3), params, trace=trace)
-    cap = approx_plan(replace(params, delta=params.delta / 2), 4)[1]
-    assert cap == 13 > approx_plan(params, 4)[1]
-    assert trace.bootstrap_reps == [3, 6, 12, cap] == [reps for _, reps in seen]
+    # ceil(3 log2(2k / delta)), above the paper's count at delta, ceil(3 log2(k / delta))
+    assert plan.cap == 13 > math.ceil(3.0 * math.log2(2 / 0.2))
+    assert trace.bootstrap_reps == [3, 6, 12, plan.cap] == [reps for _, reps in seen]
 
 
 def test_an_exact_call_checks_its_inputs_once(monkeypatch):

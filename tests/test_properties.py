@@ -8,9 +8,10 @@ residual at its buckets, bit for bit, and loses none of its heavy
 buckets. Vectorised extraction is checked against the bucket-by-bucket
 loop it replaced. Transforms pad to the next
 2^a * 3^b * 5^c length and are charged N * log2(N). The engines'
-starting count is the least one, from 3 up to its cap, meeting its
-isolation bound, and never grows with delta, and approx is exact
-without rounding, bit for bit."""
+plan is the cheapest grid modulus whose isolation bound its least
+count meets by the cap, that count never grows with delta at one
+modulus nor the plan's price at any, and approx is exact without
+rounding, bit for bit."""
 
 import math
 import warnings
@@ -21,12 +22,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sparseconv.approx import ApproxParams, approx_plan, approx_sparse_convolve, isolation_reps
+from sparseconv.approx import ApproxParams, _grid, _isolation_reps, _price, approx_plan, approx_sparse_convolve
 from sparseconv.exact import ExactParams, exact_sparse_convolve
 from sparseconv.fft import cyclic_convolve, fft_convolve, pad_length, transform_work
 from sparseconv.hashing import fold, fold_sparse, primes_in_range
 from sparseconv.numerics import SparseResult, naive_convolve, round_to_int
-from sparseconv.sketch import Sketch, SketchCache, build_residual_sketch, build_sketch, extract_candidates, residual
+from sparseconv.sketch import (
+    Sketch, SketchCache, build_residual_sketch, build_sketch, dense_route, extract_candidates, residual,
+)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
 
@@ -185,21 +188,56 @@ deltas = st.floats(1e-4, 0.99)
 @given(sizes, st.integers(1, 1024), deltas)
 def test_bootstrap_count_is_the_least_meeting_the_isolation_bound(n, k, delta):
     # q bounds one significant index's chance of sharing its bucket under
-    # one prime of [m, 2m]; the count is the least L >= 3 with
-    # k * q^L <= delta/4, unless the cap (approx's count at delta/2) binds
-    m, cap = approx_plan(ApproxParams(k=k, delta=delta / 2), n)
+    # one prime of the plan's [m, 2m]; the count is the least L >= 3 with
+    # k * q^L <= delta/4, unless no grid modulus meets it by the cap
+    # (the paper's count at delta/2): then the plan is the top modulus at the cap
+    m, L, cap, _ = approx_plan(ExactParams(k=k, delta=delta), n)
     q = (k - 1) * math.ceil(math.log(2 * n) / math.log(m)) / len(primes_in_range(m))
-    L = isolation_reps(ExactParams(k=k, delta=delta), n)
-    assert 3 <= L <= cap
-    assert k * q**L <= delta / 4 or L == cap
-    assert L == 3 or k * q ** (L - 1) > delta / 4
+
+    def isolates(count):
+        return q < 1 and k * q**count <= delta / 4
+
+    assert 3 <= L <= cap == max(math.ceil(8 * math.log2(2 * k / delta)), 3)
+    assert isolates(L) or (L == cap and m == _grid(k, n)[0])
+    assert L == 3 or not isolates(L - 1)
 
 
 @PROPERTY
 @given(sizes, st.integers(1, 1024), deltas, deltas)
 def test_bootstrap_count_does_not_grow_with_delta(n, k, d1, d2):
+    # at any one modulus; the plan's own count can grow with delta, as a
+    # laxer delta can price a smaller modulus
     lo, hi = sorted((d1, d2))
-    assert isolation_reps(ExactParams(k=k, delta=hi), n) <= isolation_reps(ExactParams(k=k, delta=lo), n)
+    cap = approx_plan(ApproxParams(k=k, delta=lo), n).cap
+    for m in _grid(k, n):
+        at_lo = _isolation_reps(k, lo, n, m, cap)
+        assert at_lo is None or _isolation_reps(k, hi, n, m, cap) <= at_lo
+
+
+@PROPERTY
+@given(sizes, st.integers(1, 1024), deltas, st.floats(1, 16))
+def test_the_plan_is_the_cheapest_grid_modulus_isolating_by_the_cap(n, k, delta, L_mult):
+    # every other grid modulus that meets the bound by the cap, at its
+    # least count, prices at least as high; ties go to the larger modulus
+    m, reps, cap, dense = approx_plan(ApproxParams(k=k, delta=delta, L_mult=L_mult), n)
+    assert dense is dense_route(n, (m, reps))
+    price = _price(n, m, reps)
+    for other in _grid(k, n):
+        count = _isolation_reps(k, delta, n, other, cap)
+        if count is not None:
+            assert price < _price(n, other, count) or (price == _price(n, other, count) and m >= other)
+
+
+@PROPERTY
+@given(sizes, st.integers(1, 1024), deltas, deltas)
+def test_the_plans_price_does_not_grow_with_delta(n, k, d1, d2):
+    # at the default L_mult; near L_mult = 1 the cap can fall faster than
+    # a modulus's count as delta grows, dropping the cheapest modulus
+    # (n = 377,445, k = 200, L_mult = 1: delta 0.757 -> 0.948 trades
+    # m = 7600 at 10 sketches for m = 15,200 at 6)
+    lo, hi = sorted((d1, d2))
+    plans = [approx_plan(ApproxParams(k=k, delta=d), n) for d in (hi, lo)]
+    assert _price(n, plans[0].m, plans[0].reps) <= _price(n, plans[1].m, plans[1].reps)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)

@@ -245,12 +245,17 @@ def _plan_id(value):
 @pytest.mark.parametrize(
     "n, plan, dense",
     [
-        (2**17, (26112, 75), True),  # n17-k64 approx: one dense product serves 75 sketches
-        (2**17, (26112, 3), True),  # n17-k64 exact's sized bootstrap: a near tie priced at the smallest prime
-        (2**19, (4864, 59), True),  # n = 2^19, k = 16 approx: a near tie in pinned runs
-        (2**20, (5120, 59), False),  # n20-k16 approx
-        (2**20, (5120, 3), False),  # n20-k16 exact's sized bootstrap
-        (2**20, (5120, 67), False),  # n20-k16 exact's bootstrap at its cap (approx at delta/2)
+        # n17-k64 at its grid's top modulus: one dense product serves 75
+        # sketches, and 3 in a near tie priced at the smallest prime
+        (2**17, (26112, 75), True),
+        (2**17, (26112, 3), True),
+        (2**17, (3264, 8), False),  # n17-k64's plan
+        (2**19, (4864, 59), True),  # n = 2^19, k = 16 at its top modulus: a near tie in pinned runs
+        # n20-k16 at its top modulus, at 59 sketches, 3 and its cap
+        (2**20, (5120, 59), False),
+        (2**20, (5120, 3), False),
+        (2**20, (5120, 67), False),
+        (2**20, (2560, 3), False),  # n20-k16's plan
         (2**20, (40960, 32), True),  # n20-k16 fresh-prime levels (run_correction_level)
         (2**16, (512, 51), False),  # n=2^16, k=4 exact's bootstrap at its cap
         (2**16, (2048, 19), True),  # its fresh-prime levels
@@ -259,6 +264,21 @@ def _plan_id(value):
 )
 def test_dense_route_at_benchmark_shapes(n, plan, dense):
     assert dense_route(n, plan) is dense
+
+
+def test_the_middle_prime_prices_the_family_within_a_few_percent():
+    # dense_route prices a sketch at the middle prime 3m/2 of [m, 2m];
+    # against the mean over the family's primes, at every grid modulus
+    # of k <= 256 and n <= 2^20, that is within 12% below m = 448, where
+    # few smooth lengths lie between 2m and 4m, and 6% from there
+    from sparseconv.approx import _grid
+    from sparseconv.fft import pad_length, transform_work
+    from sparseconv.hashing import primes_in_range
+
+    for m in {m for k in (1, 2, 4, 16, 64, 256) for t in range(1, 21) for m in _grid(k, 2**t)}:
+        mean = np.mean([transform_work(pad_length(2 * int(p) - 1)) for p in primes_in_range(m)])
+        ratio = transform_work(pad_length(3 * m - 1)) / mean
+        assert abs(ratio - 1) <= (0.12 if m < 448 else 0.06), m
 
 
 @pytest.mark.parametrize("p, size", [(8209, 16875), (5147, 10368)])
@@ -277,30 +297,30 @@ def test_cyclic_route_at_a_smooth_length_matches_the_dense_route(p, size):
 def test_cyclic_approx_charges_six_smooth_transforms_per_sketch(monkeypatch):
     # the call is clean at its starting count, so it sketches no more
     import sparseconv.approx
-    from sparseconv.approx import ApproxParams, approx_plan, approx_sparse_convolve, isolation_reps
+    from sparseconv.approx import ApproxParams, approx_plan, approx_sparse_convolve
     from sparseconv.fft import fft_work, pad_length, reset_fft_work, transform_work
     from sparseconv.hashing import sample_prime
 
     n = 2**16
     inst = generate_instance(InstanceSpec(n=n, s_a=2, s_b=2, seed=0))
     params = ApproxParams(k=4, delta=0.1, seed=5)
-    m, _ = approx_plan(params, n)
-    primes = [sample_prime(m, np.random.default_rng([params.seed, l])) for l in range(1, isolation_reps(params, n) + 1)]
+    plan = approx_plan(params, n)
+    primes = [sample_prime(plan.m, np.random.default_rng([params.seed, l])) for l in range(1, plan.reps + 1)]
     sizes = [pad_length(2 * p - 1) for p in primes]
     assert any(size & (size - 1) for size in sizes)  # some length is not a power of two
-    monkeypatch.setattr(sparseconv.approx, "dense_route", lambda n, plan: False)
+    monkeypatch.setattr(sparseconv.approx, "approx_plan", lambda params, n: plan._replace(dense=False))
     reset_fft_work()
     approx_sparse_convolve(inst.a, inst.b, params)
     assert fft_work() == sum(6 * transform_work(size) for size in sizes)
 
 
 def test_approx_charges_one_dense_product_when_it_is_cheaper():
-    from sparseconv.approx import ApproxParams, approx_plan, approx_sparse_convolve
+    from sparseconv.approx import ApproxParams, Plan, approx_plan, approx_sparse_convolve
     from sparseconv.fft import fft_work, reset_fft_work, transform_work
 
     inst = generate_instance(InstanceSpec(n=2**14, s_a=8, s_b=8, seed=0))
     params = ApproxParams(k=64, delta=0.1, seed=0)
-    assert approx_plan(params, 2**14) == (21504, 75)
+    assert approx_plan(params, 2**14) == Plan(m=21504, reps=3, cap=83, dense=True)
     reset_fft_work()
     approx_sparse_convolve(inst.a, inst.b, params)
     assert fft_work() == 3 * transform_work(2**15) == 1_474_560
@@ -317,10 +337,9 @@ def test_approx_charges_one_dense_product_when_it_is_cheaper():
     ],
 )
 def test_exact_call_does_the_fft_work_of_its_bootstrap_alone(n, k, dense):
-    # the bootstrap's isolation_reps sketches, on the route priced for
-    # that count, are the call's only transforms; the correction levels
-    # peel its stored buckets
-    from sparseconv.approx import ApproxParams, CorrectionTrace, approx_plan, isolation_reps
+    # the plan's starting sketches, on its route, are the call's only
+    # transforms; the correction levels peel its stored buckets
+    from sparseconv.approx import CorrectionTrace, approx_plan
     from sparseconv.exact import ExactParams, exact_sparse_convolve
     from sparseconv.fft import fft_work, pad_length, reset_fft_work, transform_work
     from sparseconv.hashing import sample_prime
@@ -328,9 +347,8 @@ def test_exact_call_does_the_fft_work_of_its_bootstrap_alone(n, k, dense):
     side = math.isqrt(k)  # k = s_a * s_b
     inst = generate_instance(InstanceSpec(n=n, s_a=side, s_b=side, seed=0))
     params = ExactParams(k=k, delta=0.1, seed=0)
-    m, _ = approx_plan(ApproxParams(k=k, delta=0.05), n)
-    reps = isolation_reps(params, n)
-    assert dense_route(n, (m, reps)) is dense
+    m, reps, _, route = approx_plan(params, n)
+    assert route is dense
     if dense:
         expected = 3 * transform_work(pad_length(2 * n - 1))
     else:

@@ -14,7 +14,6 @@ import sparseconv.approx
 from sparseconv.approx import (
     ApproxParams,
     CorrectionTrace,
-    _capped_plan,
     _level,
     _level_count,
     _merged,
@@ -35,14 +34,21 @@ DIVISORS = (64, 16, 4)
 ENGINE_SEEDS = (1, 2)
 
 
+def capped_plan(params: ApproxParams, n: int):
+    """The call's plan with its starting count raised to the cap, on the
+    route priced for that count."""
+    plan = approx_plan(params, n)
+    return plan._replace(reps=plan.cap, dense=dense_route(n, (plan.m, plan.cap)))
+
+
 def unsized_pipeline(a, b, params: ApproxParams, integer_mode: bool) -> SparseResult:
     """The path before its starting count was sized: the paper's vote
-    at delta/2, on the route priced for it, then level steps on its
-    stored sketches to a fixed point."""
+    at delta/2 at the plan's modulus, on the route priced for it, then
+    level steps on its stored sketches to a fixed point."""
     out_len = 2 * len(a) - 1
-    m, L = approx_plan(ApproxParams(k=params.k, delta=params.delta / 2, L_mult=params.L_mult), len(a))
+    _, _, cap, dense = capped_plan(params, len(a))
     stored = []
-    vote = _vote(SketchCache(a, b, dense_route(len(a), (m, L))), params, stored, L)
+    vote = _vote(SketchCache(a, b, dense), params, stored, cap)
     state = _merged(SparseResult(), vote.entries.items(), params, integer_mode)
     for _ in range(_level_count(params)):
         prev = state
@@ -88,15 +94,15 @@ def _family():
 @pytest.fixture(scope="module")
 def runs():
     """Per call: (truth, sized run, run with the count patched to the
-    cap, unsized pipeline), each run as _run returns it."""
+    cap, unsized pipeline, the call's plan), each run as _run returns it."""
     out = []
     for inst, truth, k, engine_seed in _family():
         params = ExactParams(k=k, delta=0.1, seed=engine_seed)
         sized = _run(inst.a, inst.b, params)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sparseconv.approx, "isolation_reps", lambda p, n: _capped_plan(p, n)[1])
+            mp.setattr(sparseconv.approx, "approx_plan", capped_plan)
             capped = _run(inst.a, inst.b, params)
-        out.append((truth, sized, capped, unsized_pipeline(inst.a, inst.b, params, True)))
+        out.append((truth, sized, capped, unsized_pipeline(inst.a, inst.b, params, True), approx_plan(params, N)))
     return out
 
 
@@ -118,38 +124,38 @@ def approx_runs():
         params = ApproxParams(k=k, delta=0.1, seed=engine_seed)
         twin = _run(inst.a, inst.b, ExactParams(**vars(params), integer_mode=False))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sparseconv.approx, "isolation_reps", lambda p, n: _capped_plan(p, n)[1])
+            mp.setattr(sparseconv.approx, "approx_plan", capped_plan)
             capped, _ = _approx(inst.a, inst.b, params)
         reference = unsized_pipeline(inst.a, inst.b, params, False)
-        out.append((*_approx(inst.a, inst.b, params), twin, _capped_plan(params, N)[1], capped, reference))
+        out.append((*_approx(inst.a, inst.b, params), twin, approx_plan(params, N).cap, capped, reference))
     return out
 
 
 def test_the_family_grows_the_bootstrap_and_reaches_the_cap(runs):
-    grown = [sized for _, sized, _, _ in runs if len(sized[1].bootstrap_reps) > 1]
+    grown = [(sized, plan) for _, sized, _, _, plan in runs if len(sized[1].bootstrap_reps) > 1]
     assert len(grown) >= len(runs) // 10
-    assert any(sized[2] for _, sized, _, _ in runs)  # some calls warn at the cap
-    for out, trace, _, untraced in grown:
+    assert any(sized[2] for _, sized, *_ in runs)  # some calls warn at the cap
+    for (out, trace, _, untraced), plan in grown:
         reps = trace.bootstrap_reps
-        assert reps[0] == 3 and all(later == min(2 * earlier, reps[-1]) for earlier, later in zip(reps, reps[1:]))
+        assert reps[0] == plan.reps and all(later == min(2 * earlier, reps[-1]) for earlier, later in zip(reps, reps[1:]))
         assert_one_trace_of_the_call(out, trace, untraced)
 
 
 def test_growth_loses_no_repair_power(runs):
     # wherever the cap-only count is right, the sized bootstrap is too
-    assert all(sized[0] == truth for truth, sized, capped, _ in runs if capped[0] == truth)
-    assert sum(capped[0] == truth for truth, _, capped, _ in runs) >= len(runs) // 2
+    assert all(sized[0] == truth for truth, sized, capped, *_ in runs if capped[0] == truth)
+    assert sum(capped[0] == truth for truth, _, capped, *_ in runs) >= len(runs) // 2
 
 
 def test_the_count_patched_to_the_cap_is_the_unsized_pipeline(runs):
-    for _, _, (out, trace, _, _), reference in runs:
+    for _, _, (out, trace, _, _), reference, _ in runs:
         assert out.sorted_items() == reference.sorted_items()
         assert len(trace.bootstrap_reps) == 1
 
 
 def test_a_right_call_never_warns(runs):
     # a correct C peels clean in every stored sketch, so the check is sound
-    for truth, sized, capped, _ in runs:
+    for truth, sized, capped, *_ in runs:
         for out, _, warned, _ in (sized, capped):
             assert not (out == truth and warned)
 
@@ -161,8 +167,8 @@ def test_warns_once_when_the_capped_bootstrap_does_not_peel_clean():
     with pytest.warns(RuntimeWarning, match="under-stated") as caught:
         out = exact_sparse_convolve(inst.a, inst.b, params, trace=trace)
     assert len(caught) == 1
-    cap = approx_plan(ApproxParams(k=2, delta=0.05), 2**17)[1]
-    assert trace.bootstrap_reps == [3, 6, 12, 24, cap]
+    plan = approx_plan(params, 2**17)
+    assert trace.bootstrap_reps == [plan.reps, 6, 12, 24, plan.cap] and plan.reps == 3
     with pytest.warns(RuntimeWarning, match="under-stated"):
         untraced = exact_sparse_convolve(inst.a, inst.b, params)
     assert_one_trace_of_the_call(out, trace, untraced)
