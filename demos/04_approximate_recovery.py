@@ -5,7 +5,8 @@ work that scales with the output sparsity rather than the vector
 length. Each call's plan prices a few moduli m, each with the fewest
 sketches that isolate every significant index, and takes the cheapest
 (m, sketches, route); the paper's repetition count L only caps the
-sketches, which double while the peel is not clean.
+sketches, which double while the peel is not clean. Here (n = 2^16,
+k = 64) the plan is 7 cyclic sketches on primes in [1536, 3072].
 
 Run: python demos/04_approximate_recovery.py
 """

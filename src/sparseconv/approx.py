@@ -167,18 +167,27 @@ def _isolation_reps(k: int, delta: float, n: int, m: int, cap: int) -> int | Non
     or None.
 
     With pi(m) the number of primes in [m, 2m], outputs x != y collide
-    under p when p divides x - y, a nonzero integer below 2n in
-    magnitude, which has at most r = ceil(log(2n) / log m) prime factors
-    >= m. So a pair collides with probability <= r / pi(m), a
-    significant index with one of the other k - 1 with
-    <= q = (k - 1) r / pi(m), in all L independent repetitions with
-    <= q^L, and some significant index with <= k q^L. The floor of 3
-    keeps >= 2 agreeing votes.
+    under p when p divides d = x - y, with 0 < |d| <= 2n - 2. r + 1
+    distinct prime factors >= m would make m^(r+1) <= |d|, so d has at
+    most r = _max_factors(n, m) of them. So a pair collides with
+    probability <= r / pi(m), a significant index with one of the other
+    k - 1 with <= q = (k - 1) r / pi(m), in all L independent
+    repetitions with <= q^L, and some significant index with <= k q^L.
+    The floor of 3 keeps >= 2 agreeing votes.
     """
-    q = (k - 1) * math.ceil(math.log(2 * n) / math.log(m)) / len(primes_in_range(m))
+    q = (k - 1) * _max_factors(n, m) / len(primes_in_range(m))
     if q >= 1:  # no count meets it, and q**L may overflow
         return None
     return next((L for L in range(3, cap + 1) if k * q**L <= delta / 4), None)
+
+
+def _max_factors(n: int, m: int) -> int:
+    """The largest r with m^r <= 2n - 2, in integers: the float floor of
+    log(2n - 2) / log(m) falls one short at exact powers (m = 48, r = 3)."""
+    r, power = 0, m
+    while power <= 2 * n - 2:
+        r, power = r + 1, power * m
+    return r
 
 
 def _price(n: int, m: int, reps: int) -> float:
@@ -281,8 +290,8 @@ def approx_sparse_convolve(
     capped call is the paper's vote plus a peel, at the plan's modulus.
     That vote keeps an index isolated in a majority of its sketches;
     the paper's analysis bounds its failure by delta/2 at the paper's
-    m, and a cheaper m shrinks the margin (q in _isolation_reps: 0.33
-    at n = 2^17, k = 64, against 0.05 at the grid's top). A call not
+    m, and a cheaper m shrinks the margin (q in _isolation_reps: 0.31
+    at n = 2^17, k = 64, against 0.026 at the grid's top). A call not
     clean at the cap raises one RuntimeWarning: k is probably
     under-stated.
 

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import sparseconv.approx
 from sparseconv.approx import (
-    ApproxParams, CorrectionTrace, Plan, _vote, approx_plan, approx_sparse_convolve, ceil_log2,
+    ApproxParams, CorrectionTrace, Plan, _isolation_reps, _max_factors, _vote, approx_plan, approx_sparse_convolve,
+    ceil_log2,
 )
 from sparseconv.exact import ExactParams, exact_sparse_convolve, residual_norm, run_correction_level
 from sparseconv.harness import InstanceSpec, generate_instance, run_engine
@@ -82,10 +83,18 @@ class TestParams:
         # at the grid's top modulus 4 k ceil(log2 n) ceil(log2 k)
         assert approx_plan(ApproxParams(k=64, delta=0.1), 2**14) == Plan(4 * 64 * 14 * 6, 3, 83, True)
         # the benchmark shapes: cyclic sketches at a smaller modulus
-        assert approx_plan(ApproxParams(k=64, delta=0.1), 2**17) == Plan(3264, 8, 83, False)
+        assert approx_plan(ApproxParams(k=64, delta=0.1), 2**17) == Plan(1632, 7, 83, False)
         assert approx_plan(ApproxParams(k=16, delta=0.1), 2**20) == Plan(2560, 3, 67, False)
         # floors engage for tiny k and lax delta: m >= 16 and counts >= 3
         assert approx_plan(ApproxParams(k=1, delta=0.99, L_mult=1), 4) == Plan(16, 3, 3, True)
+
+    def test_the_factor_count_is_exact_at_powers(self):
+        # 2n - 2 = 48^3, where the float floor of log(48^3) / log(48) is 2
+        assert 2 * 55_297 - 2 == 48**3 and int(math.log(48**3) / math.log(48)) == 2
+        assert _max_factors(55_297, 48) == 3 and _max_factors(55_296, 48) == 2
+        # n = 1 has one output and no difference: nothing collides, so the floor of 3 holds
+        assert _max_factors(1, 48) == 0
+        assert _isolation_reps(64, 0.1, 1, 48, 83) == 3
 
 
 def test_zero_vectors_give_empty_result():

@@ -7,8 +7,9 @@ residual for a non-negative partial result is the full sketch's
 residual at its buckets, bit for bit, and loses none of its heavy
 buckets. Vectorised extraction is checked against the bucket-by-bucket
 loop it replaced. Transforms pad to the next
-2^a * 3^b * 5^c length and are charged N * log2(N). The engines'
-plan is the cheapest grid modulus whose isolation bound its least
+2^a * 3^b * 5^c length and are charged N * log2(N). No difference of
+two outputs has more prime factors >= m than the isolation bound counts. The
+engines' plan is the cheapest grid modulus whose isolation bound its least
 count meets by the cap, that count never grows with delta at one
 modulus nor the plan's price at any, and approx is exact without
 rounding, bit for bit."""
@@ -22,7 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sparseconv.approx import ApproxParams, _grid, _isolation_reps, _price, approx_plan, approx_sparse_convolve
+from sparseconv.approx import (
+    ApproxParams, _grid, _isolation_reps, _max_factors, _price, approx_plan, approx_sparse_convolve,
+)
 from sparseconv.exact import ExactParams, exact_sparse_convolve
 from sparseconv.fft import cyclic_convolve, fft_convolve, pad_length, transform_work
 from sparseconv.hashing import fold, fold_sparse, primes_in_range
@@ -192,7 +195,8 @@ def test_bootstrap_count_is_the_least_meeting_the_isolation_bound(n, k, delta):
     # k * q^L <= delta/4, unless no grid modulus meets it by the cap
     # (the paper's count at delta/2): then the plan is the top modulus at the cap
     m, L, cap, _ = approx_plan(ExactParams(k=k, delta=delta), n)
-    q = (k - 1) * math.ceil(math.log(2 * n) / math.log(m)) / len(primes_in_range(m))
+    r = sum(1 for t in range(1, 64) if m**t <= 2 * n - 2)  # m^r <= the largest difference
+    q = (k - 1) * r / len(primes_in_range(m))
 
     def isolates(count):
         return q < 1 and k * q**count <= delta / 4
@@ -200,6 +204,20 @@ def test_bootstrap_count_is_the_least_meeting_the_isolation_bound(n, k, delta):
     assert 3 <= L <= cap == max(math.ceil(8 * math.log2(2 * k / delta)), 3)
     assert isolates(L) or (L == cap and m == _grid(k, n)[0])
     assert L == 3 or not isolates(L - 1)
+
+
+@PROPERTY
+@given(st.integers(1, 2**11), st.integers(1, 1024))
+def test_no_output_difference_has_more_prime_factors_than_the_bound_counts(n, k):
+    # outputs x != y of a length-n product differ by d in [1, 2n - 2];
+    # at every grid modulus m, no such d is divisible by more than
+    # _max_factors(n, m) of the primes in [m, 2m] (larger ones divide none)
+    d = np.arange(1, 2 * n - 1)
+    for m in _grid(k, n):
+        primes = primes_in_range(m)
+        primes = primes[primes <= 2 * n - 2]
+        most = int((d[:, None] % primes == 0).sum(axis=1).max(initial=0))
+        assert most <= _max_factors(n, m), (m, most)
 
 
 @PROPERTY

@@ -249,7 +249,8 @@ def _plan_id(value):
         # sketches, and 3 in a near tie priced at the smallest prime
         (2**17, (26112, 75), True),
         (2**17, (26112, 3), True),
-        (2**17, (3264, 8), False),  # n17-k64's plan
+        (2**17, (3264, 8), False),  # n17-k64 with r = ceil(log(2n)/log m), one factor too many
+        (2**17, (1632, 7), False),  # n17-k64's plan
         (2**19, (4864, 59), True),  # n = 2^19, k = 16 at its top modulus: a near tie in pinned runs
         # n20-k16 at its top modulus, at 59 sketches, 3 and its cap
         (2**20, (5120, 59), False),
