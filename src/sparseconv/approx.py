@@ -33,30 +33,11 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .fft import pad_length, transform_work
 from .hashing import primes_in_range, sample_prime
 from .numerics import SparseResult, as_int, dense_pair, round_to_int
-from .sketch import SketchCache, build_sketch, dense_route, extract_candidates, residual
+from .sketch import SketchCache, build_sketch, dense_route, extract_candidates, residual, route_price
 
 __all__ = ["ApproxParams", "Plan", "approx_sparse_convolve", "approx_plan", "ceil_log2", "CorrectionTrace"]
-
-# Besides fft_work(), the plan prices each transform at TRANSFORM_WORK
-# more (call overhead, spectrum products), and each sketch at FOLD_WORK
-# per input entry folded with its moment plus SKETCH_WORK for the rest
-# (extraction, vote, peel), all in fft_work() units. Measured on a 2-core
-# x86 VM (numpy 2.4), medians of 7 calls per forced plan, each route at
-# every grid modulus with a count <= 40, n = 2^12-2^20, k = 16 and 64,
-# three instances: least-squares fits of wall time gave 1.2-1.3 ns per
-# unit, 24k-29k units per transform, 0.42-0.78 per folded entry (the low
-# end from fits at n up to 2^20, where folds weigh) and 144k-280k per
-# sketch. On those 37 shape-instance pairs these values pick plans 1.02x
-# slower than the fastest measured (geometric mean, worst 1.25x); without
-# TRANSFORM_WORK, short cyclic sketches win near-ties they lose (n = 2^14,
-# k = 16: 5 at m = 896 over one dense product, 1.1-1.3x slower).
-TRANSFORM_WORK = 25_000
-FOLD_WORK = 0.5
-SKETCH_WORK = 150_000
-
 
 def ceil_log2(x: int) -> int:
     """Smallest t with 2^t >= x, for x >= 1."""
@@ -71,27 +52,25 @@ class ApproxParams:
 
     k bounds the significant support of the product; delta is the
     allowed failure probability; c1 separates significant entries from
-    the noise band. L_mult scales the paper's repetition count, which
-    caps the call's growth; it stays settable because the acceptance
-    suite's FFT-work criterion also runs the engine at L_mult=1, the
-    leanest legal parameters.
+    the noise band.
 
     The constants are far leaner than worst-case analysis constants and
     are validated statistically by the test suite: tau is how close a
     bucket ratio must be to an integer to be believed, an index needs
-    min_votes_frac of the votes to be kept, and level_base sets how
-    slowly the peel's level count grows with k. The modulus has no
+    min_votes_frac of the votes to be kept, level_base sets how slowly
+    the peel's level count grows with k, and L_mult scales the paper's
+    repetition count, which caps the call's growth. The modulus has no
     constant: approx_plan prices it per call.
     """
 
     tau: ClassVar[float] = 0.25
     min_votes_frac: ClassVar[float] = 0.5
     level_base: ClassVar[float] = 1.5
+    L_mult: ClassVar[int] = 8
 
     k: int
     delta: float
     c1: float = 0.5
-    L_mult: float = 8.0
     seed: int = 0
 
     def __post_init__(self):
@@ -101,8 +80,6 @@ class ApproxParams:
             raise ValueError("delta must lie in (0, 1)")
         if not 0 < self.c1 < math.inf:
             raise ValueError(f"c1 must lie in (0, inf), not {self.c1!r}")
-        if not 1 <= self.L_mult < math.inf:
-            raise ValueError(f"L_mult must lie in [1, inf), not {self.L_mult!r}")
 
 
 @dataclass
@@ -120,7 +97,8 @@ class CorrectionTrace:
 
 class Plan(NamedTuple):
     """One call's plan: primes in [m, 2m], `reps` starting sketches, at
-    most `cap` of them, folding one dense product when `dense`."""
+    most `cap` of them, folding one dense product when `dense`, the
+    cheaper route for (m, reps) by route_price."""
 
     m: int
     reps: int
@@ -135,19 +113,19 @@ def approx_plan(params: ApproxParams, n: int) -> Plan:
     The cap is the paper's count L = L_mult * log2(k/delta) at delta/2
     (at least 3). Each modulus base m of _grid gets its starting count
     by _isolation_reps; an m whose count exceeds the cap is dropped, and
-    the rest are priced by _price, the least price winning and ties
+    the rest are priced by route_price, the least price winning and ties
     going to the larger m. With every m dropped, the plan is the largest
-    m at the cap. The route is dense_route's for (m, reps). Memoised on
-    (k, delta, L_mult, n): the seed changes no plan.
+    m at the cap. The route is route_price's for (m, reps). Memoised on
+    (k, delta, n): the seed changes no plan.
     """
-    return _plan(params.k, params.delta, params.L_mult, n)
+    return _plan(params.k, params.delta, n)
 
 
 @functools.cache
-def _plan(k: int, delta: float, L_mult: float, n: int) -> Plan:
-    cap = max(math.ceil(L_mult * math.log2(2 * k / delta)), 3)
+def _plan(k: int, delta: float, n: int) -> Plan:
+    cap = max(math.ceil(ApproxParams.L_mult * math.log2(2 * k / delta)), 3)
     grid = _grid(k, n)
-    priced = [(_price(n, m, reps), m, reps) for m in grid if (reps := _isolation_reps(k, delta, n, m, cap))]
+    priced = [(route_price(n, m, reps)[0], m, reps) for m in grid if (reps := _isolation_reps(k, delta, n, m, cap))]
     # min keeps the first of equal prices, and the grid runs downward
     _, m, reps = min(priced, key=lambda c: c[0], default=(None, grid[0], cap))
     return Plan(m, reps, cap, dense_route(n, (m, reps)))
@@ -190,19 +168,6 @@ def _max_factors(n: int, m: int) -> int:
     return r
 
 
-def _price(n: int, m: int, reps: int) -> float:
-    """fft_work() units for `reps` sketches at modulus base m on length-n
-    inputs: the transforms of dense_route's route, each TRANSFORM_WORK
-    over its work, plus per sketch FOLD_WORK for each of the 2n entries
-    folded with its moment (the two inputs, or the dense product) and
-    SKETCH_WORK for the rest."""
-    if dense_route(n, (m, reps)):
-        transforms = 3 * (transform_work(pad_length(2 * n - 1)) + TRANSFORM_WORK)
-    else:
-        transforms = reps * 6 * (transform_work(pad_length(3 * m - 1)) + TRANSFORM_WORK)
-    return reps * (FOLD_WORK * 2 * n + SKETCH_WORK) + transforms
-
-
 def _level_count(params: ApproxParams) -> int:
     # Grows like log log k; k <= 2 needs no contraction beyond the
     # vote, hence the floor of one level.
@@ -212,13 +177,12 @@ def _level_count(params: ApproxParams) -> int:
     return math.ceil(math.log(lg) / math.log(params.level_base))
 
 
-def _vote(cache: SketchCache, params: ApproxParams, stored: list, reps: int) -> SparseResult:
+def _vote(cache: SketchCache, params: ApproxParams, m: int, stored: list, reps: int) -> SparseResult:
     """Grow `stored` to `reps` heavy sketches (Sketch.heavy), repetition l
-    with its prime drawn from (seed, l), and return their vote: each
-    index's lower-median record, kept with >= min_votes_frac * reps records."""
+    with its prime drawn from (seed, l) in [m, 2m], and return their vote:
+    each index's lower-median record, kept with >= min_votes_frac * reps records."""
     reps = as_int(reps, "reps", 1)
     n = len(cache.a)
-    m = approx_plan(params, n).m
     for l in range(len(stored) + 1, reps + 1):
         p = sample_prime(m, np.random.default_rng([params.seed, l]))
         stored.append(build_sketch(cache.a, cache.b, p, cache=cache).heavy(params.c1))
@@ -308,14 +272,14 @@ def approx_sparse_convolve(
     """
     a, b = dense_pair(a, b)
     n = len(a)
-    _, reps, cap, dense = approx_plan(params, n)
+    m, reps, cap, dense = approx_plan(params, n)
     cache = SketchCache(a, b, dense)
     trace = CorrectionTrace() if trace is None else trace
     trace.bootstrap_reps = []
 
     stored = []
     while True:
-        state = _merged(SparseResult(), _vote(cache, params, stored, reps).entries.items(), params, integer_mode)
+        state = _merged(SparseResult(), _vote(cache, params, m, stored, reps).entries.items(), params, integer_mode)
         trace.bootstrap_reps.append(reps)
         trace.snapshots = [SparseResult(dict(state.entries))]
         trace.chosen_primes = []

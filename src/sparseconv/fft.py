@@ -8,7 +8,7 @@ where padding to the next power of two can cost up to 2x.
 
 Work accounting is analytic: every transform of length N, forward or
 inverse, adds transform_work(N) = round(N * log2(N)) to the thread's
-counter, whatever the backend does inside; sketch.dense_route prices
+counter, whatever the backend does inside; sketch.route_price prices
 sketch routes in the same unit. Callers that want a per-phase reading
 should reset_fft_work() before the phase and read fft_work() after it.
 """

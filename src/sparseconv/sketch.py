@@ -20,11 +20,11 @@ Two equivalent evaluation routes are used:
   points, and fold it with its moment for every sketch.
 
 Both give the same V and W up to FFT round-off, because folding commutes
-with convolution, so the route is a cost choice. dense_route() makes it
-once per engine call, from the call's one plan: its cyclic transforms,
-each priced at the middle prime 3m/2 of the plan's [m, 2m], are weighed
-against the one dense product in fft_work() units. Folds cost about the
-same on both routes.
+with convolution, so the route is a cost choice. route_price() makes it,
+once per engine call, from the call's one plan: it prices the plan by
+each route, with its cyclic transforms at the middle prime 3m/2 of the
+plan's [m, 2m], and takes the cheaper; dense_route() reads its choice,
+and approx_plan its price.
 
 A sketch may hold some of its buckets only (Sketch.buckets): heavy(c1)
 keeps those with V >= c1, all extraction reads. residual subtracts a
@@ -46,6 +46,7 @@ from .numerics import SparseResult, as_int, dense_pair
 __all__ = [
     "Sketch",
     "SketchCache",
+    "route_price",
     "dense_route",
     "build_sketch",
     "build_residual_sketch",
@@ -70,23 +71,52 @@ class Sketch:
         return Sketch(self.p, self.v[keep], self.w[keep], keep if self.buckets is None else self.buckets[keep])
 
 
+# Besides fft_work(), route_price charges each transform TRANSFORM_WORK
+# more (call overhead, spectrum products), and each sketch FOLD_WORK per
+# input entry folded with its moment plus SKETCH_WORK for the rest
+# (extraction, vote, peel), all in fft_work() units. Measured on a 2-core
+# x86 VM (numpy 2.4), medians of 7 calls per forced plan, each route at
+# every grid modulus with a count <= 40, n = 2^12-2^20, k = 16 and 64,
+# three instances: least-squares fits of wall time gave 1.2-1.3 ns per
+# unit, 24k-29k units per transform, 0.42-0.78 per folded entry (the low
+# end from fits at n up to 2^20, where folds weigh) and 144k-280k per
+# sketch. On those 37 shape-instance pairs these values pick plans 1.02x
+# slower than the fastest measured (geometric mean, worst 1.25x); without
+# TRANSFORM_WORK, short cyclic sketches win near-ties they lose (n = 2^14,
+# k = 16: 5 at m = 896 over one dense product, 1.1-1.3x slower).
+TRANSFORM_WORK = 25_000
+FOLD_WORK = 0.5
+SKETCH_WORK = 150_000
+
+
+def route_price(n: int, m: int, count: int) -> tuple[float, bool]:
+    """fft_work() units for `count` sketches with primes in [m, 2m] on
+    length-n inputs by the cheaper route, and whether that is the dense
+    one (ties go dense).
+
+    The cyclic route runs six transforms of pad_length(3m-1) points per
+    sketch, at the family's middle prime (within 12% of the mean over
+    [m, 2m]'s primes for m = 16-447 and 6% for m >= 448, at approx_plan's
+    moduli); the dense route runs the product's three, once. Each
+    transform costs TRANSFORM_WORK over its work, and each sketch
+    FOLD_WORK for each of the 2n entries it folds with their moment (the
+    two inputs, or the dense product) plus SKETCH_WORK, on either route.
+    """
+    dense = 3 * (transform_work(pad_length(2 * n - 1)) + TRANSFORM_WORK)
+    cyclic = count * 6 * (transform_work(pad_length(3 * m - 1)) + TRANSFORM_WORK)
+    return count * (FOLD_WORK * 2 * n + SKETCH_WORK) + min(dense, cyclic), dense <= cyclic
+
+
 def dense_route(n: int, plan: tuple[int, int]) -> bool:
     """Whether one call's sketches on length-n inputs, `count` of them with
-    primes in [m, 2m] for its plan (m, count), should fold one dense product.
-
-    Prices both routes in fft_work() units: six cyclic transforms of
-    pad_length(3m-1) points per sketch, at the family's middle prime
-    (within 12% of the mean over [m, 2m]'s primes for m = 16-447 and 6%
-    for m >= 448, at approx_plan's moduli), against the dense product's
-    three, which it builds once.
-    """
-    m, count = plan
-    return count * 2 * transform_work(pad_length(3 * m - 1)) >= transform_work(pad_length(2 * n - 1))
+    primes in [m, 2m] for its plan (m, count), should fold one dense
+    product: route_price's choice."""
+    return route_price(n, *plan)[1]
 
 
 class SketchCache:
     """Arrays derived from one (A, B) pair, shared by the sketches of one
-    engine call, which all take the route `dense` fixes (see dense_route).
+    engine call, which all take the route `dense` fixes (see route_price).
 
     A and B are held by reference, checked by the call that built the
     cache; build_sketch and build_residual_sketch given one take them as

@@ -40,14 +40,8 @@ class TestParams:
             ApproxParams(k=0, delta=0.1)
         with pytest.raises(ValueError):
             ApproxParams(k=1, delta=1.0)
-        with pytest.raises(ValueError):
-            ApproxParams(k=1, delta=0.1, L_mult=0.5)
         with pytest.raises(ValueError, match="seed"):
             ApproxParams(k=1, delta=0.1, seed=-1)
-        # values that construct but that no engine call could run
-        for L_mult in (math.inf, math.nan):
-            with pytest.raises(ValueError, match="L_mult"):
-                ApproxParams(k=1, delta=0.1, L_mult=L_mult)
         # no bucket reaches an infinite c1, so every call would return {}
         for c1 in (math.inf, math.nan, 0.0):
             with pytest.raises(ValueError, match="c1"):
@@ -60,7 +54,7 @@ class TestParams:
         # the fixed constants keep their values but are not fields; the
         # modulus has no constant, as each call's plan prices it
         params = ApproxParams(k=1, delta=0.1)
-        for name, value in (("tau", 0.25), ("min_votes_frac", 0.5)):
+        for name, value in (("tau", 0.25), ("min_votes_frac", 0.5), ("L_mult", 8)):
             assert getattr(params, name) == value
             with pytest.raises(TypeError):
                 ApproxParams(k=1, delta=0.1, **{name: value})
@@ -85,8 +79,11 @@ class TestParams:
         # the benchmark shapes: cyclic sketches at a smaller modulus
         assert approx_plan(ApproxParams(k=64, delta=0.1), 2**17) == Plan(1632, 7, 83, False)
         assert approx_plan(ApproxParams(k=16, delta=0.1), 2**20) == Plan(2560, 3, 67, False)
-        # floors engage for tiny k and lax delta: m >= 16 and counts >= 3
-        assert approx_plan(ApproxParams(k=1, delta=0.99, L_mult=1), 4) == Plan(16, 3, 3, True)
+        # floors engage for tiny k and lax delta: m >= 16 and counts >= 3;
+        # the cap is max(ceil(8 * log2(2 / 0.99)), 3)
+        assert approx_plan(ApproxParams(k=1, delta=0.99), 4) == Plan(16, 3, 9, True)
+        # one dense product beats 3 cyclic sketches at m = 96 by the one price
+        assert approx_plan(ApproxParams(k=4, delta=0.1), 4096) == Plan(384, 3, 51, True)
 
     def test_the_factor_count_is_exact_at_powers(self):
         # 2n - 2 = 48^3, where the float floor of log(48^3) / log(48) is 2
@@ -191,9 +188,9 @@ def test_reps_below_one_is_rejected(reps, heavy):
     cache = SketchCache(inst.a, inst.b, True)
     stored = []
     if heavy is not None:
-        _vote(cache, params, stored, 1)
+        _vote(cache, params, 64, stored, 1)
     with pytest.raises(ValueError, match="reps"):
-        _vote(cache, params, stored, reps)
+        _vote(cache, params, 64, stored, reps)
     with pytest.raises(ValueError, match="reps"):
         run_correction_level(inst.a, inst.b, SparseResult(), 1, reps, 64, ExactParams(k=16, delta=0.1))
 
@@ -207,9 +204,9 @@ def test_each_stored_sketch_is_its_repetitions_sketch_at_its_heavy_buckets(dense
     cache = SketchCache(inst.a, inst.b, dense)
     m, _, L, _ = approx_plan(params, len(inst.a))
     stored = []
-    _vote(cache, params, stored, 3)
+    _vote(cache, params, m, stored, 3)
     first = list(stored)
-    _vote(cache, params, stored, L)
+    _vote(cache, params, m, stored, L)
     assert len(stored) == L and stored[:3] == first
     for l, sk in enumerate(stored, 1):
         full = build_sketch(inst.a, inst.b, sample_prime(m, np.random.default_rng([params.seed, l])), cache=cache)
@@ -325,7 +322,7 @@ def test_every_kept_index_has_majority_votes():
         sk = build_sketch(inst.a, inst.b, p, cache=cache)
         for cand in extract_candidates(sk, params.c1, params.tau, 2 * spec.n - 1):
             votes[cand.index] = votes.get(cand.index, 0) + 1
-    out = _vote(cache, params, [], L)
+    out = _vote(cache, params, m, [], L)
     assert len(out) > 0
     need = -(-L // 2)
     for idx in out.support():
@@ -342,7 +339,7 @@ def _pooled(per_rep):
     scripted = iter(per_rep)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("sparseconv.approx.extract_candidates", lambda s, c1, tau, out_len: _records(next(scripted)))
-        return _vote(SketchCache(np.ones(8), np.ones(8), True), ApproxParams(k=1, delta=0.5), [], len(per_rep))
+        return _vote(SketchCache(np.ones(8), np.ones(8), True), ApproxParams(k=1, delta=0.5), 16, [], len(per_rep))
 
 
 def _pooled_by_dict_of_lists(per_rep):

@@ -83,17 +83,17 @@ def test_vote_gets_the_params_whole_and_growth_caps_at_the_count_at_half_delta(m
     seen = []
     original = sparseconv.approx._vote
 
-    def fake_vote(cache, params, stored, reps):
-        seen.append((params, reps))
-        return original(cache, params, stored, reps)
+    def fake_vote(cache, params, m, stored, reps):
+        seen.append((params, m, reps))
+        return original(cache, params, m, stored, reps)
 
     monkeypatch.setattr(sparseconv.approx, "_vote", fake_vote)
-    params = ExactParams(k=2, delta=0.2, c1=0.75, L_mult=3.0, seed=4)
+    params = ExactParams(k=2, delta=0.2, c1=0.75, seed=4)
     trace = CorrectionTrace()
     exact_sparse_convolve(impulse(4, 2), impulse(4, 3), params, trace=trace)
     plan = approx_plan(params, 4)
     assert plan.reps == 3 < plan.cap
-    assert seen == [(params, 3)]
+    assert seen == [(params, plan.m, 3)]
     assert trace.bootstrap_reps == [3]
 
     # a peel that is never clean grows the count to that cap, and warns
@@ -101,9 +101,9 @@ def test_vote_gets_the_params_whole_and_growth_caps_at_the_count_at_half_delta(m
     seen.clear()
     with pytest.warns(RuntimeWarning, match="under-stated"):
         exact_sparse_convolve(impulse(4, 2), impulse(4, 3), params, trace=trace)
-    # ceil(3 log2(2k / delta)), above the paper's count at delta, ceil(3 log2(k / delta))
-    assert plan.cap == 13 > math.ceil(3.0 * math.log2(2 / 0.2))
-    assert trace.bootstrap_reps == [3, 6, 12, plan.cap] == [reps for _, reps in seen]
+    # ceil(8 log2(2k / delta)), above the paper's count at delta, ceil(8 log2(k / delta))
+    assert plan.cap == 35 > math.ceil(8 * math.log2(2 / 0.2))
+    assert trace.bootstrap_reps == [3, 6, 12, 24, plan.cap] == [reps for *_, reps in seen]
 
 
 def test_an_exact_call_checks_its_inputs_once(monkeypatch):
@@ -253,9 +253,9 @@ class TestPeel:
         original = sparseconv.approx._vote
         primes = []
 
-        def damaged_vote(cache, params, stored, reps):
+        def damaged_vote(cache, params, m, stored, reps):
             # the real vote step fills `stored`; only its result is damaged
-            assert original(cache, params, stored, reps).support() == set(full)
+            assert original(cache, params, m, stored, reps).support() == set(full)
             primes.extend(sk.p for sk in stored)
             boot = {j: v for j, v in full.items() if j != dropped}
             boot[short] -= 1

@@ -8,11 +8,11 @@ residual at its buckets, bit for bit, and loses none of its heavy
 buckets. Vectorised extraction is checked against the bucket-by-bucket
 loop it replaced. Transforms pad to the next
 2^a * 3^b * 5^c length and are charged N * log2(N). No difference of
-two outputs has more prime factors >= m than the isolation bound counts. The
-engines' plan is the cheapest grid modulus whose isolation bound its least
-count meets by the cap, that count never grows with delta at one
-modulus nor the plan's price at any, and approx is exact without
-rounding, bit for bit."""
+two outputs has more prime factors >= m than the isolation bound counts. A
+plan's route is the cheaper of the two by one price, the engines' plan is
+the cheapest grid modulus whose isolation bound its least count meets by
+the cap, that count never grows with delta at one modulus nor the plan's
+price at any, and approx is exact without rounding, bit for bit."""
 
 import math
 import warnings
@@ -24,14 +24,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sparseconv.approx import (
-    ApproxParams, _grid, _isolation_reps, _max_factors, _price, approx_plan, approx_sparse_convolve,
+    ApproxParams, _grid, _isolation_reps, _max_factors, approx_plan, approx_sparse_convolve,
 )
 from sparseconv.exact import ExactParams, exact_sparse_convolve
 from sparseconv.fft import cyclic_convolve, fft_convolve, pad_length, transform_work
 from sparseconv.hashing import fold, fold_sparse, primes_in_range
 from sparseconv.numerics import SparseResult, naive_convolve, round_to_int
 from sparseconv.sketch import (
-    Sketch, SketchCache, build_residual_sketch, build_sketch, dense_route, extract_candidates, residual,
+    FOLD_WORK, SKETCH_WORK, TRANSFORM_WORK, Sketch, SketchCache, build_residual_sketch, build_sketch, dense_route,
+    extract_candidates, residual, route_price,
 )
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
@@ -233,36 +234,46 @@ def test_bootstrap_count_does_not_grow_with_delta(n, k, d1, d2):
 
 
 @PROPERTY
-@given(sizes, st.integers(1, 1024), deltas, st.floats(1, 16))
-def test_the_plan_is_the_cheapest_grid_modulus_isolating_by_the_cap(n, k, delta, L_mult):
+@given(sizes, st.integers(16, 2**20), st.integers(1, 200))
+def test_the_route_is_the_cheaper_by_the_one_price(n, m, count):
+    # both routes fold 2n entries per sketch; the dense one runs the
+    # product's three transforms once, the cyclic one six per sketch at
+    # the middle prime 3m/2, each transform TRANSFORM_WORK over its work
+    per_sketch = count * (FOLD_WORK * 2 * n + SKETCH_WORK)
+    dense = per_sketch + 3 * (transform_work(pad_length(2 * n - 1)) + TRANSFORM_WORK)
+    cyclic = per_sketch + count * 6 * (transform_work(pad_length(3 * m - 1)) + TRANSFORM_WORK)
+    assert dense_route(n, (m, count)) is (dense <= cyclic)
+    assert route_price(n, m, count) == (min(dense, cyclic), dense <= cyclic)
+
+
+@PROPERTY
+@given(sizes, st.integers(1, 1024), deltas)
+def test_the_plan_is_the_cheapest_grid_modulus_isolating_by_the_cap(n, k, delta):
     # every other grid modulus that meets the bound by the cap, at its
     # least count, prices at least as high; ties go to the larger modulus
-    m, reps, cap, dense = approx_plan(ApproxParams(k=k, delta=delta, L_mult=L_mult), n)
-    assert dense is dense_route(n, (m, reps))
-    price = _price(n, m, reps)
+    m, reps, cap, dense = approx_plan(ApproxParams(k=k, delta=delta), n)
+    price, cheaper_is_dense = route_price(n, m, reps)
+    assert dense is cheaper_is_dense
     for other in _grid(k, n):
         count = _isolation_reps(k, delta, n, other, cap)
         if count is not None:
-            assert price < _price(n, other, count) or (price == _price(n, other, count) and m >= other)
+            other_price = route_price(n, other, count)[0]
+            assert price < other_price or (price == other_price and m >= other)
 
 
 @PROPERTY
 @given(sizes, st.integers(1, 1024), deltas, deltas)
 def test_the_plans_price_does_not_grow_with_delta(n, k, d1, d2):
-    # at the default L_mult; near L_mult = 1 the cap can fall faster than
-    # a modulus's count as delta grows, dropping the cheapest modulus
-    # (n = 377,445, k = 200, L_mult = 1: delta 0.757 -> 0.948 trades
-    # m = 7600 at 10 sketches for m = 15,200 at 6)
     lo, hi = sorted((d1, d2))
     plans = [approx_plan(ApproxParams(k=k, delta=d), n) for d in (hi, lo)]
-    assert _price(n, plans[0].m, plans[0].reps) <= _price(n, plans[1].m, plans[1].reps)
+    assert route_price(n, plans[0].m, plans[0].reps)[0] <= route_price(n, plans[1].m, plans[1].reps)[0]
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(st.data())
 def test_approx_is_exact_without_rounding(data):
-    # one path: same output, same warning, for any k, delta, L_mult and
-    # seed, k under-stated included
+    # one path: same output, same warning, for any k, delta and seed, k
+    # under-stated included
     n = data.draw(st.integers(4, 512), label="n")
     support = st.dictionaries(st.integers(0, n - 1), st.floats(0.5, 20), max_size=6)
     a, b = np.zeros(n), np.zeros(n)
@@ -272,7 +283,6 @@ def test_approx_is_exact_without_rounding(data):
     params = dict(
         k=data.draw(st.integers(1, 40), label="k"),
         delta=data.draw(deltas, label="delta"),
-        L_mult=data.draw(st.floats(1, 8), label="L_mult"),
         seed=data.draw(st.integers(0, 2**16), label="seed"),
     )
     runs = []

@@ -46,9 +46,9 @@ def unsized_pipeline(a, b, params: ApproxParams, integer_mode: bool) -> SparseRe
     at delta/2 at the plan's modulus, on the route priced for it, then
     level steps on its stored sketches to a fixed point."""
     out_len = 2 * len(a) - 1
-    _, _, cap, dense = capped_plan(params, len(a))
+    m, _, cap, dense = capped_plan(params, len(a))
     stored = []
-    vote = _vote(SketchCache(a, b, dense), params, stored, cap)
+    vote = _vote(SketchCache(a, b, dense), params, m, stored, cap)
     state = _merged(SparseResult(), vote.entries.items(), params, integer_mode)
     for _ in range(_level_count(params)):
         prev = state
