@@ -30,7 +30,7 @@ for bucket in range(p):
     print(f"  bucket {bucket:2d}: V={sk.v[bucket]:7.3f}  W/V={ratio:8.3f}  "
           f"holders={holders} ({tag})")
 
-cands = extract_candidates(sk, c1=0.5, tau=0.25, out_len=2 * n - 1)
+cands = extract_candidates(sk, c1=0.5, tau=0.25)
 print("\naccepted candidates (ratio within 0.25 of an integer):")
 for cand in cands:
     mark = "ok" if abs(cand.value - c[cand.index]) < 1e-6 else "corrupt"

@@ -35,7 +35,7 @@ import numpy as np
 
 from .hashing import primes_in_range, sample_prime
 from .numerics import SparseResult, as_int, dense_pair, round_to_int
-from .sketch import SketchCache, build_sketch, dense_route, extract_candidates, residual, route_price
+from .sketch import SketchCache, build_sketch, extract_candidates, residual, route_price
 
 __all__ = ["ApproxParams", "Plan", "approx_sparse_convolve", "approx_plan", "ceil_log2", "CorrectionTrace"]
 
@@ -128,7 +128,7 @@ def _plan(k: int, delta: float, n: int) -> Plan:
     priced = [(route_price(n, m, reps)[0], m, reps) for m in grid if (reps := _isolation_reps(k, delta, n, m, cap))]
     # min keeps the first of equal prices, and the grid runs downward
     _, m, reps = min(priced, key=lambda c: c[0], default=(None, grid[0], cap))
-    return Plan(m, reps, cap, dense_route(n, (m, reps)))
+    return Plan(m, reps, cap, route_price(n, m, reps)[1])
 
 
 def _grid(k: int, n: int) -> list[int]:
@@ -182,12 +182,11 @@ def _vote(cache: SketchCache, params: ApproxParams, m: int, stored: list, reps: 
     with its prime drawn from (seed, l) in [m, 2m], and return their vote:
     each index's lower-median record, kept with >= min_votes_frac * reps records."""
     reps = as_int(reps, "reps", 1)
-    n = len(cache.a)
     for l in range(len(stored) + 1, reps + 1):
         p = sample_prime(m, np.random.default_rng([params.seed, l]))
         stored.append(build_sketch(cache.a, cache.b, p, cache=cache).heavy(params.c1))
 
-    votes = np.concatenate([extract_candidates(sk, params.c1, params.tau, 2 * n - 1) for sk in stored])
+    votes = np.concatenate([extract_candidates(sk, params.c1, params.tau) for sk in stored])
     votes = votes[np.lexsort((votes["value"], votes["index"]))]
     starts = np.flatnonzero(np.diff(votes["index"], prepend=-1))  # indices are >= 0
     counts = np.diff(starts, append=len(votes))
@@ -206,16 +205,16 @@ def _merged(current: SparseResult, pairs, params: ApproxParams, integer_mode: bo
     return SparseResult({i: v for i, v in out.items() if abs(v) > params.tau or abs(v) >= params.c1})
 
 
-def _level(sketches, current: SparseResult, params: ApproxParams, integer_mode: bool, out_len: int):
+def _level(sketches, current: SparseResult, params: ApproxParams, integer_mode: bool):
     """One level step: keep the residual sketch exposing the most buckets
     >= c1 (ties to the earliest) and merge its candidates into `current`;
     returns the new result and the chosen sketch's prime."""
     chosen = max(sketches, key=lambda sk: np.count_nonzero(sk.v >= params.c1))
-    candidates = extract_candidates(chosen, params.c1, params.tau, out_len)
+    candidates = extract_candidates(chosen, params.c1, params.tau)
     return _merged(current, candidates.tolist(), params, integer_mode), chosen.p
 
 
-def _peel(stored, state: SparseResult, params: ApproxParams, integer_mode: bool, out_len: int, trace: CorrectionTrace):
+def _peel(stored, state: SparseResult, params: ApproxParams, integer_mode: bool, trace: CorrectionTrace):
     """Run up to _level_count(params) level steps from `state` on the
     residuals of the stored heavy sketches, recording each in `trace`;
     returns C and whether every stored sketch peels it clean: C's indices
@@ -223,14 +222,14 @@ def _peel(stored, state: SparseResult, params: ApproxParams, integer_mode: bool,
     correct C, whose residual is noise."""
     for _ in range(_level_count(params)):
         prev = state
-        peeled = [residual(s, state, out_len) for s in stored]
-        state, p = _level(peeled, state, params, integer_mode, out_len)
+        peeled = [residual(s, state) for s in stored]
+        state, p = _level(peeled, state, params, integer_mode)
         trace.chosen_primes.append(p)
         trace.snapshots.append(SparseResult(dict(state.entries)))
         if state == prev:
             break
     else:  # no fixed point: peel the final C for the check
-        peeled = [residual(s, state, out_len) for s in stored]
+        peeled = [residual(s, state) for s in stored]
     return state, all(
         {i % sk.p for i in state.entries} <= set(sk.buckets.tolist()) and np.all(np.abs(sk.v) < params.c1)
         for sk in peeled
@@ -271,8 +270,7 @@ def approx_sparse_convolve(
     a and b are equal-length, finite, non-negative 1-D vectors.
     """
     a, b = dense_pair(a, b)
-    n = len(a)
-    m, reps, cap, dense = approx_plan(params, n)
+    m, reps, cap, dense = approx_plan(params, len(a))
     cache = SketchCache(a, b, dense)
     trace = CorrectionTrace() if trace is None else trace
     trace.bootstrap_reps = []
@@ -283,7 +281,7 @@ def approx_sparse_convolve(
         trace.bootstrap_reps.append(reps)
         trace.snapshots = [SparseResult(dict(state.entries))]
         trace.chosen_primes = []
-        state, clean = _peel(stored, state, params, integer_mode, 2 * n - 1, trace)
+        state, clean = _peel(stored, state, params, integer_mode, trace)
         if clean or reps == cap:
             break
         reps = min(2 * reps, cap)

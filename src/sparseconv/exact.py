@@ -24,7 +24,7 @@ from .hashing import sample_prime
 from .numerics import SparseResult, as_int, dense_pair
 # extract_candidates runs only in sparseconv.approx; perfbench's layer trace also
 # looks it up here, and reads every extraction metric as absent without it
-from .sketch import SketchCache, build_residual_sketch, dense_route, extract_candidates  # noqa: F401
+from .sketch import SketchCache, build_residual_sketch, extract_candidates, route_price  # noqa: F401
 
 __all__ = [
     "ExactParams",
@@ -79,20 +79,18 @@ def repetition_schedule(params: ExactParams) -> list[int]:
     ]
 
 
-def _lossless(cache: SketchCache, m: int) -> bool:
+def _residual_sketches(a, b, current, m, reps, key):
+    """Residual sketches of A*B - current on checked a, b, repetition r = 1..reps
+    with its prime drawn from (*key, r), on route_price's route for (m, reps);
+    one at a lossless modulus, where all tie."""
+    cache = SketchCache(a, b, route_price(len(a), m, reps)[1])
     # primes p >= m >= 2n-1 fold the dense product and the partial result
     # by identity, so every residual sketch at modulus m is the same array
-    return cache.dense and m >= 2 * len(cache.a) - 1
-
-
-def _residual_sketches(cache, current, m, reps, key):
-    """The cache's residual sketches of A*B - current, repetition r = 1..reps
-    with its prime drawn from (*key, r); one at a lossless modulus, where all tie."""
-    if _lossless(cache, m):
+    if cache.dense and m >= 2 * len(a) - 1:
         reps = 1
     for r in range(1, reps + 1):
         p = sample_prime(m, np.random.default_rng([*key, r]))
-        yield build_residual_sketch(cache.a, cache.b, current, p, cache=cache)
+        yield build_residual_sketch(a, b, current, p, cache=cache)
 
 
 def run_correction_level(
@@ -115,9 +113,8 @@ def run_correction_level(
     """
     reps, m = as_int(reps, "reps", 1), as_int(m, "m", 2)
     a, b = dense_pair(a, b)
-    cache = SketchCache(a, b, dense_route(len(a), (m, reps)))
-    sketches = _residual_sketches(cache, current, m, reps, (params.seed, level))
-    return _level(sketches, current, params, params.integer_mode, 2 * len(a) - 1)
+    sketches = _residual_sketches(a, b, current, m, reps, (params.seed, level))
+    return _level(sketches, current, params, params.integer_mode)
 
 
 def exact_sparse_convolve(
@@ -167,8 +164,7 @@ def residual_norm(
         raise ValueError(f"c1 must lie in (0, inf), not {c1!r}")
     trials = as_int(trials, "trials", 1)
     m = max(2 * len(a) - 1, 16) if m is None else as_int(m, "m", 2)
-    cache = SketchCache(a, b, dense_route(len(a), (m, trials)))
     return max(
         np.count_nonzero(np.abs(sk.v) >= c1)
-        for sk in _residual_sketches(cache, c, m, trials, (seed,))
+        for sk in _residual_sketches(a, b, c, m, trials, (seed,))
     )

@@ -237,9 +237,9 @@ class LoadedInstance(NamedTuple):
     b: np.ndarray
 
 
-def write_instance(path, spec: InstanceSpec, k_budget: int | None = None) -> GeneratedInstance:
+def write_instance(path, spec: InstanceSpec) -> GeneratedInstance:
     """Generate an instance and persist it; returns the instance."""
-    parts, inst = _generate_parts(spec, k_budget)
+    parts, inst = _generate_parts(spec, None)
     lines = ["sparseconv-instance v1", f"n={spec.n}"]
     for name, pos, val in (("A", parts.pos_a, parts.val_a), ("B", parts.pos_b, parts.val_b)):
         lines.append(f"{name} {len(pos)}")

@@ -4,7 +4,8 @@ A sketch for prime p is the pair (V, W): V folds the convolution mass
 onto residues mod p, W folds the index-weighted mass. In a bucket whose
 mass comes from a single output index x, W/V equals x and V equals the
 output value, so (index, value) records can be read straight off
-isolated buckets into one record array (extract_candidates).
+isolated buckets into one record array (extract_candidates), at indices
+in [0, out_len): each sketch carries its product's length, 2n-1.
 
 Per the product rule, the index-weighted convolution splits as
 dC = dA * B + A * dB (all at index base 0), which is what lets W be
@@ -20,11 +21,10 @@ Two equivalent evaluation routes are used:
   points, and fold it with its moment for every sketch.
 
 Both give the same V and W up to FFT round-off, because folding commutes
-with convolution, so the route is a cost choice. route_price() makes it,
-once per engine call, from the call's one plan: it prices the plan by
-each route, with its cyclic transforms at the middle prime 3m/2 of the
-plan's [m, 2m], and takes the cheaper; dense_route() reads its choice,
-and approx_plan its price.
+with convolution, so the route is a cost choice, made once per sketch
+family (a SketchCache) by route_price, which prices the family by each
+route, cyclic transforms at the middle prime 3m/2 of its [m, 2m], and
+takes the cheaper. A one-off sketch, without a cache, takes the cyclic route.
 
 A sketch may hold some of its buckets only (Sketch.buckets): heavy(c1)
 keeps those with V >= c1, all extraction reads. residual subtracts a
@@ -47,7 +47,6 @@ __all__ = [
     "Sketch",
     "SketchCache",
     "route_price",
-    "dense_route",
     "build_sketch",
     "build_residual_sketch",
     "residual",
@@ -58,17 +57,20 @@ __all__ = [
 @dataclass(frozen=True, eq=False)
 class Sketch:
     """Folded convolution mass (v) and folded index-weighted mass (w) for
-    one prime modulus, at the increasing bucket numbers `buckets` (None: all)."""
+    one prime modulus, at the increasing bucket numbers `buckets` (None: all),
+    of a product of length out_len, whose output indices lie in [0, out_len)."""
 
     p: int
     v: np.ndarray
     w: np.ndarray
+    out_len: int
     buckets: np.ndarray | None = None
 
     def heavy(self, c1: float) -> Sketch:
         """This sketch at its buckets with V >= c1 alone."""
         keep = np.flatnonzero(self.v >= c1)
-        return Sketch(self.p, self.v[keep], self.w[keep], keep if self.buckets is None else self.buckets[keep])
+        buckets = keep if self.buckets is None else self.buckets[keep]
+        return Sketch(self.p, self.v[keep], self.w[keep], self.out_len, buckets)
 
 
 # Besides fft_work(), route_price charges each transform TRANSFORM_WORK
@@ -107,16 +109,9 @@ def route_price(n: int, m: int, count: int) -> tuple[float, bool]:
     return count * (FOLD_WORK * 2 * n + SKETCH_WORK) + min(dense, cyclic), dense <= cyclic
 
 
-def dense_route(n: int, plan: tuple[int, int]) -> bool:
-    """Whether one call's sketches on length-n inputs, `count` of them with
-    primes in [m, 2m] for its plan (m, count), should fold one dense
-    product: route_price's choice."""
-    return route_price(n, *plan)[1]
-
-
 class SketchCache:
-    """Arrays derived from one (A, B) pair, shared by the sketches of one
-    engine call, which all take the route `dense` fixes (see route_price).
+    """Arrays derived from one (A, B) pair, shared by one sketch family (an
+    engine call's, or a level's), all on the route `dense` fixes.
 
     A and B are held by reference, checked by the call that built the
     cache; build_sketch and build_residual_sketch given one take them as
@@ -153,14 +148,15 @@ def build_sketch(
     shares the forward transforms of fold(A), fold(B) between V and W and
     merges W's two products in the spectrum domain: 4 forward + 2 inverse
     transforms per sketch. Route and inputs are the cache's; without one,
-    dense_pair checks a and b and dense_route decides for this sketch alone.
+    dense_pair checks a and b and the sketch takes the cyclic route. The
+    sketch's out_len is 2n-1 for the inputs' length n.
     """
     p = as_int(p, "p", 1)
     if cache is None:
-        a, b = dense_pair(a, b)
-        cache = SketchCache(a, b, dense_route(len(a), (p, 1)))
+        cache = SketchCache(*dense_pair(a, b), dense=False)
+    out_len = 2 * len(cache.a) - 1
     if cache.dense:
-        return Sketch(p, *fold(cache.conv, p, moment=True))
+        return Sketch(p, *fold(cache.conv, p, moment=True), out_len)
 
     fa_, fda = fold(cache.a, p, moment=True)
     fb_, fdb = fold(cache.b, p, moment=True)
@@ -171,7 +167,7 @@ def build_sketch(
     sdb = fft_forward(fdb, size)
     v_full = fft_inverse_real(sa * sb, size)[: 2 * p - 1]
     w_full = fft_inverse_real(sda * sb + sa * sdb, size)[: 2 * p - 1]
-    return Sketch(p, fold_linear_to_cyclic(v_full, p), fold_linear_to_cyclic(w_full, p))
+    return Sketch(p, fold_linear_to_cyclic(v_full, p), fold_linear_to_cyclic(w_full, p), out_len)
 
 
 def build_residual_sketch(
@@ -182,26 +178,26 @@ def build_residual_sketch(
     cache: SketchCache | None = None,
 ) -> Sketch:
     """Sketch of A*B minus a sparse partial reconstruction, the residual
-    of build_sketch's; V entries can go negative where C_prev overshoots.
-    Inputs and the output length are the given cache's, or else a and b,
+    of build_sketch's, on the same route; V entries can go negative where
+    C_prev overshoots. Inputs are the given cache's, or else a and b,
     checked as in build_sketch."""
-    return residual(build_sketch(a, b, p, cache=cache), c_prev, 2 * len(a if cache is None else cache.a) - 1)
+    return residual(build_sketch(a, b, p, cache=cache), c_prev)
 
 
-def residual(s: Sketch, c: SparseResult, out_len: int) -> Sketch:
+def residual(s: Sketch, c: SparseResult) -> Sketch:
     """s minus fold_sparse's pair for C, its fold and its moment's, at
-    s's buckets, in O(|C|); C's indices lie in [0, out_len)."""
-    fc, fdc = fold_sparse(c.entries.keys(), c.entries.values(), s.p, out_len)
+    s's buckets, in O(|C|); C's indices lie in [0, s.out_len)."""
+    fc, fdc = fold_sparse(c.entries.keys(), c.entries.values(), s.p, s.out_len)
     if s.buckets is not None:
         fc, fdc = fc[s.buckets], fdc[s.buckets]
-    return Sketch(s.p, s.v - fc, s.w - fdc, s.buckets)
+    return Sketch(s.p, s.v - fc, s.w - fdc, s.out_len, s.buckets)
 
 
-def extract_candidates(s: Sketch, c1: float, tau: float, out_len: int) -> np.recarray:
+def extract_candidates(s: Sketch, c1: float, tau: float) -> np.recarray:
     """Read (index, value) pairs off buckets with V_i >= c1.
 
     A bucket is accepted when its ratio W_i/V_i is within tau of an
-    integer inside [0, out_len); everything else is silently rejected
+    integer inside [0, s.out_len); everything else is silently rejected
     (collisions and corrupted residuals produce off-integer or
     out-of-range ratios). Returns a record array of the accepted buckets'
     index (int64) and value (float64) fields, in bucket order.
@@ -216,5 +212,5 @@ def extract_candidates(s: Sketch, c1: float, tau: float, out_len: int) -> np.rec
     buckets, ratio = buckets[finite], ratio[finite]
     # half-away-from-zero, as round_to_int
     nearest = np.copysign(np.floor(np.abs(ratio) + 0.5), ratio)
-    keep = (np.abs(ratio - nearest) <= tau) & (nearest >= 0) & (nearest < out_len)
+    keep = (np.abs(ratio - nearest) <= tau) & (nearest >= 0) & (nearest < s.out_len)
     return np.rec.fromarrays([nearest[keep], s.v[buckets[keep]]], dtype=[("index", np.int64), ("value", np.float64)])

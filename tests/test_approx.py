@@ -320,7 +320,7 @@ def test_every_kept_index_has_majority_votes():
         rng = np.random.default_rng([params.seed, l])
         p = sample_prime(m, rng)
         sk = build_sketch(inst.a, inst.b, p, cache=cache)
-        for cand in extract_candidates(sk, params.c1, params.tau, 2 * spec.n - 1):
+        for cand in extract_candidates(sk, params.c1, params.tau):
             votes[cand.index] = votes.get(cand.index, 0) + 1
     out = _vote(cache, params, m, [], L)
     assert len(out) > 0
@@ -338,7 +338,7 @@ def _pooled(per_rep):
     extraction scripted as per_rep[l - 1], a list of (index, value) pairs."""
     scripted = iter(per_rep)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("sparseconv.approx.extract_candidates", lambda s, c1, tau, out_len: _records(next(scripted)))
+        mp.setattr("sparseconv.approx.extract_candidates", lambda s, c1, tau: _records(next(scripted)))
         return _vote(SketchCache(np.ones(8), np.ones(8), True), ApproxParams(k=1, delta=0.5), 16, [], len(per_rep))
 
 

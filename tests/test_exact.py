@@ -165,7 +165,7 @@ def test_planted_defect_is_repaired():
     rng = np.random.default_rng(3)
     p = sample_prime(m, rng)
     sk = build_residual_sketch(inst.a, inst.b, SparseResult(full), p)
-    cands = extract_candidates(sk, params.c1, params.tau, 2 * spec.n - 1)
+    cands = extract_candidates(sk, params.c1, params.tau)
     recovered = {c.index: float(round_to_int(c.value)) for c in cands}
     assert recovered == {dropped: val}
 
@@ -399,7 +399,7 @@ def test_three_case_bucket_analysis_small_instance():
     out_len = 2 * 64 - 1
     for p in (11, 13, 17, 19, 23, 29, 31):
         sk = build_residual_sketch(inst.a, inst.b, SparseResult(), p)
-        cands = {c.index: c.value for c in extract_candidates(sk, c1, tau, out_len)}
+        cands = {c.index: c.value for c in extract_candidates(sk, c1, tau)}
         occupancy: dict[int, list[int]] = {}
         for x in supp:
             occupancy.setdefault(x % p, []).append(x)

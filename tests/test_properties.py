@@ -31,7 +31,7 @@ from sparseconv.fft import cyclic_convolve, fft_convolve, pad_length, transform_
 from sparseconv.hashing import fold, fold_sparse, primes_in_range
 from sparseconv.numerics import SparseResult, naive_convolve, round_to_int
 from sparseconv.sketch import (
-    FOLD_WORK, SKETCH_WORK, TRANSFORM_WORK, Sketch, SketchCache, build_residual_sketch, build_sketch, dense_route,
+    FOLD_WORK, SKETCH_WORK, TRANSFORM_WORK, Sketch, SketchCache, build_residual_sketch, build_sketch,
     extract_candidates, residual, route_price,
 )
 
@@ -81,7 +81,7 @@ def test_single_significant_entry_is_read_back_exactly(data, dense, u, v):
     a, b = np.zeros(n), np.zeros(n)
     a[i], b[j] = u, v
     sk = build_sketch(a, b, p, cache=SketchCache(a, b, dense=dense))
-    (cand,) = extract_candidates(sk, c1=0.5, tau=0.25, out_len=2 * n - 1)
+    (cand,) = extract_candidates(sk, c1=0.5, tau=0.25)
     assert cand.index == i + j
     assert abs(cand.value - u * v) <= 1e-9 * u * v
 
@@ -99,8 +99,10 @@ def test_residual_sketch_at_a_lossless_prime_is_the_residual(data):
         st.dictionaries(st.integers(0, out_len - 1), st.floats(0.5, 100), max_size=8), label="c"
     ))
     conv, index, c = fft_convolve(a, b), np.arange(out_len), partial.to_dense(out_len)
+    # on the dense route, which exact's one-repetition shortcut at a
+    # lossless modulus relies on, the fold at p >= 2n-1 is the identity
     for prime in (p, q):
-        sk = build_residual_sketch(a, b, partial, prime)
+        sk = build_residual_sketch(a, b, partial, prime, cache=SketchCache(a, b, True))
         assert np.array_equal(sk.v[:out_len], conv - c)
         assert np.array_equal(sk.w[:out_len], index * conv - index * c)
         assert not sk.v[out_len:].any() and not sk.w[out_len:].any()
@@ -122,7 +124,8 @@ def test_peeled_heavy_buckets_are_the_residual_sketchs_heavy_buckets(data, c1):
     sk = build_sketch(a, b, p)
     top = sk.heavy(c1)  # what approx_sparse_convolve stores
     assert np.array_equal(top.buckets, np.flatnonzero(sk.v >= c1))
-    peeled, full = residual(top, partial, out_len), residual(sk, partial, out_len)
+    peeled, full = residual(top, partial), residual(sk, partial)
+    assert sk.out_len == top.out_len == peeled.out_len == full.out_len == out_len
     assert np.array_equal(peeled.buckets, top.buckets)
     assert np.array_equal(peeled.v, full.v[top.buckets])
     assert np.array_equal(peeled.w, full.w[top.buckets])
@@ -152,8 +155,8 @@ def test_extraction_matches_the_bucket_loop(data, c1, tau, out_len):
     w[data.draw(st.lists(st.integers(0, p - 1), max_size=3), label="bad")] = data.draw(
         st.sampled_from([np.inf, -np.inf, np.nan]), label="bad value"
     )
-    s = Sketch(p, v, w)
-    assert extract_candidates(s, c1, tau, out_len).tolist() == extract_by_loop(s, c1, tau, out_len)
+    s = Sketch(p, v, w, out_len)
+    assert extract_candidates(s, c1, tau).tolist() == extract_by_loop(s, c1, tau, out_len)
 
 
 def _is_5_smooth(x):
@@ -242,7 +245,6 @@ def test_the_route_is_the_cheaper_by_the_one_price(n, m, count):
     per_sketch = count * (FOLD_WORK * 2 * n + SKETCH_WORK)
     dense = per_sketch + 3 * (transform_work(pad_length(2 * n - 1)) + TRANSFORM_WORK)
     cyclic = per_sketch + count * 6 * (transform_work(pad_length(3 * m - 1)) + TRANSFORM_WORK)
-    assert dense_route(n, (m, count)) is (dense <= cyclic)
     assert route_price(n, m, count) == (min(dense, cyclic), dense <= cyclic)
 
 

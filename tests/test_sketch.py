@@ -10,8 +10,8 @@ from sparseconv.sketch import (
     SketchCache,
     build_residual_sketch,
     build_sketch,
-    dense_route,
     extract_candidates,
+    route_price,
 )
 
 from isolation import is_isolated
@@ -121,7 +121,7 @@ class TestBuildSketch:
 class TestExtractCandidates:
     def test_isolated_impulse(self):
         sk = build_sketch(impulse(4, 2), impulse(4, 3), 7)
-        cands = extract_candidates(sk, c1=0.5, tau=0.25, out_len=7)
+        cands = extract_candidates(sk, c1=0.5, tau=0.25)
         assert [(c.index, c.value) for c in cands] == [(5, pytest.approx(1.0, abs=1e-9))]
 
     def test_colliding_pair_rejected(self):
@@ -131,26 +131,26 @@ class TestExtractCandidates:
         w = np.zeros(7)
         v[3] = 2.0
         w[3] = 13.0
-        assert len(extract_candidates(Sketch(7, v, w), 0.5, 0.25, 21)) == 0
+        assert len(extract_candidates(Sketch(7, v, w, 21), 0.5, 0.25)) == 0
 
     def test_all_zero_sketch(self):
-        assert len(extract_candidates(Sketch(5, np.zeros(5), np.zeros(5)), 0.5, 0.25, 9)) == 0
+        assert len(extract_candidates(Sketch(5, np.zeros(5), np.zeros(5), 9), 0.5, 0.25)) == 0
 
     def test_out_of_range_index_rejected(self):
         v = np.zeros(7)
         w = np.zeros(7)
         v[2] = 1.0
         w[2] = 30.0  # ratio 30 beyond out_len
-        assert len(extract_candidates(Sketch(7, v, w), 0.5, 0.25, 21)) == 0
+        assert len(extract_candidates(Sketch(7, v, w, 21), 0.5, 0.25)) == 0
 
     def test_parameter_validation(self):
-        sk = Sketch(3, np.zeros(3), np.zeros(3))
+        sk = Sketch(3, np.zeros(3), np.zeros(3), 5)
         with pytest.raises(ValueError):
-            extract_candidates(sk, 0.0, 0.25, 5)
+            extract_candidates(sk, 0.0, 0.25)
         with pytest.raises(ValueError, match="c1"):
-            extract_candidates(sk, math.inf, 0.25, 5)
+            extract_candidates(sk, math.inf, 0.25)
         with pytest.raises(ValueError):
-            extract_candidates(sk, 0.5, 0.5, 5)
+            extract_candidates(sk, 0.5, 0.5)
 
     def test_isolated_indices_recovered_exactly(self):
         # brute-force soundness: on noise-free instances every isolated
@@ -165,7 +165,7 @@ class TestExtractCandidates:
             c = naive_convolve(a, b)
             supp = support_ge(c, 0.5)
             sk = build_sketch(a, b, p, cache=SketchCache(a, b, dense=False))
-            got = {cand.index: cand.value for cand in extract_candidates(sk, 0.5, 0.25, len(c))}
+            got = {cand.index: cand.value for cand in extract_candidates(sk, 0.5, 0.25)}
             for x in supp:
                 if is_isolated(x, supp, p):
                     assert x in got
@@ -266,7 +266,7 @@ def _plan_id(value):
     ids=_plan_id,
 )
 def test_dense_route_at_benchmark_shapes(n, plan, dense):
-    assert dense_route(n, plan) is dense
+    assert route_price(n, *plan)[1] is dense
 
 
 def test_the_middle_prime_prices_the_family_within_a_few_percent():
@@ -386,3 +386,23 @@ def test_a_given_cache_supplies_every_input(monkeypatch, call):
     own = call(inst.a, inst.b, cache)
     assert call(np.ones(4), np.ones(4), cache) == own
     assert not built
+
+
+@pytest.mark.parametrize(
+    "build",
+    [build_sketch, lambda a, b, p, cache=None: build_residual_sketch(a, b, SparseResult({len(a): 1.0}), p, cache=cache)],
+    ids=["build_sketch", "build_residual_sketch"],
+)
+@pytest.mark.parametrize("n, p, units", [(64, 67, 5_730), (2**18, 100_003, 21_417_486)], ids=["64-67", "262144-100003"])
+def test_a_one_off_sketch_takes_the_cyclic_route(build, n, p, units):
+    # without a cache there is no sketch family to price: the sketch folds
+    # the inputs and runs six transforms at its own prime's length
+    from sparseconv.fft import fft_work, pad_length, reset_fft_work, transform_work
+
+    rng = np.random.default_rng(n)
+    a, b = rng.random(n), rng.random(n)
+    reset_fft_work()
+    one_off = build(a, b, p)
+    assert fft_work() == 6 * transform_work(pad_length(2 * p - 1)) == units
+    cyclic = build(a, b, p, cache=SketchCache(a, b, dense=False))
+    assert np.array_equal(one_off.v, cyclic.v) and np.array_equal(one_off.w, cyclic.w)

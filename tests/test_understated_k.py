@@ -25,7 +25,7 @@ from sparseconv.exact import ExactParams, exact_sparse_convolve
 from sparseconv.fft import fft_convolve
 from sparseconv.harness import InstanceSpec, generate_instance
 from sparseconv.numerics import SparseResult, round_to_int, support_ge
-from sparseconv.sketch import SketchCache, dense_route, residual
+from sparseconv.sketch import SketchCache, residual, route_price
 
 N = 2**14
 SIDES = (8, 12, 16)  # true k = side^2: 64, 144, 256
@@ -38,21 +38,20 @@ def capped_plan(params: ApproxParams, n: int):
     """The call's plan with its starting count raised to the cap, on the
     route priced for that count."""
     plan = approx_plan(params, n)
-    return plan._replace(reps=plan.cap, dense=dense_route(n, (plan.m, plan.cap)))
+    return plan._replace(reps=plan.cap, dense=route_price(n, plan.m, plan.cap)[1])
 
 
 def unsized_pipeline(a, b, params: ApproxParams, integer_mode: bool) -> SparseResult:
     """The path before its starting count was sized: the paper's vote
     at delta/2 at the plan's modulus, on the route priced for it, then
     level steps on its stored sketches to a fixed point."""
-    out_len = 2 * len(a) - 1
     m, _, cap, dense = capped_plan(params, len(a))
     stored = []
     vote = _vote(SketchCache(a, b, dense), params, m, stored, cap)
     state = _merged(SparseResult(), vote.entries.items(), params, integer_mode)
     for _ in range(_level_count(params)):
         prev = state
-        state, _ = _level([residual(s, state, out_len) for s in stored], state, params, integer_mode, out_len)
+        state, _ = _level([residual(s, state) for s in stored], state, params, integer_mode)
         if state == prev:
             break
     return state
