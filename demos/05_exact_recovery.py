@@ -47,7 +47,7 @@ print("\nvalue-exact on the significant support:", exact and c.support() == true
 
 # Plant a defect: drop one recovered entry, then let one fresh-prime
 # correction level find and restore it from the residual sketch alone.
-full = dict(c.entries)
+full = dict(c)
 victim = sorted(full)[3]
 value = full.pop(victim)
 print(f"\nplanting a defect: dropping index {victim} (value {value})")

@@ -114,9 +114,11 @@ def approx_plan(params: ApproxParams, n: int) -> Plan:
     (at least 3). Each modulus base m of _grid gets its starting count
     by _isolation_reps; an m whose count exceeds the cap is dropped, and
     the rest are priced by route_price, the least price winning and ties
-    going to the larger m. With every m dropped, the plan is the largest
-    m at the cap. The route is route_price's for (m, reps). Memoised on
-    (k, delta, n): the seed changes no plan.
+    going to the larger m. Every lossless m (>= 2n-1) isolates with 3
+    dense sketches at one price, so the grid stops at the least of them.
+    With every m dropped, the plan is the largest m at the cap. The
+    route is route_price's for (m, reps). Memoised on (k, delta, n): the
+    seed changes no plan.
     """
     return _plan(params.k, params.delta, n)
 
@@ -133,11 +135,13 @@ def _plan(k: int, delta: float, n: int) -> Plan:
 
 def _grid(k: int, n: int) -> list[int]:
     """Modulus bases 4k*ceil(log2 n)*ceil(log2 k) / 2^j, largest first,
-    down to the floor of 16."""
+    down to the floor of 16, from the least base >= 2n-1 on: every such
+    base folds the product by the identity, so larger ones only cost a
+    larger prime sieve."""
     grid = [max(4 * k * ceil_log2(n) * max(ceil_log2(k), 1), 16)]
     while grid[-1] > 16:
         grid.append(max(grid[-1] // 2, 16))
-    return grid
+    return grid[max(sum(m >= 2 * n - 1 for m in grid) - 1, 0):]
 
 
 def _isolation_reps(k: int, delta: float, n: int, m: int, cap: int) -> int | None:
@@ -192,14 +196,14 @@ def _vote(cache: SketchCache, params: ApproxParams, m: int, stored: list, reps: 
     counts = np.diff(starts, append=len(votes))
     kept = counts >= math.ceil(params.min_votes_frac * reps)
     lower_medians = votes[starts[kept] + (counts[kept] - 1) // 2]
-    return SparseResult(dict(lower_medians.tolist()))
+    return SparseResult(lower_medians.tolist())
 
 
 def _merged(current: SparseResult, pairs, params: ApproxParams, integer_mode: bool) -> SparseResult:
     """`current` plus the (index, value) pairs, each rounded in
     integer_mode; FFT round-off can leave -0.0003-style ghosts, so a
     value at or below tau is noise-band and dropped unless it is >= c1."""
-    out = dict(current.entries)
+    out = dict(current)
     for i, v in pairs:
         out[i] = out.get(i, 0.0) + (float(round_to_int(v)) if integer_mode else v)
     return SparseResult({i: v for i, v in out.items() if abs(v) > params.tau or abs(v) >= params.c1})
@@ -225,13 +229,13 @@ def _peel(stored, state: SparseResult, params: ApproxParams, integer_mode: bool,
         peeled = [residual(s, state) for s in stored]
         state, p = _level(peeled, state, params, integer_mode)
         trace.chosen_primes.append(p)
-        trace.snapshots.append(SparseResult(dict(state.entries)))
+        trace.snapshots.append(SparseResult(state))
         if state == prev:
             break
     else:  # no fixed point: peel the final C for the check
         peeled = [residual(s, state) for s in stored]
     return state, all(
-        {i % sk.p for i in state.entries} <= set(sk.buckets.tolist()) and np.all(np.abs(sk.v) < params.c1)
+        {i % sk.p for i in state} <= set(sk.buckets.tolist()) and np.all(np.abs(sk.v) < params.c1)
         for sk in peeled
     )
 
@@ -277,9 +281,9 @@ def approx_sparse_convolve(
 
     stored = []
     while True:
-        state = _merged(SparseResult(), _vote(cache, params, m, stored, reps).entries.items(), params, integer_mode)
+        state = _merged(SparseResult(), _vote(cache, params, m, stored, reps).items(), params, integer_mode)
         trace.bootstrap_reps.append(reps)
-        trace.snapshots = [SparseResult(dict(state.entries))]
+        trace.snapshots = [SparseResult(state)]
         trace.chosen_primes = []
         state, clean = _peel(stored, state, params, integer_mode, trace)
         if clean or reps == cap:

@@ -95,9 +95,14 @@ class InstanceSpec:
             object.__setattr__(self, name, as_int(getattr(self, name), name, least))
         if self.s_a > self.n or self.s_b > self.n:
             raise ValueError("s_a and s_b must lie in [1, n]")
+        if not (isinstance(self.value_range, (tuple, list)) and len(self.value_range) == 2):
+            raise ValueError(f"value_range must be a (lo, hi) pair, not {self.value_range!r}")
+        object.__setattr__(self, "value_range", tuple(self.value_range))
         lo, hi = self.value_range
-        if not 1 <= lo <= hi:
-            raise ValueError("value_range must satisfy 1 <= lo <= hi")
+        if not 1 <= lo <= hi < math.inf:
+            raise ValueError("value_range must satisfy 1 <= lo <= hi < inf")
+        if not isinstance(self.integer_values, bool):  # the string "false" is truthy
+            raise ValueError(f"integer_values must be a bool, not {self.integer_values!r}")
         if self.integer_values and not (float(lo).is_integer() and float(hi).is_integer()):
             raise ValueError("value_range bounds must be integers when integer_values is set")
         if self.c2 is not None and not 0 < self.c2 < 1:
@@ -257,7 +262,7 @@ def load_instance(path) -> LoadedInstance:
             raise ValueError(f"unsupported header {lines[0]!r}")
         if not lines[1].startswith("n="):
             raise ValueError("missing n= line")
-        n = int(lines[1][2:])
+        n = as_int(int(lines[1][2:]), "n", 1)
         cursor = 2
         sections: list[np.ndarray] = []
         for name in ("A", "B"):
@@ -281,7 +286,12 @@ def load_instance(path) -> LoadedInstance:
         if noise[0] != "noise":
             raise ValueError("missing noise descriptor line")
         meta = dict(f.split("=", 1) for f in noise[1:])
-        parts = _Parts(n, *sections, float(meta["eta"]), float(meta["density"]), int(meta["seed"]))
+        eta, density = float(meta["eta"]), float(meta["density"])
+        if not 0 <= eta < math.inf:
+            raise ValueError(f"noise eta must lie in [0, inf), not {eta!r}")
+        if not 0 <= density <= 1:
+            raise ValueError(f"noise density must lie in [0, 1], not {density!r}")
+        parts = _Parts(n, *sections, eta, density, as_int(int(meta["seed"]), "seed", 0))
     except (IndexError, KeyError) as exc:
         raise ValueError(f"malformed instance file {path}: {exc}") from exc
 
@@ -444,12 +454,12 @@ def _config_from(config) -> dict:
     c1 = float(config.get("c1", 0.5))
     instances = []
     for i, given in enumerate(config["instances"]):
+        if not isinstance(given, dict):
+            raise ValueError(f"instance {i} must be an object, not {given!r}")
         _reject_unknown(given, _SPEC_KEYS | {"id", "k"}, f"instance {i}")
         if not isinstance(given.get("id", ""), str):  # ids sort the summary's cells
             raise ValueError(f"instance {i}: id {given['id']!r} is not a string")
         spec_args = {key: given[key] for key in _SPEC_KEYS & given.keys()}
-        if "value_range" in spec_args:
-            spec_args["value_range"] = tuple(spec_args["value_range"])
         try:
             spec = InstanceSpec(**spec_args)
         except TypeError as exc:  # a missing n, s_a or s_b

@@ -9,7 +9,6 @@ check, returns contiguous float64 input itself, not a copy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,51 +53,37 @@ def dense_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 
 def as_int(value, name: str, least: int | None = None) -> int:
-    """A count or seed given as an int or numpy integer, as an int;
-    ValueError naming it otherwise, or when it is below `least`."""
-    if not isinstance(value, (int, np.integer)):
+    """A count or seed given as an int or numpy integer, not a bool, as an
+    int; ValueError naming it otherwise, or when it is below `least`."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):  # JSON's true would run as 1
         raise ValueError(f"{name} must be an integer, not {value!r}")
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}")
     return int(value)  # numpy integers have no bit_length
 
 
-@dataclass
-class SparseResult:
-    """Sparse index -> value map produced by the recovery engines.
+class SparseResult(dict):
+    """Sparse index -> value map produced by the recovery engines: a dict
+    whose get defaults to 0.0, the value of an index it leaves out.
 
     Indices are 0-based positions in the length 2n-1 convolution output.
     Equality is plain dict equality, so two runs with the same seed can
     be compared bit for bit.
     """
 
-    entries: dict[int, float] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, index: int) -> bool:
-        return index in self.entries
-
-    def __getitem__(self, index: int) -> float:
-        return self.entries[index]
+    @property
+    def entries(self) -> SparseResult:
+        # the result itself, for code written against the old field: perfbench/run.py reads result.entries
+        return self
 
     def get(self, index: int, default: float = 0.0) -> float:
-        return self.entries.get(index, default)
+        return super().get(index, default)
 
     def support(self) -> set[int]:
-        return set(self.entries)
+        return set(self)
 
     def sorted_items(self) -> list[tuple[int, float]]:
-        return sorted(self.entries.items())
-
-    def to_dense(self, length: int) -> np.ndarray:
-        out = np.zeros(length)
-        for i, v in self.entries.items():
-            if not 0 <= i < length:
-                raise ValueError(f"index {i} out of range for length {length}")
-            out[i] = v
-        return out
+        return sorted(self.items())
 
 
 def derivative(a: np.ndarray, index_base: int = 0) -> np.ndarray:

@@ -187,7 +187,7 @@ def build_residual_sketch(
 def residual(s: Sketch, c: SparseResult) -> Sketch:
     """s minus fold_sparse's pair for C, its fold and its moment's, at
     s's buckets, in O(|C|); C's indices lie in [0, s.out_len)."""
-    fc, fdc = fold_sparse(c.entries.keys(), c.entries.values(), s.p, s.out_len)
+    fc, fdc = fold_sparse(c.keys(), c.values(), s.p, s.out_len)
     if s.buckets is not None:
         fc, fdc = fc[s.buckets], fdc[s.buckets]
     return Sketch(s.p, s.v - fc, s.w - fdc, s.out_len, s.buckets)

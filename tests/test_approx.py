@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import sparseconv.approx
 from sparseconv.approx import (
-    ApproxParams, CorrectionTrace, Plan, _isolation_reps, _max_factors, _vote, approx_plan, approx_sparse_convolve,
-    ceil_log2,
+    ApproxParams, CorrectionTrace, Plan, _grid, _isolation_reps, _max_factors, _vote, approx_plan,
+    approx_sparse_convolve, ceil_log2,
 )
 from sparseconv.exact import ExactParams, exact_sparse_convolve, residual_norm, run_correction_level
 from sparseconv.harness import InstanceSpec, generate_instance, run_engine
@@ -67,7 +67,7 @@ class TestParams:
             assert params == cls(k=16, delta=0.1, seed=2) and type(params.k) is int
             expected = engine(inst.a, inst.b, cls(k=16, delta=0.1, seed=2))
             assert engine(inst.a, inst.b, params).sorted_items() == expected.sorted_items()
-            for k in (16.5, 16.0, "16"):
+            for k in (16.5, 16.0, "16", True):
                 with pytest.raises(ValueError, match="k must be an integer"):
                     cls(k=k, delta=0.1)
 
@@ -84,6 +84,11 @@ class TestParams:
         assert approx_plan(ApproxParams(k=1, delta=0.99), 4) == Plan(16, 3, 9, True)
         # one dense product beats 3 cyclic sketches at m = 96 by the one price
         assert approx_plan(ApproxParams(k=4, delta=0.1), 4096) == Plan(384, 3, 51, True)
+        # every base >= 2n - 1 = 8191 folds by the identity: the grid stops
+        # at the least of them, half the top's 18,432
+        assert approx_plan(ApproxParams(k=64, delta=0.1), 2**12) == Plan(9216, 3, 83, True)
+        # the top 68,000,000 halved down to the least base >= 2047
+        assert max(_grid(10**5, 2**10)) == 2075
 
     def test_the_factor_count_is_exact_at_powers(self):
         # 2n - 2 = 48^3, where the float floor of log(48^3) / log(48) is 2
@@ -227,7 +232,7 @@ def test_approx_is_exact_without_rounding(monkeypatch, dense):
         out = approx_sparse_convolve(inst.a, inst.b, ApproxParams(**params))
         assert len(out) > 0
         exact = exact_sparse_convolve(inst.a, inst.b, ExactParams(**params, integer_mode=False))
-        assert out.entries == exact.entries
+        assert out == exact
 
 
 @pytest.mark.parametrize("engine", ["approx", "exact"])
@@ -248,7 +253,7 @@ def test_a_c1_below_tau_keeps_the_entries_between_them(engine):
         else:
             out = exact_sparse_convolve(a, inst.b, ExactParams(**params, integer_mode=False), trace=trace)
     assert out.support() == truth
-    assert all(abs(v - c[j]) < 0.01 for j, v in out.entries.items())
+    assert all(abs(v - c[j]) < 0.01 for j, v in out.items())
     assert trace.bootstrap_reps == [approx_plan(ApproxParams(**params), 2**10).reps]
 
 
@@ -268,15 +273,15 @@ def test_deterministic_given_seed():
 
 
 def test_isolation_frequency():
-    # at the plan's modulus, here the grid's top 4 k log2(n) log2(k), a
-    # fixed significant index collides in at most a quarter of sampled
-    # primes (plus slack)
+    # at the plan's modulus, here half the grid's top 4 k log2(n) log2(k),
+    # the least base >= 2n - 1, a fixed significant index collides in at
+    # most a quarter of sampled primes (plus slack)
     spec = InstanceSpec(n=2**12, s_a=8, s_b=8, seed=41)
     inst = generate_instance(spec)
     c = naive_convolve(inst.a, inst.b)
     supp = support_ge(c, inst.c1_effective)
     m = approx_plan(ApproxParams(k=64, delta=0.1), spec.n).m
-    assert m == 4 * 64 * 12 * 6
+    assert m == 4 * 64 * 12 * 6 // 2
     primes = primes_in_range(m)
     rng = np.random.default_rng(5)
     x = sorted(supp)[0]
@@ -368,7 +373,7 @@ def _pooled_by_dict_of_lists(per_rep):
 )
 def test_vote_pool_matches_the_dict_of_lists_rule(per_rep, expected):
     assert _pooled_by_dict_of_lists(per_rep) == expected
-    assert _pooled(per_rep).entries == expected
+    assert _pooled(per_rep) == expected
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -377,7 +382,7 @@ def test_vote_pool_matches_the_dict_of_lists_rule_on_random_votes(data):
     L = data.draw(st.integers(3, 9), label="L")
     pair = st.tuples(st.integers(0, 14), st.sampled_from([0.5, 1.0, 2.0, 2.5]) | st.floats(0.5, 100))
     per_rep = data.draw(st.lists(st.lists(pair, max_size=6), min_size=L, max_size=L), label="votes")
-    assert _pooled(per_rep).entries == _pooled_by_dict_of_lists(per_rep)
+    assert _pooled(per_rep) == _pooled_by_dict_of_lists(per_rep)
 
 
 def test_vote_pool_is_robust_to_minority_corruption():

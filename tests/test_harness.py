@@ -80,8 +80,8 @@ class TestGenerateInstance:
         for field, value in (("c2", 0.0), ("c2", 1.0), ("noise_density", 1.5), ("noise_density", -0.1), ("seed", -1)):
             with pytest.raises(ValueError, match=field):
                 InstanceSpec(n=8, s_a=1, s_b=1, **{field: value})
-        # numpy would take them, then fail without naming the field
-        for field, value in (("n", 64.5), ("n", 64.0), ("s_a", 2.5), ("s_b", "2"), ("seed", 1.5)):
+        # numpy would take them, then fail without naming the field; JSON's true would run as 1
+        for field, value in (("n", 64.5), ("n", 64.0), ("s_a", 2.5), ("s_b", "2"), ("seed", 1.5), ("s_a", True)):
             with pytest.raises(ValueError, match=f"{field} must be an integer"):
                 InstanceSpec(**{"n": 64, "s_a": 2, "s_b": 2, field: value})
         spec = InstanceSpec(n=np.int64(64), s_a=np.int32(2), s_b=2, seed=np.uint8(1))
@@ -166,14 +166,29 @@ class TestInstanceFiles:
             ("sparseconv-instance v1\nn=16\nA 1\n16 1.0\nB 1\n0 1.0\nnoise eta=0.0 density=0.0 seed=0\n", "out of range"),
             ("sparseconv-instance v1\nn=16\nA 1\n3 1.0\nB 1\n0 1.0\nnoisy eta=0.0 density=0.0 seed=0\n", "noise"),
             ("sparseconv-instance v1\nn=16\nA 1\n3 1.0\nB 1\n0 1.0\n", "malformed"),
+            ("sparseconv-instance v1\nn=0\nA 0\nB 0\nnoise eta=0.0 density=0.0 seed=0\n", "n must be >= 1"),
+            ("sparseconv-instance v1\nn=16\nA 1\n3 1.0\nB 1\n0 1.0\nnoise eta=nan density=1.0 seed=0\n", "eta"),
+            ("sparseconv-instance v1\nn=16\nA 1\n3 1.0\nB 1\n0 1.0\nnoise eta=-1.0 density=1.0 seed=0\n", "eta"),
+            ("sparseconv-instance v1\nn=16\nA 1\n3 1.0\nB 1\n0 1.0\nnoise eta=0.001 density=5.0 seed=0\n", "density"),
+            ("sparseconv-instance v1\nn=16\nA 1\n3 1.0\nB 1\n0 1.0\nnoise eta=0.0 density=0.0 seed=-1\n", "seed"),
         ],
-        ids=["no-n-line", "wrong-section-tag", "index-at-n", "no-noise-line", "truncated-before-noise"],
+        ids=[
+            "no-n-line", "wrong-section-tag", "index-at-n", "no-noise-line", "truncated-before-noise",
+            "n-zero", "eta-nan", "eta-negative", "density-above-one", "seed-negative",
+        ],
     )
     def test_malformed_body(self, tmp_path, text, match):
         path = tmp_path / "bad.txt"
         path.write_text(text)
         with pytest.raises(ValueError, match=match):
             load_instance(path)
+
+    def test_a_nan_eta_is_a_usage_error(self, tmp_path, capsys):
+        # numpy's uniform draw would raise OverflowError, an engine failure (exit 2)
+        path = tmp_path / "nan.txt"
+        path.write_text("sparseconv-instance v1\nn=16\nA 1\n3 1.0\nB 1\n0 1.0\nnoise eta=nan density=1.0 seed=0\n")
+        assert cli_main(["conv", "--engine", "naive", "--a", str(path), "--b", str(path)]) == 1
+        assert "eta" in capsys.readouterr().err
 
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -410,6 +425,18 @@ class TestRunBenchmark:
             ("seed must be an integer", {**tiny, "seeds": [1.5]}),
             # numpy would raise in the second instance's cells, after the first's ran
             ("n must be an integer", {**tiny, "instances": [tiny["instances"][0], {"n": 64.5, "s_a": 1, "s_b": 1}]}),
+            # JSON's true would run as seed 1 and as k = 1
+            ("seed must be an integer", {**tiny, "seeds": [True]}),
+            ("k must be an integer", {**tiny, "instances": [{**tiny["instances"][0], "k": True}]}),
+            # the string "false" is truthy: the instance would draw integers
+            ("integer_values", {**tiny, "instances": [{**tiny["instances"][0], "integer_values": "false"}]}),
+            # each would raise TypeError, an engine failure (exit 2), or not name the field
+            ("instance 1 must be an object", {**tiny, "instances": [tiny["instances"][0], 5]}),
+            ("value_range", {**tiny, "instances": [{**tiny["instances"][0], "value_range": 5}]}),
+            ("value_range", {**tiny, "instances": [{**tiny["instances"][0], "value_range": [1, 2, 3]}]}),
+            # JSON's 1e999 is inf, which would pass the check and overflow in generation
+            ("value_range", {**tiny, "instances": [
+                {**tiny["instances"][0], "value_range": [1, 1e999], "integer_values": False}]}),
         ]
         for knob, config in voiding:
             with pytest.raises(ValueError, match=knob):

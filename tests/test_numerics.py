@@ -3,6 +3,7 @@ import pytest
 
 from sparseconv.numerics import (
     SparseResult,
+    as_int,
     dense_vector,
     derivative,
     naive_convolve,
@@ -152,6 +153,13 @@ class TestRoundToInt:
             round_to_int(bad)
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_as_int_rejects_bools(flag):
+    # bool is an int subclass: JSON's true would run as 1
+    with pytest.raises(ValueError, match="k must be an integer"):
+        as_int(flag, "k")
+
+
 class TestSparseResult:
     def test_basics(self):
         r = SparseResult({5: 2.0, 1: 7.0})
@@ -159,12 +167,7 @@ class TestSparseResult:
         assert r.get(99) == 0.0
         assert r.support() == {1, 5}
         assert r.sorted_items() == [(1, 7.0), (5, 2.0)]
-
-    def test_to_dense(self):
-        r = SparseResult({0: 1.0, 3: 4.0})
-        assert r.to_dense(5).tolist() == [1, 0, 0, 4, 0]
-        with pytest.raises(ValueError):
-            r.to_dense(3)
+        assert r == {5: 2.0, 1: 7.0} and isinstance(r, dict) and r.entries is r
 
     def test_equality_ignores_insertion_order(self):
         assert SparseResult({1: 2.0, 3: 4.0}) == SparseResult({3: 4.0, 1: 2.0})

@@ -48,7 +48,7 @@ def unsized_pipeline(a, b, params: ApproxParams, integer_mode: bool) -> SparseRe
     m, _, cap, dense = capped_plan(params, len(a))
     stored = []
     vote = _vote(SketchCache(a, b, dense), params, m, stored, cap)
-    state = _merged(SparseResult(), vote.entries.items(), params, integer_mode)
+    state = _merged(SparseResult(), vote.items(), params, integer_mode)
     for _ in range(_level_count(params)):
         prev = state
         state, _ = _level([residual(s, state) for s in stored], state, params, integer_mode)
@@ -184,7 +184,7 @@ def test_no_call_on_the_acceptance_grid_grows_or_warns():
 
 def test_approx_warns_once_at_the_cap_and_never_below_it(approx_runs):
     for out, warned, (twin_out, twin_trace, twin_warned, _), cap, _, _ in approx_runs:
-        assert out.entries == twin_out.entries and warned == twin_warned <= 1
+        assert out == twin_out and warned == twin_warned <= 1
         if warned:
             assert twin_trace.bootstrap_reps[-1] == cap
         if twin_trace.bootstrap_reps[-1] < cap:
@@ -195,4 +195,4 @@ def test_approx_warns_once_at_the_cap_and_never_below_it(approx_runs):
 
 def test_capped_approx_is_the_papers_vote_then_a_peel(approx_runs):
     for *_, capped, reference in approx_runs:
-        assert capped.entries == reference.entries
+        assert capped == reference
