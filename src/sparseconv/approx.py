@@ -34,16 +34,14 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .hashing import primes_in_range, sample_prime
-from .numerics import SparseResult, as_int, dense_pair, round_to_int
+from .numerics import SparseResult, as_int, as_real, dense_pair, round_to_int
 from .sketch import SketchCache, build_sketch, extract_candidates, residual, route_price
 
 __all__ = ["ApproxParams", "Plan", "approx_sparse_convolve", "approx_plan", "ceil_log2", "CorrectionTrace"]
 
 def ceil_log2(x: int) -> int:
-    """Smallest t with 2^t >= x, for x >= 1."""
-    if x < 1:
-        raise ValueError("x must be >= 1")
-    return (x - 1).bit_length()
+    """Smallest t with 2^t >= x; ValueError unless x >= 1 is an integer."""
+    return (as_int(x, "x", 1) - 1).bit_length()
 
 
 @dataclass(frozen=True)
@@ -52,7 +50,7 @@ class ApproxParams:
 
     k bounds the significant support of the product; delta is the
     allowed failure probability; c1 separates significant entries from
-    the noise band.
+    the noise band; README's knob table gives each one's range.
 
     The constants are far leaner than worst-case analysis constants and
     are validated statistically by the test suite: tau is how close a
@@ -76,10 +74,8 @@ class ApproxParams:
     def __post_init__(self):
         object.__setattr__(self, "k", as_int(self.k, "k", 1))
         object.__setattr__(self, "seed", as_int(self.seed, "seed", 0))
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must lie in (0, 1)")
-        if not 0 < self.c1 < math.inf:
-            raise ValueError(f"c1 must lie in (0, inf), not {self.c1!r}")
+        object.__setattr__(self, "delta", as_real(self.delta, "delta", "(0, 1)"))
+        object.__setattr__(self, "c1", as_real(self.c1, "c1", "(0, inf)"))
 
 
 @dataclass
@@ -110,9 +106,9 @@ def approx_plan(params: ApproxParams, n: int) -> Plan:
     """The cheapest plan for length-n inputs that isolates every
     significant index in some starting sketch.
 
-    The cap is the paper's count L = L_mult * log2(k/delta) at delta/2
-    (at least 3). Each modulus base m of _grid gets its starting count
-    by _isolation_reps; an m whose count exceeds the cap is dropped, and
+    The cap is the paper's count L = L_mult * log2(k/delta) at delta/2.
+    Each modulus base m of _grid gets its starting count by
+    _isolation_reps; an m whose count exceeds the cap is dropped, and
     the rest are priced by route_price, the least price winning and ties
     going to the larger m. Every lossless m (>= 2n-1) isolates with 3
     dense sketches at one price, so the grid stops at the least of them.
@@ -125,7 +121,7 @@ def approx_plan(params: ApproxParams, n: int) -> Plan:
 
 @functools.cache
 def _plan(k: int, delta: float, n: int) -> Plan:
-    cap = max(math.ceil(ApproxParams.L_mult * math.log2(2 * k / delta)), 3)
+    cap = math.ceil(ApproxParams.L_mult * math.log2(2 * k / delta))  # > 8, as k >= 1 > delta
     grid = _grid(k, n)
     priced = [(route_price(n, m, reps)[0], m, reps) for m in grid if (reps := _isolation_reps(k, delta, n, m, cap))]
     # min keeps the first of equal prices, and the grid runs downward
@@ -185,7 +181,6 @@ def _vote(cache: SketchCache, params: ApproxParams, m: int, stored: list, reps: 
     """Grow `stored` to `reps` heavy sketches (Sketch.heavy), repetition l
     with its prime drawn from (seed, l) in [m, 2m], and return their vote:
     each index's lower-median record, kept with >= min_votes_frac * reps records."""
-    reps = as_int(reps, "reps", 1)
     for l in range(len(stored) + 1, reps + 1):
         p = sample_prime(m, np.random.default_rng([params.seed, l]))
         stored.append(build_sketch(cache.a, cache.b, p, cache=cache).heavy(params.c1))
@@ -269,9 +264,8 @@ def approx_sparse_convolve(
     filled with what the call ran.
 
     Deterministic given (a, b, params). approx_plan fixes the call's
-    modulus, starting count, cap and route (its one SketchCache's).
-    Raises ValueError unless
-    a and b are equal-length, finite, non-negative 1-D vectors.
+    modulus, starting count, cap and route (its one SketchCache's). Raises
+    ValueError unless a and b are equal-length, finite, non-negative 1-D vectors.
     """
     a, b = dense_pair(a, b)
     m, reps, cap, dense = approx_plan(params, len(a))

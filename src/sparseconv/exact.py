@@ -21,7 +21,7 @@ import numpy as np
 
 from .approx import ApproxParams, CorrectionTrace, _level, _level_count, approx_sparse_convolve, ceil_log2
 from .hashing import sample_prime
-from .numerics import SparseResult, as_int, dense_pair
+from .numerics import SparseResult, as_int, as_real, dense_pair
 # extract_candidates runs only in sparseconv.approx; perfbench's layer trace also
 # looks it up here, and reads every extraction metric as absent without it
 from .sketch import SketchCache, build_residual_sketch, extract_candidates, route_price  # noqa: F401
@@ -59,24 +59,21 @@ class ExactParams(ApproxParams):
 def exact_plan(params: ExactParams, n: int) -> tuple[int, int]:
     """Modulus base m and level count L.
 
-    The larger modulus (extra log k factor over the approximate plan)
-    keeps collisions rare enough for the residual to contract at every
-    level.
+    m = m_mult_exact*k*ceil(log2 n)*ceil(log2 k)^2 (an extra log k over
+    approx's grid) keeps the residual contracting at every level, up to
+    the least lossless base 2n-1, past which m only sieves more; >= 16.
     """
     lk = max(ceil_log2(params.k), 1)
-    m = max(int(math.ceil(params.m_mult_exact * params.k * ceil_log2(n) * lk * lk)), 16)
+    m = max(min(params.m_mult_exact * params.k * ceil_log2(n) * lk * lk, 2 * n - 1), 16)
     return m, _level_count(params)
 
 
 def repetition_schedule(params: ExactParams) -> list[int]:
     """Repetitions per level: R_l = ceil(R_mult * log2(2L/delta) / base^(l-1)),
-    floored at one."""
+    each >= 1 as the logarithm is positive (L >= 1 > delta)."""
     levels = _level_count(params)
     base_count = params.R_mult * math.log2(2 * levels / params.delta)
-    return [
-        max(int(math.ceil(base_count / params.level_base ** (l - 1))), 1)
-        for l in range(1, levels + 1)
-    ]
+    return [math.ceil(base_count / params.level_base ** (l - 1)) for l in range(1, levels + 1)]
 
 
 def _residual_sketches(a, b, current, m, reps, key):
@@ -156,12 +153,11 @@ def residual_norm(
     exact count, so one is run. Diagnostic only, never on the recovery path.
 
     Raises ValueError unless a and b are equal-length, finite,
-    non-negative 1-D vectors, 0 < c1 < inf, and trials >= 1 and any given
-    m >= 2 are integers.
+    non-negative 1-D vectors, c1 is a real in (0, inf), and trials >= 1
+    and any given m >= 2 are integers.
     """
     a, b = dense_pair(a, b)
-    if not 0 < c1 < math.inf:
-        raise ValueError(f"c1 must lie in (0, inf), not {c1!r}")
+    c1 = as_real(c1, "c1", "(0, inf)")
     trials = as_int(trials, "trials", 1)
     m = max(2 * len(a) - 1, 16) if m is None else as_int(m, "m", 2)
     return max(

@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import math
 from contextvars import ContextVar
-from functools import cache
+from functools import lru_cache
 
 import numpy as np
+
+from .numerics import as_int
 
 __all__ = [
     "fft_convolve",
@@ -44,12 +46,10 @@ def reset_fft_work() -> None:
     _fft_work.set(0)
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)  # typed: True and 1.0 must not hit 1's entry
 def pad_length(min_len: int) -> int:
-    """Smallest 2^a * 3^b * 5^c >= min_len (memoised: every sketch asks)."""
-    if min_len < 1:
-        raise ValueError("min_len must be >= 1")
-    best, p5 = 1 << (min_len - 1).bit_length(), 1
+    """Smallest 2^a * 3^b * 5^c >= min_len, an integer >= 1 (memoised)."""
+    best, p5 = 1 << (as_int(min_len, "min_len", 1) - 1).bit_length(), 1
     while p5 < best:
         p35 = p5
         while p35 < best:

@@ -35,6 +35,7 @@ from .fft import fft_convolve, fft_work, reset_fft_work
 from .numerics import (
     SparseResult,
     as_int,
+    as_real,
     dense_pair,
     naive_convolve,
     norm_ge,
@@ -79,6 +80,7 @@ class InstanceSpec:
     c2 defaults to 1 / (n^2 * ceil(log2 n)); noise_density is the
     fraction of positions receiving noise. Significant values are drawn
     uniformly from value_range, as integers when integer_values is set.
+    A field outside its range (README) is a ValueError naming it.
     """
 
     n: int
@@ -97,18 +99,16 @@ class InstanceSpec:
             raise ValueError("s_a and s_b must lie in [1, n]")
         if not (isinstance(self.value_range, (tuple, list)) and len(self.value_range) == 2):
             raise ValueError(f"value_range must be a (lo, hi) pair, not {self.value_range!r}")
-        object.__setattr__(self, "value_range", tuple(self.value_range))
-        lo, hi = self.value_range
-        if not 1 <= lo <= hi < math.inf:
-            raise ValueError("value_range must satisfy 1 <= lo <= hi < inf")
+        object.__setattr__(self, "value_range", tuple(self.value_range))  # as given: rng.integers draws from it
+        lo = as_real(self.value_range[0], "value_range lo", "[1, inf)")
+        hi = as_real(self.value_range[1], "value_range hi", f"[{lo}, inf)")
         if not isinstance(self.integer_values, bool):  # the string "false" is truthy
             raise ValueError(f"integer_values must be a bool, not {self.integer_values!r}")
-        if self.integer_values and not (float(lo).is_integer() and float(hi).is_integer()):
+        if self.integer_values and not (lo.is_integer() and hi.is_integer()):
             raise ValueError("value_range bounds must be integers when integer_values is set")
-        if self.c2 is not None and not 0 < self.c2 < 1:
-            raise ValueError("c2 must lie in (0, 1)")
-        if not 0 <= self.noise_density <= 1:
-            raise ValueError("noise_density must lie in [0, 1]")
+        if self.c2 is not None:
+            as_real(self.c2, "c2", "(0, 1)")
+        as_real(self.noise_density, "noise_density", "[0, 1]")
 
     @property
     def c2_effective(self) -> float:
@@ -255,7 +255,7 @@ def write_instance(path, spec: InstanceSpec) -> GeneratedInstance:
 
 
 def load_instance(path) -> LoadedInstance:
-    """Parse an instance file and rebuild its vectors bit for bit."""
+    """Parse an instance file and rebuild its vectors bit for bit; ValueError names a bad field."""
     lines = Path(path).read_text().splitlines()
     try:
         if lines[0].strip() != "sparseconv-instance v1":
@@ -286,11 +286,8 @@ def load_instance(path) -> LoadedInstance:
         if noise[0] != "noise":
             raise ValueError("missing noise descriptor line")
         meta = dict(f.split("=", 1) for f in noise[1:])
-        eta, density = float(meta["eta"]), float(meta["density"])
-        if not 0 <= eta < math.inf:
-            raise ValueError(f"noise eta must lie in [0, inf), not {eta!r}")
-        if not 0 <= density <= 1:
-            raise ValueError(f"noise density must lie in [0, 1], not {density!r}")
+        eta = as_real(float(meta["eta"]), "noise eta", "[0, inf)")
+        density = as_real(float(meta["density"]), "noise density", "[0, 1]")
         parts = _Parts(n, *sections, eta, density, as_int(int(meta["seed"]), "seed", 0))
     except (IndexError, KeyError) as exc:
         raise ValueError(f"malformed instance file {path}: {exc}") from exc
@@ -450,8 +447,8 @@ def _config_from(config) -> dict:
         if key not in config or not config[key]:
             raise ValueError(f"config missing non-empty {key!r}")
     _reject_unknown(config, _CONFIG_KEYS, "config")
-    delta = float(config.get("delta", 0.1))
-    c1 = float(config.get("c1", 0.5))
+    delta = as_real(config.get("delta", 0.1), "delta", "(0, 1)")
+    c1 = as_real(config.get("c1", 0.5), "c1", "(0, inf)")
     instances = []
     for i, given in enumerate(config["instances"]):
         if not isinstance(given, dict):
@@ -511,8 +508,7 @@ def run_benchmark(config, out_dir, jobs: int = 1) -> dict:
     knob or spec value, or a repeated instance id, engine or seed,
     raises ValueError before any cell runs.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
+    jobs = as_int(jobs, "jobs", 1)
     config = _config_from(config)
     engines, seeds = config["engines"], config["seeds"]
     cells = [(instance, seed) for instance in config["instances"] for seed in seeds]

@@ -15,6 +15,8 @@ import functools
 
 import numpy as np
 
+from .numerics import as_int
+
 __all__ = [
     "primes_in_range",
     "sample_prime",
@@ -25,15 +27,13 @@ __all__ = [
 # Sieve results are cached per m: sampling is called once per hash
 # repetition and re-sieving would dominate at small scale. Callers only
 # read the returned array.
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)  # typed: True and 2.0 must not hit 2's entry
 def primes_in_range(m: int) -> np.ndarray:
-    """All primes p with m <= p <= 2m, by sieve of Eratosthenes.
+    """All primes p with m <= p <= 2m, for an integer m >= 2, by sieve.
 
     Bertrand's postulate guarantees the result is non-empty for m >= 2.
     """
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    limit = 2 * m
+    limit = 2 * as_int(m, "m", 2)
     is_prime = np.ones(limit + 1, dtype=bool)
     is_prime[:2] = False
     for q in range(2, int(limit**0.5) + 1):
@@ -52,7 +52,7 @@ def fold(a: np.ndarray, p: int, moment: bool = False) -> np.ndarray | tuple[np.n
     """Length-p vector whose entry i sums a_j over all j = i (mod p).
 
     Preserves total mass. For p >= len(a) this is the identity embedding
-    padded with zeros.
+    padded with zeros. p must be an integer >= 1.
 
     With moment=True, returns (fold(a), fold of j*a_j) from one read of
     a: writing j = i + p*q, the moment's entry i is
@@ -60,8 +60,7 @@ def fold(a: np.ndarray, p: int, moment: bool = False) -> np.ndarray | tuple[np.n
     a (2, rows) weight matrix with the (rows, p) view of a. In the
     identity case the moment is arange(n)*a, bit for bit.
     """
-    if p < 1:
-        raise ValueError("modulus must be >= 1")
+    p = as_int(p, "p", 1)
     a = np.asarray(a, dtype=np.float64)
     n = len(a)
     if n <= p:
@@ -83,9 +82,10 @@ def fold_sparse(indices, values, p: int, universe: int) -> tuple[np.ndarray, np.
     """fold(x, p, moment=True) for x[indices] = values, from one pass
     over the entries in O(len(indices)), summing in input order.
 
-    Indices must lie in [0, universe); out-of-range entries are an error
-    because they can only come from a corrupted partial result.
+    p is an integer >= 1 and indices lie in [0, universe): an index out
+    of range can only come from a corrupted partial result.
     """
+    p = as_int(p, "p", 1)
     idx = np.asarray(list(indices), dtype=np.int64)
     val = np.asarray(list(values), dtype=np.float64)
     if idx.size and (idx.min() < 0 or idx.max() >= universe):

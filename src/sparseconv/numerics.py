@@ -1,6 +1,6 @@
-"""Core vector plumbing: validated dense vectors, the index-weighted
-derivative, the brute-force convolution oracle, generalized norms and
-support, and half-away-from-zero rounding.
+"""Core plumbing: validated dense vectors and scalar knobs (as_int,
+as_real), the index-weighted derivative, the brute-force convolution
+oracle, generalized norms and support, half-away-from-zero rounding.
 
 Nothing here mutates its arguments; dense_pair, the engines' one input
 check, returns contiguous float64 input itself, not a copy.
@@ -17,6 +17,7 @@ __all__ = [
     "dense_vector",
     "dense_pair",
     "as_int",
+    "as_real",
     "derivative",
     "naive_convolve",
     "norm_ge",
@@ -60,6 +61,21 @@ def as_int(value, name: str, least: int | None = None) -> int:
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}")
     return int(value)  # numpy integers have no bit_length
+
+
+def as_real(value, name: str, interval: str) -> float:
+    """A knob given as an int, float or numpy real, not a bool or a string,
+    as a float in `interval`, "(lo, hi)" with "[" or "]" for a closed end
+    and "inf)" for no upper bound; ValueError naming it otherwise."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    try:
+        x = float(value) if real else math.nan  # NaN lies in no interval
+    except OverflowError:  # an int beyond float's range
+        x = math.nan
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    if (lo <= x if interval[0] == "[" else lo < x) and (x <= hi if interval[-1] == "]" else x < hi):
+        return x
+    raise ValueError(f"{name} must lie in {interval}, not {value!r}")
 
 
 class SparseResult(dict):

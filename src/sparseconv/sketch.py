@@ -34,14 +34,13 @@ O(|C|), giving A*B - C's sketch there; as C >= 0, its buckets >= c1 are A*B's.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fft import fft_convolve, fft_forward, fft_inverse_real, fold_linear_to_cyclic, pad_length, transform_work
 from .hashing import fold, fold_sparse
-from .numerics import SparseResult, as_int, dense_pair
+from .numerics import SparseResult, as_real, dense_pair
 
 __all__ = [
     "Sketch",
@@ -149,9 +148,8 @@ def build_sketch(
     merges W's two products in the spectrum domain: 4 forward + 2 inverse
     transforms per sketch. Route and inputs are the cache's; without one,
     dense_pair checks a and b and the sketch takes the cyclic route. The
-    sketch's out_len is 2n-1 for the inputs' length n.
+    sketch's out_len is 2n-1 for the inputs' length n. fold checks p.
     """
-    p = as_int(p, "p", 1)
     if cache is None:
         cache = SketchCache(*dense_pair(a, b), dense=False)
     out_len = 2 * len(cache.a) - 1
@@ -201,11 +199,10 @@ def extract_candidates(s: Sketch, c1: float, tau: float) -> np.recarray:
     (collisions and corrupted residuals produce off-integer or
     out-of-range ratios). Returns a record array of the accepted buckets'
     index (int64) and value (float64) fields, in bucket order.
+    ValueError unless c1 lies in (0, inf) and tau in (0, 0.5).
     """
-    if not 0 < c1 < math.inf:
-        raise ValueError(f"c1 must lie in (0, inf), not {c1!r}")
-    if not 0 < tau < 0.5:
-        raise ValueError("tau must lie in (0, 0.5)")
+    as_real(c1, "c1", "(0, inf)")
+    as_real(tau, "tau", "(0, 0.5)")
     buckets = np.flatnonzero(s.v >= c1)
     ratio = s.w[buckets] / s.v[buckets]
     finite = np.isfinite(ratio)

@@ -46,6 +46,15 @@ class TestParams:
         for c1 in (math.inf, math.nan, 0.0):
             with pytest.raises(ValueError, match="c1"):
                 ApproxParams(k=1, delta=0.1, c1=c1)
+        # True would run as 1; a string would raise TypeError from "<"
+        for knob, value in (
+            ("delta", True), ("delta", "0.1"), ("delta", math.nan), ("delta", 0.0),
+            ("c1", True), ("c1", "0.5"), ("c1", math.nan), ("c1", -1.0),
+        ):
+            with pytest.raises(ValueError, match=f"^{knob} must lie in"):
+                ApproxParams(**{"k": 1, "delta": 0.1, knob: value})
+        params = ApproxParams(k=1, delta=np.float32(0.5), c1=1)
+        assert (params.delta, params.c1) == (0.5, 1.0) and {type(params.delta), type(params.c1)} == {float}
         for seed in (1.5, 1.0, "1"):
             with pytest.raises(ValueError, match="seed must be an integer"):
                 ApproxParams(k=1, delta=0.1, seed=seed)
@@ -80,7 +89,7 @@ class TestParams:
         assert approx_plan(ApproxParams(k=64, delta=0.1), 2**17) == Plan(1632, 7, 83, False)
         assert approx_plan(ApproxParams(k=16, delta=0.1), 2**20) == Plan(2560, 3, 67, False)
         # floors engage for tiny k and lax delta: m >= 16 and counts >= 3;
-        # the cap is max(ceil(8 * log2(2 / 0.99)), 3)
+        # the cap is ceil(8 * log2(2 / 0.99))
         assert approx_plan(ApproxParams(k=1, delta=0.99), 4) == Plan(16, 3, 9, True)
         # one dense product beats 3 cyclic sketches at m = 96 by the one price
         assert approx_plan(ApproxParams(k=4, delta=0.1), 4096) == Plan(384, 3, 51, True)
@@ -183,19 +192,10 @@ def test_inputs_are_only_read():
 
 
 @pytest.mark.parametrize("reps", [0, -1, 2.5])
-@pytest.mark.parametrize("heavy", [None, []], ids=["no-list", "list"])
-def test_reps_below_one_is_rejected(reps, heavy):
-    # by the vote step, with no sketch stored or the one sketch of a count
-    # of 1, and by a correction level; range() would reject a non-integral
-    # count deep inside
+def test_reps_below_one_is_rejected(reps):
+    # by a correction level; range() would reject a non-integral count deep
+    # inside. The vote step takes only its plan's count or a doubling of it.
     inst = generate_instance(InstanceSpec(n=2**10, s_a=4, s_b=4, seed=31))
-    params = ApproxParams(k=16, delta=0.1)
-    cache = SketchCache(inst.a, inst.b, True)
-    stored = []
-    if heavy is not None:
-        _vote(cache, params, 64, stored, 1)
-    with pytest.raises(ValueError, match="reps"):
-        _vote(cache, params, 64, stored, reps)
     with pytest.raises(ValueError, match="reps"):
         run_correction_level(inst.a, inst.b, SparseResult(), 1, reps, 64, ExactParams(k=16, delta=0.1))
 

@@ -46,9 +46,13 @@ class TestParams:
         assert listed == [(f.name, "required" if f.default is MISSING else f.default) for f in fields(ExactParams)]
 
     def test_plan(self):
+        # the formula's 8 * 64 * 14 * 36 = 258,048 stops at the least
+        # lossless base, 2n - 1: every prime above it folds by the identity
         m, levels = exact_plan(ExactParams(k=64, delta=0.1), 2**14)
-        assert m == 8 * 64 * 14 * 36
+        assert m == 2 * 2**14 - 1
         assert levels == 5  # ceil(log_1.5(6))
+        # below 2n - 1 the formula stands
+        assert exact_plan(ExactParams(k=16, delta=0.1), 2**20)[0] == 8 * 16 * 20 * 16
         # tiny k degenerates to a single level with a floored modulus
         m, levels = exact_plan(ExactParams(k=1, delta=0.1), 4)
         assert m >= 16 and levels == 1

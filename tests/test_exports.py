@@ -1,6 +1,7 @@
 """Export hygiene: every public name the package and its modules
 declare in __all__ exists, so a star import cannot fail on a name that
-was removed, and no module imports a name it neither uses nor exports."""
+was removed, no module imports a name it neither uses nor exports, and
+no test or demo script imports a name it does not use."""
 
 import ast
 import importlib
@@ -12,6 +13,8 @@ import pytest
 import sparseconv
 
 MODULES = ["sparseconv"] + [f"sparseconv.{m.name}" for m in pkgutil.iter_modules(sparseconv.__path__)]
+ROOT = Path(__file__).parents[1]
+SCRIPTS = sorted(path.relative_to(ROOT).as_posix() for folder in ("tests", "demos") for path in (ROOT / folder).glob("*.py"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -36,10 +39,9 @@ UNUSED_IMPORTS_KEPT = {
 }
 
 
-@pytest.mark.parametrize("name", MODULES)
-def test_no_module_imports_a_name_it_does_not_use(name):
-    module = importlib.import_module(name)
-    tree = ast.parse(Path(module.__file__).read_text())
+def _unused_imports(path) -> set[str]:
+    """Names a file's import statements bind that no expression reads."""
+    tree = ast.parse(Path(path).read_text())
     imported = {
         (alias.asname or alias.name).split(".")[0]
         for node in ast.walk(tree)
@@ -47,5 +49,17 @@ def test_no_module_imports_a_name_it_does_not_use(name):
         for alias in node.names
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    unused = imported - used - set(getattr(module, "__all__", ()))
+    return imported - used
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_imports_a_name_it_does_not_use(name):
+    module = importlib.import_module(name)
+    unused = _unused_imports(module.__file__) - set(getattr(module, "__all__", ()))
     assert {f"{name}.{attr}" for attr in unused} == {k for k in UNUSED_IMPORTS_KEPT if k.rpartition(".")[0] == name}
+
+
+@pytest.mark.parametrize("path", SCRIPTS)
+def test_no_test_or_demo_imports_a_name_it_does_not_use(path):
+    # parsed by path, never imported: a demo runs its walkthrough at import
+    assert _unused_imports(ROOT / path) == set()

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -77,9 +78,19 @@ class TestGenerateInstance:
         with pytest.raises(ValueError, match="value_range"):
             InstanceSpec(n=64, s_a=2, s_b=2, seed=1, value_range=(1.5, 3.0))
         InstanceSpec(n=64, s_a=2, s_b=2, seed=1, value_range=(1.5, 3.0), integer_values=False)
-        for field, value in (("c2", 0.0), ("c2", 1.0), ("noise_density", 1.5), ("noise_density", -0.1), ("seed", -1)):
+        for field, value in (
+            ("c2", 0.0), ("c2", 1.0), ("noise_density", 1.5), ("noise_density", -0.1), ("seed", -1),
+            # True would run as 1; a string would raise TypeError from "<" without naming the field
+            ("c2", True), ("c2", "0.1"), ("c2", math.nan),
+            ("noise_density", True), ("noise_density", "0.5"), ("noise_density", math.nan),
+            ("value_range", (True, 3)), ("value_range", ("1", "3")), ("value_range", (1, math.nan)),
+            ("value_range", (3, 2)),
+        ):
             with pytest.raises(ValueError, match=field):
                 InstanceSpec(n=8, s_a=1, s_b=1, **{field: value})
+        # the bounds stay as given: the integer draw reads them
+        spec = InstanceSpec(n=8, s_a=1, s_b=1, value_range=[np.int64(2), 5])
+        assert spec.value_range == (2, 5) and [type(v) for v in spec.value_range] == [np.int64, int]
         # numpy would take them, then fail without naming the field; JSON's true would run as 1
         for field, value in (("n", 64.5), ("n", 64.0), ("s_a", 2.5), ("s_b", "2"), ("seed", 1.5), ("s_a", True)):
             with pytest.raises(ValueError, match=f"{field} must be an integer"):
@@ -171,10 +182,16 @@ class TestInstanceFiles:
             ("sparseconv-instance v1\nn=16\nA 1\n3 1.0\nB 1\n0 1.0\nnoise eta=-1.0 density=1.0 seed=0\n", "eta"),
             ("sparseconv-instance v1\nn=16\nA 1\n3 1.0\nB 1\n0 1.0\nnoise eta=0.001 density=5.0 seed=0\n", "density"),
             ("sparseconv-instance v1\nn=16\nA 1\n3 1.0\nB 1\n0 1.0\nnoise eta=0.0 density=0.0 seed=-1\n", "seed"),
+            ("sparseconv-instance v1\nn=16\nA 1\n3 1.0\nB 1\n0 1.0\nnoise eta=inf density=1.0 seed=0\n", "eta"),
+            ("sparseconv-instance v1\nn=16\nA 1\n3 1.0\nB 1\n0 1.0\nnoise eta=0.001 density=nan seed=0\n", "density"),
+            ("sparseconv-instance v1\nn=16\nA 1\n3 1.0\nB 1\n0 1.0\nnoise eta=0.001 density=-0.5 seed=0\n", "density"),
+            # a file's fields are text: True is no number, and float() names the token
+            ("sparseconv-instance v1\nn=16\nA 1\n3 1.0\nB 1\n0 1.0\nnoise eta=True density=1.0 seed=0\n", "'True'"),
         ],
         ids=[
             "no-n-line", "wrong-section-tag", "index-at-n", "no-noise-line", "truncated-before-noise",
             "n-zero", "eta-nan", "eta-negative", "density-above-one", "seed-negative",
+            "eta-inf", "density-nan", "density-negative", "eta-true",
         ],
     )
     def test_malformed_body(self, tmp_path, text, match):
@@ -437,6 +454,19 @@ class TestRunBenchmark:
             # JSON's 1e999 is inf, which would pass the check and overflow in generation
             ("value_range", {**tiny, "instances": [
                 {**tiny["instances"][0], "value_range": [1, 1e999], "integer_values": False}]}),
+            # JSON's true would run as 1.0, a string would pass float() or fail without naming the field
+            ("delta", {**tiny, "delta": True}),
+            ("delta", {**tiny, "delta": "0.1"}),
+            ("delta", {**tiny, "delta": math.nan}),
+            ("c1", {**tiny, "c1": True}),
+            ("c1", {**tiny, "c1": "0.5"}),
+            ("c1", {**tiny, "c1": math.nan}),
+            ("c2", {**tiny, "instances": [{**tiny["instances"][0], "c2": "0.1"}]}),
+            ("c2", {**tiny, "instances": [{**tiny["instances"][0], "c2": True}]}),
+            ("noise_density", {**tiny, "instances": [{**tiny["instances"][0], "noise_density": "1"}]}),
+            ("noise_density", {**tiny, "instances": [{**tiny["instances"][0], "noise_density": True}]}),
+            ("value_range", {**tiny, "instances": [{**tiny["instances"][0], "value_range": ["1", "3"]}]}),
+            ("value_range", {**tiny, "instances": [{**tiny["instances"][0], "value_range": [True, 3]}]}),
         ]
         for knob, config in voiding:
             with pytest.raises(ValueError, match=knob):

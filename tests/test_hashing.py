@@ -50,8 +50,10 @@ class TestSamplePrime:
 
 class TestFold:
     def test_modulus_must_be_positive(self):
-        with pytest.raises(ValueError, match="modulus"):
-            fold(np.ones(4), 0)
+        # True would fold as p = 1; numpy would reject the others without naming p
+        for p in (0, -1, True, "0.5", math.nan, 2.0):
+            with pytest.raises(ValueError, match="^p must be"):
+                fold(np.ones(4), p)
 
     def test_identity_when_p_large(self):
         a = np.array([3.0, 1, 2, 1, 2, 1, 1])

@@ -1,9 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
+from sparseconv.approx import ceil_log2
+from sparseconv.exact import residual_norm
+from sparseconv.fft import pad_length
+from sparseconv.harness import run_benchmark
+from sparseconv.hashing import fold_sparse, primes_in_range
 from sparseconv.numerics import (
     SparseResult,
     as_int,
+    as_real,
     dense_vector,
     derivative,
     naive_convolve,
@@ -12,6 +20,7 @@ from sparseconv.numerics import (
     round_to_int,
     support_ge,
 )
+from sparseconv.sketch import Sketch, extract_candidates
 
 
 def brute_force_convolve(a, b):
@@ -158,6 +167,41 @@ def test_as_int_rejects_bools(flag):
     # bool is an int subclass: JSON's true would run as 1
     with pytest.raises(ValueError, match="k must be an integer"):
         as_int(flag, "k")
+
+
+def test_as_real_returns_a_float_inside_the_interval():
+    assert as_real(1, "lo", "[1, inf)") == 1.0 and type(as_real(1, "lo", "[1, inf)")) is float
+    assert as_real(np.float32(0.5), "c2", "(0, 1)") == 0.5 and type(as_real(np.int64(0), "d", "[0, 1]")) is float
+    for value, interval in ((1, "(1, 2)"), (2, "[1, 2)"), (math.inf, "(0, inf)"), (10**400, "[1, inf)")):
+        with pytest.raises(ValueError, match=rf"^x must lie in \{interval[0]}"):
+            as_real(value, "x", interval)
+
+
+_SKETCH = Sketch(3, np.zeros(3), np.zeros(3), 5)
+# Scalar arguments outside the engines' params, each with its field name
+# and a value of the right type outside its range.
+SCALAR_SITES = {
+    "extract_candidates-c1": (lambda v, out: extract_candidates(_SKETCH, v, 0.25), "c1", -1.0),
+    "extract_candidates-tau": (lambda v, out: extract_candidates(_SKETCH, 0.5, v), "tau", 0.5),
+    "residual_norm-c1": (lambda v, out: residual_norm(np.ones(4), np.ones(4), SparseResult(), v, 1, 0), "c1", 0),
+    "fold_sparse-p": (lambda v, out: fold_sparse([1], [1.0], v, 8), "p", 0),
+    "pad_length": (lambda v, out: pad_length(v), "min_len", 0),
+    "primes_in_range": (lambda v, out: primes_in_range(v), "m", 1),
+    "ceil_log2": (lambda v, out: ceil_log2(v), "x", 0),
+    "run_benchmark-jobs": (lambda v, out: run_benchmark({"engines": ["fft"]}, out, jobs=v), "jobs", 0),
+}
+
+
+@pytest.mark.parametrize("kind", ["bool", "str", "nan", "range"])
+@pytest.mark.parametrize("site", SCALAR_SITES)
+def test_a_bad_scalar_is_a_value_error_naming_it(site, kind, tmp_path):
+    # a bool would run as 1, a string would raise TypeError or be coerced,
+    # and p = 0 would fold to a wrong answer with only a RuntimeWarning
+    call, name, out_of_range = SCALAR_SITES[site]
+    value = {"bool": True, "str": "0.5", "nan": math.nan, "range": out_of_range}[kind]
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        call(value, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 class TestSparseResult:

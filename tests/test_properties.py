@@ -12,7 +12,9 @@ two outputs has more prime factors >= m than the isolation bound counts. A
 plan's route is the cheaper of the two by one price, the engines' plan is
 the cheapest grid modulus whose isolation bound its least count meets by
 the cap, that count never grows with delta at one modulus nor the plan's
-price at any, and approx is exact without rounding, bit for bit."""
+price at any, and approx is exact without rounding, bit for bit. A real
+knob's check returns a float inside its interval or raises ValueError
+naming the knob."""
 
 import math
 import warnings
@@ -29,7 +31,7 @@ from sparseconv.approx import (
 from sparseconv.exact import ExactParams, exact_sparse_convolve
 from sparseconv.fft import cyclic_convolve, fft_convolve, pad_length, transform_work
 from sparseconv.hashing import fold, fold_sparse, primes_in_range
-from sparseconv.numerics import SparseResult, naive_convolve, round_to_int
+from sparseconv.numerics import SparseResult, as_real, naive_convolve, round_to_int
 from sparseconv.sketch import (
     FOLD_WORK, SKETCH_WORK, TRANSFORM_WORK, Sketch, SketchCache, build_residual_sketch, build_sketch,
     extract_candidates, residual, route_price,
@@ -297,3 +299,34 @@ def test_approx_is_exact_without_rounding(data):
             warnings.simplefilter("always")
             runs.append((engine(a, b, p), [str(w.message) for w in caught]))
     assert runs[0] == runs[1]
+
+
+# as_real's intervals, each with membership written out for a real x
+INTERVALS = {
+    "(0, 1)": lambda x: 0 < x < 1,
+    "[0, 1]": lambda x: 0 <= x <= 1,
+    "(0, 0.5)": lambda x: 0 < x < 0.5,
+    "(0, inf)": lambda x: 0 < x < math.inf,
+    "[0, inf)": lambda x: 0 <= x < math.inf,
+    "[1, inf)": lambda x: 1 <= x < math.inf,
+}
+
+
+@PROPERTY
+@given(
+    st.one_of(
+        st.floats(), st.floats(width=32).map(np.float32), st.integers(), st.just(10**400),
+        st.booleans(), st.text(), st.none(),
+    ),
+    st.sampled_from(sorted(INTERVALS)),
+)
+def test_as_real_returns_a_float_inside_its_interval_or_a_value_error_naming_it(value, interval):
+    # a bool, a string, None, NaN and an int beyond float's range lie in none
+    real = isinstance(value, (float, np.floating)) or type(value) is int and abs(value) < 2**1024
+    try:
+        x = as_real(value, "knob", interval)
+    except ValueError as exc:
+        assert str(exc).startswith(f"knob must lie in {interval}, not ")
+        assert not (real and INTERVALS[interval](value))
+    else:
+        assert type(x) is float and x == value and real and INTERVALS[interval](x)
