@@ -192,12 +192,22 @@ def test_inputs_are_only_read():
 
 
 @pytest.mark.parametrize("reps", [0, -1, 2.5])
-def test_reps_below_one_is_rejected(reps):
-    # by a correction level; range() would reject a non-integral count deep
-    # inside. The vote step takes only its plan's count or a doubling of it.
+@pytest.mark.parametrize("heavy", [None, []], ids=["no-list", "list"])
+def test_reps_below_one_is_rejected(reps, heavy):
+    # by a correction level, against an empty partial result or one that
+    # a first level filled, which it leaves as it was; range() would reject
+    # a non-integral count deep inside. The vote step takes only its plan's
+    # count or a doubling of it.
     inst = generate_instance(InstanceSpec(n=2**10, s_a=4, s_b=4, seed=31))
+    params = ExactParams(k=16, delta=0.1)
+    current = SparseResult()
+    if heavy is not None:
+        current, _ = run_correction_level(inst.a, inst.b, current, 1, 1, 64, params)
+        assert current
+    before = dict(current)
     with pytest.raises(ValueError, match="reps"):
-        run_correction_level(inst.a, inst.b, SparseResult(), 1, reps, 64, ExactParams(k=16, delta=0.1))
+        run_correction_level(inst.a, inst.b, current, 2, reps, 64, params)
+    assert current == before
 
 
 @pytest.mark.parametrize("dense", [True, False], ids=["dense", "cyclic"])
