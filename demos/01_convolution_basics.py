@@ -7,7 +7,8 @@ Run: python demos/01_convolution_basics.py
 
 import numpy as np
 
-from sparseconv import dense_vector, derivative, fft_convolve, naive_convolve
+from sparseconv import derivative, fft_convolve, naive_convolve
+from sparseconv.numerics import dense_vector
 
 A = dense_vector([1, 2, 4, 3, 5, 0, 7])
 B = dense_vector([1, 4, 3, 6, 7, 8, 9])

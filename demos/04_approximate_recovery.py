@@ -13,6 +13,8 @@ Run: python demos/04_approximate_recovery.py
 
 import time
 
+import numpy as np
+
 from sparseconv import (
     ApproxParams,
     InstanceSpec,
@@ -22,7 +24,6 @@ from sparseconv import (
     fft_work,
     generate_instance,
     reset_fft_work,
-    support_ge,
 )
 
 spec = InstanceSpec(n=2**16, s_a=8, s_b=8, seed=42)
@@ -31,7 +32,7 @@ print(f"instance: n={spec.n}, significant entries k={inst.k_effective}, "
       f"noise ceiling c2={spec.c2_effective:.3g}")
 
 oracle = fft_convolve(inst.a, inst.b)
-true_supp = support_ge(oracle, 0.5)
+true_supp = set(np.flatnonzero(oracle >= 0.5).tolist())
 
 params = ApproxParams(k=inst.k_effective, delta=0.1, seed=1)
 plan = approx_plan(params, spec.n)

@@ -6,6 +6,8 @@ fresh-prime correction level.
 Run: python demos/05_exact_recovery.py
 """
 
+import numpy as np
+
 from sparseconv import (
     CorrectionTrace,
     ExactParams,
@@ -19,13 +21,12 @@ from sparseconv import (
     residual_norm,
     round_to_int,
     run_correction_level,
-    support_ge,
 )
 
 spec = InstanceSpec(n=2**14, s_a=8, s_b=8, seed=11)
 inst = generate_instance(spec)
 oracle = fft_convolve(inst.a, inst.b)
-true_supp = support_ge(oracle, 0.5)
+true_supp = set(np.flatnonzero(oracle >= 0.5).tolist())
 print(f"instance: n={spec.n}, k={inst.k_effective}")
 
 params = ExactParams(k=inst.k_effective, delta=0.1, seed=5)

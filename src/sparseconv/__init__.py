@@ -27,16 +27,7 @@ from .harness import (
     write_instance,
 )
 from .hashing import fold, primes_in_range, sample_prime
-from .numerics import (
-    SparseResult,
-    dense_vector,
-    derivative,
-    naive_convolve,
-    norm_ge,
-    norm_le,
-    round_to_int,
-    support_ge,
-)
+from .numerics import SparseResult, derivative, naive_convolve, round_to_int
 from .sketch import Sketch, SketchCache, build_residual_sketch, build_sketch, extract_candidates
 
 __version__ = "0.1.0"
@@ -56,7 +47,6 @@ __all__ = [
     "build_residual_sketch",
     "build_sketch",
     "cyclic_convolve",
-    "dense_vector",
     "derivative",
     "exact_plan",
     "exact_sparse_convolve",
@@ -67,8 +57,6 @@ __all__ = [
     "generate_instance",
     "load_instance",
     "naive_convolve",
-    "norm_ge",
-    "norm_le",
     "pad_length",
     "primes_in_range",
     "repetition_schedule",
@@ -79,6 +67,5 @@ __all__ = [
     "run_correction_level",
     "run_engine",
     "sample_prime",
-    "support_ge",
     "write_instance",
 ]

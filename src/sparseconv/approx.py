@@ -114,9 +114,9 @@ def approx_plan(params: ApproxParams, n: int) -> Plan:
     dense sketches at one price, so the grid stops at the least of them.
     With every m dropped, the plan is the largest m at the cap. The
     route is route_price's for (m, reps). Memoised on (k, delta, n): the
-    seed changes no plan.
+    seed changes no plan. ValueError unless n >= 1 is an integer.
     """
-    return _plan(params.k, params.delta, n)
+    return _plan(params.k, params.delta, as_int(n, "n", 1))
 
 
 @functools.cache

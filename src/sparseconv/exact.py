@@ -57,12 +57,13 @@ class ExactParams(ApproxParams):
 
 
 def exact_plan(params: ExactParams, n: int) -> tuple[int, int]:
-    """Modulus base m and level count L.
+    """Modulus base m and level count L; ValueError unless n >= 1 is an integer.
 
     m = m_mult_exact*k*ceil(log2 n)*ceil(log2 k)^2 (an extra log k over
     approx's grid) keeps the residual contracting at every level, up to
     the least lossless base 2n-1, past which m only sieves more; >= 16.
     """
+    n = as_int(n, "n", 1)
     lk = max(ceil_log2(params.k), 1)
     m = max(min(params.m_mult_exact * params.k * ceil_log2(n) * lk * lk, 2 * n - 1), 16)
     return m, _level_count(params)

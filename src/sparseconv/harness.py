@@ -38,8 +38,6 @@ from .numerics import (
     as_real,
     dense_pair,
     naive_convolve,
-    norm_ge,
-    norm_le,
     round_to_int,
 )
 
@@ -176,12 +174,12 @@ def _audit(spec: InstanceSpec, parts: _Parts, a: np.ndarray, b: np.ndarray) -> t
     c2 = spec.c2_effective
     if spec.n <= NAIVE_AUDIT_MAX_N:
         product = naive_convolve(a, b)
-        k_eff = norm_ge(product, c1_eff)
-        return norm_le(product, c2) == 2 * spec.n - 1 - k_eff, k_eff, c1_eff
+        k_eff = int(np.count_nonzero(product >= c1_eff))  # numpy's count is an np.intp
+        return np.count_nonzero(product <= c2) == 2 * spec.n - 1 - k_eff, k_eff, c1_eff
     # the planted parts' exact product; bincount sums each index's terms in (i, j) order
     _, index = np.unique(np.add.outer(parts.pos_a, parts.pos_b).ravel(), return_inverse=True)
     sig = np.bincount(index, weights=np.multiply.outer(parts.val_a, parts.val_b).ravel())
-    k_eff = norm_ge(sig, c1_eff)
+    k_eff = int(np.count_nonzero(sig >= c1_eff))
     hi = spec.value_range[1]
     noise_bound = (spec.s_a + spec.s_b) * hi * parts.eta + spec.n * parts.eta**2
     return k_eff == len(sig) and noise_bound <= c2, k_eff, c1_eff
@@ -254,6 +252,14 @@ def write_instance(path, spec: InstanceSpec) -> GeneratedInstance:
     return inst
 
 
+def _parse(text: str, name: str, kind: type) -> int | float:
+    """An instance file's number, int or float; ValueError naming its field otherwise."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, not {text!r}") from None
+
+
 def load_instance(path) -> LoadedInstance:
     """Parse an instance file and rebuild its vectors bit for bit; ValueError names a bad field."""
     lines = Path(path).read_text().splitlines()
@@ -262,22 +268,22 @@ def load_instance(path) -> LoadedInstance:
             raise ValueError(f"unsupported header {lines[0]!r}")
         if not lines[1].startswith("n="):
             raise ValueError("missing n= line")
-        n = as_int(int(lines[1][2:]), "n", 1)
+        n = as_int(_parse(lines[1][2:], "n", int), "n", 1)
         cursor = 2
         sections: list[np.ndarray] = []
         for name in ("A", "B"):
             tag, count = lines[cursor].split()
             if tag != name:
                 raise ValueError(f"expected section {name}, got {tag!r}")
-            count = int(count)
+            count = as_int(_parse(count, f"section {name} count", int), f"section {name} count", 0)
             pos, val = [], []
             for line in lines[cursor + 1 : cursor + 1 + count]:
                 idx, v = line.split()
-                idx = int(idx)
+                idx = _parse(idx, f"section {name} index", int)
                 if not 0 <= idx < n:
                     raise ValueError(f"index {idx} out of range for n={n}")
                 pos.append(idx)
-                val.append(float(v))
+                val.append(_parse(v, f"section {name} value", float))
             if len(set(pos)) < len(pos):
                 raise ValueError(f"section {name} lists an index more than once")
             sections += [np.array(pos, dtype=np.int64), np.array(val, dtype=np.float64)]
@@ -286,9 +292,9 @@ def load_instance(path) -> LoadedInstance:
         if noise[0] != "noise":
             raise ValueError("missing noise descriptor line")
         meta = dict(f.split("=", 1) for f in noise[1:])
-        eta = as_real(float(meta["eta"]), "noise eta", "[0, inf)")
-        density = as_real(float(meta["density"]), "noise density", "[0, 1]")
-        parts = _Parts(n, *sections, eta, density, as_int(int(meta["seed"]), "seed", 0))
+        eta = as_real(_parse(meta["eta"], "noise eta", float), "noise eta", "[0, inf)")
+        density = as_real(_parse(meta["density"], "noise density", float), "noise density", "[0, 1]")
+        parts = _Parts(n, *sections, eta, density, as_int(_parse(meta["seed"], "seed", int), "seed", 0))
     except (IndexError, KeyError) as exc:
         raise ValueError(f"malformed instance file {path}: {exc}") from exc
 

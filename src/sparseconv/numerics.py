@@ -1,6 +1,6 @@
 """Core plumbing: validated dense vectors and scalar knobs (as_int,
 as_real), the index-weighted derivative, the brute-force convolution
-oracle, generalized norms and support, half-away-from-zero rounding.
+oracle, half-away-from-zero rounding.
 
 Nothing here mutates its arguments; dense_pair, the engines' one input
 check, returns contiguous float64 input itself, not a copy.
@@ -20,9 +20,6 @@ __all__ = [
     "as_real",
     "derivative",
     "naive_convolve",
-    "norm_ge",
-    "norm_le",
-    "support_ge",
     "round_to_int",
 ]
 
@@ -129,21 +126,6 @@ def naive_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.convolve(a, b)
     out[len(a) - 1] = np.dot(a, b[::-1])  # summed as every other entry; np.convolve unrolls it for n <= 11
     return out
-
-
-def norm_ge(a: np.ndarray, threshold: float) -> int:
-    """Count of entries >= threshold."""
-    return int(np.count_nonzero(np.asarray(a) >= threshold))
-
-
-def norm_le(a: np.ndarray, threshold: float) -> int:
-    """Count of entries <= threshold."""
-    return int(np.count_nonzero(np.asarray(a) <= threshold))
-
-
-def support_ge(a: np.ndarray, threshold: float) -> set[int]:
-    """Indices of entries >= threshold."""
-    return {int(i) for i in np.flatnonzero(np.asarray(a) >= threshold)}
 
 
 def round_to_int(x: float) -> int:

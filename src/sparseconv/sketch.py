@@ -5,7 +5,8 @@ onto residues mod p, W folds the index-weighted mass. In a bucket whose
 mass comes from a single output index x, W/V equals x and V equals the
 output value, so (index, value) records can be read straight off
 isolated buckets into one record array (extract_candidates), at indices
-in [0, out_len): each sketch carries its product's length, 2n-1.
+in [0, out_len) (each sketch carries its product's length, 2n-1) that
+hash to the bucket they are read from.
 
 Per the product rule, the index-weighted convolution splits as
 dC = dA * B + A * dB (all at index base 0), which is what lets W be
@@ -195,10 +196,12 @@ def extract_candidates(s: Sketch, c1: float, tau: float) -> np.recarray:
     """Read (index, value) pairs off buckets with V_i >= c1.
 
     A bucket is accepted when its ratio W_i/V_i is within tau of an
-    integer inside [0, s.out_len); everything else is silently rejected
-    (collisions and corrupted residuals produce off-integer or
-    out-of-range ratios). Returns a record array of the accepted buckets'
-    index (int64) and value (float64) fields, in bucket order.
+    integer inside [0, s.out_len) that hashes to the bucket itself (is
+    congruent to its number mod p, the pure-cell check of invertible
+    Bloom lookup tables); everything else is silently rejected
+    (collisions and corrupted residuals produce off-integer, out-of-range
+    or out-of-class ratios). Returns a record array of the accepted
+    buckets' index (int64) and value (float64) fields, in bucket order.
     ValueError unless c1 lies in (0, inf) and tau in (0, 0.5).
     """
     as_real(c1, "c1", "(0, inf)")
@@ -209,5 +212,6 @@ def extract_candidates(s: Sketch, c1: float, tau: float) -> np.recarray:
     buckets, ratio = buckets[finite], ratio[finite]
     # half-away-from-zero, as round_to_int
     nearest = np.copysign(np.floor(np.abs(ratio) + 0.5), ratio)
-    keep = (np.abs(ratio - nearest) <= tau) & (nearest >= 0) & (nearest < s.out_len)
+    bucket = buckets if s.buckets is None else s.buckets[buckets]
+    keep = (np.abs(ratio - nearest) <= tau) & (nearest >= 0) & (nearest < s.out_len) & (nearest % s.p == bucket)
     return np.rec.fromarrays([nearest[keep], s.v[buckets[keep]]], dtype=[("index", np.int64), ("value", np.float64)])

@@ -26,14 +26,9 @@ from sparseconv.exact import (
 from sparseconv.fft import cyclic_convolve, fft_convolve, fft_work, reset_fft_work
 from sparseconv.harness import CSV_COLUMNS, InstanceSpec, generate_instance, run_benchmark
 from sparseconv.hashing import fold, primes_in_range
-from sparseconv.numerics import (
-    SparseResult,
-    dense_vector,
-    derivative,
-    naive_convolve,
-    round_to_int,
-    support_ge,
-)
+from sparseconv.numerics import SparseResult, dense_vector, derivative, naive_convolve, round_to_int
+
+from oracle import support_ge
 
 GRID_N = 2**14
 GRID_K = 64

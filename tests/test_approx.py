@@ -13,13 +13,14 @@ from sparseconv.approx import (
     ApproxParams, CorrectionTrace, Plan, _grid, _isolation_reps, _max_factors, _vote, approx_plan,
     approx_sparse_convolve, ceil_log2,
 )
-from sparseconv.exact import ExactParams, exact_sparse_convolve, residual_norm, run_correction_level
+from sparseconv.exact import ExactParams, exact_plan, exact_sparse_convolve, residual_norm, run_correction_level
 from sparseconv.harness import InstanceSpec, generate_instance, run_engine
 from sparseconv.hashing import primes_in_range, sample_prime
-from sparseconv.numerics import SparseResult, naive_convolve, support_ge
+from sparseconv.numerics import SparseResult, naive_convolve
 from sparseconv.sketch import SketchCache, build_residual_sketch, build_sketch
 
 from isolation import is_isolated
+from oracle import support_ge
 
 
 def impulse(n, at):
@@ -79,6 +80,15 @@ class TestParams:
             for k in (16.5, 16.0, "16", True):
                 with pytest.raises(ValueError, match="k must be an integer"):
                     cls(k=k, delta=0.1)
+
+    @pytest.mark.parametrize("n", [2.0**10, 0, -1, True, "1024"], ids=["float", "zero", "negative", "bool", "str"])
+    @pytest.mark.parametrize("plan", [approx_plan, exact_plan], ids=["approx", "exact"])
+    def test_a_bad_n_is_reported_as_n(self, plan, n):
+        # not under ceil_log2's parameter name; approx's memo would answer
+        # 1024.0 as 1024 had the check been left to the memoised plan
+        approx_plan(ApproxParams(k=4, delta=0.1), 1024)
+        with pytest.raises(ValueError, match="^n must"):
+            plan(ExactParams(k=4, delta=0.1), n)
 
     def test_plan_formulas(self):
         # the cap is the paper's count at delta/2, ceil(8 * log2(1280));

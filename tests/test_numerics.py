@@ -15,10 +15,7 @@ from sparseconv.numerics import (
     dense_vector,
     derivative,
     naive_convolve,
-    norm_ge,
-    norm_le,
     round_to_int,
-    support_ge,
 )
 from sparseconv.sketch import Sketch, extract_candidates
 
@@ -130,22 +127,6 @@ def test_product_rule():
         lhs = derivative(naive_convolve(a, b), 0)
         rhs = naive_convolve(derivative(a, 0), b) + naive_convolve(a, derivative(b, 0))
         np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-9)
-
-
-class TestNormsAndSupport:
-    def test_norm_ge(self):
-        assert norm_ge(np.array([1, 6, 15, 31]), 10) == 2
-
-    def test_norm_le(self):
-        assert norm_le(np.array([0.001, 5, 0.002]), 0.01) == 2
-
-    def test_support_ge(self):
-        assert support_ge(np.array([0, 0, 1, 0, 2]), 1) == {2, 4}
-
-    def test_partition_when_band_empty(self):
-        # no entry in (c_small, c_big) => counts partition the length
-        a = np.array([0.0, 0.001, 3.0, 7.0, 0.0002])
-        assert norm_ge(a, 1.0) + norm_le(a, 0.01) == len(a)
 
 
 class TestRoundToInt:

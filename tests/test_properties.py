@@ -6,7 +6,8 @@ modulus every residual sketch is the residual itself. A heavy sketch's
 residual for a non-negative partial result is the full sketch's
 residual at its buckets, bit for bit, and loses none of its heavy
 buckets. Vectorised extraction is checked against the bucket-by-bucket
-loop it replaced. Transforms pad to the next
+loop it replaced, and a bucket two significant indices share yields no
+index outside its own class. Transforms pad to the next
 2^a * 3^b * 5^c length and are charged N * log2(N). No difference of
 two outputs has more prime factors >= m than the isolation bound counts. A
 plan's route is the cheaper of the two by one price, the engines' plan is
@@ -138,12 +139,14 @@ def test_peeled_heavy_buckets_are_the_residual_sketchs_heavy_buckets(data, c1):
 
 def extract_by_loop(s, c1, tau, out_len):
     out = []
-    for i in np.flatnonzero(s.v >= c1):
+    for i, bucket in enumerate(range(s.p) if s.buckets is None else s.buckets):
+        if not s.v[i] >= c1:
+            continue
         ratio = s.w[i] / s.v[i]
         if not np.isfinite(ratio):
             continue
         nearest = round_to_int(float(ratio))
-        if abs(ratio - nearest) <= tau and 0 <= nearest < out_len:
+        if abs(ratio - nearest) <= tau and 0 <= nearest < out_len and nearest % s.p == bucket:
             out.append((nearest, float(s.v[i])))
     return out
 
@@ -155,11 +158,31 @@ def test_extraction_matches_the_bucket_loop(data, c1, tau, out_len):
     v = data.draw(arrays(np.float64, p, elements=st.floats(-10, 1e3)), label="v")
     ratios = st.one_of(st.floats(-50, 250), st.integers(-5, 205).map(float))
     w = v * data.draw(arrays(np.float64, p, elements=ratios), label="ratio")
+    # some buckets decode to an index in their own class, b + p*q
+    own = np.array(data.draw(st.lists(st.integers(0, p - 1), max_size=p), label="own class"), dtype=np.int64)
+    w[own] = v[own] * (own + p * data.draw(st.integers(0, 4), label="q"))
     w[data.draw(st.lists(st.integers(0, p - 1), max_size=3), label="bad")] = data.draw(
         st.sampled_from([np.inf, -np.inf, np.nan]), label="bad value"
     )
     s = Sketch(p, v, w, out_len)
     assert extract_candidates(s, c1, tau).tolist() == extract_by_loop(s, c1, tau, out_len)
+    # a heavy sketch reads bucket numbers from its buckets, not its positions
+    heavy = s.heavy(data.draw(st.floats(-10, 2), label="heavy c1"))
+    assert extract_candidates(heavy, c1, tau).tolist() == extract_by_loop(heavy, c1, tau, out_len)
+
+
+@PROPERTY
+@given(st.integers(2, 64), st.data(), st.integers(1, 50), st.integers(1, 50))
+def test_a_collided_bucket_yields_only_an_index_in_its_class(p, data, v1, v2):
+    # two significant indices b + p*q1 and b + p*q2 share bucket b; their
+    # weighted mean decodes to an integer outside the class whenever
+    # p*(v1*q1 + v2*q2)/(v1 + v2) is whole but not a multiple of p
+    b = data.draw(st.integers(0, p - 1), label="bucket")
+    q1, q2 = data.draw(st.lists(st.integers(0, 20), min_size=2, max_size=2, unique=True), label="q")
+    out_len = b + p * max(q1, q2) + 1
+    fv, fw = fold_sparse([b + p * q1, b + p * q2], [float(v1), float(v2)], p, out_len)
+    for s in (Sketch(p, fv, fw, out_len), Sketch(p, fv, fw, out_len).heavy(0.5)):
+        assert all(index % p == b for index in extract_candidates(s, 0.5, 0.25).index)
 
 
 def _is_5_smooth(x):

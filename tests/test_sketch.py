@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from sparseconv.approx import ApproxParams, approx_plan
 from sparseconv.harness import InstanceSpec, generate_instance
-from sparseconv.numerics import SparseResult, naive_convolve, support_ge
+from sparseconv.hashing import sample_prime
+from sparseconv.numerics import SparseResult, naive_convolve
 from sparseconv.sketch import (
     Sketch,
     SketchCache,
@@ -15,6 +17,7 @@ from sparseconv.sketch import (
 )
 
 from isolation import is_isolated
+from oracle import support_ge
 
 
 def impulse(n, at):
@@ -232,6 +235,29 @@ def test_noise_stays_well_inside_tolerances():
             assert abs(sk.v[x % p] - c[x]) <= 0.01
             checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_round_off_at_n_2_20_stays_far_below_tau(seed):
+    # the n20-k16 benchmark shape at its plan's modulus, on both routes:
+    # every significant index is isolated under these primes, and its
+    # bucket reads it within 2.3e-10 to 1.3e-9: tau = 0.25 holds with
+    # eight orders to spare
+    n = 2**20
+    inst = generate_instance(InstanceSpec(n=n, s_a=4, s_b=4, seed=seed))
+    dense = SketchCache(inst.a, inst.b, dense=True)
+    supp = support_ge(dense.conv, inst.c1_effective)
+    rng = np.random.default_rng(seed)
+    primes = [sample_prime(approx_plan(ApproxParams(k=16, delta=0.1), n).m, rng) for _ in range(4)]
+    errors = [
+        abs(sk.w[x % p] / sk.v[x % p] - x)
+        for cache in (SketchCache(inst.a, inst.b, dense=False), dense)
+        for p in primes
+        for sk in [build_sketch(inst.a, inst.b, p, cache=cache)]
+        for x in supp
+        if is_isolated(x, supp, p)
+    ]
+    assert errors and max(errors) <= 1e-6
 
 
 def _plan_id(value):

@@ -24,8 +24,10 @@ from sparseconv.approx import (
 from sparseconv.exact import ExactParams, exact_sparse_convolve
 from sparseconv.fft import fft_convolve
 from sparseconv.harness import InstanceSpec, generate_instance
-from sparseconv.numerics import SparseResult, round_to_int, support_ge
+from sparseconv.numerics import SparseResult, round_to_int
 from sparseconv.sketch import SketchCache, residual, route_price
+
+from oracle import support_ge
 
 N = 2**14
 SIDES = (8, 12, 16)  # true k = side^2: 64, 144, 256
