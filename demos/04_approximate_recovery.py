@@ -4,9 +4,9 @@ bring the support back exactly and the values within a hair, at FFT
 work that scales with the output sparsity rather than the vector
 length. Each call's plan prices a few moduli m, each with the fewest
 sketches that isolate every significant index, and takes the cheapest
-(m, sketches, route); the paper's repetition count L only caps the
-sketches, which double while the peel is not clean. Here (n = 2^16,
-k = 64) the plan is 7 cyclic sketches on primes in [1536, 3072].
+(m, sketches, route); a peel that is not clean plans again at 2k. Here
+(n = 2^16, k = 64) the plan is 7 cyclic sketches on primes in
+[1536, 3072].
 
 Run: python demos/04_approximate_recovery.py
 """
@@ -36,8 +36,8 @@ true_supp = set(np.flatnonzero(oracle >= 0.5).tolist())
 
 params = ApproxParams(k=inst.k_effective, delta=0.1, seed=1)
 plan = approx_plan(params, spec.n)
-print(f"plan: primes in [{plan.m}, {2 * plan.m}], {plan.reps} sketches to start, at most the paper's "
-      f"L = {plan.cap} (at delta/2), {'dense' if plan.dense else 'cyclic'} route")
+print(f"plan: primes in [{plan.m}, {2 * plan.m}], {plan.reps} sketches, "
+      f"{'dense' if plan.dense else 'cyclic'} route")
 reset_fft_work()
 t0 = time.perf_counter()
 d = approx_sparse_convolve(inst.a, inst.b, params)

@@ -1,7 +1,9 @@
 """Iterative correction to exact values: the approximate engine's path
 with rounding, a vote over a few stored heavy sketches and then a peel
-of the residual off them, level by level. Includes a planted defect repaired by a single
-fresh-prime correction level.
+of the residual off them, level by level. Each attempt's sketches
+isolate every significant index with probability >= 1 - delta/4 at its
+k, and a peel that is not clean plans again at 2k. Includes a planted
+defect repaired by a single fresh-prime correction level.
 
 Run: python demos/05_exact_recovery.py
 """
@@ -33,7 +35,7 @@ params = ExactParams(k=inst.k_effective, delta=0.1, seed=5)
 trace = CorrectionTrace()
 c = exact_sparse_convolve(inst.a, inst.b, params, trace=trace)
 
-print(f"\nrepetitions per vote: {trace.bootstrap_reps}")
+print(f"\nsketches per attempt (k = {params.k}, then doubled): {trace.bootstrap_reps}")
 schedule = repetition_schedule(params)
 print(f"fresh-prime level schedule (repetitions per level): {schedule}")
 print(f"peel levels run / cap: {len(trace.chosen_primes)} / {len(schedule)}, stored primes chosen: {trace.chosen_primes}")

@@ -1,5 +1,5 @@
-"""Both engines' one recovery path: isolate, vote, peel, and grow while
-the peel is not clean; exact_sparse_convolve rounds at each merge.
+"""Both engines' one recovery path: isolate, vote, peel, and replan at 2k
+while the peel is not clean; exact_sparse_convolve rounds at each merge.
 
 Repetition l draws its prime from a generator seeded by (seed, l),
 sketches the product and keeps the sketch at its heavy buckets
@@ -12,11 +12,11 @@ C >= 0 every residual bucket >= c1 is a stored one. Each level step
 merges the candidates of the residual exposing the most.
 
 The peel needs each significant index isolated in one stored sketch,
-not a majority, so a call starts with the fewest sketches whose
-collision bound isolates every index, and doubles them while they do
-not peel C clean, up to the paper's count L at delta/2; not clean at
-that cap, the paper's vote plus a peel, it warns. Overshoot falls below
-c1, where levels cannot see it; the clean check does (|V| >= c1).
+not a majority, so an attempt runs the fewest sketches whose collision
+bound isolates every index at its k. A peel that is not clean says k
+was under-stated: the call plans again at 2k with fresh sketches, up to
+a clean peel or a lossless plan (m >= 2n-1), and warns. Overshoot falls
+below c1, where levels cannot see it; the clean check does (|V| >= c1).
 
 The paper fixes the modulus only up to a constant, m = Theta(k log n
 log k), and a smaller m makes each sketch cheaper but needs more of
@@ -26,9 +26,10 @@ them, so approx_plan prices each call's modulus, count and route.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -56,15 +57,13 @@ class ApproxParams:
     are validated statistically by the test suite: tau is how close a
     bucket ratio must be to an integer to be believed, an index needs
     min_votes_frac of the votes to be kept, level_base sets how slowly
-    the peel's level count grows with k, and L_mult scales the paper's
-    repetition count, which caps the call's growth. The modulus has no
-    constant: approx_plan prices it per call.
+    the peel's level count grows with k. The modulus and the count have
+    no constant: approx_plan prices them per call.
     """
 
     tau: ClassVar[float] = 0.25
     min_votes_frac: ClassVar[float] = 0.5
     level_base: ClassVar[float] = 1.5
-    L_mult: ClassVar[int] = 8
 
     k: int
     delta: float
@@ -80,11 +79,11 @@ class ApproxParams:
 
 @dataclass
 class CorrectionTrace:
-    """What one call ran: its repetition counts, one per vote (e.g. [3],
-    or [3, 6, 12] after two doublings), and for the last vote C's
-    snapshots after it and after each level (up to the first that leaves
-    C unchanged; the last is the result) and the stored prime each level
-    chose, one fewer."""
+    """What one call ran: its repetition counts, one per attempt, attempt
+    i at k * 2^i (e.g. [3], or [3, 3, 5] after two raises), and for the
+    last attempt C's snapshots after its vote and after each level (up
+    to the first that leaves C unchanged; the last is the result) and the
+    stored prime each level chose, one fewer."""
 
     snapshots: list[SparseResult] = field(default_factory=list)
     chosen_primes: list[int] = field(default_factory=list)
@@ -92,41 +91,37 @@ class CorrectionTrace:
 
 
 class Plan(NamedTuple):
-    """One call's plan: primes in [m, 2m], `reps` starting sketches, at
-    most `cap` of them, folding one dense product when `dense`, the
-    cheaper route for (m, reps) by route_price."""
+    """One attempt's plan: `reps` sketches on primes in [m, 2m], folding
+    one dense product when `dense`, the cheaper route for (m, reps) by
+    route_price."""
 
     m: int
     reps: int
-    cap: int
     dense: bool
 
 
 def approx_plan(params: ApproxParams, n: int) -> Plan:
     """The cheapest plan for length-n inputs that isolates every
-    significant index in some starting sketch.
+    significant index in some sketch.
 
-    The cap is the paper's count L = L_mult * log2(k/delta) at delta/2.
-    Each modulus base m of _grid gets its starting count by
-    _isolation_reps; an m whose count exceeds the cap is dropped, and
-    the rest are priced by route_price, the least price winning and ties
-    going to the larger m. Every lossless m (>= 2n-1) isolates with 3
-    dense sketches at one price, so the grid stops at the least of them.
-    With every m dropped, the plan is the largest m at the cap. The
-    route is route_price's for (m, reps). Memoised on (k, delta, n): the
-    seed changes no plan. ValueError unless n >= 1 is an integer.
+    Each modulus base m of _grid gets its count by _isolation_reps; an m
+    no count isolates at is dropped, and the rest are priced by
+    route_price, the least price winning and ties going to the larger m.
+    Every lossless m (>= 2n-1) isolates with 3 dense sketches at one
+    price, so the grid stops at the least of them; a grid with no m left
+    gives way to the least, 2n-1. The route is route_price's for
+    (m, reps). Memoised on (k, delta, n): the seed changes no plan.
+    ValueError unless n >= 1 is an integer.
     """
     return _plan(params.k, params.delta, as_int(n, "n", 1))
 
 
 @functools.cache
 def _plan(k: int, delta: float, n: int) -> Plan:
-    cap = math.ceil(ApproxParams.L_mult * math.log2(2 * k / delta))  # > 8, as k >= 1 > delta
-    grid = _grid(k, n)
-    priced = [(route_price(n, m, reps)[0], m, reps) for m in grid if (reps := _isolation_reps(k, delta, n, m, cap))]
+    priced = [(route_price(n, m, reps)[0], m, reps) for m in _grid(k, n) if (reps := _isolation_reps(k, delta, n, m))]
     # min keeps the first of equal prices, and the grid runs downward
-    _, m, reps = min(priced, key=lambda c: c[0], default=(None, grid[0], cap))
-    return Plan(m, reps, cap, route_price(n, m, reps)[1])
+    _, m, reps = min(priced, key=lambda c: c[0], default=(None, 2 * n - 1, 3))
+    return Plan(m, reps, route_price(n, m, reps)[1])
 
 
 def _grid(k: int, n: int) -> list[int]:
@@ -140,9 +135,9 @@ def _grid(k: int, n: int) -> list[int]:
     return grid[max(sum(m >= 2 * n - 1 for m in grid) - 1, 0):]
 
 
-def _isolation_reps(k: int, delta: float, n: int, m: int, cap: int) -> int | None:
-    """The least L in [3, cap] with k * q^L <= delta/4 at modulus base m,
-    or None.
+def _isolation_reps(k: int, delta: float, n: int, m: int) -> int | None:
+    """The least L >= 3 with k * q^L <= delta/4 at modulus base m, or
+    None when q >= 1.
 
     With pi(m) the number of primes in [m, 2m], outputs x != y collide
     under p when p divides d = x - y, with 0 < |d| <= 2n - 2. r + 1
@@ -156,7 +151,7 @@ def _isolation_reps(k: int, delta: float, n: int, m: int, cap: int) -> int | Non
     q = (k - 1) * _max_factors(n, m) / len(primes_in_range(m))
     if q >= 1:  # no count meets it, and q**L may overflow
         return None
-    return next((L for L in range(3, cap + 1) if k * q**L <= delta / 4), None)
+    return next(L for L in itertools.count(3) if k * q**L <= delta / 4)
 
 
 def _max_factors(n: int, m: int) -> int:
@@ -177,11 +172,12 @@ def _level_count(params: ApproxParams) -> int:
     return math.ceil(math.log(lg) / math.log(params.level_base))
 
 
-def _vote(cache: SketchCache, params: ApproxParams, m: int, stored: list, reps: int) -> SparseResult:
-    """Grow `stored` to `reps` heavy sketches (Sketch.heavy), repetition l
-    with its prime drawn from (seed, l) in [m, 2m], and return their vote:
-    each index's lower-median record, kept with >= min_votes_frac * reps records."""
-    for l in range(len(stored) + 1, reps + 1):
+def _vote(cache: SketchCache, params: ApproxParams, m: int, reps: int) -> tuple[list, SparseResult]:
+    """`reps` heavy sketches (Sketch.heavy), repetition l with its prime
+    drawn from (seed, l) in [m, 2m], and their vote: each index's
+    lower-median record, kept with >= min_votes_frac * reps records."""
+    stored = []
+    for l in range(1, reps + 1):
         p = sample_prime(m, np.random.default_rng([params.seed, l]))
         stored.append(build_sketch(cache.a, cache.b, p, cache=cache).heavy(params.c1))
 
@@ -191,7 +187,7 @@ def _vote(cache: SketchCache, params: ApproxParams, m: int, stored: list, reps: 
     counts = np.diff(starts, append=len(votes))
     kept = counts >= math.ceil(params.min_votes_frac * reps)
     lower_medians = votes[starts[kept] + (counts[kept] - 1) // 2]
-    return SparseResult(lower_medians.tolist())
+    return stored, SparseResult(lower_medians.tolist())
 
 
 def _merged(current: SparseResult, pairs, params: ApproxParams, integer_mode: bool) -> SparseResult:
@@ -246,16 +242,13 @@ def approx_sparse_convolve(
     returned map has exactly the significant support and each value is
     within o(1) of the true one.
 
-    One failure budget delta: the starting count isolates every
-    significant index in some stored sketch with probability
-    >= 1 - delta/4, and the cap is the paper's count at delta/2, so a
-    capped call is the paper's vote plus a peel, at the plan's modulus.
-    That vote keeps an index isolated in a majority of its sketches;
-    the paper's analysis bounds its failure by delta/2 at the paper's
-    m, and a cheaper m shrinks the margin (q in _isolation_reps: 0.31
-    at n = 2^17, k = 64, against 0.026 at the grid's top). A call not
-    clean at the cap raises one RuntimeWarning: k is probably
-    under-stated.
+    Each attempt's plan isolates every significant index in some stored
+    sketch with probability >= 1 - delta/4 for any true k at or below
+    its own, and a correct C then peels clean. An attempt whose peel is
+    not clean is followed by one at 2k with fresh sketches, each with the
+    whole delta, until a peel is clean or the plan is lossless (its
+    sketches are the product itself). A call whose first peel is not
+    clean raises one RuntimeWarning naming the given and the final k.
 
     integer_mode rounds each merge to an integer: exact_sparse_convolve
     is this call with ExactParams.integer_mode, so without it this is
@@ -263,30 +256,30 @@ def approx_sparse_convolve(
     ApproxParams fields of params are read. A given CorrectionTrace is
     filled with what the call ran.
 
-    Deterministic given (a, b, params). approx_plan fixes the call's
-    modulus, starting count, cap and route (its one SketchCache's). Raises
-    ValueError unless a and b are equal-length, finite, non-negative 1-D vectors.
+    Deterministic given (a, b, params). approx_plan fixes each attempt's
+    modulus, count and route (its one SketchCache's). Raises ValueError
+    unless a and b are equal-length, finite, non-negative 1-D vectors.
     """
     a, b = dense_pair(a, b)
-    m, reps, cap, dense = approx_plan(params, len(a))
-    cache = SketchCache(a, b, dense)
     trace = CorrectionTrace() if trace is None else trace
     trace.bootstrap_reps = []
-
-    stored = []
+    attempt = params
     while True:
-        state = _merged(SparseResult(), _vote(cache, params, m, stored, reps).items(), params, integer_mode)
+        m, reps, dense = approx_plan(attempt, len(a))
+        stored, vote = _vote(SketchCache(a, b, dense), attempt, m, reps)
+        state = _merged(SparseResult(), vote.items(), attempt, integer_mode)
         trace.bootstrap_reps.append(reps)
         trace.snapshots = [SparseResult(state)]
         trace.chosen_primes = []
-        state, clean = _peel(stored, state, params, integer_mode, trace)
-        if clean or reps == cap:
+        state, clean = _peel(stored, state, attempt, integer_mode, trace)
+        if clean or m >= 2 * len(a) - 1:
             break
-        reps = min(2 * reps, cap)
+        attempt = replace(attempt, k=2 * attempt.k)
 
-    if not clean:
+    if attempt.k > params.k or not clean:
         warnings.warn(
-            f"{cap} stored sketches still do not peel clean; k={params.k} is probably under-stated",
+            f"k={params.k} did not peel clean; the call ran to k={attempt.k}"
+            f"{'' if clean else ', still not clean'}: k is probably under-stated",
             RuntimeWarning,
             stacklevel=2,
         )

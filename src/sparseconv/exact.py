@@ -2,8 +2,8 @@
 path (sparseconv.approx) with every merge rounded to an integer.
 
 The peel's levels fold nothing and transform nothing: each peels C off
-the stored heavy sketches, so the call's SketchCache and route are its
-starting sketches' alone. A fixed point certifies C only when the stored
+the stored heavy sketches, so each attempt's SketchCache and route are
+its sketches' alone. A fixed point certifies C only when the stored
 primes fold losslessly (p >= 2n-1 on the dense route); otherwise
 certification waits for a fresh-prime residual check (ROADMAP, certified
 exact). residual_norm and run_correction_level, at exact_plan's modulus
@@ -106,10 +106,10 @@ def run_correction_level(
     seeded by (seed, level, r), so ties go to the smallest r. At a
     lossless modulus all sketches are equal, so only r = 1 is built.
     Returns the updated result and the chosen prime. Raises ValueError
-    as approx_sparse_convolve does on a and b, and unless reps >= 1 and
-    m >= 2 are integers.
+    as approx_sparse_convolve does on a and b, and unless level >= 0,
+    reps >= 1 and m >= 2 are integers.
     """
-    reps, m = as_int(reps, "reps", 1), as_int(m, "m", 2)
+    level, reps, m = as_int(level, "level", 0), as_int(reps, "reps", 1), as_int(m, "m", 2)
     a, b = dense_pair(a, b)
     sketches = _residual_sketches(a, b, current, m, reps, (params.seed, level))
     return _level(sketches, current, params, params.integer_mode)
@@ -125,10 +125,10 @@ def exact_sparse_convolve(
     within 0.01 (otherwise), with probability >= 1 - delta.
 
     approx_sparse_convolve with params.integer_mode: the one path
-    (sparseconv.approx), rounding at each merge in integer_mode. A call
-    whose stored sketches do not peel C clean at the paper's count
-    raises one RuntimeWarning: k is probably under-stated. A given
-    CorrectionTrace is filled with what the call ran, for diagnostics.
+    (sparseconv.approx), rounding at each merge in integer_mode. Each
+    attempt isolates with probability >= 1 - delta/4 at its k; a peel
+    that is not clean plans again at 2k, and a call that raised k warns.
+    A given CorrectionTrace is filled with what the call ran.
 
     Raises ValueError unless a and b are equal-length, finite,
     non-negative 1-D vectors.
@@ -154,12 +154,12 @@ def residual_norm(
     exact count, so one is run. Diagnostic only, never on the recovery path.
 
     Raises ValueError unless a and b are equal-length, finite,
-    non-negative 1-D vectors, c1 is a real in (0, inf), and trials >= 1
-    and any given m >= 2 are integers.
+    non-negative 1-D vectors, c1 is a real in (0, inf), and trials >= 1,
+    seed >= 0 and any given m >= 2 are integers.
     """
     a, b = dense_pair(a, b)
     c1 = as_real(c1, "c1", "(0, inf)")
-    trials = as_int(trials, "trials", 1)
+    trials, seed = as_int(trials, "trials", 1), as_int(seed, "seed", 0)
     m = max(2 * len(a) - 1, 16) if m is None else as_int(m, "m", 2)
     return max(
         np.count_nonzero(np.abs(sk.v) >= c1)

@@ -62,13 +62,13 @@ class TestParams:
         params = ApproxParams(k=1, delta=0.1, seed=np.int64(3))
         assert params == ApproxParams(k=1, delta=0.1, seed=3) and type(params.seed) is int
         # the fixed constants keep their values but are not fields; the
-        # modulus has no constant, as each call's plan prices it
+        # modulus and the count have no constant, as each call's plan prices them
         params = ApproxParams(k=1, delta=0.1)
-        for name, value in (("tau", 0.25), ("min_votes_frac", 0.5), ("L_mult", 8)):
+        for name, value in (("tau", 0.25), ("min_votes_frac", 0.5)):
             assert getattr(params, name) == value
             with pytest.raises(TypeError):
                 ApproxParams(k=1, delta=0.1, **{name: value})
-        assert not hasattr(params, "m_mult")
+        assert not hasattr(params, "m_mult") and not hasattr(params, "L_mult")
 
     def test_k_must_be_an_integer(self):
         inst = generate_instance(InstanceSpec(n=2**10, s_a=4, s_b=4, seed=31))
@@ -91,21 +91,19 @@ class TestParams:
             plan(ExactParams(k=4, delta=0.1), n)
 
     def test_plan_formulas(self):
-        # the cap is the paper's count at delta/2, ceil(8 * log2(1280));
         # one dense product serves any count, so the fewest sketches win,
         # at the grid's top modulus 4 k ceil(log2 n) ceil(log2 k)
-        assert approx_plan(ApproxParams(k=64, delta=0.1), 2**14) == Plan(4 * 64 * 14 * 6, 3, 83, True)
+        assert approx_plan(ApproxParams(k=64, delta=0.1), 2**14) == Plan(4 * 64 * 14 * 6, 3, True)
         # the benchmark shapes: cyclic sketches at a smaller modulus
-        assert approx_plan(ApproxParams(k=64, delta=0.1), 2**17) == Plan(1632, 7, 83, False)
-        assert approx_plan(ApproxParams(k=16, delta=0.1), 2**20) == Plan(2560, 3, 67, False)
-        # floors engage for tiny k and lax delta: m >= 16 and counts >= 3;
-        # the cap is ceil(8 * log2(2 / 0.99))
-        assert approx_plan(ApproxParams(k=1, delta=0.99), 4) == Plan(16, 3, 9, True)
+        assert approx_plan(ApproxParams(k=64, delta=0.1), 2**17) == Plan(1632, 7, False)
+        assert approx_plan(ApproxParams(k=16, delta=0.1), 2**20) == Plan(2560, 3, False)
+        # floors engage for tiny k and lax delta: m >= 16 and counts >= 3
+        assert approx_plan(ApproxParams(k=1, delta=0.99), 4) == Plan(16, 3, True)
         # one dense product beats 3 cyclic sketches at m = 96 by the one price
-        assert approx_plan(ApproxParams(k=4, delta=0.1), 4096) == Plan(384, 3, 51, True)
+        assert approx_plan(ApproxParams(k=4, delta=0.1), 4096) == Plan(384, 3, True)
         # every base >= 2n - 1 = 8191 folds by the identity: the grid stops
         # at the least of them, half the top's 18,432
-        assert approx_plan(ApproxParams(k=64, delta=0.1), 2**12) == Plan(9216, 3, 83, True)
+        assert approx_plan(ApproxParams(k=64, delta=0.1), 2**12) == Plan(9216, 3, True)
         # the top 68,000,000 halved down to the least base >= 2047
         assert max(_grid(10**5, 2**10)) == 2075
 
@@ -115,7 +113,7 @@ class TestParams:
         assert _max_factors(55_297, 48) == 3 and _max_factors(55_296, 48) == 2
         # n = 1 has one output and no difference: nothing collides, so the floor of 3 holds
         assert _max_factors(1, 48) == 0
-        assert _isolation_reps(64, 0.1, 1, 48, 83) == 3
+        assert _isolation_reps(64, 0.1, 1, 48) == 3
 
 
 def test_zero_vectors_give_empty_result():
@@ -201,13 +199,18 @@ def test_inputs_are_only_read():
         assert call(*frozen) == call(inst.a, inst.b)
 
 
-@pytest.mark.parametrize("reps", [0, -1, 2.5])
+@pytest.mark.parametrize(
+    "reps, level",
+    [(0, 2), (-1, 2), (2.5, 2), (1, True), (1, 1.0), (1, 1.5), (1, -3)],
+    ids=["0", "-1", "2.5", "level-True", "level-1.0", "level-1.5", "level--3"],
+)
 @pytest.mark.parametrize("heavy", [None, []], ids=["no-list", "list"])
-def test_reps_below_one_is_rejected(reps, heavy):
+def test_reps_below_one_is_rejected(reps, level, heavy):
     # by a correction level, against an empty partial result or one that
     # a first level filled, which it leaves as it was; range() would reject
-    # a non-integral count deep inside. The vote step takes only its plan's
-    # count or a doubling of it.
+    # a non-integral count deep inside, and numpy's seed a non-integral or
+    # negative level with its own error, where True would run as level 1.
+    # The vote step takes only its plan's count.
     inst = generate_instance(InstanceSpec(n=2**10, s_a=4, s_b=4, seed=31))
     params = ExactParams(k=16, delta=0.1)
     current = SparseResult()
@@ -215,24 +218,21 @@ def test_reps_below_one_is_rejected(reps, heavy):
         current, _ = run_correction_level(inst.a, inst.b, current, 1, 1, 64, params)
         assert current
     before = dict(current)
-    with pytest.raises(ValueError, match="reps"):
-        run_correction_level(inst.a, inst.b, current, 2, reps, 64, params)
+    with pytest.raises(ValueError, match="^level must" if reps == 1 else "reps"):
+        run_correction_level(inst.a, inst.b, current, level, reps, 64, params)
     assert current == before
 
 
 @pytest.mark.parametrize("dense", [True, False], ids=["dense", "cyclic"])
 def test_each_stored_sketch_is_its_repetitions_sketch_at_its_heavy_buckets(dense):
-    # the vote step grows the stored list to the count it is given,
-    # keeping the sketches it already holds
+    # the vote step builds the count it is given, repetition l on the
+    # prime drawn from (seed, l)
     inst = generate_instance(InstanceSpec(n=2**12, s_a=4, s_b=4, seed=5))
     params = ApproxParams(k=16, delta=0.1, seed=4)
     cache = SketchCache(inst.a, inst.b, dense)
-    m, _, L, _ = approx_plan(params, len(inst.a))
-    stored = []
-    _vote(cache, params, m, stored, 3)
-    first = list(stored)
-    _vote(cache, params, m, stored, L)
-    assert len(stored) == L and stored[:3] == first
+    m = approx_plan(params, len(inst.a)).m
+    stored, _ = _vote(cache, params, m, 9)
+    assert len(stored) == 9
     for l, sk in enumerate(stored, 1):
         full = build_sketch(inst.a, inst.b, sample_prime(m, np.random.default_rng([params.seed, l])), cache=cache)
         assert sk.p == full.p
@@ -338,7 +338,8 @@ def test_every_kept_index_has_majority_votes():
     spec = InstanceSpec(n=2**10, s_a=3, s_b=3, seed=51)
     inst = generate_instance(spec)
     params = ApproxParams(k=9, delta=0.1, seed=13)
-    m, _, L, dense = approx_plan(params, spec.n)
+    m, _, dense = approx_plan(params, spec.n)
+    L = 9  # more votes than the plan's count, so the floor is not two
     cache = SketchCache(inst.a, inst.b, dense)
     votes: dict[int, int] = {}
     for l in range(1, L + 1):
@@ -347,7 +348,7 @@ def test_every_kept_index_has_majority_votes():
         sk = build_sketch(inst.a, inst.b, p, cache=cache)
         for cand in extract_candidates(sk, params.c1, params.tau):
             votes[cand.index] = votes.get(cand.index, 0) + 1
-    out = _vote(cache, params, m, [], L)
+    _, out = _vote(cache, params, m, L)
     assert len(out) > 0
     need = -(-L // 2)
     for idx in out.support():
@@ -364,7 +365,7 @@ def _pooled(per_rep):
     scripted = iter(per_rep)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("sparseconv.approx.extract_candidates", lambda s, c1, tau: _records(next(scripted)))
-        return _vote(SketchCache(np.ones(8), np.ones(8), True), ApproxParams(k=1, delta=0.5), 16, [], len(per_rep))
+        return _vote(SketchCache(np.ones(8), np.ones(8), True), ApproxParams(k=1, delta=0.5), 16, len(per_rep))[1]
 
 
 def _pooled_by_dict_of_lists(per_rep):

@@ -1,7 +1,7 @@
 import ast
 import math
 import re
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -81,35 +81,37 @@ def test_schedule_bound():
             assert schedule[-1] >= 1
 
 
-def test_vote_gets_the_params_whole_and_growth_caps_at_the_count_at_half_delta(monkeypatch):
-    # the vote step gets the call's params whole; the cap is the paper's
-    # count at half delta
+def test_vote_gets_the_params_whole_and_growth_doubles_k_up_to_a_lossless_plan(monkeypatch):
+    # the vote step gets the call's params whole, and each raise of k
+    # replaces k alone
     import sparseconv.approx
 
     seen = []
     original = sparseconv.approx._vote
 
-    def fake_vote(cache, params, m, stored, reps):
+    def fake_vote(cache, params, m, reps):
         seen.append((params, m, reps))
-        return original(cache, params, m, stored, reps)
+        return original(cache, params, m, reps)
 
     monkeypatch.setattr(sparseconv.approx, "_vote", fake_vote)
     params = ExactParams(k=2, delta=0.2, c1=0.75, seed=4)
     trace = CorrectionTrace()
-    exact_sparse_convolve(impulse(4, 2), impulse(4, 3), params, trace=trace)
-    plan = approx_plan(params, 4)
-    assert plan.reps == 3 < plan.cap
-    assert seen == [(params, plan.m, 3)]
-    assert trace.bootstrap_reps == [3]
+    exact_sparse_convolve(impulse(256, 2), impulse(256, 3), params, trace=trace)
+    plan = approx_plan(params, 256)
+    assert seen == [(params, plan.m, plan.reps)]
+    assert trace.bootstrap_reps == [plan.reps]
 
-    # a peel that is never clean grows the count to that cap, and warns
+    # a peel that is never clean plans again at 2k, 4k, ... and stops at
+    # the first lossless plan, m >= 2n - 1 = 511, still not clean, and warns
     monkeypatch.setattr(sparseconv.approx, "_peel", lambda stored, state, *rest: (state, False))
     seen.clear()
-    with pytest.warns(RuntimeWarning, match="under-stated"):
-        exact_sparse_convolve(impulse(4, 2), impulse(4, 3), params, trace=trace)
-    # ceil(8 log2(2k / delta)), above the paper's count at delta, ceil(8 log2(k / delta))
-    assert plan.cap == 35 > math.ceil(8 * math.log2(2 / 0.2))
-    assert trace.bootstrap_reps == [3, 6, 12, 24, plan.cap] == [reps for *_, reps in seen]
+    with pytest.warns(RuntimeWarning, match="^k=2 did not peel clean; the call ran to k=8, still not clean") as caught:
+        exact_sparse_convolve(impulse(256, 2), impulse(256, 3), params, trace=trace)
+    assert len(caught) == 1
+    plans = [approx_plan(replace(params, k=k), 256) for k in (2, 4, 8)]
+    assert seen == [(replace(params, k=k), p.m, p.reps) for k, p in zip((2, 4, 8), plans)]
+    assert [p.m >= 511 for p in plans] == [False, False, True]
+    assert trace.bootstrap_reps == [p.reps for p in plans]
 
 
 def test_an_exact_call_checks_its_inputs_once(monkeypatch):
@@ -259,13 +261,14 @@ class TestPeel:
         original = sparseconv.approx._vote
         primes = []
 
-        def damaged_vote(cache, params, m, stored, reps):
-            # the real vote step fills `stored`; only its result is damaged
-            assert original(cache, params, m, stored, reps).support() == set(full)
+        def damaged_vote(cache, params, m, reps):
+            # the real vote step builds the sketches; only its result is damaged
+            stored, vote = original(cache, params, m, reps)
+            assert vote.support() == set(full)
             primes.extend(sk.p for sk in stored)
             boot = {j: v for j, v in full.items() if j != dropped}
             boot[short] -= 1
-            return SparseResult(boot)
+            return stored, SparseResult(boot)
 
         monkeypatch.setattr(sparseconv.approx, "_vote", damaged_vote)
         trace = CorrectionTrace()
@@ -273,7 +276,7 @@ class TestPeel:
         assert max(primes) < 2 * len(inst.a) - 1
         assert out == SparseResult(full)
         # one level repairs both entries, the next is the fixed point,
-        # which peels clean, so the 3-sketch bootstrap is not grown
+        # which peels clean, so k is not raised
         assert len(trace.chosen_primes) == 2 and trace.snapshots[1] == trace.snapshots[2] == out
         assert trace.bootstrap_reps == [3] and len(primes) == 3
         assert set(trace.chosen_primes) <= set(primes)
@@ -315,6 +318,10 @@ class TestResidualNorm:
         for trials in (0, 2.5):
             with pytest.raises(ValueError, match="trials"):
                 residual_norm(inst.a, inst.b, SparseResult(full), 0.5, trials, 7)
+        # numpy's seed would run True as 1 and raise its own errors on the rest
+        for seed, match in ((True, "^seed must be an integer"), (1.5, "^seed must be an integer"), (-1, "^seed must be >= 0")):
+            with pytest.raises(ValueError, match=match):
+                residual_norm(inst.a, inst.b, SparseResult(full), 0.5, 2, seed)
         with pytest.raises(ValueError, match="m must be an integer"):
             residual_norm(inst.a, inst.b, SparseResult(full), 0.5, 2, 7, m=16.5)
         with pytest.raises(ValueError, match="m must be an integer"):

@@ -11,14 +11,17 @@ index outside its own class. Transforms pad to the next
 2^a * 3^b * 5^c length and are charged N * log2(N). No difference of
 two outputs has more prime factors >= m than the isolation bound counts. A
 plan's route is the cheaper of the two by one price, the engines' plan is
-the cheapest grid modulus whose isolation bound its least count meets by
-the cap, that count never grows with delta at one modulus nor the plan's
-price at any, and approx is exact without rounding, bit for bit. A real
-knob's check returns a float inside its interval or raises ValueError
-naming the knob."""
+the cheapest grid modulus whose isolation bound some count meets, at
+its least such count, that count never grows with delta at one modulus
+nor the plan's price at any, and approx is exact without rounding, bit
+for bit. A call with k under-stated plans again at 2k until its peel is
+clean or its plan lossless, and warns once exactly when it raised k or
+ends not clean. A real knob's check returns a float inside its interval
+or raises ValueError naming the knob."""
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,11 +29,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import sparseconv.approx
 from sparseconv.approx import (
-    ApproxParams, _grid, _isolation_reps, _max_factors, approx_plan, approx_sparse_convolve,
+    ApproxParams, CorrectionTrace, _grid, _isolation_reps, _max_factors, approx_plan, approx_sparse_convolve,
 )
 from sparseconv.exact import ExactParams, exact_sparse_convolve
 from sparseconv.fft import cyclic_convolve, fft_convolve, pad_length, transform_work
+from sparseconv.harness import InstanceSpec, generate_instance
 from sparseconv.hashing import fold, fold_sparse, primes_in_range
 from sparseconv.numerics import SparseResult, as_real, naive_convolve, round_to_int
 from sparseconv.sketch import (
@@ -222,17 +227,17 @@ deltas = st.floats(1e-4, 0.99)
 def test_bootstrap_count_is_the_least_meeting_the_isolation_bound(n, k, delta):
     # q bounds one significant index's chance of sharing its bucket under
     # one prime of the plan's [m, 2m]; the count is the least L >= 3 with
-    # k * q^L <= delta/4, unless no grid modulus meets it by the cap
-    # (the paper's count at delta/2): then the plan is the top modulus at the cap
-    m, L, cap, _ = approx_plan(ExactParams(k=k, delta=delta), n)
+    # k * q^L <= delta/4, at a grid modulus or, when none meets it, at the
+    # lossless 2n - 1, where nothing collides
+    m, L, _ = approx_plan(ExactParams(k=k, delta=delta), n)
     r = sum(1 for t in range(1, 64) if m**t <= 2 * n - 2)  # m^r <= the largest difference
     q = (k - 1) * r / len(primes_in_range(m))
 
     def isolates(count):
         return q < 1 and k * q**count <= delta / 4
 
-    assert 3 <= L <= cap == max(math.ceil(8 * math.log2(2 * k / delta)), 3)
-    assert isolates(L) or (L == cap and m == _grid(k, n)[0])
+    assert m in _grid(k, n) or m == 2 * n - 1
+    assert L >= 3 and isolates(L)
     assert L == 3 or not isolates(L - 1)
 
 
@@ -253,13 +258,14 @@ def test_no_output_difference_has_more_prime_factors_than_the_bound_counts(n, k)
 @PROPERTY
 @given(sizes, st.integers(1, 1024), deltas, deltas)
 def test_bootstrap_count_does_not_grow_with_delta(n, k, d1, d2):
-    # at any one modulus; the plan's own count can grow with delta, as a
-    # laxer delta can price a smaller modulus
+    # at any one modulus, where delta decides the count but not whether
+    # there is one; the plan's own count can grow with delta, as a laxer
+    # delta can price a smaller modulus
     lo, hi = sorted((d1, d2))
-    cap = approx_plan(ApproxParams(k=k, delta=lo), n).cap
     for m in _grid(k, n):
-        at_lo = _isolation_reps(k, lo, n, m, cap)
-        assert at_lo is None or _isolation_reps(k, hi, n, m, cap) <= at_lo
+        at_lo, at_hi = _isolation_reps(k, lo, n, m), _isolation_reps(k, hi, n, m)
+        assert (at_lo is None) == (at_hi is None)
+        assert at_lo is None or at_hi <= at_lo
 
 
 @PROPERTY
@@ -276,14 +282,19 @@ def test_the_route_is_the_cheaper_by_the_one_price(n, m, count):
 
 @PROPERTY
 @given(sizes, st.integers(1, 1024), deltas)
-def test_the_plan_is_the_cheapest_grid_modulus_isolating_by_the_cap(n, k, delta):
-    # every other grid modulus that meets the bound by the cap, at its
-    # least count, prices at least as high; ties go to the larger modulus
-    m, reps, cap, dense = approx_plan(ApproxParams(k=k, delta=delta), n)
+def test_the_plan_is_the_cheapest_isolating_grid_modulus(n, k, delta):
+    # every other grid modulus that meets the bound, at its least count,
+    # prices at least as high; ties go to the larger modulus. With none
+    # meeting it, the plan is 3 sketches at the lossless 2n - 1
+    m, reps, dense = approx_plan(ApproxParams(k=k, delta=delta), n)
     price, cheaper_is_dense = route_price(n, m, reps)
     assert dense is cheaper_is_dense
-    for other in _grid(k, n):
-        count = _isolation_reps(k, delta, n, other, cap)
+    counts = {other: _isolation_reps(k, delta, n, other) for other in _grid(k, n)}
+    if set(counts.values()) == {None}:
+        assert (m, reps) == (2 * n - 1, 3)
+    else:
+        assert counts[m] == reps
+    for other, count in counts.items():
         if count is not None:
             other_price = route_price(n, other, count)[0]
             assert price < other_price or (price == other_price and m >= other)
@@ -322,6 +333,48 @@ def test_approx_is_exact_without_rounding(data):
             warnings.simplefilter("always")
             runs.append((engine(a, b, p), [str(w.message) for w in caught]))
     assert runs[0] == runs[1]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.data())
+def test_an_under_stated_k_plans_again_at_2k_until_clean_or_lossless(data):
+    # planted instances at n = 2^6 ... 2^10, k given from 1 up to the true
+    # k, as the true k halved 0 to 6 times
+    n = 2 ** data.draw(st.integers(6, 10), label="log2 n")
+    inst = generate_instance(InstanceSpec(
+        n=n, s_a=data.draw(st.integers(1, 12), label="s_a"), s_b=data.draw(st.integers(1, 12), label="s_b"),
+        seed=data.draw(st.integers(0, 2**16), label="instance seed"),
+    ))
+    oracle = fft_convolve(inst.a, inst.b)
+    truth = {j: oracle[j] for j in np.flatnonzero(oracle >= inst.c1_effective).tolist()}
+    exact = data.draw(st.booleans(), label="exact")
+    params = (ExactParams if exact else ApproxParams)(
+        k=max(len(truth) >> data.draw(st.integers(0, 6), label="halvings"), 1), delta=data.draw(deltas, label="delta"),
+        seed=data.draw(st.integers(0, 2**16), label="seed"),
+    )
+    trace, cleans, peel = CorrectionTrace(), [], sparseconv.approx._peel
+
+    def recorded(*args):
+        state, clean = peel(*args)
+        cleans.append(clean)
+        return state, clean
+
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        mp.setattr(sparseconv.approx, "_peel", recorded)
+        out = (exact_sparse_convolve if exact else approx_sparse_convolve)(inst.a, inst.b, params, trace=trace)
+
+    # attempt i runs the plan at k * 2^i; every attempt but the last peels
+    # dirty at a lossy plan, and the last ends clean or lossless
+    plans = [approx_plan(replace(params, k=params.k * 2**i), n) for i in range(len(cleans))]
+    assert trace.bootstrap_reps == [plan.reps for plan in plans]
+    lossless = [plan.m >= 2 * n - 1 for plan in plans]
+    assert not any(cleans[:-1]) and not any(lossless[:-1]) and (cleans[-1] or lossless[-1])
+    if lossless[-1]:  # its sketches hold the product itself
+        assert out.support() == truth.keys()
+        assert all(v == round_to_int(truth[j]) if exact else abs(v - truth[j]) < 1e-6 for j, v in out.items())
+    assert len(caught) == (len(cleans) > 1 or not cleans[-1])
+    assert all(f"k={params.k} did not peel clean" in str(w.message) for w in caught)
 
 
 # as_real's intervals, each with membership written out for a real x

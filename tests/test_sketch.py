@@ -295,6 +295,23 @@ def test_dense_route_at_benchmark_shapes(n, plan, dense):
     assert route_price(n, *plan)[1] is dense
 
 
+# ROADMAP's crossover sweep at delta = 0.1: (m, count, dense) per n = 2^14 ... 2^22
+SWEEP_PLANS = {
+    16: [(448, 5, False), (960, 3, False), (1024, 3, False), (1088, 3, False), (1152, 3, False),
+         (1216, 3, False), (2560, 3, False), (2688, 3, False), (2816, 3, False)],
+    64: [(21504, 3, True), (23040, 3, True), (1536, 7, False), (1632, 7, False), (1728, 7, False),
+         (3648, 5, False), (1920, 6, False), (4032, 4, False), (8448, 3, False)],
+}
+
+
+@pytest.mark.parametrize(
+    "t, k, plan",
+    [pytest.param(t, k, plan, id=f"n{t}-k{k}") for k, plans in SWEEP_PLANS.items() for t, plan in enumerate(plans, 14)],
+)
+def test_plans_at_the_crossover_sweep(t, k, plan):
+    assert approx_plan(ApproxParams(k=k, delta=0.1), 2**t) == plan
+
+
 def test_the_middle_prime_prices_the_family_within_a_few_percent():
     # route_price prices a sketch at the middle prime 3m/2 of [m, 2m];
     # against the mean over the family's primes, at every grid modulus
@@ -349,7 +366,7 @@ def test_approx_charges_one_dense_product_when_it_is_cheaper():
 
     inst = generate_instance(InstanceSpec(n=2**14, s_a=8, s_b=8, seed=0))
     params = ApproxParams(k=64, delta=0.1, seed=0)
-    assert approx_plan(params, 2**14) == Plan(m=21504, reps=3, cap=83, dense=True)
+    assert approx_plan(params, 2**14) == Plan(m=21504, reps=3, dense=True)
     reset_fft_work()
     approx_sparse_convolve(inst.a, inst.b, params)
     assert fft_work() == 3 * transform_work(2**15) == 1_474_560
@@ -376,7 +393,7 @@ def test_exact_call_does_the_fft_work_of_its_bootstrap_alone(n, k, dense):
     side = math.isqrt(k)  # k = s_a * s_b
     inst = generate_instance(InstanceSpec(n=n, s_a=side, s_b=side, seed=0))
     params = ExactParams(k=k, delta=0.1, seed=0)
-    m, reps, _, route = approx_plan(params, n)
+    m, reps, route = approx_plan(params, n)
     assert route is dense
     if dense:
         expected = 3 * transform_work(pad_length(2 * n - 1))

@@ -1,31 +1,22 @@
 """Recovery when k is under-stated, by both engines' one path.
 
 True k from 64 to 256 at n = 2^14, given k from k/64 to k/4: the
-smallest given counts are the first legal parameters at which the sized
-starting count fails to peel clean, so they exercise its growth to the
-paper's count at delta/2 (the cap) and the warning there.
+smallest given counts are the first legal parameters at which the given
+k's plan fails to peel clean, so they exercise the call's plans at 2k,
+4k, ... and the warning that the call raised k.
 """
 
 import warnings
+from dataclasses import replace
 
 import pytest
 
 import sparseconv.approx
-from sparseconv.approx import (
-    ApproxParams,
-    CorrectionTrace,
-    _level,
-    _level_count,
-    _merged,
-    _vote,
-    approx_plan,
-    approx_sparse_convolve,
-)
+from sparseconv.approx import ApproxParams, CorrectionTrace, approx_plan, approx_sparse_convolve
 from sparseconv.exact import ExactParams, exact_sparse_convolve
 from sparseconv.fft import fft_convolve
 from sparseconv.harness import InstanceSpec, generate_instance
 from sparseconv.numerics import SparseResult, round_to_int
-from sparseconv.sketch import SketchCache, residual, route_price
 
 from oracle import support_ge
 
@@ -36,48 +27,35 @@ DIVISORS = (64, 16, 4)
 ENGINE_SEEDS = (1, 2)
 
 
-def capped_plan(params: ApproxParams, n: int):
-    """The call's plan with its starting count raised to the cap, on the
-    route priced for that count."""
-    plan = approx_plan(params, n)
-    return plan._replace(reps=plan.cap, dense=route_price(n, plan.m, plan.cap)[1])
+def _run(engine, a, b, params):
+    """One traced call: (output, trace, its warnings' messages, each
+    attempt's (C after the peel, whether it peeled clean))."""
+    trace, attempts, peel = CorrectionTrace(), [], sparseconv.approx._peel
 
+    def recorded(*args):
+        attempts.append(peel(*args))
+        return attempts[-1]
 
-def unsized_pipeline(a, b, params: ApproxParams, integer_mode: bool) -> SparseResult:
-    """The path before its starting count was sized: the paper's vote
-    at delta/2 at the plan's modulus, on the route priced for it, then
-    level steps on its stored sketches to a fixed point."""
-    m, _, cap, dense = capped_plan(params, len(a))
-    stored = []
-    vote = _vote(SketchCache(a, b, dense), params, m, stored, cap)
-    state = _merged(SparseResult(), vote.items(), params, integer_mode)
-    for _ in range(_level_count(params)):
-        prev = state
-        state, _ = _level([residual(s, state) for s in stored], state, params, integer_mode)
-        if state == prev:
-            break
-    return state
-
-
-def _run(a, b, params):
-    """One traced call: (output, trace, warning count, the output of the
-    same call without a trace when the bootstrap grew, else None)."""
-    trace = CorrectionTrace()
-    with warnings.catch_warnings(record=True) as caught:
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        out = exact_sparse_convolve(a, b, params, trace=trace)
-        warned = len(caught)
-        untraced = exact_sparse_convolve(a, b, params) if len(trace.bootstrap_reps) > 1 else None
+        mp.setattr(sparseconv.approx, "_peel", recorded)
+        out = engine(a, b, params, trace=trace)
     assert all(w.category is RuntimeWarning for w in caught)
-    return out, trace, warned, untraced
+    return out, trace, [str(w.message) for w in caught], attempts
 
 
-def assert_one_trace_of_the_call(out, trace, untraced):
+def assert_one_trace_of_the_call(engine, a, b, params, out, trace):
     # a snapshot after the last vote and after each level, the last one
     # the result, which the call returns without a trace too
     assert len(trace.snapshots) == len(trace.chosen_primes) + 1
     assert trace.snapshots[-1] == out
-    assert untraced.sorted_items() == out.sorted_items()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert engine(a, b, params).sorted_items() == out.sorted_items()
+
+
+def _right(out, truth):
+    return out.support() == truth.support() and all(abs(v - truth[j]) <= 0.01 for j, v in out.items())
 
 
 def _family():
@@ -94,85 +72,76 @@ def _family():
 
 @pytest.fixture(scope="module")
 def runs():
-    """Per call: (truth, sized run, run with the count patched to the
-    cap, unsized pipeline, the call's plan), each run as _run returns it."""
+    """Per call of each engine: (engine, instance, truth, params, _run's
+    four), approx's call after exact's on the same parameters."""
     out = []
     for inst, truth, k, engine_seed in _family():
-        params = ExactParams(k=k, delta=0.1, seed=engine_seed)
-        sized = _run(inst.a, inst.b, params)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sparseconv.approx, "approx_plan", capped_plan)
-            capped = _run(inst.a, inst.b, params)
-        out.append((truth, sized, capped, unsized_pipeline(inst.a, inst.b, params, True), approx_plan(params, N)))
+        for engine, cls in ((exact_sparse_convolve, ExactParams), (approx_sparse_convolve, ApproxParams)):
+            params = cls(k=k, delta=0.1, seed=engine_seed)
+            out.append((engine, inst, truth, params, *_run(engine, inst.a, inst.b, params)))
     return out
 
 
-def _approx(a, b, params):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        out = approx_sparse_convolve(a, b, params)
-    assert all(w.category is RuntimeWarning and "under-stated" in str(w.message) for w in caught)
-    return out, len(caught)
-
-
-@pytest.fixture(scope="module")
-def approx_runs():
-    """Per approx call on the family: (output, warning count, the trace
-    and warning count of its twin, exact with integer_mode=False, the
-    cap, capped output, paper's vote plus a peel without rounding)."""
-    out = []
-    for inst, _, k, engine_seed in _family():
-        params = ApproxParams(k=k, delta=0.1, seed=engine_seed)
-        twin = _run(inst.a, inst.b, ExactParams(**vars(params), integer_mode=False))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sparseconv.approx, "approx_plan", capped_plan)
-            capped, _ = _approx(inst.a, inst.b, params)
-        reference = unsized_pipeline(inst.a, inst.b, params, False)
-        out.append((*_approx(inst.a, inst.b, params), twin, approx_plan(params, N).cap, capped, reference))
-    return out
-
-
-def test_the_family_grows_the_bootstrap_and_reaches_the_cap(runs):
-    grown = [(sized, plan) for _, sized, _, _, plan in runs if len(sized[1].bootstrap_reps) > 1]
+def test_the_family_raises_k_and_each_attempt_runs_its_plan(runs):
+    grown = [run for run in runs if len(run[5].bootstrap_reps) > 1]
     assert len(grown) >= len(runs) // 10
-    assert any(sized[2] for _, sized, *_ in runs)  # some calls warn at the cap
-    for (out, trace, _, untraced), plan in grown:
-        reps = trace.bootstrap_reps
-        assert reps[0] == plan.reps and all(later == min(2 * earlier, reps[-1]) for earlier, later in zip(reps, reps[1:]))
-        assert_one_trace_of_the_call(out, trace, untraced)
+    for engine, inst, _, params, out, trace, _, attempts in runs:
+        # attempt i runs the plan at k * 2^i; all but the last peel dirty
+        # at a lossy plan, and the last peels clean
+        plans = [approx_plan(replace(params, k=params.k * 2**i), N) for i in range(len(attempts))]
+        assert trace.bootstrap_reps == [plan.reps for plan in plans]
+        assert [clean for _, clean in attempts] == [False] * (len(attempts) - 1) + [True]
+        assert all(plan.m < 2 * N - 1 for plan in plans[:-1])
+        assert attempts[-1][0] == out
+    for engine, inst, _, params, out, trace, *_ in grown:
+        assert_one_trace_of_the_call(engine, inst.a, inst.b, params, out, trace)
 
 
 def test_growth_loses_no_repair_power(runs):
-    # wherever the cap-only count is right, the sized bootstrap is too
-    assert all(sized[0] == truth for truth, sized, capped, *_ in runs if capped[0] == truth)
-    assert sum(capped[0] == truth for truth, _, capped, *_ in runs) >= len(runs) // 2
-
-
-def test_the_count_patched_to_the_cap_is_the_unsized_pipeline(runs):
-    for _, _, (out, trace, _, _), reference, _ in runs:
-        assert out.sorted_items() == reference.sorted_items()
-        assert len(trace.bootstrap_reps) == 1
+    # every call is right: exact to the integer, approx within 0.01
+    for engine, _, truth, _, out, *_ in runs:
+        assert _right(out, truth)
+        assert out == truth or engine is approx_sparse_convolve
 
 
 def test_a_right_call_never_warns(runs):
-    # a correct C peels clean in every stored sketch, so the check is sound
-    for truth, sized, capped, *_ in runs:
-        for out, _, warned, _ in (sized, capped):
-            assert not (out == truth and warned)
+    # a correct C peels clean in every stored sketch, so the check is
+    # sound: an attempt that is right stops the call, and a call right
+    # at its given k neither raises k nor warns
+    for _, _, truth, _, _, _, warned, attempts in runs:
+        for state, clean in attempts:
+            assert clean or not _right(state, truth)
+        first, _ = attempts[0]
+        if _right(first, truth):
+            assert len(attempts) == 1 and not warned
 
 
-def test_warns_once_when_the_capped_bootstrap_does_not_peel_clean():
+def test_a_call_warns_once_exactly_when_it_raised_k(runs):
+    warned_calls = 0
+    for _, _, _, params, _, trace, warned, _ in runs:
+        raised = len(trace.bootstrap_reps) > 1
+        assert len(warned) == raised
+        if raised:
+            final = params.k * 2 ** (len(trace.bootstrap_reps) - 1)
+            assert warned == [f"k={params.k} did not peel clean; the call ran to k={final}: k is probably under-stated"]
+            warned_calls += 1
+    assert warned_calls
+
+
+def test_warns_once_naming_the_given_and_the_final_k():
     inst = generate_instance(InstanceSpec(n=2**17, s_a=16, s_b=16, seed=0))
+    oracle = fft_convolve(inst.a, inst.b)
+    truth = SparseResult({j: float(round_to_int(oracle[j])) for j in support_ge(oracle, inst.c1_effective)})
     params = ExactParams(k=2, delta=0.1, seed=1)
     trace = CorrectionTrace()
-    with pytest.warns(RuntimeWarning, match="under-stated") as caught:
+    with pytest.warns(RuntimeWarning) as caught:
         out = exact_sparse_convolve(inst.a, inst.b, params, trace=trace)
-    assert len(caught) == 1
-    plan = approx_plan(params, 2**17)
-    assert trace.bootstrap_reps == [plan.reps, 6, 12, 24, plan.cap] and plan.reps == 3
-    with pytest.warns(RuntimeWarning, match="under-stated"):
-        untraced = exact_sparse_convolve(inst.a, inst.b, params)
-    assert_one_trace_of_the_call(out, trace, untraced)
+    assert [str(w.message) for w in caught] == [
+        "k=2 did not peel clean; the call ran to k=8: k is probably under-stated"
+    ]
+    assert out == truth and len(truth) == 255
+    assert trace.bootstrap_reps == [approx_plan(replace(params, k=k), 2**17).reps for k in (2, 4, 8)]
+    assert_one_trace_of_the_call(exact_sparse_convolve, inst.a, inst.b, params, out, trace)
 
 
 def test_no_call_on_the_acceptance_grid_grows_or_warns():
@@ -182,19 +151,3 @@ def test_no_call_on_the_acceptance_grid_grows_or_warns():
         trace = CorrectionTrace()
         exact_sparse_convolve(inst.a, inst.b, ExactParams(k=64, delta=0.1, seed=seed), trace=trace)
         assert trace.bootstrap_reps == [3]
-
-
-def test_approx_warns_once_at_the_cap_and_never_below_it(approx_runs):
-    for out, warned, (twin_out, twin_trace, twin_warned, _), cap, _, _ in approx_runs:
-        assert out == twin_out and warned == twin_warned <= 1
-        if warned:
-            assert twin_trace.bootstrap_reps[-1] == cap
-        if twin_trace.bootstrap_reps[-1] < cap:
-            assert not warned
-    assert any(len(twin[1].bootstrap_reps) > 1 for _, _, twin, _, _, _ in approx_runs)
-    assert any(warned for _, warned, _, _, _, _ in approx_runs)
-
-
-def test_capped_approx_is_the_papers_vote_then_a_peel(approx_runs):
-    for *_, capped, reference in approx_runs:
-        assert capped == reference
