@@ -1,15 +1,15 @@
 """Both engines' one recovery path: isolate, vote, peel, and replan at 2k
 while the peel is not clean; exact_sparse_convolve rounds at each merge.
 
-Repetition l draws its prime from a generator seeded by (seed, l),
+Repetition l draws a new prime from a generator seeded by (seed, l),
 sketches the product and keeps the sketch at its heavy buckets
 (V >= c1). The vote sorts the (index, value) records of all stored
 sketches once and keeps each index's lower-median value when it has
-min_votes_frac of the votes, which shrugs off collided buckets. A peel
-then repairs what the vote drops, with no transform and no read of A or
-B: a stored sketch's residual is A*B - C's sketch at its buckets, and as
-C >= 0 every residual bucket >= c1 is a stored one. Each level step
-merges the candidates of the residual exposing the most.
+min_votes_frac of the votes and two at least, which shrugs off collided
+buckets. A peel then repairs what the vote drops, with no transform and
+no read of A or B: a stored sketch's residual is A*B - C's sketch at its
+buckets, and as C >= 0 every residual bucket >= c1 is a stored one. Each
+level step merges the candidates of the residual exposing the most.
 
 The peel needs each significant index isolated in one stored sketch,
 not a majority, so an attempt runs the fewest sketches whose collision
@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import ClassVar, NamedTuple
@@ -56,9 +57,9 @@ class ApproxParams:
     The constants are far leaner than worst-case analysis constants and
     are validated statistically by the test suite: tau is how close a
     bucket ratio must be to an integer to be believed, an index needs
-    min_votes_frac of the votes to be kept, level_base sets how slowly
-    the peel's level count grows with k. The modulus and the count have
-    no constant: approx_plan prices them per call.
+    min_votes_frac of the votes, and two, to be kept, level_base sets
+    how slowly the peel's level count grows with k. The modulus and the
+    count have no constant: approx_plan prices them per call.
     """
 
     tau: ClassVar[float] = 0.25
@@ -80,7 +81,7 @@ class ApproxParams:
 @dataclass
 class CorrectionTrace:
     """What one call ran: its repetition counts, one per attempt, attempt
-    i at k * 2^i (e.g. [3], or [3, 3, 5] after two raises), and for the
+    i at k * 2^i (e.g. [2], or [2, 3, 5] after two raises), and for the
     last attempt C's snapshots after its vote and after each level (up
     to the first that leaves C unchanged; the last is the result) and the
     stored prime each level chose, one fewer."""
@@ -107,7 +108,7 @@ def approx_plan(params: ApproxParams, n: int) -> Plan:
     Each modulus base m of _grid gets its count by _isolation_reps; an m
     no count isolates at is dropped, and the rest are priced by
     route_price, the least price winning and ties going to the larger m.
-    Every lossless m (>= 2n-1) isolates with 3 dense sketches at one
+    Every lossless m (>= 2n-1) isolates with 2 dense sketches at one
     price, so the grid stops at the least of them; a grid with no m left
     gives way to the least, 2n-1. The route is route_price's for
     (m, reps). Memoised on (k, delta, n): the seed changes no plan.
@@ -120,23 +121,23 @@ def approx_plan(params: ApproxParams, n: int) -> Plan:
 def _plan(k: int, delta: float, n: int) -> Plan:
     priced = [(route_price(n, m, reps)[0], m, reps) for m in _grid(k, n) if (reps := _isolation_reps(k, delta, n, m))]
     # min keeps the first of equal prices, and the grid runs downward
-    _, m, reps = min(priced, key=lambda c: c[0], default=(None, 2 * n - 1, 3))
+    _, m, reps = min(priced, key=lambda c: c[0], default=(None, 2 * n - 1, 2))
     return Plan(m, reps, route_price(n, m, reps)[1])
 
 
 def _grid(k: int, n: int) -> list[int]:
-    """Modulus bases 4k*ceil(log2 n)*ceil(log2 k) / 2^j, largest first,
-    down to the floor of 16, from the least base >= 2n-1 on: every such
-    base folds the product by the identity, so larger ones only cost a
-    larger prime sieve."""
-    grid = [max(4 * k * ceil_log2(n) * max(ceil_log2(k), 1), 16)]
+    """Bases floor(top / 2^(j/4)) for j = 0, 1, ..., four per octave from
+    top = 4k*ceil(log2 n)*ceil(log2 k) down to the floor of 16, from the
+    least base >= 2n-1 on: every such base folds the product by the
+    identity, so larger ones only cost a larger prime sieve."""
+    grid = [top := max(4 * k * ceil_log2(n) * max(ceil_log2(k), 1), 16)]
     while grid[-1] > 16:
-        grid.append(max(grid[-1] // 2, 16))
+        grid.append(max(int(top / 2 ** (len(grid) / 4)), 16))
     return grid[max(sum(m >= 2 * n - 1 for m in grid) - 1, 0):]
 
 
 def _isolation_reps(k: int, delta: float, n: int, m: int) -> int | None:
-    """The least L >= 3 with k * q^L <= delta/4 at modulus base m, or
+    """The least L >= 2 with k * q^L <= delta/4 at modulus base m, or
     None when q >= 1.
 
     With pi(m) the number of primes in [m, 2m], outputs x != y collide
@@ -144,14 +145,14 @@ def _isolation_reps(k: int, delta: float, n: int, m: int) -> int | None:
     distinct prime factors >= m would make m^(r+1) <= |d|, so d has at
     most r = _max_factors(n, m) of them. So a pair collides with
     probability <= r / pi(m), a significant index with one of the other
-    k - 1 with <= q = (k - 1) r / pi(m), in all L independent
-    repetitions with <= q^L, and some significant index with <= k q^L.
-    The floor of 3 keeps >= 2 agreeing votes.
+    k - 1 with <= q = (k - 1) r / pi(m), in all L repetitions, each on
+    a new prime, with <= q^L, and some significant index with <= k q^L.
+    The floor of 2 lets _vote keep an index only on 2 agreeing records.
     """
     q = (k - 1) * _max_factors(n, m) / len(primes_in_range(m))
     if q >= 1:  # no count meets it, and q**L may overflow
         return None
-    return next(L for L in itertools.count(3) if k * q**L <= delta / 4)
+    return next(L for L in itertools.count(2) if k * q**L <= delta / 4)
 
 
 def _max_factors(n: int, m: int) -> int:
@@ -173,19 +174,23 @@ def _level_count(params: ApproxParams) -> int:
 
 
 def _vote(cache: SketchCache, params: ApproxParams, m: int, reps: int) -> tuple[list, SparseResult]:
-    """`reps` heavy sketches (Sketch.heavy), repetition l with its prime
-    drawn from (seed, l) in [m, 2m], and their vote: each index's
-    lower-median record, kept with >= min_votes_frac * reps records."""
+    """`reps` heavy sketches (Sketch.heavy) on primes in [m, 2m], distinct
+    while any is new, repetition l's drawn from (seed, l), and their vote:
+    each index's lower-median record, kept at max(2, ceil(min_votes_frac *
+    reps)) records."""
     stored = []
     for l in range(1, reps + 1):
-        p = sample_prime(m, np.random.default_rng([params.seed, l]))
+        rng = np.random.default_rng([params.seed, l])
+        p = sample_prime(m, rng)
+        while p in {sk.p for sk in stored} and len(stored) < len(primes_in_range(m)):
+            p = sample_prime(m, rng)  # a prime drawn twice would count one sketch's votes twice
         stored.append(build_sketch(cache.a, cache.b, p, cache=cache).heavy(params.c1))
 
     votes = np.concatenate([extract_candidates(sk, params.c1, params.tau) for sk in stored])
     votes = votes[np.lexsort((votes["value"], votes["index"]))]
     starts = np.flatnonzero(np.diff(votes["index"], prepend=-1))  # indices are >= 0
     counts = np.diff(starts, append=len(votes))
-    kept = counts >= math.ceil(params.min_votes_frac * reps)
+    kept = counts >= max(2, math.ceil(params.min_votes_frac * reps))
     lower_medians = votes[starts[kept] + (counts[kept] - 1) // 2]
     return stored, SparseResult(lower_medians.tolist())
 
@@ -277,10 +282,9 @@ def approx_sparse_convolve(
         attempt = replace(attempt, k=2 * attempt.k)
 
     if attempt.k > params.k or not clean:
-        warnings.warn(
-            f"k={params.k} did not peel clean; the call ran to k={attempt.k}"
-            f"{'' if clean else ', still not clean'}: k is probably under-stated",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        frame, level = sys._getframe(1), 2
+        while frame.f_globals.get("__package__") == __package__:  # warn at either engine's caller
+            frame, level = frame.f_back, level + 1
+        warnings.warn(f"k={params.k} did not peel clean; the call ran to k={attempt.k}"
+                      f"{'' if clean else ', still not clean'}: k is probably under-stated", RuntimeWarning, level)
     return state

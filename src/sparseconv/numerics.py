@@ -37,7 +37,8 @@ def dense_vector(values) -> np.ndarray:
         raise ValueError(f"expected a 1-D vector, got shape {arr.shape}")
     if arr.size < 1:
         raise ValueError("vector must have length >= 1")
-    if not (arr.min() >= 0 and arr.max() < math.inf):  # two reductions decide; NaN fails both
+    # one uint64 max accepts [+0, largest finite]; min and max decide (and word) only what it rejects
+    if arr.view(np.uint64).max() > np.uint64(0x7FEFFFFFFFFFFFFF) and not (arr.min() >= 0 and arr.max() < math.inf):
         raise ValueError(f"vector entries must be {'non-negative' if np.all(np.isfinite(arr)) else 'finite'}")
     return np.ascontiguousarray(arr)  # after the ndim check: it makes 0-d input 1-D
 

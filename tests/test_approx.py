@@ -14,6 +14,7 @@ from sparseconv.approx import (
     approx_sparse_convolve, ceil_log2,
 )
 from sparseconv.exact import ExactParams, exact_plan, exact_sparse_convolve, residual_norm, run_correction_level
+from sparseconv.fft import fft_convolve
 from sparseconv.harness import InstanceSpec, generate_instance, run_engine
 from sparseconv.hashing import primes_in_range, sample_prime
 from sparseconv.numerics import SparseResult, naive_convolve
@@ -95,15 +96,16 @@ class TestParams:
         # at the grid's top modulus 4 k ceil(log2 n) ceil(log2 k)
         assert approx_plan(ApproxParams(k=64, delta=0.1), 2**14) == Plan(4 * 64 * 14 * 6, 3, True)
         # the benchmark shapes: cyclic sketches at a smaller modulus
-        assert approx_plan(ApproxParams(k=64, delta=0.1), 2**17) == Plan(1632, 7, False)
-        assert approx_plan(ApproxParams(k=16, delta=0.1), 2**20) == Plan(2560, 3, False)
-        # floors engage for tiny k and lax delta: m >= 16 and counts >= 3
-        assert approx_plan(ApproxParams(k=1, delta=0.99), 4) == Plan(16, 3, True)
-        # one dense product beats 3 cyclic sketches at m = 96 by the one price
-        assert approx_plan(ApproxParams(k=4, delta=0.1), 4096) == Plan(384, 3, True)
+        assert approx_plan(ApproxParams(k=64, delta=0.1), 2**17) == Plan(1940, 6, False)
+        assert approx_plan(ApproxParams(k=16, delta=0.1), 2**20) == Plan(3620, 2, False)
+        # floors engage for tiny k and lax delta: m >= 16 and counts >= 2
+        assert approx_plan(ApproxParams(k=1, delta=0.99), 4) == Plan(16, 2, True)
+        # 2 cyclic sketches at m = 228 edge out one dense product for 2 at
+        # m = 384 by the one price (690,200 against 702,680 units)
+        assert approx_plan(ApproxParams(k=4, delta=0.1), 4096) == Plan(228, 2, False)
         # every base >= 2n - 1 = 8191 folds by the identity: the grid stops
         # at the least of them, half the top's 18,432
-        assert approx_plan(ApproxParams(k=64, delta=0.1), 2**12) == Plan(9216, 3, True)
+        assert approx_plan(ApproxParams(k=64, delta=0.1), 2**12) == Plan(9216, 2, True)
         # the top 68,000,000 halved down to the least base >= 2047
         assert max(_grid(10**5, 2**10)) == 2075
 
@@ -111,9 +113,9 @@ class TestParams:
         # 2n - 2 = 48^3, where the float floor of log(48^3) / log(48) is 2
         assert 2 * 55_297 - 2 == 48**3 and int(math.log(48**3) / math.log(48)) == 2
         assert _max_factors(55_297, 48) == 3 and _max_factors(55_296, 48) == 2
-        # n = 1 has one output and no difference: nothing collides, so the floor of 3 holds
+        # n = 1 has one output and no difference: nothing collides, so the floor of 2 holds
         assert _max_factors(1, 48) == 0
-        assert _isolation_reps(64, 0.1, 1, 48) == 3
+        assert _isolation_reps(64, 0.1, 1, 48) == 2
 
 
 def test_zero_vectors_give_empty_result():
@@ -373,7 +375,7 @@ def _pooled_by_dict_of_lists(per_rep):
     for pairs in per_rep:
         for i, v in pairs:
             pool.setdefault(i, []).append(v)
-    floor = math.ceil(ApproxParams.min_votes_frac * len(per_rep))
+    floor = max(2, math.ceil(ApproxParams.min_votes_frac * len(per_rep)))
     return {i: sorted(v)[(len(v) - 1) // 2] for i, v in pool.items() if len(v) >= floor}
 
 
@@ -388,9 +390,11 @@ def _pooled_by_dict_of_lists(per_rep):
         # a second vote from the same repetition counts as any other
         ([[(3, 1.0), (3, 5.0)], [], [], []], {3: 1.0}),
         ([[], [], []], {}),
+        # L = 2 keeps an index only when both votes name it
+        ([[(5, 2.0), (6, 1.0)], [(5, 3.0)]], {5: 2.0}),
     ],
     ids=["odd-count-takes-the-middle", "even-count-takes-the-lower-middle", "vote-floor",
-         "equal-values", "repeat-within-a-repetition", "no-candidate"],
+         "equal-values", "repeat-within-a-repetition", "no-candidate", "two-votes-agree"],
 )
 def test_vote_pool_matches_the_dict_of_lists_rule(per_rep, expected):
     assert _pooled_by_dict_of_lists(per_rep) == expected
@@ -400,10 +404,36 @@ def test_vote_pool_matches_the_dict_of_lists_rule(per_rep, expected):
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(st.data())
 def test_vote_pool_matches_the_dict_of_lists_rule_on_random_votes(data):
-    L = data.draw(st.integers(3, 9), label="L")
+    # at L = 2 both votes must agree on an index, as at L = 3 and 4
+    L = data.draw(st.integers(2, 9), label="L")
     pair = st.tuples(st.integers(0, 14), st.sampled_from([0.5, 1.0, 2.0, 2.5]) | st.floats(0.5, 100))
     per_rep = data.draw(st.lists(st.lists(pair, max_size=6), min_size=L, max_size=L), label="votes")
     assert _pooled(per_rep) == _pooled_by_dict_of_lists(per_rep)
+
+
+@pytest.mark.parametrize("reps", [5, 7])
+def test_each_repetition_draws_a_prime_no_earlier_one_drew(reps):
+    # [16, 32] holds 5 primes: 5 repetitions take each once, and past
+    # them the draws may repeat rather than never end
+    stored, _ = _vote(SketchCache(np.ones(8), np.ones(8), True), ApproxParams(k=1, delta=0.5, seed=3), 16, reps)
+    primes = [sk.p for sk in stored]
+    assert len(primes) == reps and set(primes) == {17, 19, 23, 29, 31}
+    assert len(set(primes[:5])) == 5
+
+
+def test_two_sketches_on_one_prime_are_not_two_votes():
+    # engine seed 218 draws 5653 for both repetitions of the c3620/2 plan;
+    # under 5653, indices 600065 and 645289 (values in ratio 1:7) share a
+    # bucket whose ratio is 639636, an index of the same class, so two
+    # copies of one sketch voted for it and peeled clean
+    inst = generate_instance(InstanceSpec(n=2**20, s_a=4, s_b=4, seed=2))
+    params = ApproxParams(k=16, delta=0.1, seed=218)
+    assert [sample_prime(3620, np.random.default_rng([218, l])) for l in (1, 2)] == [5653, 5653]
+    oracle = fft_convolve(inst.a, inst.b)
+    truth = support_ge(oracle, 0.5)
+    out = approx_sparse_convolve(inst.a, inst.b, params)
+    assert {600065, 645289} <= out.support() == truth
+    assert all(abs(v - oracle[j]) <= 0.01 for j, v in out.items())
 
 
 def test_vote_pool_is_robust_to_minority_corruption():

@@ -278,7 +278,7 @@ class TestPeel:
         # one level repairs both entries, the next is the fixed point,
         # which peels clean, so k is not raised
         assert len(trace.chosen_primes) == 2 and trace.snapshots[1] == trace.snapshots[2] == out
-        assert trace.bootstrap_reps == [3] and len(primes) == 3
+        assert trace.bootstrap_reps == [2] and len(primes) == 2
         assert set(trace.chosen_primes) <= set(primes)
         assert_one_trace_of_the_call(inst, self.params, out, trace)
 
@@ -290,7 +290,7 @@ class TestPeel:
         reset_fft_work()
         exact_sparse_convolve(inst.a, inst.b, self.params)
         assert built == []
-        # the 3-sketch bootstrap takes the dense route here: its one
+        # the 2-sketch bootstrap takes the dense route here: its one
         # product is the call's only FFT work
         assert fft_work() == 3 * transform_work(pad_length(2 * len(inst.a) - 1))
 

@@ -11,13 +11,14 @@ index outside its own class. Transforms pad to the next
 2^a * 3^b * 5^c length and are charged N * log2(N). No difference of
 two outputs has more prime factors >= m than the isolation bound counts. A
 plan's route is the cheaper of the two by one price, the engines' plan is
-the cheapest grid modulus whose isolation bound some count meets, at
-its least such count, that count never grows with delta at one modulus
-nor the plan's price at any, and approx is exact without rounding, bit
-for bit. A call with k under-stated plans again at 2k until its peel is
-clean or its plan lossless, and warns once exactly when it raised k or
-ends not clean. A real knob's check returns a float inside its interval
-or raises ValueError naming the knob."""
+the cheapest of four modulus bases per octave whose isolation bound some
+count meets, at its least such count, that count never grows with delta
+at one modulus nor the plan's price at any, and approx is exact without
+rounding, bit for bit. A call with k under-stated plans again at 2k
+until its peel is clean or its plan lossless, and warns once exactly
+when it raised k or ends not clean. A real knob's check returns a float
+inside its interval or raises ValueError naming the knob, and the input
+check's one uint64 reduction accepts and rejects as min and max do."""
 
 import math
 import warnings
@@ -37,7 +38,7 @@ from sparseconv.exact import ExactParams, exact_sparse_convolve
 from sparseconv.fft import cyclic_convolve, fft_convolve, pad_length, transform_work
 from sparseconv.harness import InstanceSpec, generate_instance
 from sparseconv.hashing import fold, fold_sparse, primes_in_range
-from sparseconv.numerics import SparseResult, as_real, naive_convolve, round_to_int
+from sparseconv.numerics import SparseResult, as_real, dense_vector, naive_convolve, round_to_int
 from sparseconv.sketch import (
     FOLD_WORK, SKETCH_WORK, TRANSFORM_WORK, Sketch, SketchCache, build_residual_sketch, build_sketch,
     extract_candidates, residual, route_price,
@@ -226,7 +227,7 @@ deltas = st.floats(1e-4, 0.99)
 @given(sizes, st.integers(1, 1024), deltas)
 def test_bootstrap_count_is_the_least_meeting_the_isolation_bound(n, k, delta):
     # q bounds one significant index's chance of sharing its bucket under
-    # one prime of the plan's [m, 2m]; the count is the least L >= 3 with
+    # one prime of the plan's [m, 2m]; the count is the least L >= 2 with
     # k * q^L <= delta/4, at a grid modulus or, when none meets it, at the
     # lossless 2n - 1, where nothing collides
     m, L, _ = approx_plan(ExactParams(k=k, delta=delta), n)
@@ -237,8 +238,8 @@ def test_bootstrap_count_is_the_least_meeting_the_isolation_bound(n, k, delta):
         return q < 1 and k * q**count <= delta / 4
 
     assert m in _grid(k, n) or m == 2 * n - 1
-    assert L >= 3 and isolates(L)
-    assert L == 3 or not isolates(L - 1)
+    assert L >= 2 and isolates(L)
+    assert L == 2 or not isolates(L - 1)
 
 
 @PROPERTY
@@ -285,19 +286,41 @@ def test_the_route_is_the_cheaper_by_the_one_price(n, m, count):
 def test_the_plan_is_the_cheapest_isolating_grid_modulus(n, k, delta):
     # every other grid modulus that meets the bound, at its least count,
     # prices at least as high; ties go to the larger modulus. With none
-    # meeting it, the plan is 3 sketches at the lossless 2n - 1
+    # meeting it, the plan is 2 sketches at the lossless 2n - 1
     m, reps, dense = approx_plan(ApproxParams(k=k, delta=delta), n)
     price, cheaper_is_dense = route_price(n, m, reps)
     assert dense is cheaper_is_dense
     counts = {other: _isolation_reps(k, delta, n, other) for other in _grid(k, n)}
     if set(counts.values()) == {None}:
-        assert (m, reps) == (2 * n - 1, 3)
+        assert (m, reps) == (2 * n - 1, 2)
     else:
         assert counts[m] == reps
     for other, count in counts.items():
         if count is not None:
             other_price = route_price(n, other, count)[0]
             assert price < other_price or (price == other_price and m >= other)
+
+
+@PROPERTY
+@given(sizes, st.integers(1, 1024), deltas)
+def test_the_plan_is_the_cheapest_of_four_bases_per_octave(n, k, delta):
+    # the bases are top / 2^(j/4), floored, from the top 4k ceil(log2 n)
+    # ceil(log2 k) down to 16, cut at the least lossless one (>= 2n - 1);
+    # the plan prices least among those some count isolates at, ties to
+    # the larger, else it is 2 sketches at the lossless 2n - 1
+    top = max(4 * k * (n - 1).bit_length() * max((k - 1).bit_length(), 1), 16)
+    bases = [max(math.floor(top / 2 ** (j / 4)), 16) for j in range(4 * top.bit_length() + 1)]
+    bases = bases[: bases.index(16) + 1]
+    lossless = [m for m in bases if m >= 2 * n - 1]
+    bases = [m for m in bases if m <= min(lossless, default=top)]
+    assert _grid(k, n) == bases
+    priced = {m: route_price(n, m, L)[0] for m in bases if (L := _isolation_reps(k, delta, n, m)) is not None}
+    plan = approx_plan(ApproxParams(k=k, delta=delta), n)
+    if priced:
+        least = min(priced.values())
+        assert plan.m == max(m for m, price in priced.items() if price == least)
+    else:
+        assert (plan.m, plan.reps) == (2 * n - 1, 2)
 
 
 @PROPERTY
@@ -405,4 +428,45 @@ def test_as_real_returns_a_float_inside_its_interval_or_a_value_error_naming_it(
         assert str(exc).startswith(f"knob must lie in {interval}, not ")
         assert not (real and INTERVALS[interval](value))
     else:
-        assert type(x) is float and x == value and real and INTERVALS[interval](x)
+        # an int above 2^53 may have no float of its own: it rounds to the nearest
+        assert type(x) is float and x == float(value) and real and INTERVALS[interval](x)
+
+
+def _checked_by_two_reductions(arr):
+    """None when min and max accept arr as float64, else dense_vector's message."""
+    arr = np.asarray(arr, dtype=np.float64)
+    if arr.min() >= 0 and arr.max() < math.inf:
+        return None
+    return f"vector entries must be {'non-negative' if np.all(np.isfinite(arr)) else 'finite'}"
+
+
+# +-0.0, the least subnormal, the least normal, the largest finite, +-inf,
+# and a quiet NaN of each sign and a signalling one, by their bits
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.finfo(np.float64).max, -np.finfo(np.float64).max,
+    math.inf, -math.inf, *np.array([0x7FF8 << 48, 0xFFF8 << 48, 0x7FF0_0000_0000_0001], dtype=np.uint64).view(np.float64),
+]
+
+
+@PROPERTY
+@given(st.data())
+def test_the_one_pass_check_decides_as_min_and_max_do(data):
+    # dense_vector accepts what uint64 max accepts and runs min and max
+    # only on the rest: accept, reject and message as the two reductions
+    # alone decide, and contiguous float64 input comes back as itself
+    dtype = data.draw(st.sampled_from(["<f8", ">f8", "<f4", "<f2", "<i8", "<u1"]), label="dtype")
+    elements = st.sampled_from(EDGE_FLOATS) | st.floats() if dtype == "<f8" else None
+    base = data.draw(arrays(dtype, st.integers(1, 24), elements=elements), label="base")
+    start = data.draw(st.integers(0, len(base) - 1), label="start")
+    step = data.draw(st.sampled_from([1, 1, 2, 3, -1]), label="step")
+    values = base[start::step]
+    expected = _checked_by_two_reductions(values)
+    if expected is None:
+        out = dense_vector(values)
+        assert out.dtype == np.float64 and out.flags.c_contiguous
+        np.testing.assert_array_equal(out, values.astype(np.float64))
+        assert (out is values) == (values.dtype == np.float64 and values.flags.c_contiguous)
+    else:
+        with pytest.raises(ValueError) as caught:
+            dense_vector(values)
+        assert str(caught.value) == expected

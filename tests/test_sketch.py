@@ -276,13 +276,15 @@ def _plan_id(value):
         (2**17, (26112, 75), True),
         (2**17, (26112, 3), True),
         (2**17, (3264, 8), False),  # n17-k64 with r = ceil(log(2n)/log m), one factor too many
-        (2**17, (1632, 7), False),  # n17-k64's plan
+        (2**17, (1632, 7), False),  # n17-k64 at another grid base
+        (2**17, (1940, 6), False),  # n17-k64's plan
         (2**19, (4864, 59), True),  # n = 2^19, k = 16 at its top modulus: a near tie in pinned runs
         # n20-k16 at its top modulus, at 59 sketches, 3 and its cap
         (2**20, (5120, 59), False),
         (2**20, (5120, 3), False),
         (2**20, (5120, 67), False),
-        (2**20, (2560, 3), False),  # n20-k16's plan
+        (2**20, (2560, 3), False),  # n20-k16 at another grid base
+        (2**20, (3620, 2), False),  # n20-k16's plan
         (2**20, (40960, 32), True),  # n20-k16 fresh-prime levels (run_correction_level)
         # n=2^16, k=4 exact's bootstrap at its cap: 51 heavy sketches took
         # 12.7 ms dense against 18.3-19.6 ms cyclic (medians of 60, 2-core VM)
@@ -297,10 +299,10 @@ def test_dense_route_at_benchmark_shapes(n, plan, dense):
 
 # ROADMAP's crossover sweep at delta = 0.1: (m, count, dense) per n = 2^14 ... 2^22
 SWEEP_PLANS = {
-    16: [(448, 5, False), (960, 3, False), (1024, 3, False), (1088, 3, False), (1152, 3, False),
-         (1216, 3, False), (2560, 3, False), (2688, 3, False), (2816, 3, False)],
-    64: [(21504, 3, True), (23040, 3, True), (1536, 7, False), (1632, 7, False), (1728, 7, False),
-         (3648, 5, False), (1920, 6, False), (4032, 4, False), (8448, 3, False)],
+    16: [(1065, 3, False), (960, 3, False), (1024, 3, False), (1088, 3, False), (968, 3, False),
+         (1216, 3, False), (3620, 2, False), (3196, 2, False), (3348, 2, False)],
+    64: [(21504, 3, True), (23040, 3, True), (2583, 5, False), (1940, 6, False), (2054, 6, False),
+         (2579, 5, False), (2715, 5, False), (4032, 4, False), (8448, 3, False)],
 }
 
 
@@ -378,7 +380,7 @@ def test_approx_charges_one_dense_product_when_it_is_cheaper():
         pytest.param(2**13, 16, True, id="8192-16"),
         pytest.param(2**14, 4, False, id="16384-4"),
         pytest.param(2**15, 4, False, id="32768-4"),
-        pytest.param(2**11, 1, True, id="2048-1"),  # 3 sketches at m = 44 priced above one dense product
+        pytest.param(2**11, 1, True, id="2048-1"),  # 2 sketches at m = 44 priced above one dense product
         pytest.param(2**16, 4, False, id="65536-4"),
     ],
 )

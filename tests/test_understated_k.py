@@ -6,6 +6,7 @@ k's plan fails to peel clean, so they exercise the call's plans at 2k,
 4k, ... and the warning that the call raised k.
 """
 
+import inspect
 import warnings
 from dataclasses import replace
 
@@ -137,11 +138,22 @@ def test_warns_once_naming_the_given_and_the_final_k():
     with pytest.warns(RuntimeWarning) as caught:
         out = exact_sparse_convolve(inst.a, inst.b, params, trace=trace)
     assert [str(w.message) for w in caught] == [
-        "k=2 did not peel clean; the call ran to k=8: k is probably under-stated"
+        "k=2 did not peel clean; the call ran to k=16: k is probably under-stated"
     ]
     assert out == truth and len(truth) == 255
-    assert trace.bootstrap_reps == [approx_plan(replace(params, k=k), 2**17).reps for k in (2, 4, 8)]
+    assert trace.bootstrap_reps == [approx_plan(replace(params, k=k), 2**17).reps for k in (2, 4, 8, 16)]
     assert_one_trace_of_the_call(exact_sparse_convolve, inst.a, inst.b, params, out, trace)
+
+
+@pytest.mark.parametrize("engine, params_type", [(approx_sparse_convolve, ApproxParams), (exact_sparse_convolve, ExactParams)],
+                         ids=["approx", "exact"])
+def test_the_warning_names_the_callers_line(engine, params_type):
+    # exact runs approx's path, yet its warning points here, not into sparseconv
+    inst = generate_instance(InstanceSpec(n=N, s_a=8, s_b=8, seed=0))
+    with pytest.warns(RuntimeWarning) as caught:
+        line = inspect.currentframe().f_lineno + 1
+        engine(inst.a, inst.b, params_type(k=1, delta=0.1))
+    assert [(w.filename, w.lineno) for w in caught] == [(__file__, line)]
 
 
 def test_no_call_on_the_acceptance_grid_grows_or_warns():
