@@ -1,9 +1,10 @@
-"""Iterative correction to exact values: the approximate engine's path
-with rounding, a vote over a few stored heavy sketches and then a peel
-of the residual off them, level by level. Each attempt's sketches
-isolate every significant index with probability >= 1 - delta/4 at its
-k, and a peel that is not clean plans again at 2k. Includes a planted
-defect repaired by a single fresh-prime correction level.
+"""Iterative correction to exact values: exact is the approximate
+engine's result rounded once, after a vote over a few stored heavy
+sketches and a peel of the residual off them, level by level; the
+trace's snapshots are unrounded. Each attempt's sketches isolate every
+significant index with probability >= 1 - delta/4 at its k, and a peel
+that is not clean plans again at 2k. Includes a planted defect repaired
+by a single fresh-prime correction level.
 
 Run: python demos/05_exact_recovery.py
 """

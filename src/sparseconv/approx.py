@@ -1,5 +1,5 @@
 """Both engines' one recovery path: isolate, vote, peel, and replan at 2k
-while the peel is not clean; exact_sparse_convolve rounds at each merge.
+while the peel is not clean; exact_sparse_convolve rounds its result once.
 
 Repetition l draws a new prime from a generator seeded by (seed, l),
 sketches the product and keeps the sketch at its heavy buckets
@@ -36,7 +36,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .hashing import primes_in_range, sample_prime
-from .numerics import SparseResult, as_int, as_real, dense_pair, round_to_int
+from .numerics import SparseResult, as_int, as_real, dense_pair
 from .sketch import SketchCache, build_sketch, extract_candidates, residual, route_price
 
 __all__ = ["ApproxParams", "Plan", "approx_sparse_convolve", "approx_plan", "ceil_log2", "CorrectionTrace"]
@@ -195,26 +195,20 @@ def _vote(cache: SketchCache, params: ApproxParams, m: int, reps: int) -> tuple[
     return stored, SparseResult(lower_medians.tolist())
 
 
-def _merged(current: SparseResult, pairs, params: ApproxParams, integer_mode: bool) -> SparseResult:
-    """`current` plus the (index, value) pairs, each rounded in
-    integer_mode; FFT round-off can leave -0.0003-style ghosts, so a
-    value at or below tau is noise-band and dropped unless it is >= c1."""
-    out = dict(current)
-    for i, v in pairs:
-        out[i] = out.get(i, 0.0) + (float(round_to_int(v)) if integer_mode else v)
-    return SparseResult({i: v for i, v in out.items() if abs(v) > params.tau or abs(v) >= params.c1})
-
-
-def _level(sketches, current: SparseResult, params: ApproxParams, integer_mode: bool):
+def _level(sketches, current: SparseResult, params: ApproxParams):
     """One level step: keep the residual sketch exposing the most buckets
     >= c1 (ties to the earliest) and merge its candidates into `current`;
-    returns the new result and the chosen sketch's prime."""
+    returns the new result and the chosen sketch's prime. FFT round-off
+    can leave -0.0003-style ghosts, so a value at or below tau is
+    noise-band and dropped unless it is >= c1."""
     chosen = max(sketches, key=lambda sk: np.count_nonzero(sk.v >= params.c1))
-    candidates = extract_candidates(chosen, params.c1, params.tau)
-    return _merged(current, candidates.tolist(), params, integer_mode), chosen.p
+    out = dict(current)
+    for i, v in extract_candidates(chosen, params.c1, params.tau).tolist():
+        out[i] = out.get(i, 0.0) + v
+    return SparseResult({i: v for i, v in out.items() if abs(v) > params.tau or abs(v) >= params.c1}), chosen.p
 
 
-def _peel(stored, state: SparseResult, params: ApproxParams, integer_mode: bool, trace: CorrectionTrace):
+def _peel(stored, state: SparseResult, params: ApproxParams, trace: CorrectionTrace):
     """Run up to _level_count(params) level steps from `state` on the
     residuals of the stored heavy sketches, recording each in `trace`;
     returns C and whether every stored sketch peels it clean: C's indices
@@ -223,7 +217,7 @@ def _peel(stored, state: SparseResult, params: ApproxParams, integer_mode: bool,
     for _ in range(_level_count(params)):
         prev = state
         peeled = [residual(s, state) for s in stored]
-        state, p = _level(peeled, state, params, integer_mode)
+        state, p = _level(peeled, state, params)
         trace.chosen_primes.append(p)
         trace.snapshots.append(SparseResult(state))
         if state == prev:
@@ -237,8 +231,7 @@ def _peel(stored, state: SparseResult, params: ApproxParams, integer_mode: bool,
 
 
 def approx_sparse_convolve(
-    a: np.ndarray, b: np.ndarray, params: ApproxParams,
-    *, integer_mode: bool = False, trace: CorrectionTrace | None = None,
+    a: np.ndarray, b: np.ndarray, params: ApproxParams, *, trace: CorrectionTrace | None = None,
 ) -> SparseResult:
     """Recover the significant entries of A*B with small point-wise error.
 
@@ -255,11 +248,10 @@ def approx_sparse_convolve(
     sketches are the product itself). A call whose first peel is not
     clean raises one RuntimeWarning naming the given and the final k.
 
-    integer_mode rounds each merge to an integer: exact_sparse_convolve
-    is this call with ExactParams.integer_mode, so without it this is
-    exact's result with integer_mode=False, bit for bit. Only the
-    ApproxParams fields of params are read. A given CorrectionTrace is
-    filled with what the call ran.
+    Nothing is rounded: exact_sparse_convolve is this call's result
+    rounded once with ExactParams.integer_mode, and this call bit for bit
+    without it. Only the ApproxParams fields of params are read. A given
+    CorrectionTrace is filled with what the call ran.
 
     Deterministic given (a, b, params). approx_plan fixes each attempt's
     modulus, count and route (its one SketchCache's). Raises ValueError
@@ -271,12 +263,11 @@ def approx_sparse_convolve(
     attempt = params
     while True:
         m, reps, dense = approx_plan(attempt, len(a))
-        stored, vote = _vote(SketchCache(a, b, dense), attempt, m, reps)
-        state = _merged(SparseResult(), vote.items(), attempt, integer_mode)
+        stored, state = _vote(SketchCache(a, b, dense), attempt, m, reps)
         trace.bootstrap_reps.append(reps)
         trace.snapshots = [SparseResult(state)]
         trace.chosen_primes = []
-        state, clean = _peel(stored, state, attempt, integer_mode, trace)
+        state, clean = _peel(stored, state, attempt, trace)
         if clean or m >= 2 * len(a) - 1:
             break
         attempt = replace(attempt, k=2 * attempt.k)

@@ -1,5 +1,5 @@
 """Exact sparse convolution: the approximate engine's isolate-vote-peel
-path (sparseconv.approx) with every merge rounded to an integer.
+result (sparseconv.approx) rounded once to integers, in integer_mode.
 
 The peel's levels fold nothing and transform nothing: each peels C off
 the stored heavy sketches, so each attempt's SketchCache and route are
@@ -21,7 +21,7 @@ import numpy as np
 
 from .approx import ApproxParams, CorrectionTrace, _level, _level_count, approx_sparse_convolve, ceil_log2
 from .hashing import sample_prime
-from .numerics import SparseResult, as_int, as_real, dense_pair
+from .numerics import SparseResult, as_int, as_real, dense_pair, round_to_int
 # extract_candidates runs only in sparseconv.approx; perfbench's layer trace also
 # looks it up here, and reads every extraction metric as absent without it
 from .sketch import SketchCache, build_residual_sketch, extract_candidates, route_price  # noqa: F401
@@ -40,10 +40,11 @@ __all__ = [
 class ExactParams(ApproxParams):
     """Approximate-engine knobs plus integer rounding.
 
-    integer_mode rounds every recovered value to the nearest integer;
-    the exact-recovery guarantee needs significant product entries to be
-    integers. Run with integer_mode=False on non-integer instances to
-    get a 0.01 value tolerance instead of exact equality.
+    integer_mode rounds the recovered values once, after the last level,
+    to the nearest integer; the exact-recovery guarantee needs
+    significant product entries to be integers. Run with
+    integer_mode=False on non-integer instances to get a 0.01 value
+    tolerance instead of exact equality.
 
     The constants fix the fresh-prime correction levels: m_mult_exact
     scales their modulus, R_mult and the inherited level_base their
@@ -91,6 +92,11 @@ def _residual_sketches(a, b, current, m, reps, key):
         yield build_residual_sketch(a, b, current, p, cache=cache)
 
 
+def _rounded(c: SparseResult) -> SparseResult:
+    """C with each value rounded to the nearest integer and the zeros dropped."""
+    return SparseResult({i: float(r) for i, v in c.items() if (r := round_to_int(v))})
+
+
 def run_correction_level(
     a: np.ndarray,
     b: np.ndarray,
@@ -105,14 +111,16 @@ def run_correction_level(
     _level over `reps` residual sketches with primes drawn from streams
     seeded by (seed, level, r), so ties go to the smallest r. At a
     lossless modulus all sketches are equal, so only r = 1 is built.
-    Returns the updated result and the chosen prime. Raises ValueError
-    as approx_sparse_convolve does on a and b, and unless level >= 0,
-    reps >= 1 and m >= 2 are integers.
+    Returns the merged result, rounded once in integer_mode as exact's
+    is, and the chosen prime. Raises ValueError as approx_sparse_convolve
+    does on a and b, and unless level >= 0, reps >= 1 and m >= 2 are
+    integers.
     """
     level, reps, m = as_int(level, "level", 0), as_int(reps, "reps", 1), as_int(m, "m", 2)
     a, b = dense_pair(a, b)
     sketches = _residual_sketches(a, b, current, m, reps, (params.seed, level))
-    return _level(sketches, current, params, params.integer_mode)
+    merged, p = _level(sketches, current, params)
+    return _rounded(merged) if params.integer_mode else merged, p
 
 
 def exact_sparse_convolve(
@@ -124,16 +132,18 @@ def exact_sparse_convolve(
     """Recover the significant entries of A*B exactly (integer_mode) or
     within 0.01 (otherwise), with probability >= 1 - delta.
 
-    approx_sparse_convolve with params.integer_mode: the one path
-    (sparseconv.approx), rounding at each merge in integer_mode. Each
-    attempt isolates with probability >= 1 - delta/4 at its k; a peel
-    that is not clean plans again at 2k, and a call that raised k warns.
-    A given CorrectionTrace is filled with what the call ran.
+    approx_sparse_convolve's result, rounded once in integer_mode: the
+    one path (sparseconv.approx). Each attempt isolates with probability
+    >= 1 - delta/4 at its k; a peel that is not clean plans again at 2k,
+    and a call that raised k warns. A given CorrectionTrace is filled
+    with what approx ran: its snapshots are unrounded, and the result is
+    the last one rounded in integer_mode.
 
     Raises ValueError unless a and b are equal-length, finite,
     non-negative 1-D vectors.
     """
-    return approx_sparse_convolve(a, b, params, integer_mode=params.integer_mode, trace=trace)
+    result = approx_sparse_convolve(a, b, params, trace=trace)
+    return _rounded(result) if params.integer_mode else result
 
 
 def residual_norm(

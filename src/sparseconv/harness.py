@@ -492,7 +492,7 @@ def _grid_cell(instance: _GridInstance, engines: list[str], seed: int):
         engine_params = replace(params, seed=_derive_seed(seed, instance.id, engine))
         try:
             run = run_engine(engine, inst.a, inst.b, engine_params)
-            scores = evaluate_run(run.result, truth, spec.integer_values and engine == "exact")
+            scores = evaluate_run(run.result, truth, engine_params.integer_mode and engine == "exact")
             wall_ms, work, error = run.wall_ms, run.fft_work_units, ""
         except Exception as exc:
             wall_ms, scores, work = -1.0, (float("nan"), float("nan"), float("nan"), 0), None

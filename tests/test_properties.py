@@ -14,7 +14,8 @@ plan's route is the cheaper of the two by one price, the engines' plan is
 the cheapest of four modulus bases per octave whose isolation bound some
 count meets, at its least such count, that count never grows with delta
 at one modulus nor the plan's price at any, and approx is exact without
-rounding, bit for bit. A call with k under-stated plans again at 2k
+rounding, bit for bit, and with it approx's result rounded once, with
+the same warnings and trace. A call with k under-stated plans again at 2k
 until its peel is clean or its plan lossless, and warns once exactly
 when it raised k or ends not clean. A real knob's check returns a float
 inside its interval or raises ValueError naming the knob, and the input
@@ -43,6 +44,8 @@ from sparseconv.sketch import (
     FOLD_WORK, SKETCH_WORK, TRANSFORM_WORK, Sketch, SketchCache, build_residual_sketch, build_sketch,
     extract_candidates, residual, route_price,
 )
+
+from oracle import rounded
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
 
@@ -334,10 +337,13 @@ def test_the_plans_price_does_not_grow_with_delta(n, k, d1, d2):
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(st.data())
 def test_approx_is_exact_without_rounding(data):
-    # one path: same output, same warning, for any k, delta and seed, k
-    # under-stated included
+    # one path: same output, same warning, same trace, for any k, delta
+    # and seed, k under-stated included; exact's integer_mode rounds the
+    # output once and changes nothing else, on integer and float inputs
     n = data.draw(st.integers(4, 512), label="n")
-    support = st.dictionaries(st.integers(0, n - 1), st.floats(0.5, 20), max_size=6)
+    integer_values = data.draw(st.booleans(), label="integer values")
+    values = st.integers(1, 20).map(float) if integer_values else st.floats(0.5, 20)
+    support = st.dictionaries(st.integers(0, n - 1), values, max_size=6)
     a, b = np.zeros(n), np.zeros(n)
     for v, label in ((a, "a"), (b, "b")):
         entries = data.draw(support, label=label)
@@ -351,11 +357,16 @@ def test_approx_is_exact_without_rounding(data):
     for engine, p in (
         (approx_sparse_convolve, ApproxParams(**params)),
         (exact_sparse_convolve, ExactParams(**params, integer_mode=False)),
+        (exact_sparse_convolve, ExactParams(**params, integer_mode=True)),
     ):
+        trace = CorrectionTrace()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            runs.append((engine(a, b, p), [str(w.message) for w in caught]))
-    assert runs[0] == runs[1]
+            out = engine(a, b, p, trace=trace)
+        runs.append((out, [str(w.message) for w in caught], trace))
+    approx, unrounded, exact = runs
+    assert unrounded == approx
+    assert exact[0] == rounded(approx[0]) and exact[1:] == approx[1:]
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
