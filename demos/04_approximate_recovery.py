@@ -3,10 +3,11 @@ sketches, a median vote over them and a peel of their heavy buckets
 bring the support back exactly and the values within a hair, at FFT
 work that scales with the output sparsity rather than the vector
 length. Each call's plan prices a few moduli m, each with the fewest
-sketches that isolate every significant index, and takes the cheapest
+sketches that separate every pair of significant indices in one of
+them, so that no pair leaves the peel stuck, and takes the cheapest
 (m, sketches, route); a peel that is not clean plans again at 2k. Here
-(n = 2^16, k = 64) the plan is 7 cyclic sketches on primes in
-[1536, 3072].
+(n = 2^16, k = 64) the plan is 3 cyclic sketches on primes in
+[456, 912].
 
 Run: python demos/04_approximate_recovery.py
 """

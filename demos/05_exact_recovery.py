@@ -1,8 +1,9 @@
 """Iterative correction to exact values: exact is the approximate
 engine's result rounded once, after a vote over a few stored heavy
 sketches and a peel of the residual off them, level by level; the
-trace's snapshots are unrounded. Each attempt's sketches isolate every
-significant index with probability >= 1 - delta/4 at its k, and a peel
+trace's snapshots are unrounded. Each attempt's sketches separate
+every pair of significant indices in some stored sketch with
+probability >= 1 - delta/4 at its k, and a peel
 that is not clean plans again at 2k. Includes a planted defect repaired
 by a single fresh-prime correction level.
 

@@ -1,4 +1,4 @@
-"""Both engines' one recovery path: isolate, vote, peel, and replan at 2k
+"""Both engines' one recovery path: separate, vote, peel, and replan at 2k
 while the peel is not clean; exact_sparse_convolve rounds its result once.
 
 Repetition l draws a new prime from a generator seeded by (seed, l),
@@ -9,14 +9,19 @@ min_votes_frac of the votes and two at least, which shrugs off collided
 buckets. A peel then repairs what the vote drops, with no transform and
 no read of A or B: a stored sketch's residual is A*B - C's sketch at its
 buckets, and as C >= 0 every residual bucket >= c1 is a stored one. Each
-level step merges the candidates of the residual exposing the most.
+level step takes the residual exposing the most buckets >= c1 and merges
+those of its candidates that hash into a heavy bucket of every stored
+sketch, as every significant index does.
 
-The peel needs each significant index isolated in one stored sketch,
-not a majority, so an attempt runs the fewest sketches whose collision
-bound isolates every index at its k. A peel that is not clean says k
-was under-stated: the call plans again at 2k with fresh sketches, up to
-a clean peel or a lossless plan (m >= 2n-1), and warns. Overshoot falls
-below c1, where levels cannot see it; the clean check does (|V| >= c1).
+An index hidden by a collision is exposed once its partners are peeled,
+so the peel stalls only on a set of significant indices each sharing a
+bucket with another of the set in every stored sketch. An attempt runs
+the fewest sketches whose collision bound separates every pair at its
+k, the least such set; larger ones are left to the clean check. A peel
+that is not clean says k was under-stated: the call plans again at 2k
+with fresh sketches, up to a clean peel or a lossless plan (m >= 2n-1),
+and warns. Overshoot falls below c1, where levels cannot see it; the
+clean check does (|V| >= c1).
 
 The paper fixes the modulus only up to a constant, m = Theta(k log n
 log k), and a smaller m makes each sketch cheaper but needs more of
@@ -48,7 +53,7 @@ def ceil_log2(x: int) -> int:
 
 @dataclass(frozen=True)
 class ApproxParams:
-    """Knobs for the isolate-vote-peel recovery.
+    """Knobs for the separate-vote-peel recovery.
 
     k bounds the significant support of the product; delta is the
     allowed failure probability; c1 separates significant entries from
@@ -102,13 +107,13 @@ class Plan(NamedTuple):
 
 
 def approx_plan(params: ApproxParams, n: int) -> Plan:
-    """The cheapest plan for length-n inputs that isolates every
-    significant index in some sketch.
+    """The cheapest plan for length-n inputs that separates every pair
+    of significant indices in some sketch.
 
-    Each modulus base m of _grid gets its count by _isolation_reps; an m
-    no count isolates at is dropped, and the rest are priced by
+    Each modulus base m of _grid gets its count by _separation_reps; an
+    m no count separates at is dropped, and the rest are priced by
     route_price, the least price winning and ties going to the larger m.
-    Every lossless m (>= 2n-1) isolates with 2 dense sketches at one
+    Every lossless m (>= 2n-1) separates with 2 dense sketches at one
     price, so the grid stops at the least of them; a grid with no m left
     gives way to the least, 2n-1. The route is route_price's for
     (m, reps). Memoised on (k, delta, n): the seed changes no plan.
@@ -119,7 +124,7 @@ def approx_plan(params: ApproxParams, n: int) -> Plan:
 
 @functools.cache
 def _plan(k: int, delta: float, n: int) -> Plan:
-    priced = [(route_price(n, m, reps)[0], m, reps) for m in _grid(k, n) if (reps := _isolation_reps(k, delta, n, m))]
+    priced = [(route_price(n, m, reps)[0], m, reps) for m in _grid(k, n) if (reps := _separation_reps(k, delta, n, m))]
     # min keeps the first of equal prices, and the grid runs downward
     _, m, reps = min(priced, key=lambda c: c[0], default=(None, 2 * n - 1, 2))
     return Plan(m, reps, route_price(n, m, reps)[1])
@@ -136,23 +141,27 @@ def _grid(k: int, n: int) -> list[int]:
     return grid[max(sum(m >= 2 * n - 1 for m in grid) - 1, 0):]
 
 
-def _isolation_reps(k: int, delta: float, n: int, m: int) -> int | None:
-    """The least L >= 2 with k * q^L <= delta/4 at modulus base m, or
-    None when q >= 1.
+def _separation_reps(k: int, delta: float, n: int, m: int) -> int | None:
+    """The least L >= 2 with C(k, 2) * rho^L <= delta/4 at modulus base
+    m, or None when q = (k - 1) rho >= 1.
 
     With pi(m) the number of primes in [m, 2m], outputs x != y collide
     under p when p divides d = x - y, with 0 < |d| <= 2n - 2. r + 1
     distinct prime factors >= m would make m^(r+1) <= |d|, so d has at
-    most r = _max_factors(n, m) of them. So a pair collides with
-    probability <= r / pi(m), a significant index with one of the other
-    k - 1 with <= q = (k - 1) r / pi(m), in all L repetitions, each on
-    a new prime, with <= q^L, and some significant index with <= k q^L.
-    The floor of 2 lets _vote keep an index only on 2 agreeing records.
+    most r = _max_factors(n, m) of them, and a pair collides with
+    probability <= rho = r / pi(m). A stuck peel, or a wrong C that
+    peels clean, needs a set of significant indices each of which shares
+    a bucket with another of the set in every stored sketch; a pair is
+    the least such set, and some pair does so in all L sketches, each on
+    a new prime, with <= C(k, 2) rho^L. Larger sets are left to the
+    clean check and the replan at 2k. q < 1, under one expected partner
+    per index per sketch, admits m. The floor of 2 lets _vote keep an
+    index only on 2 agreeing records.
     """
-    q = (k - 1) * _max_factors(n, m) / len(primes_in_range(m))
-    if q >= 1:  # no count meets it, and q**L may overflow
+    rho = _max_factors(n, m) / len(primes_in_range(m))
+    if (k - 1) * rho >= 1:  # q >= 1 is not admitted
         return None
-    return next(L for L in itertools.count(2) if k * q**L <= delta / 4)
+    return next(L for L in itertools.count(2) if k * (k - 1) / 2 * rho**L <= delta / 4)
 
 
 def _max_factors(n: int, m: int) -> int:
@@ -197,13 +206,25 @@ def _vote(cache: SketchCache, params: ApproxParams, m: int, reps: int) -> tuple[
 
 def _level(sketches, current: SparseResult, params: ApproxParams):
     """One level step: keep the residual sketch exposing the most buckets
-    >= c1 (ties to the earliest) and merge its candidates into `current`;
-    returns the new result and the chosen sketch's prime. FFT round-off
-    can leave -0.0003-style ghosts, so a value at or below tau is
-    noise-band and dropped unless it is >= c1."""
-    chosen = max(sketches, key=lambda sk: np.count_nonzero(sk.v >= params.c1))
+    >= c1 (ties to the earliest) and merge those of its candidates that
+    hash into a bucket of each sketch holding some (Sketch.buckets: a
+    stored sketch's heavy ones, where every significant index lies, as
+    inputs are non-negative), so a collided bucket's in-class decode
+    stays out of C; returns the new result and the chosen sketch's prime.
+    FFT round-off can leave -0.0003-style ghosts, so a value at or below
+    tau is noise-band and dropped unless it is >= c1."""
+    chosen, most, held = None, -1, []
+    for sk in sketches:  # one pass: run_correction_level's come from a generator
+        if (exposed := np.count_nonzero(sk.v >= params.c1)) > most:
+            chosen, most = sk, exposed
+        if sk.buckets is not None:
+            held.append(sk)
+    found = extract_candidates(chosen, params.c1, params.tau)
+    for sk in held:  # buckets increase: a residue is held where searchsorted's two sides differ
+        r = found["index"] % sk.p
+        found = found[np.searchsorted(sk.buckets, r, "right") > np.searchsorted(sk.buckets, r)]
     out = dict(current)
-    for i, v in extract_candidates(chosen, params.c1, params.tau).tolist():
+    for i, v in found.tolist():
         out[i] = out.get(i, 0.0) + v
     return SparseResult({i: v for i, v in out.items() if abs(v) > params.tau or abs(v) >= params.c1}), chosen.p
 
@@ -240,9 +261,10 @@ def approx_sparse_convolve(
     returned map has exactly the significant support and each value is
     within o(1) of the true one.
 
-    Each attempt's plan isolates every significant index in some stored
-    sketch with probability >= 1 - delta/4 for any true k at or below
-    its own, and a correct C then peels clean. An attempt whose peel is
+    Each attempt's plan separates every pair of significant indices in
+    some stored sketch with probability >= 1 - delta/4 for any true k at
+    or below its own, so no pair leaves the peel stuck, and a correct C
+    then peels clean. An attempt whose peel is
     not clean is followed by one at 2k with fresh sketches, each with the
     whole delta, until a peel is clean or the plan is lossless (its
     sketches are the product itself). A call whose first peel is not

@@ -1,5 +1,7 @@
-"""Exact sparse convolution: the approximate engine's isolate-vote-peel
+"""Exact sparse convolution: the approximate engine's separate-vote-peel
 result (sparseconv.approx) rounded once to integers, in integer_mode.
+Each attempt's sketches separate every pair of significant indices in
+some stored sketch, so no pair leaves the peel stuck.
 
 The peel's levels fold nothing and transform nothing: each peels C off
 the stored heavy sketches, so each attempt's SketchCache and route are
@@ -133,8 +135,8 @@ def exact_sparse_convolve(
     within 0.01 (otherwise), with probability >= 1 - delta.
 
     approx_sparse_convolve's result, rounded once in integer_mode: the
-    one path (sparseconv.approx). Each attempt isolates with probability
-    >= 1 - delta/4 at its k; a peel that is not clean plans again at 2k,
+    one path (sparseconv.approx). Each attempt separates every pair with
+    probability >= 1 - delta/4 at its k; a peel that is not clean plans again at 2k,
     and a call that raised k warns. A given CorrectionTrace is filled
     with what approx ran: its snapshots are unrounded, and the result is
     the last one rounded in integer_mode.

@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 
 import sparseconv.approx
 from sparseconv.approx import (
-    ApproxParams, CorrectionTrace, Plan, _grid, _isolation_reps, _max_factors, _vote, approx_plan,
+    ApproxParams, CorrectionTrace, Plan, _grid, _level, _max_factors, _separation_reps, _vote, approx_plan,
     approx_sparse_convolve, ceil_log2,
 )
 from sparseconv.exact import ExactParams, exact_plan, exact_sparse_convolve, residual_norm, run_correction_level
 from sparseconv.fft import fft_convolve
 from sparseconv.harness import InstanceSpec, generate_instance, run_engine
-from sparseconv.hashing import primes_in_range, sample_prime
+from sparseconv.hashing import fold, primes_in_range, sample_prime
 from sparseconv.numerics import SparseResult, naive_convolve
-from sparseconv.sketch import SketchCache, build_residual_sketch, build_sketch
+from sparseconv.sketch import Sketch, SketchCache, build_residual_sketch, build_sketch, extract_candidates, residual
 
 from isolation import is_isolated
 from oracle import support_ge
@@ -92,17 +92,21 @@ class TestParams:
             plan(ExactParams(k=4, delta=0.1), n)
 
     def test_plan_formulas(self):
-        # one dense product serves any count, so the fewest sketches win,
-        # at the grid's top modulus 4 k ceil(log2 n) ceil(log2 k)
-        assert approx_plan(ApproxParams(k=64, delta=0.1), 2**14) == Plan(4 * 64 * 14 * 6, 3, True)
-        # the benchmark shapes: cyclic sketches at a smaller modulus
-        assert approx_plan(ApproxParams(k=64, delta=0.1), 2**17) == Plan(1940, 6, False)
-        assert approx_plan(ApproxParams(k=16, delta=0.1), 2**20) == Plan(3620, 2, False)
+        # criteria 6-8's shape and the benchmark's: cyclic sketches. At
+        # n = 2^14 and 2^17, 475 and 576 are the least bases with q =
+        # 63 / pi(m) < 1 (70 and 85 primes; 399 and 485 have 61 and 71),
+        # and C(64, 2) / pi(m)^L <= 0.025 first at L = 3 (2016 / 70^2 =
+        # 0.41); at 2^20, r = 2 and 2016 is C(16, 2) = 120: 120 (2 /
+        # 144)^2 = 0.023 at 1076, the cheapest base that needs only 2
+        assert approx_plan(ApproxParams(k=64, delta=0.1), 2**14) == Plan(475, 3, False)
+        assert approx_plan(ApproxParams(k=64, delta=0.1), 2**17) == Plan(576, 3, False)
+        assert approx_plan(ApproxParams(k=16, delta=0.1), 2**20) == Plan(1076, 2, False)
         # floors engage for tiny k and lax delta: m >= 16 and counts >= 2
         assert approx_plan(ApproxParams(k=1, delta=0.99), 4) == Plan(16, 2, True)
-        # 2 cyclic sketches at m = 228 edge out one dense product for 2 at
-        # m = 384 by the one price (690,200 against 702,680 units)
-        assert approx_plan(ApproxParams(k=4, delta=0.1), 4096) == Plan(228, 2, False)
+        # 2 cyclic sketches at m = 96 (6 / 19^2 = 0.017 <= 0.025) edge out
+        # one dense product for 2 at m = 384 by the one price (636,428
+        # against 702,680 units); m = 80 would need 3
+        assert approx_plan(ApproxParams(k=4, delta=0.1), 4096) == Plan(96, 2, False)
         # every base >= 2n - 1 = 8191 folds by the identity: the grid stops
         # at the least of them, half the top's 18,432
         assert approx_plan(ApproxParams(k=64, delta=0.1), 2**12) == Plan(9216, 2, True)
@@ -115,7 +119,7 @@ class TestParams:
         assert _max_factors(55_297, 48) == 3 and _max_factors(55_296, 48) == 2
         # n = 1 has one output and no difference: nothing collides, so the floor of 2 holds
         assert _max_factors(1, 48) == 0
-        assert _isolation_reps(64, 0.1, 1, 48) == 2
+        assert _separation_reps(64, 0.1, 1, 48) == 2
 
 
 def test_zero_vectors_give_empty_result():
@@ -240,6 +244,24 @@ def test_each_stored_sketch_is_its_repetitions_sketch_at_its_heavy_buckets(dense
         assert sk.p == full.p
         assert np.array_equal(sk.buckets, np.flatnonzero(full.v >= params.c1))
         assert np.array_equal(sk.v, full.v[sk.buckets]) and np.array_equal(sk.w, full.w[sk.buckets])
+
+
+def test_level_merges_no_decode_outside_another_stored_sketchs_heavy_buckets():
+    # outputs 3 and 17, each 0.3, share bucket 3 under 7, where their W/V
+    # = (0.9 + 5.1) / 0.6 = 10 decodes in class; under 11 they fall below
+    # c1 apart, so bucket 10 mod 11 is not heavy, while the significant 30
+    # is heavy under both and already in C
+    product = np.zeros(41)
+    product[[3, 17, 30]] = 0.3, 0.3, 1.0
+    params, c = ApproxParams(k=1, delta=0.1), SparseResult({30: 1.0})
+    stored = [Sketch(p, *fold(product, p, moment=True), len(product)).heavy(params.c1) for p in (7, 11)]
+    assert [sk.buckets.tolist() for sk in stored] == [[2, 3], [8]]
+    peeled = [residual(sk, c) for sk in stored]
+    assert [(i, round(v, 9)) for i, v in extract_candidates(peeled[0], params.c1, params.tau).tolist()] == [(10, 0.6)]
+    assert _level(peeled, c, params) == (c, 7)
+    # the chosen sketch alone filters nothing, so the wrong decode is merged
+    merged, _ = _level(peeled[:1], c, params)
+    assert merged.support() == {10, 30}
 
 
 @pytest.mark.parametrize("dense", [True, False], ids=["dense", "cyclic"])

@@ -243,12 +243,12 @@ def assert_one_trace_of_the_call(inst, params, out, trace):
 
 
 class TestPeel:
-    # the bootstrap's primes at n=2^13, k=16 lie in [3328, 6656], below
-    # 2n-1, so every stored sketch folds lossily
+    # the bootstrap's primes at n=2^12, k=16 lie in [3072, 6144], below
+    # 2n-1, so every stored sketch folds lossily, on the dense route
     params = ExactParams(k=16, delta=0.1, seed=19)
 
     def _instance(self):
-        inst = generate_instance(InstanceSpec(n=2**13, s_a=4, s_b=4, seed=121))
+        inst = generate_instance(InstanceSpec(n=2**12, s_a=4, s_b=4, seed=121))
         oracle = naive_convolve(inst.a, inst.b)
         full = {j: float(round(oracle[j])) for j in support_ge(oracle, inst.c1_effective)}
         return inst, full

@@ -9,9 +9,10 @@ buckets. Vectorised extraction is checked against the bucket-by-bucket
 loop it replaced, and a bucket two significant indices share yields no
 index outside its own class. Transforms pad to the next
 2^a * 3^b * 5^c length and are charged N * log2(N). No difference of
-two outputs has more prime factors >= m than the isolation bound counts. A
+two outputs has more prime factors >= m than the pair bound counts, and
+every significant index hashes into a heavy bucket of every sketch. A
 plan's route is the cheaper of the two by one price, the engines' plan is
-the cheapest of four modulus bases per octave whose isolation bound some
+the cheapest of four modulus bases per octave whose pair bound some
 count meets, at its least such count, that count never grows with delta
 at one modulus nor the plan's price at any, and approx is exact without
 rounding, bit for bit, and with it approx's result rounded once, with
@@ -33,7 +34,7 @@ from hypothesis.extra.numpy import arrays
 
 import sparseconv.approx
 from sparseconv.approx import (
-    ApproxParams, CorrectionTrace, _grid, _isolation_reps, _max_factors, approx_plan, approx_sparse_convolve,
+    ApproxParams, CorrectionTrace, _grid, _separation_reps, _max_factors, approx_plan, approx_sparse_convolve,
 )
 from sparseconv.exact import ExactParams, exact_sparse_convolve
 from sparseconv.fft import cyclic_convolve, fft_convolve, pad_length, transform_work
@@ -146,6 +147,23 @@ def test_peeled_heavy_buckets_are_the_residual_sketchs_heavy_buckets(data, c1):
     assert set(np.flatnonzero(full.v >= c1)) <= set(top.buckets)
 
 
+@PROPERTY
+@given(st.data(), st.integers(16, 2**10), st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**16))
+def test_every_significant_index_hashes_into_a_heavy_bucket_of_every_sketch(data, n, s_a, s_b, seed):
+    # inputs are non-negative, so a bucket's V is at least each of its
+    # outputs: a significant index's bucket is heavy under any prime, the
+    # fact _level's filter rests on; heavy buckets are strictly increasing,
+    # as its searchsorted needs
+    inst = generate_instance(InstanceSpec(n=n, s_a=s_a, s_b=s_b, seed=seed))
+    significant = np.flatnonzero(naive_convolve(inst.a, inst.b) >= inst.c1_effective)
+    m = data.draw(st.integers(2, 2 * n), label="m")  # lossy primes and lossless ones
+    p = data.draw(st.sampled_from(primes_in_range(m).tolist()), label="p")
+    c1 = ApproxParams(k=1, delta=0.1).c1
+    top = build_sketch(inst.a, inst.b, p).heavy(c1)
+    assert np.all(np.diff(top.buckets) > 0) and np.all(np.diff(top.heavy(2 * c1).buckets) > 0)
+    assert set((significant % p).tolist()) <= set(top.buckets.tolist())
+
+
 def extract_by_loop(s, c1, tau, out_len):
     out = []
     for i, bucket in enumerate(range(s.p) if s.buckets is None else s.buckets):
@@ -227,22 +245,26 @@ deltas = st.floats(1e-4, 0.99)
 
 
 @PROPERTY
-@given(sizes, st.integers(1, 1024), deltas)
-def test_bootstrap_count_is_the_least_meeting_the_isolation_bound(n, k, delta):
-    # q bounds one significant index's chance of sharing its bucket under
+@given(sizes, st.integers(1, 1024), deltas, deltas)
+def test_bootstrap_count_is_the_least_meeting_the_pair_bound(n, k, delta, other):
+    # rho bounds the chance that two given outputs share a bucket under
     # one prime of the plan's [m, 2m]; the count is the least L >= 2 with
-    # k * q^L <= delta/4, at a grid modulus or, when none meets it, at the
-    # lossless 2n - 1, where nothing collides
+    # C(k, 2) rho^L <= delta/4, at a grid modulus where q = (k - 1) rho < 1
+    # or, when none has one, at the lossless 2n - 1, where nothing
+    # collides; at that modulus a larger delta never asks for more
     m, L, _ = approx_plan(ExactParams(k=k, delta=delta), n)
     r = sum(1 for t in range(1, 64) if m**t <= 2 * n - 2)  # m^r <= the largest difference
-    q = (k - 1) * r / len(primes_in_range(m))
+    rho = r / len(primes_in_range(m))
 
-    def isolates(count):
-        return q < 1 and k * q**count <= delta / 4
+    def separates(count, d=delta):
+        return (k - 1) * rho < 1 and k * (k - 1) / 2 * rho**count <= d / 4
 
     assert m in _grid(k, n) or m == 2 * n - 1
-    assert L >= 2 and isolates(L)
-    assert L == 2 or not isolates(L - 1)
+    assert L >= 2 and separates(L)
+    assert L == 2 or not separates(L - 1)
+    # C(k, 2) rho^count falls as the count grows (k = 1 makes it 0), so the
+    # least count at the larger delta is at most L
+    assert separates(L, max(delta, other))
 
 
 @PROPERTY
@@ -267,7 +289,7 @@ def test_bootstrap_count_does_not_grow_with_delta(n, k, d1, d2):
     # delta can price a smaller modulus
     lo, hi = sorted((d1, d2))
     for m in _grid(k, n):
-        at_lo, at_hi = _isolation_reps(k, lo, n, m), _isolation_reps(k, hi, n, m)
+        at_lo, at_hi = _separation_reps(k, lo, n, m), _separation_reps(k, hi, n, m)
         assert (at_lo is None) == (at_hi is None)
         assert at_lo is None or at_hi <= at_lo
 
@@ -293,7 +315,7 @@ def test_the_plan_is_the_cheapest_isolating_grid_modulus(n, k, delta):
     m, reps, dense = approx_plan(ApproxParams(k=k, delta=delta), n)
     price, cheaper_is_dense = route_price(n, m, reps)
     assert dense is cheaper_is_dense
-    counts = {other: _isolation_reps(k, delta, n, other) for other in _grid(k, n)}
+    counts = {other: _separation_reps(k, delta, n, other) for other in _grid(k, n)}
     if set(counts.values()) == {None}:
         assert (m, reps) == (2 * n - 1, 2)
     else:
@@ -317,7 +339,7 @@ def test_the_plan_is_the_cheapest_of_four_bases_per_octave(n, k, delta):
     lossless = [m for m in bases if m >= 2 * n - 1]
     bases = [m for m in bases if m <= min(lossless, default=top)]
     assert _grid(k, n) == bases
-    priced = {m: route_price(n, m, L)[0] for m in bases if (L := _isolation_reps(k, delta, n, m)) is not None}
+    priced = {m: route_price(n, m, L)[0] for m in bases if (L := _separation_reps(k, delta, n, m)) is not None}
     plan = approx_plan(ApproxParams(k=k, delta=delta), n)
     if priced:
         least = min(priced.values())

@@ -277,14 +277,16 @@ def _plan_id(value):
         (2**17, (26112, 3), True),
         (2**17, (3264, 8), False),  # n17-k64 with r = ceil(log(2n)/log m), one factor too many
         (2**17, (1632, 7), False),  # n17-k64 at another grid base
-        (2**17, (1940, 6), False),  # n17-k64's plan
+        (2**17, (1940, 6), False),  # n17-k64's plan sized to isolate every index
+        (2**17, (576, 3), False),  # n17-k64's plan
         (2**19, (4864, 59), True),  # n = 2^19, k = 16 at its top modulus: a near tie in pinned runs
         # n20-k16 at its top modulus, at 59 sketches, 3 and its cap
         (2**20, (5120, 59), False),
         (2**20, (5120, 3), False),
         (2**20, (5120, 67), False),
         (2**20, (2560, 3), False),  # n20-k16 at another grid base
-        (2**20, (3620, 2), False),  # n20-k16's plan
+        (2**20, (3620, 2), False),  # n20-k16's plan sized to isolate every index
+        (2**20, (1076, 2), False),  # n20-k16's plan
         (2**20, (40960, 32), True),  # n20-k16 fresh-prime levels (run_correction_level)
         # n=2^16, k=4 exact's bootstrap at its cap: 51 heavy sketches took
         # 12.7 ms dense against 18.3-19.6 ms cyclic (medians of 60, 2-core VM)
@@ -297,12 +299,16 @@ def test_dense_route_at_benchmark_shapes(n, plan, dense):
     assert route_price(n, *plan)[1] is dense
 
 
-# ROADMAP's crossover sweep at delta = 0.1: (m, count, dense) per n = 2^14 ... 2^22
+# ROADMAP's crossover sweep at delta = 0.1: (m, count, dense) per n = 2^14 ... 2^22;
+# each count is the least L >= 2 with C(k, 2) (r / pi(m))^L <= 0.025: at
+# k = 16, L = 2 wherever pi(m) / r >= 69.3 (532: 80 primes, r = 1; 1076:
+# 144, r = 2); at k = 64, L = 2 needs pi(m) / r >= 284 (2579: 312) and
+# L = 3 only q < 1, pi(m) / r > 63 (475: 70; 726: 102)
 SWEEP_PLANS = {
-    16: [(1065, 3, False), (960, 3, False), (1024, 3, False), (1088, 3, False), (968, 3, False),
-         (1216, 3, False), (3620, 2, False), (3196, 2, False), (3348, 2, False)],
-    64: [(21504, 3, True), (23040, 3, True), (2583, 5, False), (1940, 6, False), (2054, 6, False),
-         (2579, 5, False), (2715, 5, False), (4032, 4, False), (8448, 3, False)],
+    16: [(532, 2, False), (480, 2, False), (512, 2, False), (544, 2, False), (814, 2, False),
+         (1216, 2, False), (1076, 2, False), (1130, 2, False), (1183, 2, False)],
+    64: [(475, 3, False), (428, 3, False), (456, 3, False), (576, 3, False), (726, 3, False),
+         (2579, 2, False), (2715, 2, False), (2397, 2, False), (2986, 2, False)],
 }
 
 
@@ -366,18 +372,21 @@ def test_approx_charges_one_dense_product_when_it_is_cheaper():
     from sparseconv.approx import ApproxParams, Plan, approx_plan, approx_sparse_convolve
     from sparseconv.fft import fft_work, reset_fft_work, transform_work
 
-    inst = generate_instance(InstanceSpec(n=2**14, s_a=8, s_b=8, seed=0))
+    # at n = 2^13, k = 64 the grid bases from 2496 up meet the pair bound
+    # with 2 sketches, where one dense product costs least; equal prices
+    # go to the top base, 16,791 >= 2n - 1
+    inst = generate_instance(InstanceSpec(n=2**13, s_a=8, s_b=8, seed=0))
     params = ApproxParams(k=64, delta=0.1, seed=0)
-    assert approx_plan(params, 2**14) == Plan(m=21504, reps=3, dense=True)
+    assert approx_plan(params, 2**13) == Plan(m=16791, reps=2, dense=True)
     reset_fft_work()
     approx_sparse_convolve(inst.a, inst.b, params)
-    assert fft_work() == 3 * transform_work(2**15) == 1_474_560
+    assert fft_work() == 3 * transform_work(2**14) == 688_128
 
 
 @pytest.mark.parametrize(
     "n, k, dense",
     [
-        pytest.param(2**13, 16, True, id="8192-16"),
+        pytest.param(2**12, 16, True, id="4096-16"),
         pytest.param(2**14, 4, False, id="16384-4"),
         pytest.param(2**15, 4, False, id="32768-4"),
         pytest.param(2**11, 1, True, id="2048-1"),  # 2 sketches at m = 44 priced above one dense product

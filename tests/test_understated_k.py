@@ -3,7 +3,8 @@
 True k from 64 to 256 at n = 2^14, given k from k/64 to k/4: the
 smallest given counts are the first legal parameters at which the given
 k's plan fails to peel clean, so they exercise the call's plans at 2k,
-4k, ... and the warning that the call raised k.
+4k, ... and the warning that the call raised k. With k given true, at
+criteria 6-8's grid and three shapes off the benchmark, no call raises it.
 """
 
 import inspect
@@ -144,10 +145,10 @@ def test_warns_once_naming_the_given_and_the_final_k():
     with pytest.warns(RuntimeWarning) as caught:
         out = exact_sparse_convolve(inst.a, inst.b, params, trace=trace)
     assert [str(w.message) for w in caught] == [
-        "k=2 did not peel clean; the call ran to k=16: k is probably under-stated"
+        "k=2 did not peel clean; the call ran to k=32: k is probably under-stated"
     ]
     assert out == truth and len(truth) == 255
-    assert trace.bootstrap_reps == [approx_plan(replace(params, k=k), 2**17).reps for k in (2, 4, 8, 16)]
+    assert trace.bootstrap_reps == [approx_plan(replace(params, k=k), 2**17).reps for k in (2, 4, 8, 16, 32)]
     assert_one_trace_of_the_call(exact_sparse_convolve, inst.a, inst.b, params, out, trace)
 
 
@@ -169,3 +170,19 @@ def test_no_call_on_the_acceptance_grid_grows_or_warns():
         trace = CorrectionTrace()
         exact_sparse_convolve(inst.a, inst.b, ExactParams(k=64, delta=0.1, seed=seed), trace=trace)
         assert trace.bootstrap_reps == [3]
+
+
+@pytest.mark.parametrize("n, side", [(2**15, 8), (2**16, 16), (2**18, 4)], ids=["n15-k64", "n16-k255", "n18-k16"])
+def test_every_call_off_the_benchmark_is_right_at_its_first_plan(n, side):
+    # the pair-sized plans at shapes no benchmark runs, true k given,
+    # 100 engine seeds on one instance each (warnings are errors)
+    inst = generate_instance(InstanceSpec(n=n, s_a=side, s_b=side, seed=0))
+    oracle = fft_convolve(inst.a, inst.b)
+    # at half c1: round-off can leave a significant 1.0 a hair below c1
+    truth = SparseResult({j: float(round_to_int(oracle[j])) for j in support_ge(oracle, inst.c1_effective / 2)})
+    assert len(truth) == inst.k_effective
+    for seed in range(100):
+        params = ExactParams(k=len(truth), delta=0.1, seed=seed)
+        trace = CorrectionTrace()
+        assert exact_sparse_convolve(inst.a, inst.b, params, trace=trace) == truth
+        assert trace.bootstrap_reps == [approx_plan(params, n).reps]
