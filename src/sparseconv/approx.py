@@ -1,17 +1,23 @@
 """Both engines' one recovery path: separate, vote, peel, and replan at 2k
 while the peel is not clean; exact_sparse_convolve rounds its result once.
 
-Repetition l draws a new prime from a generator seeded by (seed, l),
-sketches the product and keeps the sketch at its heavy buckets
-(V >= c1). The vote sorts the (index, value) records of all stored
-sketches once and keeps each index's lower-median value when it has
-min_votes_frac of the votes and two at least, which shrugs off collided
-buckets. A peel then repairs what the vote drops, with no transform and
-no read of A or B: a stored sketch's residual is A*B - C's sketch at its
-buckets, and as C >= 0 every residual bucket >= c1 is a stored one. Each
-level step takes the residual exposing the most buckets >= c1 and merges
-those of its candidates that hash into a heavy bucket of every stored
-sketch, as every significant index does.
+An attempt runs in stages. It draws all of its primes first, repetition
+l's from a generator seeded by (seed, l); build_sketch then folds A for
+every prime, then B, and transforms each sketch. Each sketch is kept at
+its heavy buckets (V >= c1), and the stored sketches are read as one
+array family (_Family), sketch s's bucket b at key s*K + b. The vote
+extracts once over the family, sorts the (index, value) records once and
+keeps each index's lower-median value when it has min_votes_frac of the
+votes and two at least, which shrugs off collided buckets. A peel then
+repairs what the vote drops, with no transform and no read of A or B: a
+stored sketch's residual is A*B - C's sketch at its buckets, and as
+C >= 0 every residual bucket >= c1 is a stored one. Each level takes
+every stored residual at once (one searchsorted, two bincounts), keeps
+the one exposing the most buckets >= c1 and merges those of its
+candidates that hash into a heavy bucket of every stored sketch, as
+every significant index does. A level whose residuals expose no bucket
+>= c1 extracts nothing and leaves C as it is: the peel's fixed point,
+where it stops.
 
 An index hidden by a collision is exposed once its partners are peeled,
 so the peel stalls only on a set of significant indices each sharing a
@@ -42,7 +48,7 @@ import numpy as np
 
 from .hashing import primes_in_range, sample_prime
 from .numerics import SparseResult, as_int, as_real, dense_pair
-from .sketch import SketchCache, build_sketch, extract_candidates, residual, route_price
+from .sketch import Sketch, SketchCache, build_sketch, extract_candidates, route_price
 
 __all__ = ["ApproxParams", "Plan", "approx_sparse_convolve", "approx_plan", "ceil_log2", "CorrectionTrace"]
 
@@ -182,73 +188,124 @@ def _level_count(params: ApproxParams) -> int:
     return math.ceil(math.log(lg) / math.log(params.level_base))
 
 
-def _vote(cache: SketchCache, params: ApproxParams, m: int, reps: int) -> tuple[list, SparseResult]:
-    """`reps` heavy sketches (Sketch.heavy) on primes in [m, 2m], distinct
-    while any is new, repetition l's drawn from (seed, l), and their vote:
-    each index's lower-median record, kept at max(2, ceil(min_votes_frac *
-    reps)) records."""
-    stored = []
+class _Family(NamedTuple):
+    """Sketches read as one array family: sketch s's bucket b at key
+    s*K + b, so keys increase (K exceeds every prime), and its V and W at
+    the same position of `sketch`, a Sketch whose p holds each bucket's
+    prime."""
+
+    primes: np.ndarray
+    K: int
+    keys: np.ndarray
+    sketch: Sketch
+
+    @classmethod
+    def of(cls, sketches: list[Sketch]) -> _Family:
+        primes = np.array([sk.p for sk in sketches], dtype=np.int64)
+        buckets = [np.arange(sk.p) if sk.buckets is None else sk.buckets for sk in sketches]
+        K = int(primes.max()) + 1
+        keys = np.concatenate([s * K + b for s, b in enumerate(buckets)])
+        v, w = (np.concatenate([getattr(sk, x) for sk in sketches]) for x in "vw")
+        bucket_primes = np.repeat(primes, [len(b) for b in buckets])
+        return cls(primes, K, keys, Sketch(bucket_primes, v, w, sketches[0].out_len, np.concatenate(buckets)))
+
+    def member(self, s: int) -> Sketch:
+        """Sketch s alone."""
+        lo, hi = np.searchsorted(self.keys, [s * self.K, (s + 1) * self.K])
+        sk = self.sketch
+        return Sketch(int(self.primes[s]), sk.v[lo:hi], sk.w[lo:hi], sk.out_len, sk.buckets[lo:hi])
+
+    def locate(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Where each sketch keeps each index's bucket, sketch by sketch
+        and in the indices' order within one, and whether it holds it."""
+        q = (np.arange(len(self.primes))[:, None] * self.K + indices % self.primes[:, None]).ravel()
+        at = np.searchsorted(self.keys, q)
+        held = at < len(self.keys)
+        held[held] = self.keys[at[held]] == q[held]
+        return at, held
+
+    def residual(self, c: SparseResult) -> tuple[_Family, np.ndarray]:
+        """Every sketch's residual (sketch.residual, bit for bit: each
+        bucket sums C's entries in C's order from 0.0, as fold_sparse
+        does) and locate's `held` for C's indices."""
+        index = np.fromiter(c.keys(), np.int64, len(c))
+        value = np.fromiter(c.values(), np.float64, len(c))
+        at, held = self.locate(index)
+        reps = len(self.primes)
+        fc, fdc = (np.bincount(at[held], np.tile(x, reps)[held], len(self.keys)) for x in (value, index * value))
+        sk = self.sketch
+        return self._replace(sketch=Sketch(sk.p, sk.v - fc, sk.w - fdc, sk.out_len, sk.buckets)), held
+
+
+def _stored(cache: SketchCache, params: ApproxParams, m: int, reps: int) -> _Family:
+    """`reps` sketches on primes in [m, 2m], distinct while any is new,
+    repetition l's drawn from (seed, l), every prime drawn before one
+    sketch is built (build_sketch's stages), as one family at their heavy
+    buckets (Sketch.heavy)."""
+    primes: list[int] = []
     for l in range(1, reps + 1):
         rng = np.random.default_rng([params.seed, l])
         p = sample_prime(m, rng)
-        while p in {sk.p for sk in stored} and len(stored) < len(primes_in_range(m)):
+        while p in primes and len(primes) < len(primes_in_range(m)):
             p = sample_prime(m, rng)  # a prime drawn twice would count one sketch's votes twice
-        stored.append(build_sketch(cache.a, cache.b, p, cache=cache).heavy(params.c1))
-
-    votes = np.concatenate([extract_candidates(sk, params.c1, params.tau) for sk in stored])
-    votes = votes[np.lexsort((votes["value"], votes["index"]))]
-    starts = np.flatnonzero(np.diff(votes["index"], prepend=-1))  # indices are >= 0
-    counts = np.diff(starts, append=len(votes))
-    kept = counts >= max(2, math.ceil(params.min_votes_frac * reps))
-    lower_medians = votes[starts[kept] + (counts[kept] - 1) // 2]
-    return stored, SparseResult(lower_medians.tolist())
+        primes.append(p)
+    return _Family.of([sk.heavy(params.c1) for sk in build_sketch(cache.a, cache.b, primes, cache=cache)])
 
 
-def _level(sketches, current: SparseResult, params: ApproxParams):
-    """One level step: keep the residual sketch exposing the most buckets
-    >= c1 (ties to the earliest) and merge those of its candidates that
-    hash into a bucket of each sketch holding some (Sketch.buckets: a
-    stored sketch's heavy ones, where every significant index lies, as
-    inputs are non-negative), so a collided bucket's in-class decode
-    stays out of C; returns the new result and the chosen sketch's prime.
-    FFT round-off can leave -0.0003-style ghosts, so a value at or below
-    tau is noise-band and dropped unless it is >= c1."""
-    chosen, most, held = None, -1, []
-    for sk in sketches:  # one pass: run_correction_level's come from a generator
-        if (exposed := np.count_nonzero(sk.v >= params.c1)) > most:
-            chosen, most = sk, exposed
-        if sk.buckets is not None:
-            held.append(sk)
-    found = extract_candidates(chosen, params.c1, params.tau)
-    for sk in held:  # buckets increase: a residue is held where searchsorted's two sides differ
-        r = found["index"] % sk.p
-        found = found[np.searchsorted(sk.buckets, r, "right") > np.searchsorted(sk.buckets, r)]
+def _vote(stored: _Family, params: ApproxParams) -> SparseResult:
+    """The stored sketches' vote, from one extraction over the family:
+    each index's lower-median record, kept at max(2, ceil(min_votes_frac *
+    reps)) records."""
+    votes = extract_candidates(stored.sketch, params.c1, params.tau)
+    order = np.lexsort((votes["value"], votes["index"]))
+    index, value = votes["index"][order], votes["value"][order]
+    starts = np.flatnonzero(np.diff(index, prepend=-1))  # indices are >= 0
+    counts = np.diff(starts, append=len(index))
+    kept = counts >= max(2, math.ceil(params.min_votes_frac * len(stored.primes)))
+    lower_medians = starts[kept] + (counts[kept] - 1) // 2
+    return SparseResult(zip(index[lower_medians].tolist(), value[lower_medians].tolist()))
+
+
+def _level(peeled: _Family, current: SparseResult, params: ApproxParams):
+    """One level step on a family of residual sketches: keep the one
+    exposing the most buckets >= c1 (ties to the earliest) and merge
+    those of its candidates that hash into a bucket every sketch holds
+    (Sketch.buckets: a stored sketch's heavy ones, where every
+    significant index lies, as inputs are non-negative), so a collided
+    bucket's in-class decode stays out of C; returns the new result and
+    the chosen sketch's prime. A family exposing no bucket >= c1 has
+    nothing to extract. FFT round-off can leave -0.0003-style ghosts, so
+    a value at or below tau is noise-band and dropped unless it is >= c1."""
+    exposed = np.bincount(peeled.keys[peeled.sketch.v >= params.c1] // peeled.K, minlength=len(peeled.primes))
+    s = int(np.argmax(exposed))
     out = dict(current)
-    for i, v in found.tolist():
-        out[i] = out.get(i, 0.0) + v
-    return SparseResult({i: v for i, v in out.items() if abs(v) > params.tau or abs(v) >= params.c1}), chosen.p
+    if exposed[s]:
+        found = extract_candidates(peeled.member(s), params.c1, params.tau)
+        found = found[peeled.locate(found["index"])[1].reshape(len(peeled.primes), -1).all(axis=0)]
+        for i, v in found.tolist():
+            out[i] = out.get(i, 0.0) + v
+    kept = SparseResult({i: v for i, v in out.items() if abs(v) > params.tau or abs(v) >= params.c1})
+    return kept, int(peeled.primes[s])
 
 
-def _peel(stored, state: SparseResult, params: ApproxParams, trace: CorrectionTrace):
+def _peel(stored: _Family, state: SparseResult, params: ApproxParams, trace: CorrectionTrace):
     """Run up to _level_count(params) level steps from `state` on the
-    residuals of the stored heavy sketches, recording each in `trace`;
-    returns C and whether every stored sketch peels it clean: C's indices
-    all in its buckets and |V| < c1 at each of them, as holds for a
-    correct C, whose residual is noise."""
+    residuals of the stored heavy sketches, recording each in `trace`, up
+    to the first that leaves C as it is; returns C and whether every
+    stored sketch peels it clean: C's indices all in its buckets and
+    |V| < c1 at each of them, as holds for a correct C, whose residual
+    is noise."""
     for _ in range(_level_count(params)):
         prev = state
-        peeled = [residual(s, state) for s in stored]
+        peeled, held = stored.residual(state)
         state, p = _level(peeled, state, params)
         trace.chosen_primes.append(p)
         trace.snapshots.append(SparseResult(state))
         if state == prev:
             break
     else:  # no fixed point: peel the final C for the check
-        peeled = [residual(s, state) for s in stored]
-    return state, all(
-        {i % sk.p for i in state} <= set(sk.buckets.tolist()) and np.all(np.abs(sk.v) < params.c1)
-        for sk in peeled
-    )
+        peeled, held = stored.residual(state)
+    return state, bool(held.all() and np.all(np.abs(peeled.sketch.v) < params.c1))
 
 
 def approx_sparse_convolve(
@@ -285,7 +342,8 @@ def approx_sparse_convolve(
     attempt = params
     while True:
         m, reps, dense = approx_plan(attempt, len(a))
-        stored, state = _vote(SketchCache(a, b, dense), attempt, m, reps)
+        stored = _stored(SketchCache(a, b, dense), attempt, m, reps)
+        state = _vote(stored, attempt)
         trace.bootstrap_reps.append(reps)
         trace.snapshots = [SparseResult(state)]
         trace.chosen_primes = []

@@ -21,7 +21,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .approx import ApproxParams, CorrectionTrace, _level, _level_count, approx_sparse_convolve, ceil_log2
+from .approx import ApproxParams, CorrectionTrace, _Family, _level, _level_count, approx_sparse_convolve, ceil_log2
 from .hashing import sample_prime
 from .numerics import SparseResult, as_int, as_real, dense_pair, round_to_int
 # extract_candidates runs only in sparseconv.approx; perfbench's layer trace also
@@ -121,7 +121,7 @@ def run_correction_level(
     level, reps, m = as_int(level, "level", 0), as_int(reps, "reps", 1), as_int(m, "m", 2)
     a, b = dense_pair(a, b)
     sketches = _residual_sketches(a, b, current, m, reps, (params.seed, level))
-    merged, p = _level(sketches, current, params)
+    merged, p = _level(_Family.of(list(sketches)), current, params)
     return _rounded(merged) if params.integer_mode else merged, p
 
 

@@ -8,8 +8,9 @@ where padding to the next power of two can cost up to 2x.
 
 Work accounting is analytic: every transform of length N, forward or
 inverse, adds transform_work(N) = round(N * log2(N)) to the thread's
-counter, whatever the backend does inside; sketch.route_price prices
-sketch routes in the same unit. Callers that want a per-phase reading
+counter, whatever the backend does inside, and a 2-D call runs and is
+charged one transform per row; sketch.route_price prices sketch routes
+in the same unit. Callers that want a per-phase reading
 should reset_fft_work() before the phase and read fft_work() after it.
 """
 
@@ -49,7 +50,8 @@ def reset_fft_work() -> None:
 @lru_cache(maxsize=None, typed=True)  # typed: True and 1.0 must not hit 1's entry
 def pad_length(min_len: int) -> int:
     """Smallest 2^a * 3^b * 5^c >= min_len, an integer >= 1 (memoised)."""
-    best, p5 = 1 << (as_int(min_len, "min_len", 1) - 1).bit_length(), 1
+    min_len = as_int(min_len, "min_len", 1)
+    best, p5 = 1 << (min_len - 1).bit_length(), 1
     while p5 < best:
         p35 = p5
         while p35 < best:
@@ -68,22 +70,24 @@ def transform_work(n: int) -> int:
     return round(n * math.log2(n))
 
 
-def _charge(n: int) -> None:
-    _fft_work.set(_fft_work.get() + transform_work(n))
+def _charge(n: int, x: np.ndarray) -> None:
+    # one transform per row: along x's last axis
+    _fft_work.set(_fft_work.get() + math.prod(x.shape[:-1]) * transform_work(n))
 
 
 def fft_forward(a: np.ndarray, n: int) -> np.ndarray:
     """Half spectrum (n//2 + 1 bins) of a real vector zero-padded to
-    length n (2^a * 3^b * 5^c)."""
-    if len(a) > n:
+    length n (2^a * 3^b * 5^c), or of each row of a 2-D array."""
+    if a.shape[-1] > n:
         raise ValueError("input longer than transform length")
-    _charge(n)
+    _charge(n, a)
     return np.fft.rfft(a, n)
 
 
 def fft_inverse_real(spectrum: np.ndarray, n: int) -> np.ndarray:
-    """Length-n real signal whose half spectrum is `spectrum`."""
-    _charge(n)
+    """Length-n real signal whose half spectrum is `spectrum`, or one
+    per row of a 2-D spectrum."""
+    _charge(n, spectrum)
     return np.fft.irfft(spectrum, n)
 
 
@@ -106,9 +110,10 @@ def fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def fold_linear_to_cyclic(full: np.ndarray, m: int) -> np.ndarray:
-    """Wrap a length-(2m-1) linear convolution onto indices mod m."""
-    out = full[:m].copy()
-    out[: m - 1] += full[m:]
+    """Wrap a length-(2m-1) linear convolution, or each row of a 2-D
+    array of them, onto indices mod m."""
+    out = full[..., :m].copy()
+    out[..., : m - 1] += full[..., m:]
     return out
 
 

@@ -48,17 +48,17 @@ def sample_prime(m: int, rng: np.random.Generator) -> int:
     return int(primes[rng.integers(len(primes))])
 
 
-def fold(a: np.ndarray, p: int, moment: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+def fold(a: np.ndarray, p: int, moment: bool = False) -> np.ndarray:
     """Length-p vector whose entry i sums a_j over all j = i (mod p).
 
     Preserves total mass. For p >= len(a) this is the identity embedding
     padded with zeros. p must be an integer >= 1.
 
-    With moment=True, returns (fold(a), fold of j*a_j) from one read of
-    a: writing j = i + p*q, the moment's entry i is
-    i*fold(a)_i + p*sum_q q*a_{i+pq}, so both are rows of one product of
-    a (2, rows) weight matrix with the (rows, p) view of a. In the
-    identity case the moment is arange(n)*a, bit for bit.
+    With moment=True, returns the (2, p) array of rows fold(a) and fold
+    of j*a_j, from one read of a: writing j = i + p*q, the moment's entry
+    i is i*fold(a)_i + p*sum_q q*a_{i+pq}, so both are rows of one
+    product of a (2, rows) weight matrix with the (rows, p) view of a.
+    In the identity case the moment is arange(n)*a, bit for bit.
     """
     p = as_int(p, "p", 1)
     a = np.asarray(a, dtype=np.float64)
@@ -75,7 +75,7 @@ def fold(a: np.ndarray, p: int, moment: bool = False) -> np.ndarray | tuple[np.n
         out[0, : len(tail)] += tail
         out[1, : len(tail)] += (rows * p) * tail
         out[1] += np.arange(p) * out[0]
-    return (out[0], out[1]) if moment else out[0]
+    return out if moment else out[0]
 
 
 def fold_sparse(indices, values, p: int, universe: int) -> tuple[np.ndarray, np.ndarray]:

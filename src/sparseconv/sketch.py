@@ -17,7 +17,9 @@ Two equivalent evaluation routes are used:
 
 * cyclic route: fold A and B with their moments to length p and run
   cyclic convolutions, six transforms of pad_length(2p-1) points per
-  sketch (cost scales with p, independent of n) - the output-sensitive path;
+  sketch in three calls, one forward over each input's fold and moment
+  as two rows and one inverse over the two spectrum products (cost
+  scales with p, independent of n) - the output-sensitive path;
 * dense route: compute A*B once, three transforms of pad_length(2n-1)
   points, and fold it with its moment for every sketch.
 
@@ -26,6 +28,9 @@ with convolution, so the route is a cost choice, made once per sketch
 family (a SketchCache) by route_price, which prices the family by each
 route, cyclic transforms at the middle prime 3m/2 of its [m, 2m], and
 takes the cheaper. A one-off sketch, without a cache, takes the cyclic route.
+build_sketch builds one prime's sketch, or a family's in stages: on the
+cyclic route it folds A for every prime, then B, so each input stays
+cache-warm across its folds, and only then transforms.
 
 A sketch may hold some of its buckets only (Sketch.buckets): heavy(c1)
 keeps those with V >= c1, all extraction reads. residual subtracts a
@@ -35,6 +40,7 @@ O(|C|), giving A*B - C's sketch there; as C >= 0, its buckets >= c1 are A*B's.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,9 +64,11 @@ __all__ = [
 class Sketch:
     """Folded convolution mass (v) and folded index-weighted mass (w) for
     one prime modulus, at the increasing bucket numbers `buckets` (None: all),
-    of a product of length out_len, whose output indices lie in [0, out_len)."""
+    of a product of length out_len, whose output indices lie in [0, out_len).
+    Several sketches read as one (sparseconv.approx's family) hold each
+    bucket's prime in p, an array aligned with v."""
 
-    p: int
+    p: int | np.ndarray
     v: np.ndarray
     w: np.ndarray
     out_len: int
@@ -136,37 +144,48 @@ class SketchCache:
 def build_sketch(
     a: np.ndarray,
     b: np.ndarray,
-    p: int,
+    p: int | Sequence[int],
     cache: SketchCache | None = None,
-) -> Sketch:
-    """Build the (V, W) pair for prime p.
+) -> Sketch | list[Sketch]:
+    """Build the (V, W) pair for prime p, or, given a sequence of primes,
+    each one's pair in stages, as a list in the primes' order.
 
     V = cyc_p(fold(A), fold(B)) and
     W = cyc_p(fold(dA), fold(B)) + cyc_p(fold(A), fold(dB)).
 
-    Each input is read once, by fold(X, p, moment=True). The cyclic route
-    shares the forward transforms of fold(A), fold(B) between V and W and
-    merges W's two products in the spectrum domain: 4 forward + 2 inverse
-    transforms per sketch. Route and inputs are the cache's; without one,
-    dense_pair checks a and b and the sketch takes the cyclic route. The
-    sketch's out_len is 2n-1 for the inputs' length n. fold checks p.
+    Each input is read once per prime, by fold(X, p, moment=True). The
+    cyclic route folds A for every prime, then B, and then transforms
+    each sketch in three calls: one forward over each input's (fold,
+    moment) rows, fold(A)'s and fold(B)'s spectra shared between V and
+    W, and one inverse over V's product and W's two products merged in
+    the spectrum domain, 4 forward + 2 inverse transforms per sketch.
+    The dense route folds the cache's product once per prime. Route and
+    inputs are the cache's; without one, dense_pair checks a and b and
+    the sketches take the cyclic route. A sketch's out_len is 2n-1 for
+    the inputs' length n. fold checks each prime, before anything is
+    transformed.
     """
     if cache is None:
         cache = SketchCache(*dense_pair(a, b), dense=False)
+    primes = [p] if np.ndim(p) == 0 else list(p)
     out_len = 2 * len(cache.a) - 1
     if cache.dense:
-        return Sketch(p, *fold(cache.conv, p, moment=True), out_len)
+        sketches = [Sketch(q, *fold(cache.conv, q, moment=True), out_len) for q in primes]
+    else:
+        folds = [[fold(x, q, moment=True) for q in primes] for x in (cache.a, cache.b)]
+        sketches = [_cyclic_sketch(q, fa, fb, out_len) for q, fa, fb in zip(primes, *folds)]
+    return sketches if np.ndim(p) else sketches[0]
 
-    fa_, fda = fold(cache.a, p, moment=True)
-    fb_, fdb = fold(cache.b, p, moment=True)
+
+def _cyclic_sketch(p: int, fa: np.ndarray, fb: np.ndarray, out_len: int) -> Sketch:
+    """Prime p's sketch from the (fold, moment) rows of A and of B."""
     size = pad_length(2 * p - 1)
-    sa = fft_forward(fa_, size)
-    sb = fft_forward(fb_, size)
-    sda = fft_forward(fda, size)
-    sdb = fft_forward(fdb, size)
-    v_full = fft_inverse_real(sa * sb, size)[: 2 * p - 1]
-    w_full = fft_inverse_real(sda * sb + sa * sdb, size)[: 2 * p - 1]
-    return Sketch(p, fold_linear_to_cyclic(v_full, p), fold_linear_to_cyclic(w_full, p), out_len)
+    (sa, sda), (sb, sdb) = fft_forward(fa, size), fft_forward(fb, size)
+    products = np.empty((2, size // 2 + 1), dtype=complex)
+    np.multiply(sa, sb, out=products[0])
+    np.add(sda * sb, sa * sdb, out=products[1])
+    v, w = fold_linear_to_cyclic(fft_inverse_real(products, size)[:, : 2 * p - 1], p)
+    return Sketch(p, v, w, out_len)
 
 
 def build_residual_sketch(
@@ -193,7 +212,8 @@ def residual(s: Sketch, c: SparseResult) -> Sketch:
 
 
 def extract_candidates(s: Sketch, c1: float, tau: float) -> np.recarray:
-    """Read (index, value) pairs off buckets with V_i >= c1.
+    """Read (index, value) pairs off buckets with V_i >= c1; s may be a
+    family read as one sketch, with a prime per bucket.
 
     A bucket is accepted when its ratio W_i/V_i is within tau of an
     integer inside [0, s.out_len) that hashes to the bucket itself (is
@@ -213,5 +233,6 @@ def extract_candidates(s: Sketch, c1: float, tau: float) -> np.recarray:
     # half-away-from-zero, as round_to_int
     nearest = np.copysign(np.floor(np.abs(ratio) + 0.5), ratio)
     bucket = buckets if s.buckets is None else s.buckets[buckets]
-    keep = (np.abs(ratio - nearest) <= tau) & (nearest >= 0) & (nearest < s.out_len) & (nearest % s.p == bucket)
+    p = s.p[buckets] if np.ndim(s.p) else s.p
+    keep = (np.abs(ratio - nearest) <= tau) & (nearest >= 0) & (nearest < s.out_len) & (nearest % p == bucket)
     return np.rec.fromarrays([nearest[keep], s.v[buckets[keep]]], dtype=[("index", np.int64), ("value", np.float64)])

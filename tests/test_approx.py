@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import sparseconv.approx
 from sparseconv.approx import (
-    ApproxParams, CorrectionTrace, Plan, _grid, _level, _max_factors, _separation_reps, _vote, approx_plan,
-    approx_sparse_convolve, ceil_log2,
+    ApproxParams, CorrectionTrace, Plan, _Family, _grid, _level, _max_factors, _separation_reps, _stored, _vote,
+    approx_plan, approx_sparse_convolve, ceil_log2,
 )
 from sparseconv.exact import ExactParams, exact_plan, exact_sparse_convolve, residual_norm, run_correction_level
 from sparseconv.fft import fft_convolve
@@ -21,7 +21,7 @@ from sparseconv.numerics import SparseResult, naive_convolve
 from sparseconv.sketch import Sketch, SketchCache, build_residual_sketch, build_sketch, extract_candidates, residual
 
 from isolation import is_isolated
-from oracle import support_ge
+from oracle import significant_support, support_ge
 
 
 def impulse(n, at):
@@ -231,15 +231,16 @@ def test_reps_below_one_is_rejected(reps, level, heavy):
 
 @pytest.mark.parametrize("dense", [True, False], ids=["dense", "cyclic"])
 def test_each_stored_sketch_is_its_repetitions_sketch_at_its_heavy_buckets(dense):
-    # the vote step builds the count it is given, repetition l on the
-    # prime drawn from (seed, l)
+    # an attempt builds the count it is given, repetition l on the
+    # prime drawn from (seed, l), as one family
     inst = generate_instance(InstanceSpec(n=2**12, s_a=4, s_b=4, seed=5))
     params = ApproxParams(k=16, delta=0.1, seed=4)
     cache = SketchCache(inst.a, inst.b, dense)
     m = approx_plan(params, len(inst.a)).m
-    stored, _ = _vote(cache, params, m, 9)
-    assert len(stored) == 9
-    for l, sk in enumerate(stored, 1):
+    stored = _stored(cache, params, m, 9)
+    assert len(stored.primes) == 9
+    for l in range(1, 10):
+        sk = stored.member(l - 1)
         full = build_sketch(inst.a, inst.b, sample_prime(m, np.random.default_rng([params.seed, l])), cache=cache)
         assert sk.p == full.p
         assert np.array_equal(sk.buckets, np.flatnonzero(full.v >= params.c1))
@@ -258,10 +259,25 @@ def test_level_merges_no_decode_outside_another_stored_sketchs_heavy_buckets():
     assert [sk.buckets.tolist() for sk in stored] == [[2, 3], [8]]
     peeled = [residual(sk, c) for sk in stored]
     assert [(i, round(v, 9)) for i, v in extract_candidates(peeled[0], params.c1, params.tau).tolist()] == [(10, 0.6)]
-    assert _level(peeled, c, params) == (c, 7)
+    assert _level(_Family.of(peeled), c, params) == (c, 7)
     # the chosen sketch alone filters nothing, so the wrong decode is merged
-    merged, _ = _level(peeled[:1], c, params)
+    merged, _ = _level(_Family.of(peeled[:1]), c, params)
     assert merged.support() == {10, 30}
+
+
+def test_a_level_exposing_nothing_extracts_nothing(monkeypatch):
+    # the peel's fixed point: with no residual bucket >= c1 in any sketch,
+    # the step reads no candidates, keeps what of C passes its noise
+    # filter and names the first sketch's prime, the tie rule's choice
+    product = np.zeros(41)
+    product[[3, 30]] = 0.75, 1.0
+    params = ApproxParams(k=2, delta=0.1)
+    c = SparseResult({3: 0.75, 30: 1.0, 5: 0.2})
+    family = _Family.of([Sketch(p, *fold(product, p, moment=True), len(product)) for p in (7, 11)])
+    peeled, _ = family.residual(c)
+    assert not np.any(peeled.sketch.v >= params.c1)
+    monkeypatch.setattr(sparseconv.approx, "extract_candidates", pytest.fail)
+    assert _level(peeled, c, params) == (SparseResult({3: 0.75, 30: 1.0}), 7)
 
 
 @pytest.mark.parametrize("dense", [True, False], ids=["dense", "cyclic"])
@@ -323,7 +339,7 @@ def test_isolation_frequency():
     spec = InstanceSpec(n=2**12, s_a=8, s_b=8, seed=41)
     inst = generate_instance(spec)
     c = naive_convolve(inst.a, inst.b)
-    supp = support_ge(c, inst.c1_effective)
+    supp = significant_support(c, inst.c1_effective)
     m = approx_plan(ApproxParams(k=64, delta=0.1), spec.n).m
     assert m == 4 * 64 * 12 * 6 // 2
     primes = primes_in_range(m)
@@ -342,7 +358,7 @@ def test_statistical_recovery_small_grid():
         spec = InstanceSpec(n=2**12, s_a=4, s_b=4, seed=1000 + seed)
         inst = generate_instance(spec)
         oracle = naive_convolve(inst.a, inst.b)
-        true_supp = support_ge(oracle, inst.c1_effective)
+        true_supp = significant_support(oracle, inst.c1_effective)
         out = approx_sparse_convolve(
             inst.a, inst.b, ApproxParams(k=16, delta=0.1, seed=seed)
         )
@@ -372,7 +388,7 @@ def test_every_kept_index_has_majority_votes():
         sk = build_sketch(inst.a, inst.b, p, cache=cache)
         for cand in extract_candidates(sk, params.c1, params.tau):
             votes[cand.index] = votes.get(cand.index, 0) + 1
-    _, out = _vote(cache, params, m, L)
+    out = _vote(_stored(cache, params, m, L), params)
     assert len(out) > 0
     need = -(-L // 2)
     for idx in out.support():
@@ -384,12 +400,14 @@ def _records(pairs):
 
 
 def _pooled(per_rep):
-    """The vote over len(per_rep) repetitions with repetition l's
-    extraction scripted as per_rep[l - 1], a list of (index, value) pairs."""
-    scripted = iter(per_rep)
+    """The vote over len(per_rep) repetitions with the family's one
+    extraction scripted as the records of per_rep, repetition l's
+    per_rep[l - 1], a list of (index, value) pairs, in turn."""
+    params = ApproxParams(k=1, delta=0.5)
+    stored = _stored(SketchCache(np.ones(8), np.ones(8), True), params, 16, len(per_rep))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("sparseconv.approx.extract_candidates", lambda s, c1, tau: _records(next(scripted)))
-        return _vote(SketchCache(np.ones(8), np.ones(8), True), ApproxParams(k=1, delta=0.5), 16, len(per_rep))[1]
+        mp.setattr("sparseconv.approx.extract_candidates", lambda s, c1, tau: _records(sum(per_rep, [])))
+        return _vote(stored, params)
 
 
 def _pooled_by_dict_of_lists(per_rep):
@@ -437,8 +455,8 @@ def test_vote_pool_matches_the_dict_of_lists_rule_on_random_votes(data):
 def test_each_repetition_draws_a_prime_no_earlier_one_drew(reps):
     # [16, 32] holds 5 primes: 5 repetitions take each once, and past
     # them the draws may repeat rather than never end
-    stored, _ = _vote(SketchCache(np.ones(8), np.ones(8), True), ApproxParams(k=1, delta=0.5, seed=3), 16, reps)
-    primes = [sk.p for sk in stored]
+    stored = _stored(SketchCache(np.ones(8), np.ones(8), True), ApproxParams(k=1, delta=0.5, seed=3), 16, reps)
+    primes = stored.primes.tolist()
     assert len(primes) == reps and set(primes) == {17, 19, 23, 29, 31}
     assert len(set(primes[:5])) == 5
 

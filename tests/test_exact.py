@@ -21,7 +21,7 @@ from sparseconv.hashing import sample_prime
 from sparseconv.numerics import SparseResult, naive_convolve
 from sparseconv.sketch import SketchCache, build_residual_sketch
 
-from oracle import rounded, support_ge
+from oracle import rounded, significant_support
 
 
 def impulse(n, at):
@@ -82,18 +82,18 @@ def test_schedule_bound():
 
 
 def test_vote_gets_the_params_whole_and_growth_doubles_k_up_to_a_lossless_plan(monkeypatch):
-    # the vote step gets the call's params whole, and each raise of k
+    # the sketch stage gets the call's params whole, and each raise of k
     # replaces k alone
     import sparseconv.approx
 
     seen = []
-    original = sparseconv.approx._vote
+    original = sparseconv.approx._stored
 
-    def fake_vote(cache, params, m, reps):
+    def fake_stored(cache, params, m, reps):
         seen.append((params, m, reps))
         return original(cache, params, m, reps)
 
-    monkeypatch.setattr(sparseconv.approx, "_vote", fake_vote)
+    monkeypatch.setattr(sparseconv.approx, "_stored", fake_stored)
     params = ExactParams(k=2, delta=0.2, c1=0.75, seed=4)
     trace = CorrectionTrace()
     exact_sparse_convolve(impulse(256, 2), impulse(256, 3), params, trace=trace)
@@ -147,7 +147,7 @@ def test_recovers_exactly_on_random_instance():
     spec = InstanceSpec(n=2**11, s_a=4, s_b=4, seed=61)
     inst = generate_instance(spec)
     oracle = naive_convolve(inst.a, inst.b)
-    true_supp = support_ge(oracle, inst.c1_effective)
+    true_supp = significant_support(oracle, inst.c1_effective)
     out = exact_sparse_convolve(inst.a, inst.b, ExactParams(k=16, delta=0.1, seed=9))
     assert out.support() == true_supp
     assert all(out[j] == float(round(oracle[j])) for j in true_supp)
@@ -163,7 +163,7 @@ def test_planted_defect_is_repaired():
     spec = InstanceSpec(n=2**11, s_a=4, s_b=4, seed=71)
     inst = generate_instance(spec)
     oracle = naive_convolve(inst.a, inst.b)
-    true_supp = support_ge(oracle, inst.c1_effective)
+    true_supp = significant_support(oracle, inst.c1_effective)
     full = {j: float(round(oracle[j])) for j in true_supp}
     dropped = sorted(full)[1]
     val = full.pop(dropped)
@@ -182,7 +182,7 @@ def test_integer_mode_off_keeps_float_values():
     spec = InstanceSpec(n=2**10, s_a=3, s_b=3, seed=81, integer_values=False)
     inst = generate_instance(spec)
     oracle = naive_convolve(inst.a, inst.b)
-    true_supp = support_ge(oracle, inst.c1_effective)
+    true_supp = significant_support(oracle, inst.c1_effective)
     out = exact_sparse_convolve(
         inst.a, inst.b, ExactParams(k=9, delta=0.1, seed=4, integer_mode=False)
     )
@@ -250,7 +250,7 @@ class TestPeel:
     def _instance(self):
         inst = generate_instance(InstanceSpec(n=2**12, s_a=4, s_b=4, seed=121))
         oracle = naive_convolve(inst.a, inst.b)
-        full = {j: float(round(oracle[j])) for j in support_ge(oracle, inst.c1_effective)}
+        full = {j: float(round(oracle[j])) for j in significant_support(oracle, inst.c1_effective)}
         return inst, full
 
     def test_levels_repair_a_bootstrap_with_a_dropped_and_a_short_entry(self, monkeypatch):
@@ -262,14 +262,14 @@ class TestPeel:
         original = sparseconv.approx._vote
         primes = []
 
-        def damaged_vote(cache, params, m, reps):
-            # the real vote step builds the sketches; only its result is damaged
-            stored, vote = original(cache, params, m, reps)
+        def damaged_vote(stored, params):
+            # the real sketches and vote; only the vote's result is damaged
+            vote = original(stored, params)
             assert vote.support() == set(full)
-            primes.extend(sk.p for sk in stored)
+            primes.extend(stored.primes.tolist())
             boot = {j: v for j, v in full.items() if j != dropped}
             boot[short] -= 1
-            return stored, SparseResult(boot)
+            return SparseResult(boot)
 
         monkeypatch.setattr(sparseconv.approx, "_vote", damaged_vote)
         trace = CorrectionTrace()
@@ -310,7 +310,7 @@ class TestResidualNorm:
         spec = InstanceSpec(n=2**10, s_a=4, s_b=4, seed=101)
         inst = generate_instance(spec)
         oracle = naive_convolve(inst.a, inst.b)
-        supp = support_ge(oracle, inst.c1_effective)
+        supp = significant_support(oracle, inst.c1_effective)
         full = {j: float(round(oracle[j])) for j in supp}
         return inst, full
 
@@ -409,7 +409,7 @@ def test_three_case_bucket_analysis_small_instance():
     spec = InstanceSpec(n=64, s_a=4, s_b=4, seed=111)
     inst = generate_instance(spec)
     oracle = naive_convolve(inst.a, inst.b)
-    supp = support_ge(oracle, inst.c1_effective)
+    supp = significant_support(oracle, inst.c1_effective)
     c1, tau = 0.5, 0.25
     out_len = 2 * 64 - 1
     for p in (11, 13, 17, 19, 23, 29, 31):

@@ -7,6 +7,7 @@ from sparseconv.fft import (
     cyclic_convolve,
     fft_convolve,
     fft_forward,
+    fft_inverse_real,
     fft_work,
     pad_length,
     reset_fft_work,
@@ -112,6 +113,31 @@ def test_pad_length():
     assert pad_length(61439) == 61440
     with pytest.raises(ValueError):
         pad_length(0)
+    # a numpy integer, such as a prime read out of an array, counts as its int
+    assert pad_length(np.int64(5)) == 5
+    assert pad_length(np.int64(2 * 1129 - 1)) == pad_length(2 * 1129 - 1) == 2304
+    assert transform_work(np.int64(2304)) == transform_work(2304)
+    with pytest.raises(ValueError):
+        pad_length(np.int64(0))
+
+
+@pytest.mark.parametrize("size", [16, 15, 2304])
+def test_two_dimensional_transforms_are_rows_of_one_dimensional_ones(size):
+    # each row is transformed, bit for bit, as alone, zero-padded to the
+    # transform length as a sketch's (fold, moment) rows are, and charged
+    # as one transform
+    rows = np.random.default_rng(size).random((4, size // 2))
+    reset_fft_work()
+    spectra = fft_forward(rows, size)
+    assert fft_work() == 4 * transform_work(size)
+    padded = np.zeros((4, size))
+    padded[:, : size // 2] = rows
+    assert np.array_equal(fft_forward(padded, size), spectra)
+    assert all(np.array_equal(spectra[i], fft_forward(rows[i], size)) for i in range(4))
+    reset_fft_work()
+    signals = fft_inverse_real(spectra[:2], size)
+    assert fft_work() == 2 * transform_work(size)
+    assert all(np.array_equal(signals[i], fft_inverse_real(spectra[i], size)) for i in range(2))
 
 
 def test_work_counter_counts_three_transforms_per_convolution():

@@ -95,6 +95,14 @@ class TestFold:
             assert v.tolist() == a.tolist() + [0.0] * (p - 7)
             assert w.tolist() == (np.arange(7) * a).tolist() + [0.0] * (p - 7)
 
+    def test_moment_rows_are_one_array(self):
+        # one (2, p) array, so a sketch transforms both rows in one call
+        a = np.random.default_rng(7).random(40)
+        for p in (7, 41):
+            both = fold(a, p, moment=True)
+            assert both.shape == (2, p)
+            assert both[0].tolist() == fold(a, p).tolist()
+
     def test_moment_p1_sums_everything(self):
         a = np.array([3.0, 1, 2, 1, 2, 1, 1])
         v, w = fold(a, 1, moment=True)

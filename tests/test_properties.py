@@ -5,9 +5,10 @@ isolated bucket's W/V ratio names its output index, and at a lossless
 modulus every residual sketch is the residual itself. A heavy sketch's
 residual for a non-negative partial result is the full sketch's
 residual at its buckets, bit for bit, and loses none of its heavy
-buckets. Vectorised extraction is checked against the bucket-by-bucket
-loop it replaced, and a bucket two significant indices share yields no
-index outside its own class. Transforms pad to the next
+buckets, and a family of sketches peels each of them as its own
+residual does, bit for bit. Vectorised extraction is checked against
+the bucket-by-bucket loop it replaced, and a bucket two significant
+indices share yields no index outside its own class. Transforms pad to the next
 2^a * 3^b * 5^c length and are charged N * log2(N). No difference of
 two outputs has more prime factors >= m than the pair bound counts, and
 every significant index hashes into a heavy bucket of every sketch. A
@@ -34,7 +35,8 @@ from hypothesis.extra.numpy import arrays
 
 import sparseconv.approx
 from sparseconv.approx import (
-    ApproxParams, CorrectionTrace, _grid, _separation_reps, _max_factors, approx_plan, approx_sparse_convolve,
+    ApproxParams, CorrectionTrace, _Family, _grid, _separation_reps, _max_factors, approx_plan,
+    approx_sparse_convolve,
 )
 from sparseconv.exact import ExactParams, exact_sparse_convolve
 from sparseconv.fft import cyclic_convolve, fft_convolve, pad_length, transform_work
@@ -145,6 +147,34 @@ def test_peeled_heavy_buckets_are_the_residual_sketchs_heavy_buckets(data, c1):
     assert np.array_equal(peeled.w, full.w[top.buckets])
     # C >= 0 only lowers buckets, so none rises to c1 outside the stored ones
     assert set(np.flatnonzero(full.v >= c1)) <= set(top.buckets)
+
+
+@PROPERTY
+@given(st.data())
+def test_a_familys_residuals_are_its_sketches_residuals(data):
+    # one locate and two bincounts give each sketch's residual, summed
+    # in C's order as fold_sparse sums it, whether the sketch holds all
+    # its buckets or some, and name the buckets each sketch holds
+    out_len = data.draw(st.integers(1, 300), label="out_len")
+    sketches = []
+    for s in range(data.draw(st.integers(1, 4), label="sketches")):
+        p = data.draw(st.sampled_from([2, 3, 7, 13, 31, 101, 307, 401]), label=f"p{s}")
+        values = st.floats(-50, 1e3, allow_subnormal=False)
+        v = data.draw(arrays(np.float64, p, elements=values), label=f"v{s}")
+        w = data.draw(arrays(np.float64, p, elements=values), label=f"w{s}")
+        full = Sketch(p, v, w, out_len)
+        sketches.append(full if data.draw(st.booleans(), label=f"full{s}") else full.heavy(
+            data.draw(st.sampled_from([-100.0, 0.0, 0.5, 10.0, 2e3]), label=f"c1 {s}")))
+    c = SparseResult(data.draw(st.dictionaries(
+        st.integers(0, out_len - 1), st.floats(-100, 100, allow_subnormal=False), max_size=30), label="c"))
+    peeled, held = _Family.of(sketches).residual(c)
+    held = held.reshape(len(sketches), len(c))
+    for s, sk in enumerate(sketches):
+        mine, theirs = peeled.member(s), residual(sk, c)
+        buckets = np.arange(sk.p) if sk.buckets is None else sk.buckets
+        assert mine.p == sk.p and np.array_equal(mine.buckets, buckets)
+        assert mine.v.tobytes() == theirs.v.tobytes() and mine.w.tobytes() == theirs.w.tobytes()
+        assert held[s].tolist() == [i % sk.p in set(buckets.tolist()) for i in c]
 
 
 @PROPERTY

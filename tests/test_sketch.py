@@ -56,6 +56,43 @@ class TestBuildSketch:
         with pytest.raises(ValueError, match="p must be"):
             build(np.ones(8), np.ones(8), p)
 
+    @pytest.mark.parametrize("dense", [False, True], ids=["cyclic", "dense"])
+    def test_a_staged_build_is_each_primes_build(self, monkeypatch, dense):
+        # a sequence of primes gives each prime's sketch bit for bit, with
+        # the same FFT work; the cyclic route folds a for every prime,
+        # then b, and a bad prime raises before anything is transformed
+        import sparseconv.sketch
+        from sparseconv.fft import fft_work, reset_fft_work
+        from sparseconv.hashing import fold
+
+        inst = generate_instance(InstanceSpec(n=2**11, s_a=4, s_b=4, seed=8))
+        a, b = inst.a, inst.b
+        cache = SketchCache(a, b, dense)
+        primes = [1009, 101, 4099, 1013]  # 4099 >= 2n-1 folds by the identity
+        reset_fft_work()
+        alone = [build_sketch(a, b, p, cache=cache) for p in primes]
+        work = fft_work()
+        folded = []
+
+        def counting_fold(x, p, *args, **kwargs):
+            folded.append((x is cache.a, x is cache.b, p))
+            return fold(x, p, *args, **kwargs)
+
+        monkeypatch.setattr(sparseconv.sketch, "fold", counting_fold)
+        reset_fft_work()
+        staged = build_sketch(a, b, np.array(primes), cache=cache)
+        assert fft_work() == work
+        assert folded == ([(False, False, p) for p in primes] if dense else
+                          [(True, False, p) for p in primes] + [(False, True, p) for p in primes])
+        assert [sk.p for sk in staged] == primes
+        for sk, one in zip(staged, alone):
+            assert sk.out_len == one.out_len and sk.buckets is None
+            assert sk.v.tobytes() == one.v.tobytes() and sk.w.tobytes() == one.w.tobytes()
+        reset_fft_work()
+        with pytest.raises(ValueError, match="p must be"):
+            build_sketch(a, b, [101, 5.5], cache=cache)
+        assert fft_work() == 0
+
     def test_cache_rejects_inputs_of_different_length(self):
         with pytest.raises(ValueError, match="length mismatch: 4 vs 5"):
             SketchCache(np.ones(4), np.ones(5), dense=False)

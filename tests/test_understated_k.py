@@ -20,7 +20,7 @@ from sparseconv.fft import fft_convolve
 from sparseconv.harness import InstanceSpec, generate_instance
 from sparseconv.numerics import SparseResult, round_to_int
 
-from oracle import rounded, support_ge
+from oracle import rounded, significant_support
 
 N = 2**14
 SIDES = (8, 12, 16)  # true k = side^2: 64, 144, 256
@@ -72,7 +72,8 @@ def _family():
         for seed in INSTANCE_SEEDS:
             inst = generate_instance(InstanceSpec(n=N, s_a=side, s_b=side, seed=seed))
             oracle = fft_convolve(inst.a, inst.b)
-            truth = SparseResult({j: float(round_to_int(oracle[j])) for j in support_ge(oracle, inst.c1_effective)})
+            support = significant_support(oracle, inst.c1_effective)
+            truth = SparseResult({j: float(round_to_int(oracle[j])) for j in support})
             for div in DIVISORS:
                 for engine_seed in ENGINE_SEEDS:
                     yield inst, truth, max(len(truth) // div, 1), engine_seed
@@ -139,7 +140,7 @@ def test_a_call_warns_once_exactly_when_it_raised_k(runs):
 def test_warns_once_naming_the_given_and_the_final_k():
     inst = generate_instance(InstanceSpec(n=2**17, s_a=16, s_b=16, seed=0))
     oracle = fft_convolve(inst.a, inst.b)
-    truth = SparseResult({j: float(round_to_int(oracle[j])) for j in support_ge(oracle, inst.c1_effective)})
+    truth = SparseResult({j: float(round_to_int(oracle[j])) for j in significant_support(oracle, inst.c1_effective)})
     params = ExactParams(k=2, delta=0.1, seed=1)
     trace = CorrectionTrace()
     with pytest.warns(RuntimeWarning) as caught:
@@ -178,8 +179,7 @@ def test_every_call_off_the_benchmark_is_right_at_its_first_plan(n, side):
     # 100 engine seeds on one instance each (warnings are errors)
     inst = generate_instance(InstanceSpec(n=n, s_a=side, s_b=side, seed=0))
     oracle = fft_convolve(inst.a, inst.b)
-    # at half c1: round-off can leave a significant 1.0 a hair below c1
-    truth = SparseResult({j: float(round_to_int(oracle[j])) for j in support_ge(oracle, inst.c1_effective / 2)})
+    truth = SparseResult({j: float(round_to_int(oracle[j])) for j in significant_support(oracle, inst.c1_effective)})
     assert len(truth) == inst.k_effective
     for seed in range(100):
         params = ExactParams(k=len(truth), delta=0.1, seed=seed)
