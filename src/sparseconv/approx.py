@@ -3,21 +3,19 @@ while the peel is not clean; exact_sparse_convolve rounds its result once.
 
 An attempt runs in stages. It draws all of its primes first, repetition
 l's from a generator seeded by (seed, l); build_sketch then folds A for
-every prime, then B, and transforms each sketch. Each sketch is kept at
-its heavy buckets (V >= c1), and the stored sketches are read as one
-array family (_Family), sketch s's bucket b at key s*K + b. The vote
-extracts once over the family, sorts the (index, value) records once and
-keeps each index's lower-median value when it has min_votes_frac of the
-votes and two at least, which shrugs off collided buckets. A peel then
-repairs what the vote drops, with no transform and no read of A or B: a
-stored sketch's residual is A*B - C's sketch at its buckets, and as
-C >= 0 every residual bucket >= c1 is a stored one. Each level takes
-every stored residual at once (one searchsorted, two bincounts), keeps
-the one exposing the most buckets >= c1 and merges those of its
-candidates that hash into a heavy bucket of every stored sketch, as
-every significant index does. A level whose residuals expose no bucket
->= c1 extracts nothing and leaves C as it is: the peel's fixed point,
-where it stops.
+every prime, then B, and transforms each prime's pair, into one Sketch
+kept at its heavy buckets (V >= c1). The vote extracts once over every
+prime, sorts the (index, value) records once and keeps each index's
+lower-median value when it has min_votes_frac of the votes and two at
+least, which shrugs off collided buckets. A peel then repairs what the
+vote drops, with no transform and no read of A or B: the stored
+sketch's residual (sketch.residual) is A*B - C's sketch at its buckets,
+and as C >= 0 every residual bucket >= c1 is a stored one. Each level
+keeps the prime whose residual exposes the most buckets >= c1 and
+merges those of its candidates that hash into a heavy bucket of every
+stored prime, as every significant index does. A level whose residuals
+expose no bucket >= c1 extracts nothing and leaves C as it is: the
+peel's fixed point, where it stops.
 
 An index hidden by a collision is exposed once its partners are peeled,
 so the peel stalls only on a set of significant indices each sharing a
@@ -48,7 +46,7 @@ import numpy as np
 
 from .hashing import primes_in_range, sample_prime
 from .numerics import SparseResult, as_int, as_real, dense_pair
-from .sketch import Sketch, SketchCache, build_sketch, extract_candidates, route_price
+from .sketch import Sketch, SketchCache, build_sketch, extract_candidates, residual, route_price
 
 __all__ = ["ApproxParams", "Plan", "approx_sparse_convolve", "approx_plan", "ceil_log2", "CorrectionTrace"]
 
@@ -188,60 +186,10 @@ def _level_count(params: ApproxParams) -> int:
     return math.ceil(math.log(lg) / math.log(params.level_base))
 
 
-class _Family(NamedTuple):
-    """Sketches read as one array family: sketch s's bucket b at key
-    s*K + b, so keys increase (K exceeds every prime), and its V and W at
-    the same position of `sketch`, a Sketch whose p holds each bucket's
-    prime."""
-
-    primes: np.ndarray
-    K: int
-    keys: np.ndarray
-    sketch: Sketch
-
-    @classmethod
-    def of(cls, sketches: list[Sketch]) -> _Family:
-        primes = np.array([sk.p for sk in sketches], dtype=np.int64)
-        buckets = [np.arange(sk.p) if sk.buckets is None else sk.buckets for sk in sketches]
-        K = int(primes.max()) + 1
-        keys = np.concatenate([s * K + b for s, b in enumerate(buckets)])
-        v, w = (np.concatenate([getattr(sk, x) for sk in sketches]) for x in "vw")
-        bucket_primes = np.repeat(primes, [len(b) for b in buckets])
-        return cls(primes, K, keys, Sketch(bucket_primes, v, w, sketches[0].out_len, np.concatenate(buckets)))
-
-    def member(self, s: int) -> Sketch:
-        """Sketch s alone."""
-        lo, hi = np.searchsorted(self.keys, [s * self.K, (s + 1) * self.K])
-        sk = self.sketch
-        return Sketch(int(self.primes[s]), sk.v[lo:hi], sk.w[lo:hi], sk.out_len, sk.buckets[lo:hi])
-
-    def locate(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Where each sketch keeps each index's bucket, sketch by sketch
-        and in the indices' order within one, and whether it holds it."""
-        q = (np.arange(len(self.primes))[:, None] * self.K + indices % self.primes[:, None]).ravel()
-        at = np.searchsorted(self.keys, q)
-        held = at < len(self.keys)
-        held[held] = self.keys[at[held]] == q[held]
-        return at, held
-
-    def residual(self, c: SparseResult) -> tuple[_Family, np.ndarray]:
-        """Every sketch's residual (sketch.residual, bit for bit: each
-        bucket sums C's entries in C's order from 0.0, as fold_sparse
-        does) and locate's `held` for C's indices."""
-        index = np.fromiter(c.keys(), np.int64, len(c))
-        value = np.fromiter(c.values(), np.float64, len(c))
-        at, held = self.locate(index)
-        reps = len(self.primes)
-        fc, fdc = (np.bincount(at[held], np.tile(x, reps)[held], len(self.keys)) for x in (value, index * value))
-        sk = self.sketch
-        return self._replace(sketch=Sketch(sk.p, sk.v - fc, sk.w - fdc, sk.out_len, sk.buckets)), held
-
-
-def _stored(cache: SketchCache, params: ApproxParams, m: int, reps: int) -> _Family:
-    """`reps` sketches on primes in [m, 2m], distinct while any is new,
+def _stored(cache: SketchCache, params: ApproxParams, m: int, reps: int) -> Sketch:
+    """One Sketch on `reps` primes in [m, 2m], distinct while any is new,
     repetition l's drawn from (seed, l), every prime drawn before one
-    sketch is built (build_sketch's stages), as one family at their heavy
-    buckets (Sketch.heavy)."""
+    sketch is built (build_sketch's stages), at its heavy buckets."""
     primes: list[int] = []
     for l in range(1, reps + 1):
         rng = np.random.default_rng([params.seed, l])
@@ -249,14 +197,14 @@ def _stored(cache: SketchCache, params: ApproxParams, m: int, reps: int) -> _Fam
         while p in primes and len(primes) < len(primes_in_range(m)):
             p = sample_prime(m, rng)  # a prime drawn twice would count one sketch's votes twice
         primes.append(p)
-    return _Family.of([sk.heavy(params.c1) for sk in build_sketch(cache.a, cache.b, primes, cache=cache)])
+    return build_sketch(cache.a, cache.b, primes, cache=cache).heavy(params.c1)
 
 
-def _vote(stored: _Family, params: ApproxParams) -> SparseResult:
-    """The stored sketches' vote, from one extraction over the family:
+def _vote(stored: Sketch, params: ApproxParams) -> SparseResult:
+    """The stored sketches' vote, from one extraction over every prime:
     each index's lower-median record, kept at max(2, ceil(min_votes_frac *
     reps)) records."""
-    votes = extract_candidates(stored.sketch, params.c1, params.tau)
+    votes = extract_candidates(stored, params.c1, params.tau)
     order = np.lexsort((votes["value"], votes["index"]))
     index, value = votes["index"][order], votes["value"][order]
     starts = np.flatnonzero(np.diff(index, prepend=-1))  # indices are >= 0
@@ -266,17 +214,17 @@ def _vote(stored: _Family, params: ApproxParams) -> SparseResult:
     return SparseResult(zip(index[lower_medians].tolist(), value[lower_medians].tolist()))
 
 
-def _level(peeled: _Family, current: SparseResult, params: ApproxParams):
-    """One level step on a family of residual sketches: keep the one
-    exposing the most buckets >= c1 (ties to the earliest) and merge
-    those of its candidates that hash into a bucket every sketch holds
-    (Sketch.buckets: a stored sketch's heavy ones, where every
-    significant index lies, as inputs are non-negative), so a collided
-    bucket's in-class decode stays out of C; returns the new result and
-    the chosen sketch's prime. A family exposing no bucket >= c1 has
-    nothing to extract. FFT round-off can leave -0.0003-style ghosts, so
-    a value at or below tau is noise-band and dropped unless it is >= c1."""
-    exposed = np.bincount(peeled.keys[peeled.sketch.v >= params.c1] // peeled.K, minlength=len(peeled.primes))
+def _level(peeled: Sketch, current: SparseResult, params: ApproxParams):
+    """One level step on residual sketches: keep the prime exposing the
+    most buckets >= c1 (ties to the earliest) and merge those of its
+    candidates that hash into a bucket every prime holds (a stored
+    sketch's heavy ones, where every significant index lies, as inputs
+    are non-negative), so a collided bucket's in-class decode stays out
+    of C; returns the new result and the chosen prime. Residuals
+    exposing no bucket >= c1 have nothing to extract. FFT round-off can
+    leave -0.0003-style ghosts, so a value at or below tau is noise-band
+    and dropped unless it is >= c1."""
+    exposed = np.bincount(peeled.keys[peeled.v >= params.c1] // peeled.K, minlength=len(peeled.primes))
     s = int(np.argmax(exposed))
     out = dict(current)
     if exposed[s]:
@@ -288,7 +236,7 @@ def _level(peeled: _Family, current: SparseResult, params: ApproxParams):
     return kept, int(peeled.primes[s])
 
 
-def _peel(stored: _Family, state: SparseResult, params: ApproxParams, trace: CorrectionTrace):
+def _peel(stored: Sketch, state: SparseResult, params: ApproxParams, trace: CorrectionTrace):
     """Run up to _level_count(params) level steps from `state` on the
     residuals of the stored heavy sketches, recording each in `trace`, up
     to the first that leaves C as it is; returns C and whether every
@@ -296,16 +244,16 @@ def _peel(stored: _Family, state: SparseResult, params: ApproxParams, trace: Cor
     |V| < c1 at each of them, as holds for a correct C, whose residual
     is noise."""
     for _ in range(_level_count(params)):
-        prev = state
-        peeled, held = stored.residual(state)
+        prev, peeled = state, residual(stored, state)
         state, p = _level(peeled, state, params)
         trace.chosen_primes.append(p)
         trace.snapshots.append(SparseResult(state))
         if state == prev:
             break
     else:  # no fixed point: peel the final C for the check
-        peeled, held = stored.residual(state)
-    return state, bool(held.all() and np.all(np.abs(peeled.sketch.v) < params.c1))
+        peeled = residual(stored, state)
+    held = stored.locate(np.fromiter(state, np.int64, len(state)))[1]
+    return state, bool(held.all() and np.all(np.abs(peeled.v) < params.c1))
 
 
 def approx_sparse_convolve(

@@ -10,7 +10,8 @@ primes fold losslessly (p >= 2n-1 on the dense route); otherwise
 certification waits for a fresh-prime residual check (ROADMAP, certified
 exact). residual_norm and run_correction_level, at exact_plan's modulus
 with repetition_schedule's counts, are its reference: the paper's
-correction levels, each on fresh primes.
+correction levels, each on fresh primes, whose residuals are built in
+stages as one Sketch, as approx's stored sketches are.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .approx import ApproxParams, CorrectionTrace, _Family, _level, _level_count, approx_sparse_convolve, ceil_log2
+from .approx import ApproxParams, CorrectionTrace, _level, _level_count, approx_sparse_convolve, ceil_log2
 from .hashing import sample_prime
 from .numerics import SparseResult, as_int, as_real, dense_pair, round_to_int
 # extract_candidates runs only in sparseconv.approx; perfbench's layer trace also
@@ -80,18 +81,18 @@ def repetition_schedule(params: ExactParams) -> list[int]:
     return [math.ceil(base_count / params.level_base ** (l - 1)) for l in range(1, levels + 1)]
 
 
-def _residual_sketches(a, b, current, m, reps, key):
-    """Residual sketches of A*B - current on checked a, b, repetition r = 1..reps
-    with its prime drawn from (*key, r), on route_price's route for (m, reps);
-    one at a lossless modulus, where all tie."""
+def _residual_sketch(a, b, current, m, reps, key):
+    """Residual sketch of A*B - current on checked a, b, under repetition
+    r = 1..reps's prime drawn from (*key, r), built in stages on
+    route_price's route for (m, reps); one prime at a lossless modulus,
+    where all tie."""
     cache = SketchCache(a, b, route_price(len(a), m, reps)[1])
     # primes p >= m >= 2n-1 fold the dense product and the partial result
     # by identity, so every residual sketch at modulus m is the same array
     if cache.dense and m >= 2 * len(a) - 1:
         reps = 1
-    for r in range(1, reps + 1):
-        p = sample_prime(m, np.random.default_rng([*key, r]))
-        yield build_residual_sketch(a, b, current, p, cache=cache)
+    primes = [sample_prime(m, np.random.default_rng([*key, r])) for r in range(1, reps + 1)]
+    return build_residual_sketch(a, b, current, primes, cache=cache)
 
 
 def _rounded(c: SparseResult) -> SparseResult:
@@ -120,8 +121,7 @@ def run_correction_level(
     """
     level, reps, m = as_int(level, "level", 0), as_int(reps, "reps", 1), as_int(m, "m", 2)
     a, b = dense_pair(a, b)
-    sketches = _residual_sketches(a, b, current, m, reps, (params.seed, level))
-    merged, p = _level(_Family.of(list(sketches)), current, params)
+    merged, p = _level(_residual_sketch(a, b, current, m, reps, (params.seed, level)), current, params)
     return _rounded(merged) if params.integer_mode else merged, p
 
 
@@ -159,7 +159,7 @@ def residual_norm(
 ) -> int:
     """Estimated count of residual entries with |A*B - C| >= c1.
 
-    Draws `trials` fresh primes, counts residual-sketch buckets with
+    Draws `trials` fresh primes, counts each one's residual buckets with
     |V_i| >= c1, and reports the maximum. Collisions can only merge
     residual entries, so each trial undercounts at worst; a modulus of at
     least the output length (the default) makes every trial the same
@@ -173,7 +173,5 @@ def residual_norm(
     c1 = as_real(c1, "c1", "(0, inf)")
     trials, seed = as_int(trials, "trials", 1), as_int(seed, "seed", 0)
     m = max(2 * len(a) - 1, 16) if m is None else as_int(m, "m", 2)
-    return max(
-        np.count_nonzero(np.abs(sk.v) >= c1)
-        for sk in _residual_sketches(a, b, c, m, trials, (seed,))
-    )
+    sk = _residual_sketch(a, b, c, m, trials, (seed,))
+    return int(np.bincount(sk.keys[np.abs(sk.v) >= c1] // sk.K, minlength=len(sk.primes)).max())

@@ -28,14 +28,16 @@ with convolution, so the route is a cost choice, made once per sketch
 family (a SketchCache) by route_price, which prices the family by each
 route, cyclic transforms at the middle prime 3m/2 of its [m, 2m], and
 takes the cheaper. A one-off sketch, without a cache, takes the cyclic route.
-build_sketch builds one prime's sketch, or a family's in stages: on the
-cyclic route it folds A for every prime, then B, so each input stays
+build_sketch builds one prime's sketch, or several primes' in stages: on
+the cyclic route it folds A for every prime, then B, so each input stays
 cache-warm across its folds, and only then transforms.
 
-A sketch may hold some of its buckets only (Sketch.buckets): heavy(c1)
-keeps those with V >= c1, all extraction reads. residual subtracts a
-sparse C's fold_sparse (fold, moment) pair at a sketch's buckets in
-O(|C|), giving A*B - C's sketch there; as C >= 0, its buckets >= c1 are A*B's.
+A Sketch holds the sketches of one or more primes as one record, in the
+cell-table layout of invertible Bloom lookup tables: prime s's bucket b
+at key s*K + b, K = max(primes) + 1, so keys increase. heavy(c1) keeps
+the buckets with V >= c1, all extraction reads. residual subtracts a
+sparse C's fold and moment at every bucket held, in O(|C|) per prime,
+giving A*B - C's sketch there; as C >= 0, its buckets >= c1 are A*B's.
 """
 
 from __future__ import annotations
@@ -46,7 +48,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fft import fft_convolve, fft_forward, fft_inverse_real, fold_linear_to_cyclic, pad_length, transform_work
-from .hashing import fold, fold_sparse
+# fold_sparse, the residual's reference, runs nowhere here; perfbench's layer
+# trace looks it up here, and reads the sparse-fold count as absent without it
+from .hashing import fold, fold_sparse  # noqa: F401
 from .numerics import SparseResult, as_real, dense_pair
 
 __all__ = [
@@ -62,23 +66,46 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Sketch:
-    """Folded convolution mass (v) and folded index-weighted mass (w) for
-    one prime modulus, at the increasing bucket numbers `buckets` (None: all),
-    of a product of length out_len, whose output indices lie in [0, out_len).
-    Several sketches read as one (sparseconv.approx's family) hold each
-    bucket's prime in p, an array aligned with v."""
+    """Folded convolution mass (v) and folded index-weighted mass (w) under
+    each of `primes`, at increasing `keys`, prime s's bucket b at s*K + b,
+    of a product of length out_len, whose output indices lie in [0, out_len)."""
 
-    p: int | np.ndarray
+    primes: np.ndarray
+    keys: np.ndarray
     v: np.ndarray
     w: np.ndarray
     out_len: int
-    buckets: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, primes: Sequence[int], pairs: Sequence[np.ndarray], out_len: int) -> Sketch:
+        """Every bucket of each prime's (V, W) pair, in the primes' order."""
+        primes = np.array(primes, dtype=np.int64)
+        K = int(primes.max()) + 1
+        keys = np.concatenate([s * K + np.arange(p) for s, p in enumerate(primes)])
+        return cls(primes, keys, *(np.concatenate([pair[i] for pair in pairs]) for i in (0, 1)), out_len)
+
+    @property
+    def K(self) -> int:
+        return int(self.primes.max()) + 1
 
     def heavy(self, c1: float) -> Sketch:
         """This sketch at its buckets with V >= c1 alone."""
-        keep = np.flatnonzero(self.v >= c1)
-        buckets = keep if self.buckets is None else self.buckets[keep]
-        return Sketch(self.p, self.v[keep], self.w[keep], self.out_len, buckets)
+        keep = self.v >= c1
+        return Sketch(self.primes, self.keys[keep], self.v[keep], self.w[keep], self.out_len)
+
+    def member(self, s: int) -> Sketch:
+        """Prime s's sketch alone."""
+        lo, hi = np.searchsorted(self.keys, [s * self.K, (s + 1) * self.K])
+        return Sketch(self.primes[s : s + 1], self.keys[lo:hi] - s * self.K, self.v[lo:hi], self.w[lo:hi], self.out_len)
+
+    def locate(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Where each prime keeps each index's bucket, prime by prime and
+        in the indices' order within one, and whether it holds it."""
+        q = (np.arange(len(self.primes))[:, None] * self.K + indices % self.primes[:, None]).ravel()
+        at = np.searchsorted(self.keys, q)
+        held = at < len(self.keys)
+        held[held] = self.keys[at[held]] == q[held]
+        return at, held
 
 
 # Besides fft_work(), route_price charges each transform TRANSFORM_WORK
@@ -146,93 +173,97 @@ def build_sketch(
     b: np.ndarray,
     p: int | Sequence[int],
     cache: SketchCache | None = None,
-) -> Sketch | list[Sketch]:
-    """Build the (V, W) pair for prime p, or, given a sequence of primes,
-    each one's pair in stages, as a list in the primes' order.
+) -> Sketch:
+    """The (V, W) pair for prime p, or, given a sequence of primes, each
+    one's built in stages, as one Sketch at every bucket, in the primes'
+    order (one prime's bucket b is its key b).
 
     V = cyc_p(fold(A), fold(B)) and
     W = cyc_p(fold(dA), fold(B)) + cyc_p(fold(A), fold(dB)).
 
     Each input is read once per prime, by fold(X, p, moment=True). The
     cyclic route folds A for every prime, then B, and then transforms
-    each sketch in three calls: one forward over each input's (fold,
+    each prime's pair in three calls: one forward over each input's (fold,
     moment) rows, fold(A)'s and fold(B)'s spectra shared between V and
     W, and one inverse over V's product and W's two products merged in
-    the spectrum domain, 4 forward + 2 inverse transforms per sketch.
+    the spectrum domain, 4 forward + 2 inverse transforms per prime.
     The dense route folds the cache's product once per prime. Route and
     inputs are the cache's; without one, dense_pair checks a and b and
-    the sketches take the cyclic route. A sketch's out_len is 2n-1 for
-    the inputs' length n. fold checks each prime, before anything is
+    the sketch takes the cyclic route. Its out_len is 2n-1 for the
+    inputs' length n. fold checks each prime, before anything is
     transformed.
     """
     if cache is None:
         cache = SketchCache(*dense_pair(a, b), dense=False)
     primes = [p] if np.ndim(p) == 0 else list(p)
-    out_len = 2 * len(cache.a) - 1
     if cache.dense:
-        sketches = [Sketch(q, *fold(cache.conv, q, moment=True), out_len) for q in primes]
+        pairs = [fold(cache.conv, q, moment=True) for q in primes]
     else:
         folds = [[fold(x, q, moment=True) for q in primes] for x in (cache.a, cache.b)]
-        sketches = [_cyclic_sketch(q, fa, fb, out_len) for q, fa, fb in zip(primes, *folds)]
-    return sketches if np.ndim(p) else sketches[0]
+        pairs = [_cyclic_pair(q, fa, fb) for q, fa, fb in zip(primes, *folds)]
+    return Sketch.of(primes, pairs, 2 * len(cache.a) - 1)
 
 
-def _cyclic_sketch(p: int, fa: np.ndarray, fb: np.ndarray, out_len: int) -> Sketch:
-    """Prime p's sketch from the (fold, moment) rows of A and of B."""
+def _cyclic_pair(p: int, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    """Prime p's (V, W) rows from the (fold, moment) rows of A and of B."""
     size = pad_length(2 * p - 1)
     (sa, sda), (sb, sdb) = fft_forward(fa, size), fft_forward(fb, size)
     products = np.empty((2, size // 2 + 1), dtype=complex)
     np.multiply(sa, sb, out=products[0])
     np.add(sda * sb, sa * sdb, out=products[1])
-    v, w = fold_linear_to_cyclic(fft_inverse_real(products, size)[:, : 2 * p - 1], p)
-    return Sketch(p, v, w, out_len)
+    return fold_linear_to_cyclic(fft_inverse_real(products, size)[:, : 2 * p - 1], p)
 
 
 def build_residual_sketch(
     a: np.ndarray,
     b: np.ndarray,
     c_prev: SparseResult,
-    p: int,
+    p: int | Sequence[int],
     cache: SketchCache | None = None,
 ) -> Sketch:
     """Sketch of A*B minus a sparse partial reconstruction, the residual
-    of build_sketch's, on the same route; V entries can go negative where
-    C_prev overshoots. Inputs are the given cache's, or else a and b,
-    checked as in build_sketch."""
+    of build_sketch's, for a prime or a sequence of them, on the same
+    route; V entries can go negative where C_prev overshoots. Inputs are
+    the given cache's, or else a and b, checked as in build_sketch."""
     return residual(build_sketch(a, b, p, cache=cache), c_prev)
 
 
 def residual(s: Sketch, c: SparseResult) -> Sketch:
-    """s minus fold_sparse's pair for C, its fold and its moment's, at
-    s's buckets, in O(|C|); C's indices lie in [0, s.out_len)."""
-    fc, fdc = fold_sparse(c.keys(), c.values(), s.p, s.out_len)
-    if s.buckets is not None:
-        fc, fdc = fc[s.buckets], fdc[s.buckets]
-    return Sketch(s.p, s.v - fc, s.w - fdc, s.out_len, s.buckets)
+    """s minus C's fold and its moment's at every bucket s holds: one
+    searchsorted finds each of C's indices' bucket under every prime, and
+    two bincounts sum C's values and index-weighted values there in C's
+    order from 0.0, as fold_sparse does. ValueError unless C's indices
+    lie in [0, s.out_len)."""
+    index = np.fromiter(c.keys(), np.int64, len(c))
+    value = np.fromiter(c.values(), np.float64, len(c))
+    if index.size and (index.min() < 0 or index.max() >= s.out_len):
+        raise ValueError("sparse index out of range")
+    at, held = s.locate(index)
+    fc, fdc = (np.bincount(at[held], np.tile(x, len(s.primes))[held], len(s.keys)) for x in (value, index * value))
+    return Sketch(s.primes, s.keys, s.v - fc, s.w - fdc, s.out_len)
 
 
 def extract_candidates(s: Sketch, c1: float, tau: float) -> np.recarray:
-    """Read (index, value) pairs off buckets with V_i >= c1; s may be a
-    family read as one sketch, with a prime per bucket.
+    """Read (index, value) pairs off buckets with V_i >= c1, under every
+    prime of s at once.
 
     A bucket is accepted when its ratio W_i/V_i is within tau of an
     integer inside [0, s.out_len) that hashes to the bucket itself (is
-    congruent to its number mod p, the pure-cell check of invertible
-    Bloom lookup tables); everything else is silently rejected
+    congruent to its number mod its prime, the pure-cell check of
+    invertible Bloom lookup tables); everything else is silently rejected
     (collisions and corrupted residuals produce off-integer, out-of-range
     or out-of-class ratios). Returns a record array of the accepted
-    buckets' index (int64) and value (float64) fields, in bucket order.
+    buckets' index (int64) and value (float64) fields, in key order.
     ValueError unless c1 lies in (0, inf) and tau in (0, 0.5).
     """
     as_real(c1, "c1", "(0, inf)")
     as_real(tau, "tau", "(0, 0.5)")
-    buckets = np.flatnonzero(s.v >= c1)
-    ratio = s.w[buckets] / s.v[buckets]
+    at = np.flatnonzero(s.v >= c1)
+    ratio = s.w[at] / s.v[at]
     finite = np.isfinite(ratio)
-    buckets, ratio = buckets[finite], ratio[finite]
+    at, ratio = at[finite], ratio[finite]
     # half-away-from-zero, as round_to_int
     nearest = np.copysign(np.floor(np.abs(ratio) + 0.5), ratio)
-    bucket = buckets if s.buckets is None else s.buckets[buckets]
-    p = s.p[buckets] if np.ndim(s.p) else s.p
-    keep = (np.abs(ratio - nearest) <= tau) & (nearest >= 0) & (nearest < s.out_len) & (nearest % p == bucket)
-    return np.rec.fromarrays([nearest[keep], s.v[buckets[keep]]], dtype=[("index", np.int64), ("value", np.float64)])
+    prime, bucket = np.divmod(s.keys[at], s.K)
+    keep = (np.abs(ratio - nearest) <= tau) & (nearest >= 0) & (nearest < s.out_len) & (nearest % s.primes[prime] == bucket)
+    return np.rec.fromarrays([nearest[keep], s.v[at[keep]]], dtype=[("index", np.int64), ("value", np.float64)])

@@ -1,11 +1,12 @@
 """Oracle helpers shared by the tests: the indices a dense product
 holds at or above a threshold, the truth a recovered support is
-compared against (read at half c1), and a result rounded as exact
-rounds its own."""
+compared against (read at half c1), a result rounded as exact
+rounds its own, and a one-prime sketch from hand-written V and W."""
 
 import numpy as np
 
 from sparseconv.numerics import SparseResult, round_to_int
+from sparseconv.sketch import Sketch
 
 
 def support_ge(a, threshold: float) -> set[int]:
@@ -23,3 +24,8 @@ def significant_support(product, c1: float) -> set[int]:
 def rounded(c: SparseResult) -> SparseResult:
     """C's values rounded to the nearest integer, zeros dropped."""
     return SparseResult({i: float(round_to_int(v)) for i, v in c.items() if round_to_int(v)})
+
+
+def one_sketch(p: int, v, w, out_len: int) -> Sketch:
+    """Prime p's sketch at every bucket, V and W as given: bucket b at key b."""
+    return Sketch.of([p], [(v, w)], out_len)

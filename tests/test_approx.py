@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import sparseconv.approx
 from sparseconv.approx import (
-    ApproxParams, CorrectionTrace, Plan, _Family, _grid, _level, _max_factors, _separation_reps, _stored, _vote,
+    ApproxParams, CorrectionTrace, Plan, _grid, _level, _max_factors, _separation_reps, _stored, _vote,
     approx_plan, approx_sparse_convolve, ceil_log2,
 )
 from sparseconv.exact import ExactParams, exact_plan, exact_sparse_convolve, residual_norm, run_correction_level
@@ -232,7 +232,7 @@ def test_reps_below_one_is_rejected(reps, level, heavy):
 @pytest.mark.parametrize("dense", [True, False], ids=["dense", "cyclic"])
 def test_each_stored_sketch_is_its_repetitions_sketch_at_its_heavy_buckets(dense):
     # an attempt builds the count it is given, repetition l on the
-    # prime drawn from (seed, l), as one family
+    # prime drawn from (seed, l), as one sketch
     inst = generate_instance(InstanceSpec(n=2**12, s_a=4, s_b=4, seed=5))
     params = ApproxParams(k=16, delta=0.1, seed=4)
     cache = SketchCache(inst.a, inst.b, dense)
@@ -242,9 +242,9 @@ def test_each_stored_sketch_is_its_repetitions_sketch_at_its_heavy_buckets(dense
     for l in range(1, 10):
         sk = stored.member(l - 1)
         full = build_sketch(inst.a, inst.b, sample_prime(m, np.random.default_rng([params.seed, l])), cache=cache)
-        assert sk.p == full.p
-        assert np.array_equal(sk.buckets, np.flatnonzero(full.v >= params.c1))
-        assert np.array_equal(sk.v, full.v[sk.buckets]) and np.array_equal(sk.w, full.w[sk.buckets])
+        assert sk.primes.tolist() == full.primes.tolist()
+        assert np.array_equal(sk.keys, np.flatnonzero(full.v >= params.c1))
+        assert np.array_equal(sk.v, full.v[sk.keys]) and np.array_equal(sk.w, full.w[sk.keys])
 
 
 def test_level_merges_no_decode_outside_another_stored_sketchs_heavy_buckets():
@@ -255,13 +255,14 @@ def test_level_merges_no_decode_outside_another_stored_sketchs_heavy_buckets():
     product = np.zeros(41)
     product[[3, 17, 30]] = 0.3, 0.3, 1.0
     params, c = ApproxParams(k=1, delta=0.1), SparseResult({30: 1.0})
-    stored = [Sketch(p, *fold(product, p, moment=True), len(product)).heavy(params.c1) for p in (7, 11)]
-    assert [sk.buckets.tolist() for sk in stored] == [[2, 3], [8]]
-    peeled = [residual(sk, c) for sk in stored]
-    assert [(i, round(v, 9)) for i, v in extract_candidates(peeled[0], params.c1, params.tau).tolist()] == [(10, 0.6)]
-    assert _level(_Family.of(peeled), c, params) == (c, 7)
+    stored = Sketch.of((7, 11), [fold(product, p, moment=True) for p in (7, 11)], len(product)).heavy(params.c1)
+    assert [stored.member(s).keys.tolist() for s in (0, 1)] == [[2, 3], [8]]
+    peeled = residual(stored, c)
+    found = extract_candidates(peeled.member(0), params.c1, params.tau)
+    assert [(i, round(v, 9)) for i, v in found.tolist()] == [(10, 0.6)]
+    assert _level(peeled, c, params) == (c, 7)
     # the chosen sketch alone filters nothing, so the wrong decode is merged
-    merged, _ = _level(_Family.of(peeled[:1]), c, params)
+    merged, _ = _level(peeled.member(0), c, params)
     assert merged.support() == {10, 30}
 
 
@@ -273,9 +274,8 @@ def test_a_level_exposing_nothing_extracts_nothing(monkeypatch):
     product[[3, 30]] = 0.75, 1.0
     params = ApproxParams(k=2, delta=0.1)
     c = SparseResult({3: 0.75, 30: 1.0, 5: 0.2})
-    family = _Family.of([Sketch(p, *fold(product, p, moment=True), len(product)) for p in (7, 11)])
-    peeled, _ = family.residual(c)
-    assert not np.any(peeled.sketch.v >= params.c1)
+    peeled = residual(Sketch.of((7, 11), [fold(product, p, moment=True) for p in (7, 11)], len(product)), c)
+    assert not np.any(peeled.v >= params.c1)
     monkeypatch.setattr(sparseconv.approx, "extract_candidates", pytest.fail)
     assert _level(peeled, c, params) == (SparseResult({3: 0.75, 30: 1.0}), 7)
 
@@ -400,7 +400,7 @@ def _records(pairs):
 
 
 def _pooled(per_rep):
-    """The vote over len(per_rep) repetitions with the family's one
+    """The vote over len(per_rep) repetitions with the stored sketch's one
     extraction scripted as the records of per_rep, repetition l's
     per_rep[l - 1], a list of (index, value) pairs, in turn."""
     params = ApproxParams(k=1, delta=0.5)

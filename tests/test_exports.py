@@ -30,13 +30,29 @@ def test_star_import_succeeds():
     assert set(sparseconv.__all__) <= namespace.keys()
 
 
-# Imports kept for a reader outside the package, each with its reason.
+# Imports kept for a reader outside the package, each with its reason;
+# each is a site of perfbench's layer trace, and goes when its site goes.
 UNUSED_IMPORTS_KEPT = {
     # perfbench's layer trace wraps extract_candidates here as well as in
     # sparseconv.approx, and reads every extraction metric as absent
     # when one of its sites is missing
     "sparseconv.exact.extract_candidates",
+    # the residual's reference, with no library caller since the residual
+    # sums C's fold by bincount; the layer trace counts sparse folds here
+    "sparseconv.sketch.fold_sparse",
 }
+
+
+def _layer_trace_sites() -> set[str]:
+    """perfbench/layertrace.py's SITES as "module.attribute" names, read
+    from its source: the trace patches each, and a kept import serves one."""
+    tree = ast.parse((ROOT / "perfbench" / "layertrace.py").read_text())
+    (node,) = [n for n in tree.body if isinstance(n, ast.Assign) and [getattr(t, "id", None) for t in n.targets] == ["SITES"]]
+    return {f"{module}.{attr}" for module, attr, _ in ast.literal_eval(node.value)}
+
+
+def test_every_kept_import_is_a_layer_trace_site():
+    assert UNUSED_IMPORTS_KEPT <= _layer_trace_sites()
 
 
 def _unused_imports(path) -> set[str]:

@@ -17,7 +17,9 @@ from sparseconv.numerics import (
     naive_convolve,
     round_to_int,
 )
-from sparseconv.sketch import Sketch, extract_candidates
+from sparseconv.sketch import extract_candidates
+
+from oracle import one_sketch
 
 
 def brute_force_convolve(a, b):
@@ -158,7 +160,7 @@ def test_as_real_returns_a_float_inside_the_interval():
             as_real(value, "x", interval)
 
 
-_SKETCH = Sketch(3, np.zeros(3), np.zeros(3), 5)
+_SKETCH = one_sketch(3, np.zeros(3), np.zeros(3), 5)
 # Scalar arguments outside the engines' params, each with its field name
 # and a value of the right type outside its range.
 SCALAR_SITES = {

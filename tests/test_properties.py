@@ -5,8 +5,8 @@ isolated bucket's W/V ratio names its output index, and at a lossless
 modulus every residual sketch is the residual itself. A heavy sketch's
 residual for a non-negative partial result is the full sketch's
 residual at its buckets, bit for bit, and loses none of its heavy
-buckets, and a family of sketches peels each of them as its own
-residual does, bit for bit. Vectorised extraction is checked against
+buckets, and a sketch under several primes peels each prime's buckets
+as fold_sparse's pair for it, bit for bit. Vectorised extraction is checked against
 the bucket-by-bucket loop it replaced, and a bucket two significant
 indices share yields no index outside its own class. Transforms pad to the next
 2^a * 3^b * 5^c length and are charged N * log2(N). No difference of
@@ -29,13 +29,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import sparseconv.approx
 from sparseconv.approx import (
-    ApproxParams, CorrectionTrace, _Family, _grid, _separation_reps, _max_factors, approx_plan,
+    ApproxParams, CorrectionTrace, _grid, _separation_reps, _max_factors, approx_plan,
     approx_sparse_convolve,
 )
 from sparseconv.exact import ExactParams, exact_sparse_convolve
@@ -48,8 +48,11 @@ from sparseconv.sketch import (
     extract_candidates, residual, route_price,
 )
 
-from oracle import rounded
+from oracle import one_sketch, rounded
 
+# Edge values a property needs are pinned with @example: hypothesis also
+# draws from literals it collects in the package's source, so derandomized
+# examples move whenever a literal under src/ does.
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
 
 
@@ -138,43 +141,48 @@ def test_peeled_heavy_buckets_are_the_residual_sketchs_heavy_buckets(data, c1):
         st.dictionaries(st.integers(0, out_len - 1), st.floats(0, 100), max_size=8), label="c"
     ))
     sk = build_sketch(a, b, p)
-    top = sk.heavy(c1)  # what approx_sparse_convolve stores
-    assert np.array_equal(top.buckets, np.flatnonzero(sk.v >= c1))
+    top = sk.heavy(c1)  # what approx_sparse_convolve stores; one prime's keys are its buckets
+    assert np.array_equal(top.keys, np.flatnonzero(sk.v >= c1))
     peeled, full = residual(top, partial), residual(sk, partial)
     assert sk.out_len == top.out_len == peeled.out_len == full.out_len == out_len
-    assert np.array_equal(peeled.buckets, top.buckets)
-    assert np.array_equal(peeled.v, full.v[top.buckets])
-    assert np.array_equal(peeled.w, full.w[top.buckets])
+    assert np.array_equal(peeled.keys, top.keys)
+    assert np.array_equal(peeled.v, full.v[top.keys])
+    assert np.array_equal(peeled.w, full.w[top.keys])
     # C >= 0 only lowers buckets, so none rises to c1 outside the stored ones
-    assert set(np.flatnonzero(full.v >= c1)) <= set(top.buckets)
+    assert set(np.flatnonzero(full.v >= c1)) <= set(top.keys)
 
 
 @PROPERTY
 @given(st.data())
-def test_a_familys_residuals_are_its_sketches_residuals(data):
-    # one locate and two bincounts give each sketch's residual, summed
-    # in C's order as fold_sparse sums it, whether the sketch holds all
-    # its buckets or some, and name the buckets each sketch holds
+def test_the_residual_is_fold_sparses_pair_at_each_primes_buckets(data):
+    # one locate and two bincounts give every prime's residual, summed in
+    # C's order as fold_sparse sums it, whether the sketch holds all of a
+    # prime's buckets or some, and name the buckets each prime holds
     out_len = data.draw(st.integers(1, 300), label="out_len")
-    sketches = []
+    primes, pairs, kept = [], [], []
     for s in range(data.draw(st.integers(1, 4), label="sketches")):
         p = data.draw(st.sampled_from([2, 3, 7, 13, 31, 101, 307, 401]), label=f"p{s}")
         values = st.floats(-50, 1e3, allow_subnormal=False)
         v = data.draw(arrays(np.float64, p, elements=values), label=f"v{s}")
         w = data.draw(arrays(np.float64, p, elements=values), label=f"w{s}")
-        full = Sketch(p, v, w, out_len)
-        sketches.append(full if data.draw(st.booleans(), label=f"full{s}") else full.heavy(
-            data.draw(st.sampled_from([-100.0, 0.0, 0.5, 10.0, 2e3]), label=f"c1 {s}")))
+        primes.append(p)
+        pairs.append((v, w))
+        kept.append(np.ones(p, dtype=bool) if data.draw(st.booleans(), label=f"full{s}") else v >= data.draw(
+            st.sampled_from([-100.0, 0.0, 0.5, 10.0, 2e3]), label=f"c1 {s}"))
+    full = Sketch.of(primes, pairs, out_len)
+    keep = np.concatenate(kept)
+    sk = Sketch(full.primes, full.keys[keep], full.v[keep], full.w[keep], out_len)
     c = SparseResult(data.draw(st.dictionaries(
         st.integers(0, out_len - 1), st.floats(-100, 100, allow_subnormal=False), max_size=30), label="c"))
-    peeled, held = _Family.of(sketches).residual(c)
-    held = held.reshape(len(sketches), len(c))
-    for s, sk in enumerate(sketches):
-        mine, theirs = peeled.member(s), residual(sk, c)
-        buckets = np.arange(sk.p) if sk.buckets is None else sk.buckets
-        assert mine.p == sk.p and np.array_equal(mine.buckets, buckets)
-        assert mine.v.tobytes() == theirs.v.tobytes() and mine.w.tobytes() == theirs.w.tobytes()
-        assert held[s].tolist() == [i % sk.p in set(buckets.tolist()) for i in c]
+    peeled = residual(sk, c)
+    held = sk.locate(np.fromiter(c, np.int64, len(c)))[1].reshape(len(primes), len(c))
+    for s, (p, (v, w), buckets) in enumerate(zip(primes, pairs, kept)):
+        buckets = np.flatnonzero(buckets)
+        fc, fdc = fold_sparse(c.keys(), c.values(), p, out_len)
+        mine = peeled.member(s)
+        assert mine.primes.tolist() == [p] and np.array_equal(mine.keys, buckets)
+        assert mine.v.tobytes() == (v - fc)[buckets].tobytes() and mine.w.tobytes() == (w - fdc)[buckets].tobytes()
+        assert held[s].tolist() == [i % p in set(buckets.tolist()) for i in c]
 
 
 @PROPERTY
@@ -190,20 +198,22 @@ def test_every_significant_index_hashes_into_a_heavy_bucket_of_every_sketch(data
     p = data.draw(st.sampled_from(primes_in_range(m).tolist()), label="p")
     c1 = ApproxParams(k=1, delta=0.1).c1
     top = build_sketch(inst.a, inst.b, p).heavy(c1)
-    assert np.all(np.diff(top.buckets) > 0) and np.all(np.diff(top.heavy(2 * c1).buckets) > 0)
-    assert set((significant % p).tolist()) <= set(top.buckets.tolist())
+    assert np.all(np.diff(top.keys) > 0) and np.all(np.diff(top.heavy(2 * c1).keys) > 0)
+    assert set((significant % p).tolist()) <= set(top.keys.tolist())
 
 
 def extract_by_loop(s, c1, tau, out_len):
     out = []
-    for i, bucket in enumerate(range(s.p) if s.buckets is None else s.buckets):
+    for i, key in enumerate(s.keys.tolist()):
+        prime, bucket = divmod(key, s.K)
+        p = int(s.primes[prime])
         if not s.v[i] >= c1:
             continue
         ratio = s.w[i] / s.v[i]
         if not np.isfinite(ratio):
             continue
         nearest = round_to_int(float(ratio))
-        if abs(ratio - nearest) <= tau and 0 <= nearest < out_len and nearest % s.p == bucket:
+        if abs(ratio - nearest) <= tau and 0 <= nearest < out_len and nearest % p == bucket:
             out.append((nearest, float(s.v[i])))
     return out
 
@@ -221,11 +231,15 @@ def test_extraction_matches_the_bucket_loop(data, c1, tau, out_len):
     w[data.draw(st.lists(st.integers(0, p - 1), max_size=3), label="bad")] = data.draw(
         st.sampled_from([np.inf, -np.inf, np.nan]), label="bad value"
     )
-    s = Sketch(p, v, w, out_len)
+    s = one_sketch(p, v, w, out_len)
     assert extract_candidates(s, c1, tau).tolist() == extract_by_loop(s, c1, tau, out_len)
-    # a heavy sketch reads bucket numbers from its buckets, not its positions
+    # a heavy sketch reads bucket numbers from its keys, not its positions,
+    # and a second prime's from its keys past K
     heavy = s.heavy(data.draw(st.floats(-10, 2), label="heavy c1"))
     assert extract_candidates(heavy, c1, tau).tolist() == extract_by_loop(heavy, c1, tau, out_len)
+    q = data.draw(st.integers(1, 64), label="q")
+    two = Sketch.of([q, p], [(np.ones(q), np.zeros(q)), (v, w)], out_len).heavy(data.draw(st.floats(-10, 2), label="c1 of two"))
+    assert extract_candidates(two, c1, tau).tolist() == extract_by_loop(two, c1, tau, out_len)
 
 
 @PROPERTY
@@ -238,7 +252,7 @@ def test_a_collided_bucket_yields_only_an_index_in_its_class(p, data, v1, v2):
     q1, q2 = data.draw(st.lists(st.integers(0, 20), min_size=2, max_size=2, unique=True), label="q")
     out_len = b + p * max(q1, q2) + 1
     fv, fw = fold_sparse([b + p * q1, b + p * q2], [float(v1), float(v2)], p, out_len)
-    for s in (Sketch(p, fv, fw, out_len), Sketch(p, fv, fw, out_len).heavy(0.5)):
+    for s in (one_sketch(p, fv, fw, out_len), one_sketch(p, fv, fw, out_len).heavy(0.5)):
         assert all(index % p == b for index in extract_candidates(s, 0.5, 0.25).index)
 
 
@@ -251,6 +265,8 @@ def _is_5_smooth(x):
 
 @PROPERTY
 @given(st.integers(1, 2**20))
+@example(1)
+@example(2**20)
 def test_pad_length_is_the_next_5_smooth_length(x):
     n = pad_length(x)
     assert n >= x and _is_5_smooth(n)
@@ -259,6 +275,8 @@ def test_pad_length_is_the_next_5_smooth_length(x):
 
 @PROPERTY
 @given(st.integers(0, 40))
+@example(0)
+@example(40)
 def test_powers_of_two_pad_to_themselves_and_cost_t_times_2_to_the_t(t):
     assert pad_length(2**t) == 2**t
     assert transform_work(2**t) == t * 2**t
@@ -276,6 +294,8 @@ deltas = st.floats(1e-4, 0.99)
 
 @PROPERTY
 @given(sizes, st.integers(1, 1024), deltas, deltas)
+@example(1, 1, 1e-4, 0.99)
+@example(2**23 - 1, 1024, 0.99, 1e-4)
 def test_bootstrap_count_is_the_least_meeting_the_pair_bound(n, k, delta, other):
     # rho bounds the chance that two given outputs share a bucket under
     # one prime of the plan's [m, 2m]; the count is the least L >= 2 with
@@ -299,6 +319,8 @@ def test_bootstrap_count_is_the_least_meeting_the_pair_bound(n, k, delta, other)
 
 @PROPERTY
 @given(st.integers(1, 2**11), st.integers(1, 1024))
+@example(1, 1)
+@example(2**11, 1024)
 def test_no_output_difference_has_more_prime_factors_than_the_bound_counts(n, k):
     # outputs x != y of a length-n product differ by d in [1, 2n - 2];
     # at every grid modulus m, no such d is divisible by more than
@@ -313,6 +335,8 @@ def test_no_output_difference_has_more_prime_factors_than_the_bound_counts(n, k)
 
 @PROPERTY
 @given(sizes, st.integers(1, 1024), deltas, deltas)
+@example(1, 1024, 1e-4, 0.99)
+@example(2**23 - 1, 1, 0.99, 1e-4)
 def test_bootstrap_count_does_not_grow_with_delta(n, k, d1, d2):
     # at any one modulus, where delta decides the count but not whether
     # there is one; the plan's own count can grow with delta, as a laxer
@@ -326,6 +350,8 @@ def test_bootstrap_count_does_not_grow_with_delta(n, k, d1, d2):
 
 @PROPERTY
 @given(sizes, st.integers(16, 2**20), st.integers(1, 200))
+@example(1, 16, 1)
+@example(2**23 - 1, 2**20, 200)
 def test_the_route_is_the_cheaper_by_the_one_price(n, m, count):
     # both routes fold 2n entries per sketch; the dense one runs the
     # product's three transforms once, the cyclic one six per sketch at
@@ -338,6 +364,8 @@ def test_the_route_is_the_cheaper_by_the_one_price(n, m, count):
 
 @PROPERTY
 @given(sizes, st.integers(1, 1024), deltas)
+@example(1, 1, 1e-4)
+@example(2**23 - 1, 1024, 0.99)
 def test_the_plan_is_the_cheapest_isolating_grid_modulus(n, k, delta):
     # every other grid modulus that meets the bound, at its least count,
     # prices at least as high; ties go to the larger modulus. With none
@@ -358,6 +386,8 @@ def test_the_plan_is_the_cheapest_isolating_grid_modulus(n, k, delta):
 
 @PROPERTY
 @given(sizes, st.integers(1, 1024), deltas)
+@example(1, 1024, 0.99)
+@example(2**23 - 1, 1, 1e-4)
 def test_the_plan_is_the_cheapest_of_four_bases_per_octave(n, k, delta):
     # the bases are top / 2^(j/4), floored, from the top 4k ceil(log2 n)
     # ceil(log2 k) down to 16, cut at the least lossless one (>= 2n - 1);
@@ -380,6 +410,8 @@ def test_the_plan_is_the_cheapest_of_four_bases_per_octave(n, k, delta):
 
 @PROPERTY
 @given(sizes, st.integers(1, 1024), deltas, deltas)
+@example(1, 1, 1e-4, 0.99)
+@example(2**23 - 1, 1024, 0.99, 1e-4)
 def test_the_plans_price_does_not_grow_with_delta(n, k, d1, d2):
     lo, hi = sorted((d1, d2))
     plans = [approx_plan(ApproxParams(k=k, delta=d), n) for d in (hi, lo)]
@@ -482,6 +514,15 @@ INTERVALS = {
     ),
     st.sampled_from(sorted(INTERVALS)),
 )
+# ints with no float of their own, ints past float's range, -0.0, NaN and inf
+@example(2**53 + 1, "[1, inf)")
+@example(-(2**53) - 1, "[0, inf)")
+@example(2**1024, "(0, inf)")
+@example(-0.0, "[0, 1]")
+@example(math.nan, "[0, inf)")
+@example(math.inf, "[1, inf)")
+@example(np.float32(0.5), "(0, 0.5)")
+@example(True, "(0, 1)")
 def test_as_real_returns_a_float_inside_its_interval_or_a_value_error_naming_it(value, interval):
     # a bool, a string, None, NaN and an int beyond float's range lie in none
     real = isinstance(value, (float, np.floating)) or type(value) is int and abs(value) < 2**1024

@@ -8,7 +8,6 @@ from sparseconv.harness import InstanceSpec, generate_instance
 from sparseconv.hashing import sample_prime
 from sparseconv.numerics import SparseResult, naive_convolve
 from sparseconv.sketch import (
-    Sketch,
     SketchCache,
     build_residual_sketch,
     build_sketch,
@@ -17,7 +16,7 @@ from sparseconv.sketch import (
 )
 
 from isolation import is_isolated
-from oracle import support_ge
+from oracle import one_sketch, support_ge
 
 
 def impulse(n, at):
@@ -58,9 +57,10 @@ class TestBuildSketch:
 
     @pytest.mark.parametrize("dense", [False, True], ids=["cyclic", "dense"])
     def test_a_staged_build_is_each_primes_build(self, monkeypatch, dense):
-        # a sequence of primes gives each prime's sketch bit for bit, with
-        # the same FFT work; the cyclic route folds a for every prime,
-        # then b, and a bad prime raises before anything is transformed
+        # a sequence of primes gives one sketch whose member s is prime s's
+        # own build bit for bit, with the same FFT work; the cyclic route
+        # folds a for every prime, then b, and a bad prime raises before
+        # anything is transformed
         import sparseconv.sketch
         from sparseconv.fft import fft_work, reset_fft_work
         from sparseconv.hashing import fold
@@ -84,9 +84,11 @@ class TestBuildSketch:
         assert fft_work() == work
         assert folded == ([(False, False, p) for p in primes] if dense else
                           [(True, False, p) for p in primes] + [(False, True, p) for p in primes])
-        assert [sk.p for sk in staged] == primes
-        for sk, one in zip(staged, alone):
-            assert sk.out_len == one.out_len and sk.buckets is None
+        assert staged.primes.tolist() == primes
+        for s, one in enumerate(alone):
+            sk = staged.member(s)
+            assert one.primes.tolist() == [primes[s]] and np.array_equal(one.keys, np.arange(primes[s]))
+            assert sk.out_len == one.out_len and np.array_equal(sk.keys, one.keys)
             assert sk.v.tobytes() == one.v.tobytes() and sk.w.tobytes() == one.w.tobytes()
         reset_fft_work()
         with pytest.raises(ValueError, match="p must be"):
@@ -171,20 +173,20 @@ class TestExtractCandidates:
         w = np.zeros(7)
         v[3] = 2.0
         w[3] = 13.0
-        assert len(extract_candidates(Sketch(7, v, w, 21), 0.5, 0.25)) == 0
+        assert len(extract_candidates(one_sketch(7, v, w, 21), 0.5, 0.25)) == 0
 
     def test_all_zero_sketch(self):
-        assert len(extract_candidates(Sketch(5, np.zeros(5), np.zeros(5), 9), 0.5, 0.25)) == 0
+        assert len(extract_candidates(one_sketch(5, np.zeros(5), np.zeros(5), 9), 0.5, 0.25)) == 0
 
     def test_out_of_range_index_rejected(self):
         v = np.zeros(7)
         w = np.zeros(7)
         v[2] = 1.0
         w[2] = 30.0  # ratio 30 beyond out_len
-        assert len(extract_candidates(Sketch(7, v, w, 21), 0.5, 0.25)) == 0
+        assert len(extract_candidates(one_sketch(7, v, w, 21), 0.5, 0.25)) == 0
 
     def test_parameter_validation(self):
-        sk = Sketch(3, np.zeros(3), np.zeros(3), 5)
+        sk = one_sketch(3, np.zeros(3), np.zeros(3), 5)
         with pytest.raises(ValueError):
             extract_candidates(sk, 0.0, 0.25)
         with pytest.raises(ValueError, match="c1"):
@@ -251,6 +253,14 @@ class TestResidualSketch:
     def test_out_of_range_partial_result(self):
         with pytest.raises(ValueError):
             build_residual_sketch(np.ones(4), np.ones(4), SparseResult({7: 1.0}), 5)
+
+    @pytest.mark.parametrize("index", [-1, 7], ids=["minus-1", "2n-1"])
+    @pytest.mark.parametrize("primes", [5, [5, 7, 11]], ids=["one-prime", "three-primes"])
+    def test_an_index_outside_the_product_is_rejected_at_any_prime_count(self, index, primes):
+        # C's indices lie in [0, 2n-1) at n = 4: an index outside can only
+        # come from a corrupted partial result, whose fold would be wrong
+        with pytest.raises(ValueError, match="sparse index out of range"):
+            build_residual_sketch(np.ones(4), np.ones(4), SparseResult({3: 1.0, index: 1.0}), primes)
 
 
 def test_noise_stays_well_inside_tolerances():
@@ -457,7 +467,7 @@ def test_exact_call_does_the_fft_work_of_its_bootstrap_alone(n, k, dense):
 
 def _cached_calls():
     def arrays(sk):
-        return sk.p, sk.v.tolist(), sk.w.tolist()
+        return sk.primes.tolist(), sk.keys.tolist(), sk.v.tolist(), sk.w.tolist()
 
     partial = SparseResult({1500: 1.0})  # a valid output index of the cache's inputs only
     return {
