@@ -4,10 +4,11 @@ bring the support back exactly and the values within a hair, at FFT
 work that scales with the output sparsity rather than the vector
 length. Each call's plan prices a few moduli m, each with the fewest
 sketches that separate every pair of significant indices in one of
-them, so that no pair leaves the peel stuck, and takes the cheapest
-(m, sketches, route); a peel that is not clean plans again at 2k. Here
-(n = 2^16, k = 64) the plan is 3 cyclic sketches on primes in
-[456, 912].
+them, so that no pair leaves the peel stuck, against the lossless plan
+(2 folds of the dense product at m = 2n - 1), and takes the cheapest
+(m, sketches); the route follows the primes, cyclic below 2n - 1. A
+peel that is not clean plans again at 2k. Here (n = 2^16, k = 64) the
+plan is 3 cyclic sketches on primes in [456, 912].
 
 Run: python demos/04_approximate_recovery.py
 """
@@ -38,7 +39,7 @@ true_supp = set(np.flatnonzero(oracle >= 0.5).tolist())
 params = ApproxParams(k=inst.k_effective, delta=0.1, seed=1)
 plan = approx_plan(params, spec.n)
 print(f"plan: primes in [{plan.m}, {2 * plan.m}], {plan.reps} sketches, "
-      f"{'dense' if plan.dense else 'cyclic'} route")
+      f"{'dense' if plan.m >= 2 * spec.n - 1 else 'cyclic'} route")
 reset_fft_work()
 t0 = time.perf_counter()
 d = approx_sparse_convolve(inst.a, inst.b, params)

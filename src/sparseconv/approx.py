@@ -29,7 +29,8 @@ clean check does (|V| >= c1).
 
 The paper fixes the modulus only up to a constant, m = Theta(k log n
 log k), and a smaller m makes each sketch cheaper but needs more of
-them, so approx_plan prices each call's modulus, count and route.
+them, so approx_plan prices each call's modulus and count; the route
+follows the primes (sketch.build_sketch).
 """
 
 from __future__ import annotations
@@ -101,26 +102,24 @@ class CorrectionTrace:
 
 
 class Plan(NamedTuple):
-    """One attempt's plan: `reps` sketches on primes in [m, 2m], folding
-    one dense product when `dense`, the cheaper route for (m, reps) by
-    route_price."""
+    """One attempt's plan: `reps` sketches on primes in [m, 2m], lossless
+    folds of one dense product at m >= 2n-1 and cyclic sketches below."""
 
     m: int
     reps: int
-    dense: bool
 
 
 def approx_plan(params: ApproxParams, n: int) -> Plan:
     """The cheapest plan for length-n inputs that separates every pair
     of significant indices in some sketch.
 
-    Each modulus base m of _grid gets its count by _separation_reps; an
-    m no count separates at is dropped, and the rest are priced by
-    route_price, the least price winning and ties going to the larger m.
-    Every lossless m (>= 2n-1) separates with 2 dense sketches at one
-    price, so the grid stops at the least of them; a grid with no m left
-    gives way to the least, 2n-1. The route is route_price's for
-    (m, reps). Memoised on (k, delta, n): the seed changes no plan.
+    The first candidate is the lossless plan (max(2n-1, 16), 2): its
+    primes fold the dense product by the identity, so its 2 sketches
+    separate every pair, and no larger base does better. Each hashing
+    base m of _grid (below 2n-1) gets its count by _separation_reps; an
+    m no count separates at is dropped. All are priced by route_price,
+    the least price winning, ties going to the lossless plan and then to
+    the larger m. Memoised on (k, delta, n): the seed changes no plan.
     ValueError unless n >= 1 is an integer.
     """
     return _plan(params.k, params.delta, as_int(n, "n", 1))
@@ -128,21 +127,22 @@ def approx_plan(params: ApproxParams, n: int) -> Plan:
 
 @functools.cache
 def _plan(k: int, delta: float, n: int) -> Plan:
-    priced = [(route_price(n, m, reps)[0], m, reps) for m in _grid(k, n) if (reps := _separation_reps(k, delta, n, m))]
+    lossless = max(2 * n - 1, 16)  # primes_in_range needs m >= 2
+    priced = [(route_price(n, m, reps), m, reps) for m in _grid(k, n) if (reps := _separation_reps(k, delta, n, m))]
     # min keeps the first of equal prices, and the grid runs downward
-    _, m, reps = min(priced, key=lambda c: c[0], default=(None, 2 * n - 1, 2))
-    return Plan(m, reps, route_price(n, m, reps)[1])
+    _, m, reps = min([(route_price(n, lossless, 2), lossless, 2), *priced], key=lambda c: c[0])
+    return Plan(m, reps)
 
 
 def _grid(k: int, n: int) -> list[int]:
     """Bases floor(top / 2^(j/4)) for j = 0, 1, ..., four per octave from
-    top = 4k*ceil(log2 n)*ceil(log2 k) down to the floor of 16, from the
-    least base >= 2n-1 on: every such base folds the product by the
-    identity, so larger ones only cost a larger prime sieve."""
+    top = 4k*ceil(log2 n)*ceil(log2 k) down to the floor of 16, those
+    below 2n-1 alone: a base at or above it folds the product by the
+    identity, as _plan's lossless plan does at the least price."""
     grid = [top := max(4 * k * ceil_log2(n) * max(ceil_log2(k), 1), 16)]
     while grid[-1] > 16:
         grid.append(max(int(top / 2 ** (len(grid) / 4)), 16))
-    return grid[max(sum(m >= 2 * n - 1 for m in grid) - 1, 0):]
+    return [m for m in grid if m < 2 * n - 1]
 
 
 def _separation_reps(k: int, delta: float, n: int, m: int) -> int | None:
@@ -281,7 +281,7 @@ def approx_sparse_convolve(
     CorrectionTrace is filled with what the call ran.
 
     Deterministic given (a, b, params). approx_plan fixes each attempt's
-    modulus, count and route (its one SketchCache's). Raises ValueError
+    modulus and count, and its primes the route. Raises ValueError
     unless a and b are equal-length, finite, non-negative 1-D vectors.
     """
     a, b = dense_pair(a, b)
@@ -289,8 +289,8 @@ def approx_sparse_convolve(
     trace.bootstrap_reps = []
     attempt = params
     while True:
-        m, reps, dense = approx_plan(attempt, len(a))
-        stored = _stored(SketchCache(a, b, dense), attempt, m, reps)
+        m, reps = approx_plan(attempt, len(a))
+        stored = _stored(SketchCache(a, b), attempt, m, reps)
         state = _vote(stored, attempt)
         trace.bootstrap_reps.append(reps)
         trace.snapshots = [SparseResult(state)]

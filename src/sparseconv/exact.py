@@ -4,9 +4,9 @@ Each attempt's sketches separate every pair of significant indices in
 some stored sketch, so no pair leaves the peel stuck.
 
 The peel's levels fold nothing and transform nothing: each peels C off
-the stored heavy sketches, so each attempt's SketchCache and route are
-its sketches' alone. A fixed point certifies C only when the stored
-primes fold losslessly (p >= 2n-1 on the dense route); otherwise
+the stored heavy sketches, so each attempt's SketchCache is its
+sketches' alone. A fixed point certifies C only when the stored
+primes fold losslessly (p >= 2n-1, the dense route); otherwise
 certification waits for a fresh-prime residual check (ROADMAP, certified
 exact). residual_norm and run_correction_level, at exact_plan's modulus
 with repetition_schedule's counts, are its reference: the paper's
@@ -27,7 +27,7 @@ from .hashing import sample_prime
 from .numerics import SparseResult, as_int, as_real, dense_pair, round_to_int
 # extract_candidates runs only in sparseconv.approx; perfbench's layer trace also
 # looks it up here, and reads every extraction metric as absent without it
-from .sketch import SketchCache, build_residual_sketch, extract_candidates, route_price  # noqa: F401
+from .sketch import SketchCache, build_residual_sketch, extract_candidates  # noqa: F401
 
 __all__ = [
     "ExactParams",
@@ -83,16 +83,13 @@ def repetition_schedule(params: ExactParams) -> list[int]:
 
 def _residual_sketch(a, b, current, m, reps, key):
     """Residual sketch of A*B - current on checked a, b, under repetition
-    r = 1..reps's prime drawn from (*key, r), built in stages on
-    route_price's route for (m, reps); one prime at a lossless modulus,
-    where all tie."""
-    cache = SketchCache(a, b, route_price(len(a), m, reps)[1])
+    r = 1..reps's prime drawn from (*key, r), built in stages; one prime
+    at a lossless modulus, where all tie."""
     # primes p >= m >= 2n-1 fold the dense product and the partial result
     # by identity, so every residual sketch at modulus m is the same array
-    if cache.dense and m >= 2 * len(a) - 1:
-        reps = 1
+    reps = 1 if m >= 2 * len(a) - 1 else reps
     primes = [sample_prime(m, np.random.default_rng([*key, r])) for r in range(1, reps + 1)]
-    return build_residual_sketch(a, b, current, primes, cache=cache)
+    return build_residual_sketch(a, b, current, primes, cache=SketchCache(a, b))
 
 
 def _rounded(c: SparseResult) -> SparseResult:

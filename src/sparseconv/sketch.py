@@ -20,17 +20,17 @@ Two equivalent evaluation routes are used:
   sketch in three calls, one forward over each input's fold and moment
   as two rows and one inverse over the two spectrum products (cost
   scales with p, independent of n) - the output-sensitive path;
-* dense route: compute A*B once, three transforms of pad_length(2n-1)
-  points, and fold it with its moment for every sketch.
+* dense route, taken when every prime is at least 2n-1: compute A*B
+  once, three transforms of pad_length(2n-1) points, and fold it with
+  its moment for every sketch, by the identity, so the sketch is exact.
 
 Both give the same V and W up to FFT round-off, because folding commutes
-with convolution, so the route is a cost choice, made once per sketch
-family (a SketchCache) by route_price, which prices the family by each
-route, cyclic transforms at the middle prime 3m/2 of its [m, 2m], and
-takes the cheaper. A one-off sketch, without a cache, takes the cyclic route.
-build_sketch builds one prime's sketch, or several primes' in stages: on
-the cyclic route it folds A for every prime, then B, so each input stays
-cache-warm across its folds, and only then transforms.
+with convolution; building A*B pays only where its fold loses nothing,
+so the route follows the primes, and route_price prices a family on the
+route its modulus [m, 2m] gives. build_sketch builds one
+prime's sketch, or several primes' in stages: on the cyclic route it
+folds A for every prime, then B, so each input stays cache-warm across
+its folds, and only then transforms.
 
 A Sketch holds the sketches of one or more primes as one record, in the
 cell-table layout of invertible Bloom lookup tables: prime s's bucket b
@@ -51,7 +51,7 @@ from .fft import fft_convolve, fft_forward, fft_inverse_real, fold_linear_to_cyc
 # fold_sparse, the residual's reference, runs nowhere here; perfbench's layer
 # trace looks it up here, and reads the sparse-fold count as absent without it
 from .hashing import fold, fold_sparse  # noqa: F401
-from .numerics import SparseResult, as_real, dense_pair
+from .numerics import SparseResult, as_int, as_real, dense_pair
 
 __all__ = [
     "Sketch",
@@ -126,42 +126,35 @@ FOLD_WORK = 0.5
 SKETCH_WORK = 150_000
 
 
-def route_price(n: int, m: int, count: int) -> tuple[float, bool]:
+def route_price(n: int, m: int, count: int) -> float:
     """fft_work() units for `count` sketches with primes in [m, 2m] on
-    length-n inputs by the cheaper route, and whether that is the dense
-    one (ties go dense).
-
-    The cyclic route runs six transforms of pad_length(3m-1) points per
-    sketch, at the family's middle prime (within 12% of the mean over
-    [m, 2m]'s primes for m = 16-447 and 6% for m >= 448, at approx_plan's
-    moduli); the dense route runs the product's three, once. Each
+    length-n inputs: at m >= 2n-1 the dense route's three transforms of
+    pad_length(2n-1) points, once, and below it the cyclic route's six of
+    pad_length(3m-1) points per sketch, at the family's middle prime
+    (within 12% of the mean over [m, 2m]'s primes for m = 16-447 and 6%
+    for m >= 448, at approx_plan's moduli). Each
     transform costs TRANSFORM_WORK over its work, and each sketch
     FOLD_WORK for each of the 2n entries it folds with their moment (the
     two inputs, or the dense product) plus SKETCH_WORK, on either route.
     """
-    dense = 3 * (transform_work(pad_length(2 * n - 1)) + TRANSFORM_WORK)
-    cyclic = count * 6 * (transform_work(pad_length(3 * m - 1)) + TRANSFORM_WORK)
-    return count * (FOLD_WORK * 2 * n + SKETCH_WORK) + min(dense, cyclic), dense <= cyclic
+    if m >= 2 * n - 1:
+        transforms = 3 * (transform_work(pad_length(2 * n - 1)) + TRANSFORM_WORK)
+    else:
+        transforms = count * 6 * (transform_work(pad_length(3 * m - 1)) + TRANSFORM_WORK)
+    return count * (FOLD_WORK * 2 * n + SKETCH_WORK) + transforms
 
 
 class SketchCache:
-    """Arrays derived from one (A, B) pair, shared by one sketch family (an
-    engine call's, or a level's), all on the route `dense` fixes.
+    """One (A, B) pair shared by one sketch family (an engine call's, or a
+    level's), held by reference and checked by the call that built it;
+    build_sketch and build_residual_sketch given one take it as their
+    inputs, and build A*B by dense_products for a lossless family."""
 
-    A and B are held by reference, checked by the call that built the
-    cache; build_sketch and build_residual_sketch given one take them as
-    their inputs. The dense route builds A*B up front and its FFT work is
-    charged once; the cyclic route folds the inputs themselves.
-    """
-
-    def __init__(self, a: np.ndarray, b: np.ndarray, dense: bool):
+    def __init__(self, a: np.ndarray, b: np.ndarray):
         if len(a) != len(b):
             raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
         self.a = np.asarray(a, dtype=np.float64)
         self.b = np.asarray(b, dtype=np.float64)
-        self.dense = dense
-        if dense:
-            self.conv = self.dense_products()
 
     def dense_products(self) -> np.ndarray:
         # folding it with its moment gives dA*B + A*dB's fold as well
@@ -182,22 +175,26 @@ def build_sketch(
     W = cyc_p(fold(dA), fold(B)) + cyc_p(fold(A), fold(dB)).
 
     Each input is read once per prime, by fold(X, p, moment=True). The
-    cyclic route folds A for every prime, then B, and then transforms
-    each prime's pair in three calls: one forward over each input's (fold,
-    moment) rows, fold(A)'s and fold(B)'s spectra shared between V and
-    W, and one inverse over V's product and W's two products merged in
-    the spectrum domain, 4 forward + 2 inverse transforms per prime.
-    The dense route folds the cache's product once per prime. Route and
-    inputs are the cache's; without one, dense_pair checks a and b and
-    the sketch takes the cyclic route. Its out_len is 2n-1 for the
-    inputs' length n. fold checks each prime, before anything is
-    transformed.
+    route follows the primes: when every one is at least 2n-1, for the
+    inputs' length n, the sketch folds the dense product A*B by the
+    identity, its FFT work charged once; otherwise the cyclic route folds
+    A for every prime, then B, and then transforms each prime's pair in
+    three calls: one forward over each input's (fold, moment) rows,
+    fold(A)'s and fold(B)'s spectra shared between V and W, and one
+    inverse over V's product and W's two products merged in the spectrum
+    domain, 4 forward + 2 inverse transforms per prime. Inputs are the
+    cache's, or else a and b, checked by dense_pair. Its out_len is 2n-1.
+    ValueError, before anything is transformed, unless p is an integer
+    >= 1 or a nonempty sequence of them.
     """
     if cache is None:
-        cache = SketchCache(*dense_pair(a, b), dense=False)
-    primes = [p] if np.ndim(p) == 0 else list(p)
-    if cache.dense:
-        pairs = [fold(cache.conv, q, moment=True) for q in primes]
+        cache = SketchCache(*dense_pair(a, b))
+    primes = [as_int(q, "p", 1) for q in ([p] if np.ndim(p) == 0 else p)]
+    if not primes:
+        raise ValueError("p must hold at least one prime")
+    if min(primes) >= 2 * len(cache.a) - 1:
+        product = cache.dense_products()
+        pairs = [fold(product, q, moment=True) for q in primes]
     else:
         folds = [[fold(x, q, moment=True) for q in primes] for x in (cache.a, cache.b)]
         pairs = [_cyclic_pair(q, fa, fb) for q, fa, fb in zip(primes, *folds)]
@@ -223,8 +220,8 @@ def build_residual_sketch(
 ) -> Sketch:
     """Sketch of A*B minus a sparse partial reconstruction, the residual
     of build_sketch's, for a prime or a sequence of them, on the same
-    route; V entries can go negative where C_prev overshoots. Inputs are
-    the given cache's, or else a and b, checked as in build_sketch."""
+    route; V entries can go negative where C_prev overshoots. Inputs and
+    checks are build_sketch's."""
     return residual(build_sketch(a, b, p, cache=cache), c_prev)
 
 

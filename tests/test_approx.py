@@ -98,20 +98,21 @@ class TestParams:
         # and C(64, 2) / pi(m)^L <= 0.025 first at L = 3 (2016 / 70^2 =
         # 0.41); at 2^20, r = 2 and 2016 is C(16, 2) = 120: 120 (2 /
         # 144)^2 = 0.023 at 1076, the cheapest base that needs only 2
-        assert approx_plan(ApproxParams(k=64, delta=0.1), 2**14) == Plan(475, 3, False)
-        assert approx_plan(ApproxParams(k=64, delta=0.1), 2**17) == Plan(576, 3, False)
-        assert approx_plan(ApproxParams(k=16, delta=0.1), 2**20) == Plan(1076, 2, False)
-        # floors engage for tiny k and lax delta: m >= 16 and counts >= 2
-        assert approx_plan(ApproxParams(k=1, delta=0.99), 4) == Plan(16, 2, True)
+        assert approx_plan(ApproxParams(k=64, delta=0.1), 2**14) == Plan(475, 3)
+        assert approx_plan(ApproxParams(k=64, delta=0.1), 2**17) == Plan(576, 3)
+        assert approx_plan(ApproxParams(k=16, delta=0.1), 2**20) == Plan(1076, 2)
+        # at n <= 8 no grid base lies below 2n - 1: the lossless plan's
+        # floor of 16, which primes_in_range needs, and its 2 sketches
+        assert _grid(1, 4) == [] and approx_plan(ApproxParams(k=1, delta=0.99), 4) == Plan(16, 2)
         # 2 cyclic sketches at m = 96 (6 / 19^2 = 0.017 <= 0.025) edge out
-        # one dense product for 2 at m = 384 by the one price (636,428
-        # against 702,680 units); m = 80 would need 3
-        assert approx_plan(ApproxParams(k=4, delta=0.1), 4096) == Plan(96, 2, False)
-        # every base >= 2n - 1 = 8191 folds by the identity: the grid stops
-        # at the least of them, half the top's 18,432
-        assert approx_plan(ApproxParams(k=64, delta=0.1), 2**12) == Plan(9216, 2, True)
-        # the top 68,000,000 halved down to the least base >= 2047
-        assert max(_grid(10**5, 2**10)) == 2075
+        # the lossless plan's one dense product (636,428 against 702,680
+        # units); m = 80 would need 3
+        assert approx_plan(ApproxParams(k=4, delta=0.1), 4096) == Plan(96, 2)
+        # every base >= 2n - 1 = 8191 folds by the identity, so the grid
+        # keeps the bases below it, each priced above the lossless plan
+        assert approx_plan(ApproxParams(k=64, delta=0.1), 2**12) == Plan(8191, 2)
+        # the top 68,000,000 halved down to the first base below 2047
+        assert max(_grid(10**5, 2**10)) == 1745
 
     def test_the_factor_count_is_exact_at_powers(self):
         # 2n - 2 = 48^3, where the float floor of log(48^3) / log(48) is 2
@@ -133,6 +134,25 @@ def test_impulse_pair():
     )
     assert out.support() == {5}
     assert abs(out[5] - 1.0) <= 0.01
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+@pytest.mark.parametrize("engine", ["approx", "exact"])
+def test_tiny_inputs_run_at_the_lossless_floor(engine, n):
+    # no grid base lies below 2n - 1 <= 15, so the plan is the lossless
+    # one at its floor of 16, the least modulus primes_in_range takes,
+    # and every entry of the all-ones product comes back, unwarned
+    params = dict(k=2 * n - 1, delta=0.1, seed=0)
+    assert approx_plan(ApproxParams(**params), n) == Plan(16, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if engine == "approx":
+            out = approx_sparse_convolve(np.ones(n), np.ones(n), ApproxParams(**params))
+        else:
+            out = exact_sparse_convolve(np.ones(n), np.ones(n), ExactParams(**params))
+    truth = np.convolve(np.ones(n), np.ones(n))
+    assert out.support() == set(range(2 * n - 1))
+    assert all(v == truth[j] if engine == "exact" else abs(v - truth[j]) <= 1e-9 for j, v in out.items())
 
 
 def test_length_mismatch():
@@ -233,10 +253,13 @@ def test_reps_below_one_is_rejected(reps, level, heavy):
 def test_each_stored_sketch_is_its_repetitions_sketch_at_its_heavy_buckets(dense):
     # an attempt builds the count it is given, repetition l on the
     # prime drawn from (seed, l), as one sketch
+    # prime by prime, on the route the family takes: the lossless plan
+    # folds one dense product, the grid's top base 3072 hashes
     inst = generate_instance(InstanceSpec(n=2**12, s_a=4, s_b=4, seed=5))
     params = ApproxParams(k=16, delta=0.1, seed=4)
-    cache = SketchCache(inst.a, inst.b, dense)
-    m = approx_plan(params, len(inst.a)).m
+    cache = SketchCache(inst.a, inst.b)
+    m = approx_plan(params, len(inst.a)).m if dense else _grid(params.k, len(inst.a))[0]
+    assert (m >= 2 * len(inst.a) - 1) is dense
     stored = _stored(cache, params, m, 9)
     assert len(stored.primes) == 9
     for l in range(1, 10):
@@ -282,11 +305,19 @@ def test_a_level_exposing_nothing_extracts_nothing(monkeypatch):
 
 @pytest.mark.parametrize("dense", [True, False], ids=["dense", "cyclic"])
 def test_approx_is_exact_without_rounding(monkeypatch, dense):
-    # one recovery path: on either route, forced for both engines,
-    # approx returns exact's integer_mode=False result bit for bit
+    # one recovery path: on either route, approx returns exact's
+    # integer_mode=False result bit for bit; k = 24 plans losslessly here,
+    # so the cyclic case forces both engines' first attempt onto the grid
+    # base 4072, which separates with 2 sketches and whose primes all
+    # hash (2m < 2n - 1), and a replan at 2k onto the real plan
     inst = generate_instance(InstanceSpec(n=2**12, s_a=4, s_b=6, seed=9, integer_values=False))
     plan = sparseconv.approx.approx_plan
-    monkeypatch.setattr(sparseconv.approx, "approx_plan", lambda params, n: plan(params, n)._replace(dense=dense))
+    assert plan(ApproxParams(k=24, delta=0.1), 2**12) == Plan(8191, 2)
+    assert 4072 in _grid(24, 2**12) and _separation_reps(24, 0.1, 2**12, 4072) == 2
+    if not dense:
+        monkeypatch.setattr(
+            sparseconv.approx, "approx_plan", lambda params, n: Plan(4072, 2) if params.k == 24 else plan(params, n)
+        )
     for seed in range(3):
         params = dict(k=24, delta=0.1, seed=seed)
         out = approx_sparse_convolve(inst.a, inst.b, ApproxParams(**params))
@@ -333,21 +364,23 @@ def test_deterministic_given_seed():
 
 
 def test_isolation_frequency():
-    # at the plan's modulus, here half the grid's top 4 k log2(n) log2(k),
-    # the least base >= 2n - 1, a fixed significant index collides in at
-    # most a quarter of sampled primes (plus slack)
+    # at a hashing grid base, an eighth of the grid's top 4 k log2(n)
+    # log2(k), where the union bound (k - 1) r / pi(m) = 63 / 281 lies
+    # below a quarter, a fixed significant index collides in at most a
+    # quarter of sampled primes (plus slack), and in some
     spec = InstanceSpec(n=2**12, s_a=8, s_b=8, seed=41)
     inst = generate_instance(spec)
     c = naive_convolve(inst.a, inst.b)
     supp = significant_support(c, inst.c1_effective)
-    m = approx_plan(ApproxParams(k=64, delta=0.1), spec.n).m
-    assert m == 4 * 64 * 12 * 6 // 2
+    m = 4 * 64 * 12 * 6 // 8
+    assert m in _grid(64, spec.n) and m < 2 * spec.n - 1
     primes = primes_in_range(m)
+    assert (len(supp) - 1) * _max_factors(spec.n, m) / len(primes) <= 0.25
     rng = np.random.default_rng(5)
     x = sorted(supp)[0]
     draws = primes[rng.integers(len(primes), size=1000)]
     non_isolated = sum(not is_isolated(x, supp, int(p)) for p in draws)
-    assert non_isolated / 1000 <= 0.25 + 0.05
+    assert 0 < non_isolated / 1000 <= 0.25 + 0.05
 
 
 def test_statistical_recovery_small_grid():
@@ -378,9 +411,9 @@ def test_every_kept_index_has_majority_votes():
     spec = InstanceSpec(n=2**10, s_a=3, s_b=3, seed=51)
     inst = generate_instance(spec)
     params = ApproxParams(k=9, delta=0.1, seed=13)
-    m, _, dense = approx_plan(params, spec.n)
+    m = _grid(params.k, spec.n)[0]  # the grid's top base hashes, where the plan is lossless
     L = 9  # more votes than the plan's count, so the floor is not two
-    cache = SketchCache(inst.a, inst.b, dense)
+    cache = SketchCache(inst.a, inst.b)
     votes: dict[int, int] = {}
     for l in range(1, L + 1):
         rng = np.random.default_rng([params.seed, l])
@@ -404,7 +437,7 @@ def _pooled(per_rep):
     extraction scripted as the records of per_rep, repetition l's
     per_rep[l - 1], a list of (index, value) pairs, in turn."""
     params = ApproxParams(k=1, delta=0.5)
-    stored = _stored(SketchCache(np.ones(8), np.ones(8), True), params, 16, len(per_rep))
+    stored = _stored(SketchCache(np.ones(8), np.ones(8)), params, 16, len(per_rep))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("sparseconv.approx.extract_candidates", lambda s, c1, tau: _records(sum(per_rep, [])))
         return _vote(stored, params)
@@ -455,7 +488,7 @@ def test_vote_pool_matches_the_dict_of_lists_rule_on_random_votes(data):
 def test_each_repetition_draws_a_prime_no_earlier_one_drew(reps):
     # [16, 32] holds 5 primes: 5 repetitions take each once, and past
     # them the draws may repeat rather than never end
-    stored = _stored(SketchCache(np.ones(8), np.ones(8), True), ApproxParams(k=1, delta=0.5, seed=3), 16, reps)
+    stored = _stored(SketchCache(np.ones(8), np.ones(8)), ApproxParams(k=1, delta=0.5, seed=3), 16, reps)
     primes = stored.primes.tolist()
     assert len(primes) == reps and set(primes) == {17, 19, 23, 29, 31}
     assert len(set(primes[:5])) == 5

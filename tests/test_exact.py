@@ -94,23 +94,24 @@ def test_vote_gets_the_params_whole_and_growth_doubles_k_up_to_a_lossless_plan(m
         return original(cache, params, m, reps)
 
     monkeypatch.setattr(sparseconv.approx, "_stored", fake_stored)
-    params = ExactParams(k=2, delta=0.2, c1=0.75, seed=4)
+    n = 2**12  # k = 4 and 8 plan hashing moduli, k = 16 the lossless one
+    params = ExactParams(k=4, delta=0.2, c1=0.75, seed=4)
     trace = CorrectionTrace()
-    exact_sparse_convolve(impulse(256, 2), impulse(256, 3), params, trace=trace)
-    plan = approx_plan(params, 256)
+    exact_sparse_convolve(impulse(n, 2), impulse(n, 3), params, trace=trace)
+    plan = approx_plan(params, n)
     assert seen == [(params, plan.m, plan.reps)]
     assert trace.bootstrap_reps == [plan.reps]
 
     # a peel that is never clean plans again at 2k, 4k, ... and stops at
-    # the first lossless plan, m >= 2n - 1 = 511, still not clean, and warns
+    # the first lossless plan, m >= 2n - 1 = 8191, still not clean, and warns
     monkeypatch.setattr(sparseconv.approx, "_peel", lambda stored, state, *rest: (state, False))
     seen.clear()
-    with pytest.warns(RuntimeWarning, match="^k=2 did not peel clean; the call ran to k=8, still not clean") as caught:
-        exact_sparse_convolve(impulse(256, 2), impulse(256, 3), params, trace=trace)
+    with pytest.warns(RuntimeWarning, match="^k=4 did not peel clean; the call ran to k=16, still not clean") as caught:
+        exact_sparse_convolve(impulse(n, 2), impulse(n, 3), params, trace=trace)
     assert len(caught) == 1
-    plans = [approx_plan(replace(params, k=k), 256) for k in (2, 4, 8)]
-    assert seen == [(replace(params, k=k), p.m, p.reps) for k, p in zip((2, 4, 8), plans)]
-    assert [p.m >= 511 for p in plans] == [False, False, True]
+    plans = [approx_plan(replace(params, k=k), n) for k in (4, 8, 16)]
+    assert seen == [(replace(params, k=k), p.m, p.reps) for k, p in zip((4, 8, 16), plans)]
+    assert [p.m >= 2 * n - 1 for p in plans] == [False, False, True]
     assert trace.bootstrap_reps == [p.reps for p in plans]
 
 
@@ -219,7 +220,7 @@ def test_level_keeps_the_first_repetition_with_most_significant_buckets(monkeypa
     inst = generate_instance(InstanceSpec(n=2**10, s_a=4, s_b=4, seed=101))
     params = ExactParams(k=16, delta=0.1, seed=0)
     level, reps, m = 2, 6, 64
-    cache = SketchCache(inst.a, inst.b, dense=False)
+    cache = SketchCache(inst.a, inst.b)
     primes = [sample_prime(m, np.random.default_rng([params.seed, level, r])) for r in range(1, reps + 1)]
     scores = [
         np.count_nonzero(build_residual_sketch(inst.a, inst.b, SparseResult(), p, cache=cache).v >= params.c1)
@@ -243,12 +244,12 @@ def assert_one_trace_of_the_call(inst, params, out, trace):
 
 
 class TestPeel:
-    # the bootstrap's primes at n=2^12, k=16 lie in [3072, 6144], below
-    # 2n-1, so every stored sketch folds lossily, on the dense route
-    params = ExactParams(k=16, delta=0.1, seed=19)
+    # the bootstrap's primes at n=2^13, k=16 lie in [494, 988], below
+    # 2n-1, so every stored sketch hashes, on the cyclic route
+    params = ExactParams(k=16, delta=0.1, seed=20)
 
     def _instance(self):
-        inst = generate_instance(InstanceSpec(n=2**12, s_a=4, s_b=4, seed=121))
+        inst = generate_instance(InstanceSpec(n=2**13, s_a=4, s_b=4, seed=121))
         oracle = naive_convolve(inst.a, inst.b)
         full = {j: float(round(oracle[j])) for j in significant_support(oracle, inst.c1_effective)}
         return inst, full
@@ -292,9 +293,11 @@ class TestPeel:
         reset_fft_work()
         exact_sparse_convolve(inst.a, inst.b, self.params)
         assert built == []
-        # the 2-sketch bootstrap takes the dense route here: its one
-        # product is the call's only FFT work
-        assert fft_work() == 3 * transform_work(pad_length(2 * len(inst.a) - 1))
+        # the 2-sketch bootstrap's six transforms per prime are the call's
+        # only FFT work
+        m, reps = approx_plan(self.params, len(inst.a))
+        primes = [sample_prime(m, np.random.default_rng([self.params.seed, l])) for l in range(1, reps + 1)]
+        assert reps == 2 and fft_work() == sum(6 * transform_work(pad_length(2 * p - 1)) for p in primes)
 
     def test_correct_bootstrap_ends_after_one_level(self):
         inst, full = self._instance()
@@ -351,7 +354,7 @@ class TestResidualNorm:
         # the lossy modulus 16k the trials' counts differ
         inst, full = self._instance()
         m, c1, seed = 16 * len(full), 0.5, 11
-        cache = SketchCache(inst.a, inst.b, dense=False)
+        cache = SketchCache(inst.a, inst.b)
         primes = [sample_prime(m, np.random.default_rng([seed, t])) for t in range(1, 5)]
         counts = [
             np.count_nonzero(np.abs(build_residual_sketch(inst.a, inst.b, SparseResult(), p, cache=cache).v) >= c1)

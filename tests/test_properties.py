@@ -12,9 +12,11 @@ indices share yields no index outside its own class. Transforms pad to the next
 2^a * 3^b * 5^c length and are charged N * log2(N). No difference of
 two outputs has more prime factors >= m than the pair bound counts, and
 every significant index hashes into a heavy bucket of every sketch. A
-plan's route is the cheaper of the two by one price, the engines' plan is
-the cheapest of four modulus bases per octave whose pair bound some
-count meets, at its least such count, that count never grows with delta
+sketch folds the dense product exactly when every prime is at least
+2n-1, and a plan is priced on the route its modulus gives; the engines'
+plan is the lossless one or the cheapest of four hashing modulus bases
+per octave whose pair bound some count meets, at its least such count,
+never priced above the lossless plan, that count never grows with delta
 at one modulus nor the plan's price at any, and approx is exact without
 rounding, bit for bit, and with it approx's result rounded once, with
 the same warnings and trace. A call with k under-stated plans again at 2k
@@ -98,7 +100,10 @@ def test_single_significant_entry_is_read_back_exactly(data, dense, u, v):
     p = data.draw(st.integers(1, 4 * n), label="p")
     a, b = np.zeros(n), np.zeros(n)
     a[i], b[j] = u, v
-    sk = build_sketch(a, b, p, cache=SketchCache(a, b, dense=dense))
+    if dense:  # the dense product folded at p, lossless or not
+        sk = Sketch.of([p], [fold(fft_convolve(a, b), p, moment=True)], 2 * n - 1)
+    else:  # the route p takes
+        sk = build_sketch(a, b, p, cache=SketchCache(a, b))
     (cand,) = extract_candidates(sk, c1=0.5, tau=0.25)
     assert cand.index == i + j
     assert abs(cand.value - u * v) <= 1e-9 * u * v
@@ -118,10 +123,11 @@ def test_residual_sketch_at_a_lossless_prime_is_the_residual(data):
     ))
     conv, index, c = fft_convolve(a, b), np.arange(out_len), np.zeros(out_len)
     c[list(partial)] = list(partial.values())
-    # on the dense route, which exact's one-repetition shortcut at a
-    # lossless modulus relies on, the fold at p >= 2n-1 is the identity
+    # on the dense route, which every prime p >= 2n-1 takes and exact's
+    # one-repetition shortcut at a lossless modulus relies on, the fold is
+    # the identity
     for prime in (p, q):
-        sk = build_residual_sketch(a, b, partial, prime, cache=SketchCache(a, b, True))
+        sk = build_residual_sketch(a, b, partial, prime, cache=SketchCache(a, b))
         assert np.array_equal(sk.v[:out_len], conv - c)
         assert np.array_equal(sk.w[:out_len], index * conv - index * c)
         assert not sk.v[out_len:].any() and not sk.w[out_len:].any()
@@ -300,16 +306,16 @@ def test_bootstrap_count_is_the_least_meeting_the_pair_bound(n, k, delta, other)
     # rho bounds the chance that two given outputs share a bucket under
     # one prime of the plan's [m, 2m]; the count is the least L >= 2 with
     # C(k, 2) rho^L <= delta/4, at a grid modulus where q = (k - 1) rho < 1
-    # or, when none has one, at the lossless 2n - 1, where nothing
-    # collides; at that modulus a larger delta never asks for more
-    m, L, _ = approx_plan(ExactParams(k=k, delta=delta), n)
+    # or at the lossless max(2n - 1, 16), where nothing collides; at that
+    # modulus a larger delta never asks for more
+    m, L = approx_plan(ExactParams(k=k, delta=delta), n)
     r = sum(1 for t in range(1, 64) if m**t <= 2 * n - 2)  # m^r <= the largest difference
     rho = r / len(primes_in_range(m))
 
     def separates(count, d=delta):
         return (k - 1) * rho < 1 and k * (k - 1) / 2 * rho**count <= d / 4
 
-    assert m in _grid(k, n) or m == 2 * n - 1
+    assert m in _grid(k, n) or m == max(2 * n - 1, 16)
     assert L >= 2 and separates(L)
     assert L == 2 or not separates(L - 1)
     # C(k, 2) rho^count falls as the count grows (k = 1 makes it 0), so the
@@ -352,14 +358,49 @@ def test_bootstrap_count_does_not_grow_with_delta(n, k, d1, d2):
 @given(sizes, st.integers(16, 2**20), st.integers(1, 200))
 @example(1, 16, 1)
 @example(2**23 - 1, 2**20, 200)
-def test_the_route_is_the_cheaper_by_the_one_price(n, m, count):
-    # both routes fold 2n entries per sketch; the dense one runs the
-    # product's three transforms once, the cyclic one six per sketch at
-    # the middle prime 3m/2, each transform TRANSFORM_WORK over its work
+def test_the_price_is_the_route_its_modulus_gives(n, m, count):
+    # both routes fold 2n entries per sketch; at m >= 2n - 1 the dense one
+    # runs the product's three transforms once, below it the cyclic one
+    # six per sketch at the middle prime 3m/2, each transform
+    # TRANSFORM_WORK over its work
     per_sketch = count * (FOLD_WORK * 2 * n + SKETCH_WORK)
     dense = per_sketch + 3 * (transform_work(pad_length(2 * n - 1)) + TRANSFORM_WORK)
     cyclic = per_sketch + count * 6 * (transform_work(pad_length(3 * m - 1)) + TRANSFORM_WORK)
-    assert route_price(n, m, count) == (min(dense, cyclic), dense <= cyclic)
+    assert route_price(n, m, count) == (dense if m >= 2 * n - 1 else cyclic)
+
+
+@PROPERTY
+@given(st.data())
+def test_a_sketch_folds_the_dense_product_exactly_when_every_prime_is_lossless(data):
+    # one product for a family whose every prime is >= 2n - 1, folded by
+    # the identity; two input folds per prime otherwise
+    n = data.draw(st.integers(1, 64), label="n")
+    primes = data.draw(st.lists(st.integers(1, 4 * n), min_size=1, max_size=4), label="primes")
+    a, b = (data.draw(arrays(np.float64, n, elements=st.floats(0, 10)), label=x) for x in "ab")
+    built, folded, product = [], [], SketchCache.dense_products
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SketchCache, "dense_products", lambda self: built.append(1) or product(self))
+        mp.setattr("sparseconv.sketch.fold", lambda x, p, **kw: folded.append(len(x)) or fold(x, p, **kw))
+        sk = build_sketch(a, b, primes)
+    lossless = min(primes) >= 2 * n - 1
+    assert built == [1] * lossless
+    assert folded == ([2 * n - 1] * len(primes) if lossless else [n] * (2 * len(primes)))
+    c = naive_convolve(a, b)
+    for s, p in enumerate(primes):
+        np.testing.assert_allclose(sk.member(s).v, fold(c, p), rtol=1e-9, atol=1e-9 * (1 + a.sum() * b.sum()))
+
+
+@PROPERTY
+@given(st.integers(1, 2**22), st.integers(1, 4096), st.floats(0, 1, exclude_min=True, exclude_max=True))
+@example(2**11, 16, 0.1)  # Plan(2816, 2), a lossy fold of the dense product, under a cheaper-route price
+@example(2**12, 32, 0.1)  # Plan(7680, 2), likewise
+@example(2**13, 4, 1e-4)  # Plan(416, 3), cyclic, priced 1,156,056 against the lossless 1,079,512
+@example(1, 1, 0.5)  # no base lies below 2n - 1: the floor of 16
+def test_a_plan_is_lossless_or_hashes_and_never_prices_above_lossless(n, k, delta):
+    lossless = max(2 * n - 1, 16)
+    plan = approx_plan(ApproxParams(k=k, delta=delta), n)
+    assert tuple(plan) == (lossless, 2) or plan.m < 2 * n - 1
+    assert route_price(n, plan.m, plan.reps) <= route_price(n, lossless, 2)
 
 
 @PROPERTY
@@ -367,21 +408,20 @@ def test_the_route_is_the_cheaper_by_the_one_price(n, m, count):
 @example(1, 1, 1e-4)
 @example(2**23 - 1, 1024, 0.99)
 def test_the_plan_is_the_cheapest_isolating_grid_modulus(n, k, delta):
-    # every other grid modulus that meets the bound, at its least count,
-    # prices at least as high; ties go to the larger modulus. With none
-    # meeting it, the plan is 2 sketches at the lossless 2n - 1
-    m, reps, dense = approx_plan(ApproxParams(k=k, delta=delta), n)
-    price, cheaper_is_dense = route_price(n, m, reps)
-    assert dense is cheaper_is_dense
+    # the lossless plan and every grid modulus that meets the bound, at
+    # its least count, price at least as high; ties go to the lossless
+    # plan, then to the larger modulus
+    m, reps = approx_plan(ApproxParams(k=k, delta=delta), n)
+    price, lossless = route_price(n, m, reps), max(2 * n - 1, 16)
     counts = {other: _separation_reps(k, delta, n, other) for other in _grid(k, n)}
-    if set(counts.values()) == {None}:
-        assert (m, reps) == (2 * n - 1, 2)
+    if m == lossless:
+        assert reps == 2
     else:
-        assert counts[m] == reps
+        assert m < 2 * n - 1 and counts[m] == reps and price < route_price(n, lossless, 2)
     for other, count in counts.items():
         if count is not None:
-            other_price = route_price(n, other, count)[0]
-            assert price < other_price or (price == other_price and m >= other)
+            other_price = route_price(n, other, count)
+            assert price < other_price or (price == other_price and (m == lossless or m >= other))
 
 
 @PROPERTY
@@ -390,22 +430,21 @@ def test_the_plan_is_the_cheapest_isolating_grid_modulus(n, k, delta):
 @example(2**23 - 1, 1, 1e-4)
 def test_the_plan_is_the_cheapest_of_four_bases_per_octave(n, k, delta):
     # the bases are top / 2^(j/4), floored, from the top 4k ceil(log2 n)
-    # ceil(log2 k) down to 16, cut at the least lossless one (>= 2n - 1);
-    # the plan prices least among those some count isolates at, ties to
-    # the larger, else it is 2 sketches at the lossless 2n - 1
+    # ceil(log2 k) down to 16, those below 2n - 1 alone; the plan prices
+    # least among the lossless plan and those some count isolates at,
+    # ties to the lossless plan, then to the larger base
     top = max(4 * k * (n - 1).bit_length() * max((k - 1).bit_length(), 1), 16)
     bases = [max(math.floor(top / 2 ** (j / 4)), 16) for j in range(4 * top.bit_length() + 1)]
-    bases = bases[: bases.index(16) + 1]
-    lossless = [m for m in bases if m >= 2 * n - 1]
-    bases = [m for m in bases if m <= min(lossless, default=top)]
+    bases = [m for m in bases[: bases.index(16) + 1] if m < 2 * n - 1]
     assert _grid(k, n) == bases
-    priced = {m: route_price(n, m, L)[0] for m in bases if (L := _separation_reps(k, delta, n, m)) is not None}
+    priced = {m: route_price(n, m, L) for m in bases if (L := _separation_reps(k, delta, n, m)) is not None}
+    lossless = route_price(n, max(2 * n - 1, 16), 2)
     plan = approx_plan(ApproxParams(k=k, delta=delta), n)
-    if priced:
+    if lossless <= min(priced.values(), default=lossless):
+        assert plan == (max(2 * n - 1, 16), 2)
+    else:
         least = min(priced.values())
         assert plan.m == max(m for m, price in priced.items() if price == least)
-    else:
-        assert (plan.m, plan.reps) == (2 * n - 1, 2)
 
 
 @PROPERTY
@@ -415,7 +454,7 @@ def test_the_plan_is_the_cheapest_of_four_bases_per_octave(n, k, delta):
 def test_the_plans_price_does_not_grow_with_delta(n, k, d1, d2):
     lo, hi = sorted((d1, d2))
     plans = [approx_plan(ApproxParams(k=k, delta=d), n) for d in (hi, lo)]
-    assert route_price(n, plans[0].m, plans[0].reps)[0] <= route_price(n, plans[1].m, plans[1].reps)[0]
+    assert route_price(n, plans[0].m, plans[0].reps) <= route_price(n, plans[1].m, plans[1].reps)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
