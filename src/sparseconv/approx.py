@@ -47,7 +47,7 @@ import numpy as np
 
 from .hashing import primes_in_range, sample_prime
 from .numerics import SparseResult, as_int, as_real, dense_pair
-from .sketch import Sketch, SketchCache, build_sketch, extract_candidates, residual, route_price
+from .sketch import Sketch, SketchCache, build_sketch, extract_candidates, lossless, residual, route_price
 
 __all__ = ["ApproxParams", "Plan", "approx_sparse_convolve", "approx_plan", "ceil_log2", "CorrectionTrace"]
 
@@ -142,7 +142,7 @@ def _grid(k: int, n: int) -> list[int]:
     grid = [top := max(4 * k * ceil_log2(n) * max(ceil_log2(k), 1), 16)]
     while grid[-1] > 16:
         grid.append(max(int(top / 2 ** (len(grid) / 4)), 16))
-    return [m for m in grid if m < 2 * n - 1]
+    return [m for m in grid if not lossless(n, m)]
 
 
 def _separation_reps(k: int, delta: float, n: int, m: int) -> int | None:
@@ -276,9 +276,9 @@ def approx_sparse_convolve(
     clean raises one RuntimeWarning naming the given and the final k.
 
     Nothing is rounded: exact_sparse_convolve is this call's result
-    rounded once with ExactParams.integer_mode, and this call bit for bit
-    without it. Only the ApproxParams fields of params are read. A given
-    CorrectionTrace is filled with what the call ran.
+    rounded once, and float values are this call's. Only the ApproxParams
+    fields of params are read. A given CorrectionTrace is filled with
+    what the call ran.
 
     Deterministic given (a, b, params). approx_plan fixes each attempt's
     modulus and count, and its primes the route. Raises ValueError
@@ -296,7 +296,7 @@ def approx_sparse_convolve(
         trace.snapshots = [SparseResult(state)]
         trace.chosen_primes = []
         state, clean = _peel(stored, state, attempt, trace)
-        if clean or m >= 2 * len(a) - 1:
+        if clean or lossless(len(a), m):
             break
         attempt = replace(attempt, k=2 * attempt.k)
 

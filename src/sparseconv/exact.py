@@ -1,7 +1,7 @@
 """Exact sparse convolution: the approximate engine's separate-vote-peel
-result (sparseconv.approx) rounded once to integers, in integer_mode.
-Each attempt's sketches separate every pair of significant indices in
-some stored sketch, so no pair leaves the peel stuck.
+result (sparseconv.approx) rounded once to integers. Each attempt's
+sketches separate every pair of significant indices in some stored
+sketch, so no pair leaves the peel stuck.
 
 The peel's levels fold nothing and transform nothing: each peels C off
 the stored heavy sketches, so each attempt's SketchCache is its
@@ -27,7 +27,7 @@ from .hashing import sample_prime
 from .numerics import SparseResult, as_int, as_real, dense_pair, round_to_int
 # extract_candidates runs only in sparseconv.approx; perfbench's layer trace also
 # looks it up here, and reads every extraction metric as absent without it
-from .sketch import SketchCache, build_residual_sketch, extract_candidates  # noqa: F401
+from .sketch import SketchCache, build_residual_sketch, extract_candidates, lossless  # noqa: F401
 
 __all__ = [
     "ExactParams",
@@ -41,13 +41,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExactParams(ApproxParams):
-    """Approximate-engine knobs plus integer rounding.
-
-    integer_mode rounds the recovered values once, after the last level,
-    to the nearest integer; the exact-recovery guarantee needs
-    significant product entries to be integers. Run with
-    integer_mode=False on non-integer instances to get a 0.01 value
-    tolerance instead of exact equality.
+    """Approximate-engine knobs, read by an engine that rounds its result
+    once to the nearest integers: exact recovery needs significant
+    product entries to be integers, and float values are approx's.
 
     The constants fix the fresh-prime correction levels: m_mult_exact
     scales their modulus, R_mult and the inherited level_base their
@@ -56,8 +52,6 @@ class ExactParams(ApproxParams):
 
     m_mult_exact: ClassVar[int] = 8
     R_mult: ClassVar[int] = 2
-
-    integer_mode: bool = True
 
 
 def exact_plan(params: ExactParams, n: int) -> tuple[int, int]:
@@ -87,7 +81,7 @@ def _residual_sketch(a, b, current, m, reps, key):
     at a lossless modulus, where all tie."""
     # primes p >= m >= 2n-1 fold the dense product and the partial result
     # by identity, so every residual sketch at modulus m is the same array
-    reps = 1 if m >= 2 * len(a) - 1 else reps
+    reps = 1 if lossless(len(a), m) else reps
     primes = [sample_prime(m, np.random.default_rng([*key, r])) for r in range(1, reps + 1)]
     return build_residual_sketch(a, b, current, primes, cache=SketchCache(a, b))
 
@@ -111,15 +105,14 @@ def run_correction_level(
     _level over `reps` residual sketches with primes drawn from streams
     seeded by (seed, level, r), so ties go to the smallest r. At a
     lossless modulus all sketches are equal, so only r = 1 is built.
-    Returns the merged result, rounded once in integer_mode as exact's
-    is, and the chosen prime. Raises ValueError as approx_sparse_convolve
-    does on a and b, and unless level >= 0, reps >= 1 and m >= 2 are
-    integers.
+    Returns the merged result, rounded once as exact's is, and the
+    chosen prime. Raises ValueError as approx_sparse_convolve does on a
+    and b, and unless level >= 0, reps >= 1 and m >= 2 are integers.
     """
     level, reps, m = as_int(level, "level", 0), as_int(reps, "reps", 1), as_int(m, "m", 2)
     a, b = dense_pair(a, b)
     merged, p = _level(_residual_sketch(a, b, current, m, reps, (params.seed, level)), current, params)
-    return _rounded(merged) if params.integer_mode else merged, p
+    return _rounded(merged), p
 
 
 def exact_sparse_convolve(
@@ -128,21 +121,20 @@ def exact_sparse_convolve(
     params: ExactParams,
     trace: CorrectionTrace | None = None,
 ) -> SparseResult:
-    """Recover the significant entries of A*B exactly (integer_mode) or
-    within 0.01 (otherwise), with probability >= 1 - delta.
+    """Recover the significant entries of A*B exactly, on integer
+    instances, with probability >= 1 - delta.
 
-    approx_sparse_convolve's result, rounded once in integer_mode: the
-    one path (sparseconv.approx). Each attempt separates every pair with
-    probability >= 1 - delta/4 at its k; a peel that is not clean plans again at 2k,
-    and a call that raised k warns. A given CorrectionTrace is filled
-    with what approx ran: its snapshots are unrounded, and the result is
-    the last one rounded in integer_mode.
+    approx_sparse_convolve's result, rounded once to the nearest integers,
+    zeros dropped: the one path (sparseconv.approx). Each attempt
+    separates every pair with probability >= 1 - delta/4 at its k; a peel
+    that is not clean plans again at 2k, and a call that raised k warns.
+    A given CorrectionTrace is filled with what approx ran: its snapshots
+    are unrounded, and the result is the last one rounded.
 
     Raises ValueError unless a and b are equal-length, finite,
     non-negative 1-D vectors.
     """
-    result = approx_sparse_convolve(a, b, params, trace=trace)
-    return _rounded(result) if params.integer_mode else result
+    return _rounded(approx_sparse_convolve(a, b, params, trace=trace))
 
 
 def residual_norm(

@@ -272,18 +272,19 @@ def load_instance(path) -> LoadedInstance:
         cursor = 2
         sections: list[np.ndarray] = []
         for name in ("A", "B"):
-            tag, count = lines[cursor].split()
-            if tag != name:
-                raise ValueError(f"expected section {name}, got {tag!r}")
-            count = as_int(_parse(count, f"section {name} count", int), f"section {name} count", 0)
+            header = lines[cursor].split()
+            if len(header) != 2 or header[0] != name:
+                raise ValueError(f"expected section {name} as '{name} <count>', not {lines[cursor]!r}")
+            count = as_int(_parse(header[1], f"section {name} count", int), f"section {name} count", 0)
             pos, val = [], []
-            for line in lines[cursor + 1 : cursor + 1 + count]:
-                idx, v = line.split()
-                idx = _parse(idx, f"section {name} index", int)
+            for j, line in enumerate(lines[cursor + 1 : cursor + 1 + count]):
+                if len(entry := line.split()) != 2:  # a short section reads the next header as an entry
+                    raise ValueError(f"section {name} entry {j + 1} of {count} must be '<index> <value>', not {line!r}")
+                idx = _parse(entry[0], f"section {name} index", int)
                 if not 0 <= idx < n:
                     raise ValueError(f"index {idx} out of range for n={n}")
                 pos.append(idx)
-                val.append(_parse(v, f"section {name} value", float))
+                val.append(_parse(entry[1], f"section {name} value", float))
             if len(set(pos)) < len(pos):
                 raise ValueError(f"section {name} lists an index more than once")
             sections += [np.array(pos, dtype=np.int64), np.array(val, dtype=np.float64)]
@@ -291,7 +292,7 @@ def load_instance(path) -> LoadedInstance:
         noise = lines[cursor].split()
         if noise[0] != "noise":
             raise ValueError("missing noise descriptor line")
-        meta = dict(f.split("=", 1) for f in noise[1:])
+        meta = dict(f.partition("=")[::2] for f in noise[1:])  # a field with no "=" reads as empty
         eta = as_real(_parse(meta["eta"], "noise eta", float), "noise eta", "[0, inf)")
         density = as_real(_parse(meta["density"], "noise density", float), "noise density", "[0, 1]")
         parts = _Parts(n, *sections, eta, density, as_int(_parse(meta["seed"], "seed", int), "seed", 0))
@@ -468,7 +469,7 @@ def _config_from(config) -> dict:
         except TypeError as exc:  # a missing n, s_a or s_b
             raise ValueError(f"instance {i}: {exc}") from exc
         k = given.get("k", spec.s_a * spec.s_b)  # ExactParams rejects a non-integral k
-        params = ExactParams(k=k, delta=delta, c1=c1, integer_mode=spec.integer_values)
+        params = ExactParams(k=k, delta=delta, c1=c1)
         instances.append(_GridInstance(given.get("id", f"inst{i}"), spec, params))
     engines = [_resolve_engine(e) for e in config["engines"]]
     seeds = [as_int(s, "seed") for s in config["seeds"]]  # int() would truncate 1.5
@@ -492,7 +493,7 @@ def _grid_cell(instance: _GridInstance, engines: list[str], seed: int):
         engine_params = replace(params, seed=_derive_seed(seed, instance.id, engine))
         try:
             run = run_engine(engine, inst.a, inst.b, engine_params)
-            scores = evaluate_run(run.result, truth, engine_params.integer_mode and engine == "exact")
+            scores = evaluate_run(run.result, truth, engine == "exact")
             wall_ms, work, error = run.wall_ms, run.fft_work_units, ""
         except Exception as exc:
             wall_ms, scores, work = -1.0, (float("nan"), float("nan"), float("nan"), 0), None

@@ -56,6 +56,7 @@ from .numerics import SparseResult, as_int, as_real, dense_pair
 __all__ = [
     "Sketch",
     "SketchCache",
+    "lossless",
     "route_price",
     "build_sketch",
     "build_residual_sketch",
@@ -126,6 +127,11 @@ FOLD_WORK = 0.5
 SKETCH_WORK = 150_000
 
 
+def lossless(n: int, m: int) -> bool:
+    """Whether every prime p >= m folds length-n inputs' product, 2n-1 long, by the identity."""
+    return m >= 2 * n - 1
+
+
 def route_price(n: int, m: int, count: int) -> float:
     """fft_work() units for `count` sketches with primes in [m, 2m] on
     length-n inputs: at m >= 2n-1 the dense route's three transforms of
@@ -137,7 +143,7 @@ def route_price(n: int, m: int, count: int) -> float:
     FOLD_WORK for each of the 2n entries it folds with their moment (the
     two inputs, or the dense product) plus SKETCH_WORK, on either route.
     """
-    if m >= 2 * n - 1:
+    if lossless(n, m):
         transforms = 3 * (transform_work(pad_length(2 * n - 1)) + TRANSFORM_WORK)
     else:
         transforms = count * 6 * (transform_work(pad_length(3 * m - 1)) + TRANSFORM_WORK)
@@ -192,7 +198,7 @@ def build_sketch(
     primes = [as_int(q, "p", 1) for q in ([p] if np.ndim(p) == 0 else p)]
     if not primes:
         raise ValueError("p must hold at least one prime")
-    if min(primes) >= 2 * len(cache.a) - 1:
+    if lossless(len(cache.a), min(primes)):
         product = cache.dense_products()
         pairs = [fold(product, q, moment=True) for q in primes]
     else:

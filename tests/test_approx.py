@@ -21,7 +21,7 @@ from sparseconv.numerics import SparseResult, naive_convolve
 from sparseconv.sketch import Sketch, SketchCache, build_residual_sketch, build_sketch, extract_candidates, residual
 
 from isolation import is_isolated
-from oracle import significant_support, support_ge
+from oracle import rounded, significant_support, support_ge
 
 
 def impulse(n, at):
@@ -305,12 +305,12 @@ def test_a_level_exposing_nothing_extracts_nothing(monkeypatch):
 
 @pytest.mark.parametrize("dense", [True, False], ids=["dense", "cyclic"])
 def test_approx_is_exact_without_rounding(monkeypatch, dense):
-    # one recovery path: on either route, approx returns exact's
-    # integer_mode=False result bit for bit; k = 24 plans losslessly here,
-    # so the cyclic case forces both engines' first attempt onto the grid
-    # base 4072, which separates with 2 sketches and whose primes all
-    # hash (2m < 2n - 1), and a replan at 2k onto the real plan
-    inst = generate_instance(InstanceSpec(n=2**12, s_a=4, s_b=6, seed=9, integer_values=False))
+    # one recovery path: on either route, exact returns approx's result
+    # rounded once, with the same warnings and trace, on integer and float
+    # inputs; k = 24 plans losslessly here, so the cyclic case forces both
+    # engines' first attempt onto the grid base 4072, which separates with
+    # 2 sketches and whose primes all hash (2m < 2n - 1), and a replan at
+    # 2k onto the real plan
     plan = sparseconv.approx.approx_plan
     assert plan(ApproxParams(k=24, delta=0.1), 2**12) == Plan(8191, 2)
     assert 4072 in _grid(24, 2**12) and _separation_reps(24, 0.1, 2**12, 4072) == 2
@@ -318,34 +318,39 @@ def test_approx_is_exact_without_rounding(monkeypatch, dense):
         monkeypatch.setattr(
             sparseconv.approx, "approx_plan", lambda params, n: Plan(4072, 2) if params.k == 24 else plan(params, n)
         )
-    for seed in range(3):
-        params = dict(k=24, delta=0.1, seed=seed)
-        out = approx_sparse_convolve(inst.a, inst.b, ApproxParams(**params))
-        assert len(out) > 0
-        exact = exact_sparse_convolve(inst.a, inst.b, ExactParams(**params, integer_mode=False))
-        assert out == exact
+    for integer_values in (True, False):
+        inst = generate_instance(InstanceSpec(n=2**12, s_a=4, s_b=6, seed=9, integer_values=integer_values))
+        for seed in range(3):
+            params = dict(k=24, delta=0.1, seed=seed)
+            runs = []
+            engines = ((approx_sparse_convolve, ApproxParams(**params)), (exact_sparse_convolve, ExactParams(**params)))
+            for engine, p in engines:
+                trace = CorrectionTrace()
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    out = engine(inst.a, inst.b, p, trace=trace)
+                runs.append((out, [str(w.message) for w in caught], trace))
+            (approx, *approx_rest), (exact, *exact_rest) = runs
+            assert len(approx) > 0
+            assert exact == rounded(approx) and exact_rest == approx_rest
 
 
-@pytest.mark.parametrize("engine", ["approx", "exact"])
-def test_a_c1_below_tau_keeps_the_entries_between_them(engine):
+def test_a_c1_below_tau_keeps_the_entries_between_them():
     # c1 = 0.1 is legal, so entries near 0.2 are significant though at or
-    # below tau: both engines return them at the starting count, unwarned
+    # below tau: approx returns them at the starting count, unwarned
     inst = generate_instance(InstanceSpec(n=2**10, s_a=4, s_b=4, value_range=(1, 1.1), integer_values=False, seed=3))
     a = 0.2 * inst.a
     c = naive_convolve(a, inst.b)
     truth = support_ge(c, 0.1)
     assert len(truth) == 16 and max(c[j] for j in truth) < ApproxParams.tau
-    params = dict(k=16, delta=0.1, c1=0.1, seed=1)
+    params = ApproxParams(k=16, delta=0.1, c1=0.1, seed=1)
     trace = CorrectionTrace()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        if engine == "approx":
-            out = approx_sparse_convolve(a, inst.b, ApproxParams(**params), trace=trace)
-        else:
-            out = exact_sparse_convolve(a, inst.b, ExactParams(**params, integer_mode=False), trace=trace)
+        out = approx_sparse_convolve(a, inst.b, params, trace=trace)
     assert out.support() == truth
     assert all(abs(v - c[j]) < 0.01 for j, v in out.items())
-    assert trace.bootstrap_reps == [approx_plan(ApproxParams(**params), 2**10).reps]
+    assert trace.bootstrap_reps == [approx_plan(params, 2**10).reps]
 
 
 def test_deterministic_given_seed():

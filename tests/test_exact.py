@@ -39,6 +39,11 @@ class TestParams:
             with pytest.raises(TypeError):
                 ExactParams(k=1, delta=0.1, **{name: value})
 
+    def test_the_fields_are_approxs_four_knobs(self):
+        # exact always rounds: no field picks an unrounded path, and any
+        # other keyword is a TypeError
+        assert [f.name for f in fields(ExactParams)] == ["k", "delta", "c1", "seed"]
+
     def test_readme_knob_table_lists_the_fields(self):
         # each field once, in order, with its default ("required" if none)
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -177,18 +182,6 @@ def test_planted_defect_is_repaired():
     cands = extract_candidates(sk, params.c1, params.tau)
     recovered = {c.index: float(round_to_int(c.value)) for c in cands}
     assert recovered == {dropped: val}
-
-
-def test_integer_mode_off_keeps_float_values():
-    spec = InstanceSpec(n=2**10, s_a=3, s_b=3, seed=81, integer_values=False)
-    inst = generate_instance(spec)
-    oracle = naive_convolve(inst.a, inst.b)
-    true_supp = significant_support(oracle, inst.c1_effective)
-    out = exact_sparse_convolve(
-        inst.a, inst.b, ExactParams(k=9, delta=0.1, seed=4, integer_mode=False)
-    )
-    assert out.support() == true_supp
-    assert all(abs(out[j] - oracle[j]) <= 0.01 for j in true_supp)
 
 
 def test_deterministic_given_seed():

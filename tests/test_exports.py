@@ -55,6 +55,13 @@ def test_every_kept_import_is_a_layer_trace_site():
     assert UNUSED_IMPORTS_KEPT <= _layer_trace_sites()
 
 
+@pytest.mark.parametrize("site", sorted(_layer_trace_sites()))
+def test_every_layer_trace_site_resolves(site):
+    # the trace reads every metric of a site it cannot find as absent;
+    # resolve_name also reaches a "Class.method" site
+    pkgutil.resolve_name(site)
+
+
 def _unused_imports(path) -> set[str]:
     """Names a file's import statements bind that no expression reads."""
     tree = ast.parse(Path(path).read_text())

@@ -204,12 +204,22 @@ class TestInstanceFiles:
              "^noise density must be a number, not 'half'$"),
             ("sparseconv-instance v1\nn=16\nA 1\n3 1.0\nB 1\n0 1.0\nnoise eta=0.0 density=0.0 seed=1.5\n",
              "^seed must be an integer, not '1.5'$"),
+            # a line with the wrong number of fields names its section or field
+            ("sparseconv-instance v1\nn=16\nA\n3 1.0\nB 1\n0 1.0\nnoise eta=0.0 density=0.0 seed=0\n",
+             "^expected section A as 'A <count>', not 'A'$"),
+            ("sparseconv-instance v1\nn=16\nA 1\n0\nB 1\n0 1.0\nnoise eta=0.0 density=0.0 seed=0\n",
+             "^section A entry 1 of 1 must be '<index> <value>', not '0'$"),
+            ("sparseconv-instance v1\nn=16\nA 1\n3 1.0\nB 3\n0 1.0\nnoise eta=0.0 density=0.0 seed=0\n",
+             "^section B entry 2 of 3 must be '<index> <value>', not 'noise eta=0.0 density=0.0 seed=0'$"),
+            ("sparseconv-instance v1\nn=16\nA 1\n3 1.0\nB 1\n0 1.0\nnoise eta density=0.5 seed=1\n",
+             "^noise eta must be a number, not ''$"),
         ],
         ids=[
             "no-n-line", "wrong-section-tag", "index-at-n", "no-noise-line", "truncated-before-noise",
             "n-zero", "eta-nan", "eta-negative", "density-above-one", "seed-negative",
             "eta-inf", "density-nan", "density-negative", "eta-true",
             "n-text", "count-text", "count-negative", "index-float", "value-text", "density-text", "seed-float",
+            "header-without-count", "entry-without-value", "section-short-of-its-count", "noise-field-without-value",
         ],
     )
     def test_malformed_body(self, tmp_path, text, match):
@@ -351,6 +361,34 @@ class TestRunBenchmark:
         cells = [row.split(",") for row in rows]
         assert {c[engine] for c in cells} == {"fft", "approx"}
         assert all(c[exact_match] == "1" for c in cells)
+
+    def test_an_exact_row_on_a_float_instance_is_the_rounded_product(self, tmp_path, monkeypatch):
+        # exact always rounds, so its row equals the rounded oracle and is
+        # off the float oracle by the rounding distance; the float values
+        # are the approx row's
+        generated = []
+
+        def recording(spec, k_budget=None):
+            generated.append(generate_instance(spec, k_budget))
+            return generated[-1]
+
+        monkeypatch.setattr(harness, "generate_instance", recording)
+        config = {
+            "engines": ["approx", "exact"],
+            "seeds": [0],
+            "instances": [{"n": 256, "s_a": 3, "s_b": 3, "k": 9, "value_range": [1.5, 3.0], "integer_values": False}],
+        }
+        run_benchmark(config, tmp_path)
+        with open(tmp_path / "runs.csv", newline="") as f:
+            rows = {r["engine"]: r for r in csv.DictReader(f)}
+        (inst,) = generated
+        truth = fft_convolve(inst.a, inst.b)
+        on_support = truth[truth >= 0.5]
+        distance = float(np.max(np.abs(on_support - np.round(on_support))))
+        assert distance > 0.01
+        assert rows["exact"]["exact_match"] == "1" and rows["exact"]["support_recall"] == "1.0"
+        assert float(rows["exact"]["max_abs_err_on_support"]) == distance
+        assert rows["approx"]["exact_match"] == "1" and float(rows["approx"]["max_abs_err_on_support"]) <= 1e-6
 
     def test_fft_work_units_do_not_depend_on_jobs(self, tmp_path):
         # the meter is per thread, so cells that run at once each read

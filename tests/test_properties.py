@@ -460,9 +460,9 @@ def test_the_plans_price_does_not_grow_with_delta(n, k, d1, d2):
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(st.data())
 def test_approx_is_exact_without_rounding(data):
-    # one path: same output, same warning, same trace, for any k, delta
-    # and seed, k under-stated included; exact's integer_mode rounds the
-    # output once and changes nothing else, on integer and float inputs
+    # one path: for any k, delta and seed, k under-stated included, exact
+    # rounds approx's output once and changes nothing else, warning and
+    # trace alike, on integer and float inputs
     n = data.draw(st.integers(4, 512), label="n")
     integer_values = data.draw(st.booleans(), label="integer values")
     values = st.integers(1, 20).map(float) if integer_values else st.floats(0.5, 20)
@@ -479,16 +479,14 @@ def test_approx_is_exact_without_rounding(data):
     runs = []
     for engine, p in (
         (approx_sparse_convolve, ApproxParams(**params)),
-        (exact_sparse_convolve, ExactParams(**params, integer_mode=False)),
-        (exact_sparse_convolve, ExactParams(**params, integer_mode=True)),
+        (exact_sparse_convolve, ExactParams(**params)),
     ):
         trace = CorrectionTrace()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             out = engine(a, b, p, trace=trace)
         runs.append((out, [str(w.message) for w in caught], trace))
-    approx, unrounded, exact = runs
-    assert unrounded == approx
+    approx, exact = runs
     assert exact[0] == rounded(approx[0]) and exact[1:] == approx[1:]
 
 
